@@ -11,7 +11,6 @@ trainer, and a config-driven experiment loop with per-round metrics.
 
 from .aggregators import (
     AGGREGATOR_NAMES,
-    AggregatorKind,
     aggregate,
     celtibero_aggregate,
     coordinate_median,
@@ -64,13 +63,11 @@ from .data import (
 )
 from .errors import ConfigError, IdxFormatError, RoundError, ShapeMismatchError
 from .model import (
-    GradientUpdate,
     LayerShape,
     ModelWeights,
     add_update,
     cosine_distance,
     diff,
-    euclidean_distance,
 )
 from .orchestrator import (
     ClientSpec,

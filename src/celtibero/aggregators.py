@@ -5,28 +5,30 @@ around: per layer it clusters update directions into two groups, drops the
 group scored as coordinated manipulation, and advances the global layer by
 the coordinate-wise median of the surviving updates. The remaining
 strategies (``fedavg``, ``coordinate_median``, ``krum``, ``median_krum``)
-serve as baselines under the same interface.
+serve as baselines under the same interface. Local models, updates and the
+result are all :class:`~celtibero.model.ModelWeights`; ``aggregate`` picks the
+strategy from a parsed :class:`~celtibero.config.AggregatorConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .clustering import (
-    LINKAGES,
     ClusterVerdict,
     agglomerative_two_clusters,
     label_clusters,
     pairwise_cosine_matrix,
 )
-from .errors import ShapeMismatchError
-from .model import ModelWeights, diff
+from .model import ModelWeights, _aligned_layers, diff
+
+if TYPE_CHECKING:
+    from .config import AggregatorConfig
 
 __all__ = [
     "AGGREGATOR_NAMES",
-    "AggregatorKind",
     "aggregate",
     "celtibero_aggregate",
     "fedavg",
@@ -38,39 +40,10 @@ __all__ = [
 AGGREGATOR_NAMES = ("celtibero", "fedavg", "coord_median", "krum", "median_krum")
 
 
-@dataclass(frozen=True)
-class AggregatorKind:
-    """Strategy selector plus its parameters.
-
-    ``krum_f`` is the assumed number of malicious inputs for the Krum family;
-    ``linkage`` picks the clustering linkage for celtibero.
-    """
-
-    name: str
-    krum_f: int = 1
-    linkage: str = "average"
-
-    def __post_init__(self) -> None:
-        if self.name not in AGGREGATOR_NAMES:
-            raise ValueError(f"aggregator must be one of {AGGREGATOR_NAMES}, got {self.name!r}")
-        if self.krum_f < 0:
-            raise ValueError(f"krum_f must be >= 0, got {self.krum_f}")
-        if self.linkage not in LINKAGES:
-            raise ValueError(f"linkage must be one of {LINKAGES}, got {self.linkage!r}")
-
-
 def _check_same_structure(local_models: list[ModelWeights]) -> None:
-    first = local_models[0]
-    for k, model in enumerate(local_models[1:], start=1):
-        if model.num_layers != first.num_layers:
-            raise ShapeMismatchError(
-                f"model {k}: layer count {model.num_layers} vs {first.num_layers}"
-            )
-        for layer, ((_, va), (_, vb)) in enumerate(zip(first.layers, model.layers)):
-            if va.size != vb.size:
-                raise ShapeMismatchError(
-                    f"model {k}, layer {layer}: vector length {vb.size} vs {va.size}"
-                )
+    """Raise ``ShapeMismatchError`` unless every model aligns with the first."""
+    for model in local_models[1:]:
+        list(_aligned_layers(local_models[0], model))
 
 
 def celtibero_aggregate(
@@ -95,7 +68,7 @@ def celtibero_aggregate(
     new_layers = []
     verdicts = []
     for layer, (shape, global_vec) in enumerate(global_model.layers):
-        vecs = [u.layers[layer] for u in updates]
+        vecs = [u.layers[layer][1] for u in updates]
         matrix = pairwise_cosine_matrix(vecs)
         assignment = agglomerative_two_clusters(matrix, linkage)
         verdict = label_clusters(matrix, assignment)
@@ -171,19 +144,19 @@ def median_krum(local_models: list[ModelWeights], f: int) -> ModelWeights:
 
 
 def aggregate(
-    kind: AggregatorKind,
+    cfg: AggregatorConfig,
     global_model: ModelWeights,
     local_models: list[ModelWeights],
 ) -> tuple[ModelWeights, tuple[ClusterVerdict, ...] | None]:
     """Apply the configured strategy; verdicts are returned for celtibero only."""
-    if kind.name == "celtibero":
-        return celtibero_aggregate(global_model, local_models, kind.linkage)
-    if kind.name == "fedavg":
+    if cfg.kind == "celtibero":
+        return celtibero_aggregate(global_model, local_models, cfg.linkage)
+    if cfg.kind == "fedavg":
         return fedavg(local_models), None
-    if kind.name == "coord_median":
+    if cfg.kind == "coord_median":
         return coordinate_median(local_models), None
-    if kind.name == "krum":
-        return krum(local_models, kind.krum_f), None
-    if kind.name == "median_krum":
-        return median_krum(local_models, kind.krum_f), None
-    raise ValueError(f"unknown aggregator {kind.name!r}")
+    if cfg.kind == "krum":
+        return krum(local_models, cfg.krum_f), None
+    if cfg.kind == "median_krum":
+        return median_krum(local_models, cfg.krum_f), None
+    raise ValueError(f"aggregator must be one of {AGGREGATOR_NAMES}, got {cfg.kind!r}")

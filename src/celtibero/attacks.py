@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ShapeMismatchError
-from .model import GradientUpdate, ModelWeights, _aligned_layers
+from .model import ModelWeights, _aligned_layers
 
 __all__ = [
     "ATTACK_KINDS",
@@ -238,8 +238,8 @@ def boost_update(
 
 
 def neurotoxin_mask(
-    update: GradientUpdate, reference: GradientUpdate, mask_ratio: float
-) -> GradientUpdate:
+    update: ModelWeights, reference: ModelWeights, mask_ratio: float
+) -> ModelWeights:
     """Zero the update coordinates the aggregate moved most recently.
 
     Per layer the ``ceil(mask_ratio * size)`` coordinates with the largest
@@ -250,17 +250,11 @@ def neurotoxin_mask(
     """
     if not 0.0 < mask_ratio < 1.0:
         raise ValueError(f"mask_ratio must lie in (0, 1), got {mask_ratio}")
-    if update.num_layers != reference.num_layers:
-        raise ShapeMismatchError(
-            f"layer count mismatch: {update.num_layers} vs {reference.num_layers}"
-        )
     masked_layers = []
-    for k, (vec, ref) in enumerate(zip(update.layers, reference.layers)):
-        if vec.size != ref.size:
-            raise ShapeMismatchError(f"layer {k}: vector length {vec.size} vs {ref.size}")
+    for _, shape, vec, ref in _aligned_layers(update, reference):
         count = math.ceil(mask_ratio * vec.size)
         order = np.argsort(-np.abs(ref), kind="stable")
         masked = vec.copy()
         masked[order[:count]] = 0.0
-        masked_layers.append(masked)
-    return GradientUpdate(masked_layers)
+        masked_layers.append((shape, masked))
+    return ModelWeights(masked_layers)

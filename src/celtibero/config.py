@@ -444,6 +444,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
         malicious_fraction = 0.0
     attackers = int(math.floor(malicious_fraction * clients + 1e-9))
+    if attackers * 2 >= clients:
+        # malicious_count's epsilon can round a fraction just under 0.5 up to half.
+        errors.append(
+            f"malicious_fraction: {malicious_fraction} of {clients} clients gives "
+            f"{attackers} malicious, which leaves no strict honest majority"
+        )
+        malicious_fraction, attackers = 0.0, 0
     attack = _parse_attack(top.block("attack"), dataset, attackers, errors)
     aggregator = _parse_aggregator(top.block("aggregator"), errors)
     rounds = top.int_("rounds", 50, minimum=0)
@@ -470,6 +477,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"participation: bounds must satisfy 0 < low <= high <= 1, got {participation}"
             )
             participation = (0.6, 0.9)
+
+    if aggregator.kind in ("krum", "median_krum"):
+        # Smallest round that sample_participants can draw: the low bound's count.
+        fewest = max(2, min(clients, int(math.floor(participation[0] * clients + 0.5))))
+        needed = 2 * aggregator.krum_f + 3
+        if fewest < needed:
+            errors.append(
+                f"aggregator.krum_f: {aggregator.kind} with krum_f={aggregator.krum_f} needs "
+                f">= {needed} participants per round (2*krum_f + 3), but a round of "
+                f"{clients} clients at participation {participation[0]} can have {fewest}"
+            )
 
     architecture = _parse_architecture(top.block("architecture"), errors)
     training = _parse_training(top.block("training"), dataset, errors)
@@ -512,7 +530,8 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Resolved config as a plain mapping; parsing it back gives ``cfg``."""
+    """Resolved config as a plain mapping; parsing it back gives ``cfg``, or
+    for a backdoor attack without a trigger, ``cfg`` with the default one."""
     if cfg.dataset.kind == "synthetic":
         dataset = {
             "kind": "synthetic",
@@ -545,10 +564,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     elif cfg.attack.kind in BACKDOOR_KINDS:
         attack["target_class"] = cfg.attack.target_class
         attack["poison_fraction"] = cfg.attack.poison_fraction
-        attack["trigger"] = {
-            "positions": list(cfg.attack.trigger.positions),
-            "values": list(cfg.attack.trigger.values),
-        }
+        if cfg.attack.trigger is not None:
+            attack["trigger"] = {
+                "positions": list(cfg.attack.trigger.positions),
+                "values": list(cfg.attack.trigger.values),
+            }
         if cfg.attack.kind == "mra":
             attack["boost_factor"] = cfg.attack.boost_factor
         if cfg.attack.kind == "dba":

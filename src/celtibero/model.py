@@ -2,9 +2,11 @@
 
 Weights travel between clients and server as an ordered sequence of flat
 float64 vectors, one per registered layer; each weight matrix and each bias
-vector counts as its own layer. Every operation here is pure: inputs are
-never mutated and the containers are immutable once constructed, so they are
-safe to share between concurrently training clients.
+vector counts as its own layer. Updates (a local model minus the global model
+it started from), gradients and attack masks use the same container, in the
+shapes of the model they were taken against. Every operation here is pure:
+inputs are never mutated and the containers are immutable once constructed,
+so they are safe to share between concurrently training clients.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from .errors import ShapeMismatchError
 __all__ = [
     "LayerShape",
     "ModelWeights",
-    "GradientUpdate",
     "diff",
     "add_update",
     "cosine_distance",
-    "euclidean_distance",
 ]
 
 
@@ -108,43 +108,6 @@ class ModelWeights:
         return f"ModelWeights([{dims}])"
 
 
-class GradientUpdate:
-    """Per-layer difference between a local model and the global model it
-    started from; shape-aligned with that reference model."""
-
-    __slots__ = ("layers",)
-
-    def __init__(self, layers: Iterable[Sequence[float]]):
-        checked = []
-        for k, vec in enumerate(layers):
-            arr = _readonly_vector(vec)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"layer {k}: update contains NaN or Inf")
-            checked.append(arr)
-        self.layers: tuple[np.ndarray, ...] = tuple(checked)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    def concat(self) -> np.ndarray:
-        if not self.layers:
-            return np.zeros(0)
-        return np.concatenate(self.layers)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradientUpdate):
-            return NotImplemented
-        return len(self.layers) == len(other.layers) and all(
-            np.array_equal(a, b) for a, b in zip(self.layers, other.layers)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"GradientUpdate([{', '.join(str(v.size) for v in self.layers)}])"
-
-
 def _aligned_layers(a: ModelWeights, b: ModelWeights):
     if a.num_layers != b.num_layers:
         raise ShapeMismatchError(
@@ -158,25 +121,18 @@ def _aligned_layers(a: ModelWeights, b: ModelWeights):
         yield k, shape_a, vec_a, vec_b
 
 
-def diff(local: ModelWeights, global_model: ModelWeights) -> GradientUpdate:
-    """Per-layer, per-coordinate ``local - global``."""
-    return GradientUpdate(
-        vl - vg for _, _, vl, vg in _aligned_layers(local, global_model)
+def diff(local: ModelWeights, global_model: ModelWeights) -> ModelWeights:
+    """Per-layer, per-coordinate ``local - global``, in the global model's shapes."""
+    return ModelWeights(
+        (shape, vl - vg) for _, shape, vg, vl in _aligned_layers(global_model, local)
     )
 
 
-def add_update(global_model: ModelWeights, update: GradientUpdate) -> ModelWeights:
+def add_update(global_model: ModelWeights, update: ModelWeights) -> ModelWeights:
     """Apply an update layer-wise; the result keeps the global model's shapes."""
-    if global_model.num_layers != update.num_layers:
-        raise ShapeMismatchError(
-            f"layer count mismatch: {global_model.num_layers} vs {update.num_layers}"
-        )
-    layers = []
-    for k, ((shape, vec), delta) in enumerate(zip(global_model.layers, update.layers)):
-        if vec.size != delta.size:
-            raise ShapeMismatchError(f"layer {k}: vector length {vec.size} vs {delta.size}")
-        layers.append((shape, vec + delta))
-    return ModelWeights(layers)
+    return ModelWeights(
+        (shape, vg + delta) for _, shape, vg, delta in _aligned_layers(global_model, update)
+    )
 
 
 def cosine_distance(u, v) -> float:
@@ -198,12 +154,3 @@ def cosine_distance(u, v) -> float:
         return 1.0
     dist = 1.0 - float(np.dot(uu, vv)) / (norm_u * norm_v)
     return float(min(2.0, max(0.0, dist)))
-
-
-def euclidean_distance(a: ModelWeights, b: ModelWeights) -> float:
-    """L2 distance over the concatenation of all layers."""
-    total = 0.0
-    for _, _, va, vb in _aligned_layers(a, b):
-        d = va - vb
-        total += float(np.dot(d, d))
-    return math.sqrt(total)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aggregators import AggregatorKind, aggregate
+from .aggregators import aggregate
 from .attacks import (
     BACKDOOR_KINDS,
     AttackSpec,
@@ -31,10 +31,10 @@ from .attacks import (
     split_trigger,
 )
 from .clustering import ClusterVerdict
-from .config import ExperimentConfig, config_to_dict, malicious_count
+from .config import ExperimentConfig, config_from_dict, config_to_dict, malicious_count
 from .data import LabeledDataset, gen_synthetic, load_idx, partition_dirichlet, partition_iid
-from .errors import ConfigError, RoundError
-from .model import GradientUpdate, ModelWeights, add_update, diff
+from .errors import RoundError
+from .model import ModelWeights, add_update, diff
 from .training import (
     EvalResult,
     NetworkArchitecture,
@@ -205,38 +205,6 @@ def backdoor_success_rate(
     return float((preds == trigger.target_class).mean())
 
 
-def _validate_runtime(cfg: ExperimentConfig) -> None:
-    problems = []
-    attackers = malicious_count(cfg)
-    if not 0.0 <= cfg.malicious_fraction < 0.5:
-        problems.append(
-            "malicious_fraction: must lie in [0, 0.5) so honest clients hold a "
-            f"strict majority, got {cfg.malicious_fraction}"
-        )
-    if attackers * 2 >= cfg.clients:
-        problems.append(
-            f"threat model violated: {attackers} malicious of {cfg.clients} clients"
-        )
-    if cfg.clients < 2:
-        problems.append(f"clients: must be >= 2, got {cfg.clients}")
-    low, high = cfg.participation
-    if not 0.0 < low <= high <= 1.0:
-        problems.append(f"participation: invalid bounds {cfg.participation}")
-    if cfg.attack.kind == "dba":
-        if attackers < 1:
-            problems.append("attack: dba needs at least one malicious client")
-        if cfg.attack.dba_fragments is None:
-            problems.append("attack: dba_fragments unresolved")
-    if cfg.attack.kind in BACKDOOR_KINDS and cfg.attack.trigger is None:
-        problems.append(f"attack: {cfg.attack.kind} needs a trigger")
-    if cfg.rounds < 0:
-        problems.append(f"rounds: must be >= 0, got {cfg.rounds}")
-    if not cfg.training.learning_rate > 0:
-        problems.append(f"training.learning_rate: must be positive, got {cfg.training.learning_rate}")
-    if problems:
-        raise ConfigError(problems)
-
-
 def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     master = cfg.seed
     if cfg.dataset.kind == "synthetic":
@@ -292,13 +260,15 @@ def _poison_client_data(
 class Experiment:
     """Fully materialized runtime for one experiment.
 
-    Building an Experiment loads/generates the data, partitions it across the
-    roster, poisons the malicious clients' shares, and initializes the global
-    model. ``run`` then executes the configured number of rounds.
+    Building an Experiment validates the config exactly as the parser does
+    (a hand-built config gets every violation listed and its defaults
+    materialized), loads/generates the data, partitions it across the roster,
+    poisons the malicious clients' shares, and initializes the global model.
+    ``run`` then executes the configured number of rounds.
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        _validate_runtime(cfg)
+        cfg = config_from_dict(config_to_dict(cfg))
         self.cfg = cfg
         master = cfg.seed
         self.train_data, self.test_data = _load_datasets(cfg)
@@ -336,11 +306,6 @@ class Experiment:
             seed=derive_seed(master, "init"),
         )
         self.initial_model = init_model(self.architecture)
-        self.aggregator = AggregatorKind(
-            name=cfg.aggregator.kind,
-            krum_f=cfg.aggregator.krum_f,
-            linkage=cfg.aggregator.linkage,
-        )
 
     def initial_state(self) -> FederationState:
         return FederationState(
@@ -350,15 +315,15 @@ class Experiment:
             master_seed=self.cfg.seed,
         )
 
-    def _zero_update(self) -> GradientUpdate:
-        return GradientUpdate(np.zeros(v.size) for v in self.initial_model.vectors())
+    def _zero_update(self) -> ModelWeights:
+        return ModelWeights((s, np.zeros(s.size)) for s in self.initial_model.shapes())
 
     def run_round(
         self,
         state: FederationState,
         reference_report: RoundReport | None = None,
-        prev_global_update: GradientUpdate | None = None,
-    ) -> tuple[FederationState, RoundReport, GradientUpdate]:
+        prev_global_update: ModelWeights | None = None,
+    ) -> tuple[FederationState, RoundReport, ModelWeights]:
         """Execute one round from ``state``.
 
         Returns the next state, the round's report, and the realized global
@@ -398,7 +363,7 @@ class Experiment:
                 local = add_update(state.global_model, masked)
             local_models.append(local)
         try:
-            new_global, verdicts = aggregate(self.aggregator, state.global_model, local_models)
+            new_global, verdicts = aggregate(cfg.aggregator, state.global_model, local_models)
         except ValueError as exc:
             raise RoundError(
                 f"round {t}: aggregation failed with {len(local_models)} participants: {exc}"

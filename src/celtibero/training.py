@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ShapeMismatchError
-from .model import GradientUpdate, LayerShape, ModelWeights
+from .model import LayerShape, ModelWeights
 
 __all__ = [
     "ACTIVATIONS",
@@ -208,9 +208,9 @@ def _batch_grads(weights, biases, X, y, activation):
 
 def loss_and_grad(
     model: ModelWeights, features, labels, activation: str = "relu"
-) -> tuple[float, GradientUpdate]:
+) -> tuple[float, ModelWeights]:
     """Mean softmax cross-entropy over a batch and its gradient, packaged in
-    the model's layer order (matrix, bias, matrix, bias, ...)."""
+    the model's shapes and layer order (matrix, bias, matrix, bias, ...)."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     pairs = _dense_pairs(model)
@@ -221,7 +221,7 @@ def loss_and_grad(
     for wg, bg in zip(weight_grads, bias_grads):
         flat.append(wg.ravel())
         flat.append(bg)
-    return loss, GradientUpdate(flat)
+    return loss, ModelWeights(zip(model.shapes(), flat))
 
 
 def train_local(

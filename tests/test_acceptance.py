@@ -116,7 +116,7 @@ def test_criterion_03_analytic_gradients_match_central_differences():
                 up = _loss_with_bump(model, k, c, h, X, y, activation)
                 down = _loss_with_bump(model, k, c, -h, X, y, activation)
                 numeric = (up - down) / (2 * h)
-                analytic = float(grad.layers[k][c])
+                analytic = float(grad.vectors()[k][c])
                 err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
                 worst = max(worst, err)
     ok = worst <= 1e-4

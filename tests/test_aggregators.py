@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from celtibero import (
-    AggregatorKind,
+    AggregatorConfig,
     aggregate,
     celtibero_aggregate,
     coordinate_median,
@@ -264,30 +264,32 @@ class TestMedianKrum:
 
 class TestAggregateDispatcher:
     def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            AggregatorKind("trimmed_mean")
-        with pytest.raises(ValueError):
-            AggregatorKind("krum", krum_f=-1)
-        with pytest.raises(ValueError):
-            AggregatorKind("celtibero", linkage="ward")
+        global_model, locals_ = detection_scenario()
+        for bad in (
+            AggregatorConfig("trimmed_mean"),
+            AggregatorConfig("krum", krum_f=-1),
+            AggregatorConfig("celtibero", linkage="ward"),
+        ):
+            with pytest.raises(ValueError):
+                aggregate(bad, global_model, locals_)
 
     def test_verdicts_only_for_celtibero(self):
         global_model, locals_ = detection_scenario()
-        out, verdicts = aggregate(AggregatorKind("celtibero"), global_model, locals_)
+        out, verdicts = aggregate(AggregatorConfig("celtibero"), global_model, locals_)
         assert verdicts is not None and len(verdicts) == 1
         for name in ("fedavg", "coord_median"):
-            _, verdicts = aggregate(AggregatorKind(name), global_model, locals_)
+            _, verdicts = aggregate(AggregatorConfig(name), global_model, locals_)
             assert verdicts is None
 
     def test_dispatch_matches_direct_calls(self):
         global_model, locals_ = detection_scenario()
-        assert aggregate(AggregatorKind("fedavg"), global_model, locals_)[0] == fedavg(locals_)
-        assert aggregate(AggregatorKind("coord_median"), global_model, locals_)[0] == (
+        assert aggregate(AggregatorConfig("fedavg"), global_model, locals_)[0] == fedavg(locals_)
+        assert aggregate(AggregatorConfig("coord_median"), global_model, locals_)[0] == (
             coordinate_median(locals_)
         )
-        assert aggregate(AggregatorKind("krum", krum_f=2), global_model, locals_)[0] == (
+        assert aggregate(AggregatorConfig("krum", krum_f=2), global_model, locals_)[0] == (
             krum(locals_, f=2)
         )
-        assert aggregate(AggregatorKind("median_krum", krum_f=2), global_model, locals_)[0] == (
+        assert aggregate(AggregatorConfig("median_krum", krum_f=2), global_model, locals_)[0] == (
             median_krum(locals_, f=2)
         )

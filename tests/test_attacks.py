@@ -5,7 +5,6 @@ import pytest
 
 from celtibero import (
     AttackSpec,
-    GradientUpdate,
     LabeledDataset,
     ShapeMismatchError,
     TriggerPattern,
@@ -297,46 +296,46 @@ class TestNeurotoxinMask:
             vec = rng.normal(size=size)
             ref = rng.normal(size=size)
             masked = neurotoxin_mask(
-                GradientUpdate([vec]), GradientUpdate([ref]), ratio
+                make_weights(vec), make_weights(ref), ratio
             )
             expected_zero = top_mask_indices(ref.tolist(), ratio)
             for i in range(size):
                 if i in expected_zero:
-                    assert masked.layers[0][i] == 0.0
+                    assert masked.vectors()[0][i] == 0.0
                 else:
-                    assert masked.layers[0][i] == vec[i]
+                    assert masked.vectors()[0][i] == vec[i]
 
     def test_zero_reference_masks_lowest_indices(self):
         vec = np.arange(1.0, 9.0)
-        masked = neurotoxin_mask(GradientUpdate([vec]), GradientUpdate([np.zeros(8)]), 0.25)
-        assert np.array_equal(masked.layers[0], [0.0, 0.0] + list(vec[2:]))
+        masked = neurotoxin_mask(make_weights(vec), make_weights(np.zeros(8)), 0.25)
+        assert np.array_equal(masked.vectors()[0], [0.0, 0.0] + list(vec[2:]))
 
     def test_exact_zero_count_per_layer(self):
         rng = np.random.default_rng(83)
         vecs = [rng.uniform(0.5, 1.0, size=s) for s in (10, 7)]
         refs = [rng.normal(size=s) for s in (10, 7)]
-        masked = neurotoxin_mask(GradientUpdate(vecs), GradientUpdate(refs), 0.3)
-        assert int(np.sum(masked.layers[0] == 0.0)) == 3  # ceil(0.3 * 10)
-        assert int(np.sum(masked.layers[1] == 0.0)) == 3  # ceil(0.3 * 7)
+        masked = neurotoxin_mask(make_weights(*vecs), make_weights(*refs), 0.3)
+        assert int(np.sum(masked.vectors()[0] == 0.0)) == 3  # ceil(0.3 * 10)
+        assert int(np.sum(masked.vectors()[1] == 0.0)) == 3  # ceil(0.3 * 7)
 
     def test_layerwise_independence(self):
         vec = np.ones(4)
         ref_hot_last = np.array([0.0, 0.0, 0.0, 9.0])
         masked = neurotoxin_mask(
-            GradientUpdate([vec, vec]),
-            GradientUpdate([ref_hot_last, ref_hot_last[::-1].copy()]),
+            make_weights(vec, vec),
+            make_weights(ref_hot_last, ref_hot_last[::-1].copy()),
             0.25,
         )
-        assert np.array_equal(masked.layers[0], [1.0, 1.0, 1.0, 0.0])
-        assert np.array_equal(masked.layers[1], [0.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(masked.vectors()[0], [1.0, 1.0, 1.0, 0.0])
+        assert np.array_equal(masked.vectors()[1], [0.0, 1.0, 1.0, 1.0])
 
     def test_rejections(self):
-        u = GradientUpdate([np.ones(3)])
+        u = make_weights(np.ones(3))
         with pytest.raises(ValueError):
             neurotoxin_mask(u, u, 0.0)
         with pytest.raises(ValueError):
             neurotoxin_mask(u, u, 1.0)
         with pytest.raises(ShapeMismatchError):
-            neurotoxin_mask(u, GradientUpdate([np.ones(3), np.ones(2)]), 0.5)
+            neurotoxin_mask(u, make_weights(np.ones(3), np.ones(2)), 0.5)
         with pytest.raises(ShapeMismatchError):
-            neurotoxin_mask(u, GradientUpdate([np.ones(4)]), 0.5)
+            neurotoxin_mask(u, make_weights(np.ones(4)), 0.5)

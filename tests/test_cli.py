@@ -76,7 +76,15 @@ class TestRunCommand:
         assert "nonnegative" in capsys.readouterr().err
 
     def test_runtime_failure_exits_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, aggregator={"kind": "krum", "krum_f": 2})
+        absent = str(tmp_path / "absent-idx")
+        dataset = {
+            "kind": "mnist_idx",
+            "train_images": absent,
+            "train_labels": absent,
+            "test_images": absent,
+            "test_labels": absent,
+        }
+        config = write_config(tmp_path, dataset=dataset)
         assert cli.main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 

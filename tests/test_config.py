@@ -8,6 +8,7 @@ from celtibero import (
     config_to_dict,
     malicious_count,
     parse_config,
+    run_experiment,
 )
 
 MNIST_PATHS = {
@@ -139,6 +140,10 @@ class TestValueViolations:
             ({"architecture": {"activation": "gelu"}}, "architecture.activation"),
             ({"training": {"learning_rate": 0}}, "training.learning_rate"),
             ({"training": {"batch_size": 0}}, "training.batch_size"),
+            (
+                {"clients": 2, "malicious_fraction": 0.4999999999999},
+                "1 malicious, which leaves no strict honest majority",
+            ),
         ],
     )
     def test_violation_mentions_offending_key(self, raw, fragment):
@@ -223,6 +228,49 @@ class TestTriggerMaterialization:
             "malicious_fraction": 0.4,
         }
         assert any("5 fragments exceed 3" in v for v in violations_of(raw))
+
+
+class TestKrumParticipants:
+    """Krum needs n >= 2*krum_f + 3 inputs; the parser checks the smallest
+    round that participant sampling can draw."""
+
+    TINY = {
+        "dataset": {"kind": "synthetic", "classes": 3, "samples": 130, "features": 6,
+                    "test_samples": 60},
+        "rounds": 1,
+        "local_epochs": 1,
+        "architecture": {"hidden": [5]},
+    }
+
+    def test_krum_precondition_rejected_at_parse_time(self):
+        for kind in ("krum", "median_krum"):
+            raw = {
+                "clients": 6,
+                "participation": [1.0, 1.0],
+                "aggregator": {"kind": kind, "krum_f": 2},
+                "rounds": -1,
+            }
+            violations = violations_of(raw)
+            assert len(violations) == 2
+            assert any(
+                v.startswith("aggregator.krum_f:") and "needs >= 7 participants" in v
+                and "can have 6" in v
+                for v in violations
+            )
+
+    def test_exact_boundary(self):
+        # 0.5 * 13 rounds half up to 7 participants, exactly 2*2 + 3.
+        raw = dict(self.TINY, clients=13, participation=[0.5, 0.5])
+        raw["aggregator"] = {"kind": "krum", "krum_f": 2}
+        result = run_experiment(config_from_dict(raw))
+        assert [len(r.participants) for r in result.reports] == [7]
+        raw["aggregator"] = {"kind": "krum", "krum_f": 3}
+        assert any("needs >= 9 participants" in v for v in violations_of(raw))
+
+    def test_two_participant_floor(self):
+        raw = {"clients": 10, "participation": [0.1, 1.0],
+               "aggregator": {"kind": "median_krum", "krum_f": 0}}
+        assert any("can have 2" in v for v in violations_of(raw))
 
 
 class TestCanonicalization:

@@ -1,4 +1,4 @@
-"""Weight containers, deltas, and the two distance primitives."""
+"""Weight containers, deltas, and the cosine distance."""
 
 import math
 
@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celtibero import (
-    GradientUpdate,
     LayerShape,
     ModelWeights,
     ShapeMismatchError,
     add_update,
     cosine_distance,
     diff,
-    euclidean_distance,
 )
 from .conftest import make_weights
 
@@ -76,8 +74,8 @@ class TestDiffAddUpdate:
         local = make_weights([3.0, 1.0], [2.0])
         base = make_weights([1.0, 1.0], [5.0])
         update = diff(local, base)
-        assert np.array_equal(update.layers[0], [2.0, 0.0])
-        assert np.array_equal(update.layers[1], [-3.0])
+        assert np.array_equal(update.vectors()[0], [2.0, 0.0])
+        assert np.array_equal(update.vectors()[1], [-3.0])
 
     def test_add_update_round_trip(self):
         local = make_weights([0.25, -1.5], [4.0, 0.0, 1.0])
@@ -89,10 +87,6 @@ class TestDiffAddUpdate:
         b = make_weights([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ShapeMismatchError, match="layer 1"):
             diff(a, b)
-
-    def test_gradient_update_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            GradientUpdate(([1.0, np.nan],))
 
     @given(
         st.lists(
@@ -163,29 +157,3 @@ class TestCosineDistance:
         assert 0.0 <= d <= 2.0
         assert d == pytest.approx(cosine_distance(v, u), abs=1e-12)
 
-
-class TestEuclideanDistance:
-    def test_three_four_five(self):
-        a = make_weights([0.0, 0.0], [0.0])
-        b = make_weights([3.0, 0.0], [4.0])
-        assert euclidean_distance(a, b) == pytest.approx(5.0)
-
-    def test_zero_for_identical(self):
-        m = make_weights([1.0, -2.0, 3.0])
-        assert euclidean_distance(m, m) == 0.0
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(7)
-        models = [make_weights(rng.normal(size=5), rng.normal(size=3)) for _ in range(3)]
-        a, b, c = models
-        assert euclidean_distance(a, c) <= (
-            euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
-        )
-
-    def test_matches_concat_norm(self):
-        rng = np.random.default_rng(11)
-        a = make_weights(rng.normal(size=4), rng.normal(size=2))
-        b = make_weights(rng.normal(size=4), rng.normal(size=2))
-        assert euclidean_distance(a, b) == pytest.approx(
-            float(np.linalg.norm(a.concat() - b.concat())), abs=1e-12
-        )

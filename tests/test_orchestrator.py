@@ -1,12 +1,15 @@
 """Round loop, participant sampling, attack metrics, and experiment drivers."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from celtibero import (
+    AttackSpec,
     ClientSpec,
+    ConfigError,
     EvalResult,
     Experiment,
     FederationState,
@@ -16,8 +19,10 @@ from celtibero import (
     backdoor_success_rate,
     compute_asr,
     config_from_dict,
+    config_to_dict,
     derive_rng,
     derive_seed,
+    make_default_trigger,
     run_experiment,
     sample_participants,
     TriggerPattern,
@@ -235,10 +240,25 @@ class TestExperiment:
         with pytest.raises(RoundError, match="needs the matching reference round"):
             Experiment(cfg).run()
 
-    def test_krum_precondition_failure_names_the_round(self):
-        cfg = tiny_config(aggregator={"kind": "krum", "krum_f": 2})
-        with pytest.raises(RoundError, match="round 0: aggregation failed"):
-            Experiment(cfg).run()
+    def test_hand_built_config_gets_the_parse_time_check(self):
+        cfg = tiny_config()
+        for changes in ({"malicious_fraction": 0.6}, {"rounds": -1}):
+            raw = config_to_dict(cfg)
+            raw.update(changes)
+            with pytest.raises(ConfigError) as parsed:
+                config_from_dict(raw)
+            with pytest.raises(ConfigError) as built:
+                Experiment(replace(cfg, **changes))
+            assert built.value.violations == parsed.value.violations
+        with pytest.raises(ConfigError) as both:
+            Experiment(replace(cfg, malicious_fraction=0.6, rounds=-1))
+        assert len(both.value.violations) == 2
+
+    def test_hand_built_backdoor_without_trigger_gets_the_default(self):
+        cfg = replace(tiny_config(), attack=AttackSpec(kind="mra"))
+        experiment = Experiment(cfg)
+        assert experiment.cfg.attack.trigger == make_default_trigger(6, 0)
+        assert len(experiment.run()) == 2
 
     def test_zero_rounds(self):
         reports = Experiment(tiny_config(rounds=0)).run()

@@ -155,7 +155,7 @@ class TestLossAndGrad:
                 up, _ = loss_and_grad(perturbed(h), X, y, "tanh")
                 down, _ = loss_and_grad(perturbed(-h), X, y, "tanh")
                 numeric = (up - down) / (2 * h)
-                assert grad.layers[k][c] == pytest.approx(numeric, abs=1e-5)
+                assert grad.vectors()[k][c] == pytest.approx(numeric, abs=1e-5)
 
     def test_uniform_prediction_loss_is_log_classes(self):
         model = dense_model(np.zeros((4, 3)), np.zeros(3))
@@ -166,9 +166,7 @@ class TestLossAndGrad:
     def test_gradient_update_matches_model_layout(self):
         model = init_model(NetworkArchitecture((3, 4, 2), seed=14))
         _, grad = loss_and_grad(model, np.full((2, 3), 0.5), [0, 1])
-        assert grad.num_layers == model.num_layers
-        for (shape, vec), gvec in zip(model.layers, grad.layers):
-            assert gvec.size == vec.size
+        assert grad.shapes() == model.shapes()
 
 
 def _bump(vec, index, delta):
