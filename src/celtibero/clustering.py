@@ -1,11 +1,13 @@
 """Two-cluster agglomerative clustering over pairwise cosine distances.
 
 Each client's per-layer update is characterized by its direction only.
-Pairwise cosine distances feed a bottom-up merge until exactly two clusters
-remain, and the cluster with the smaller ``size * mean pairwise distance``
-score is labeled poisoned: a small, tightly packed group of updates is
-treated as coordinated manipulation, while the larger or more naturally
-dispersed group is kept.
+The cosine kernel shared with ``model.cosine_distance`` fills the pairwise
+distance matrix, taking each vector's norm once. A bottom-up merge on one
+n x n NumPy array, updated by the Lance-Williams rule (Lance & Williams
+1967), runs until exactly two clusters remain, and the cluster with the
+smaller ``size * mean pairwise distance`` score is labeled poisoned: a
+small, tightly packed group of updates is treated as coordinated
+manipulation, while the larger or more naturally dispersed group is kept.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-from .model import cosine_distance
+from .model import _cosine_distances
 
 __all__ = [
     "LINKAGES",
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 LINKAGES = ("average", "single", "complete")
+# Lance-Williams update of the cross-cluster statistic when two clusters
+# merge: average linkage carries the *sum* of member-pair distances (divided
+# by the size product when compared), single/complete the min/max directly.
+_MERGE = dict(zip(LINKAGES, (np.add, np.minimum, np.maximum)))
 
 
 @dataclass(frozen=True)
@@ -112,23 +117,12 @@ class ClusterVerdict:
 def pairwise_cosine_matrix(updates) -> DistanceMatrix:
     """Cosine-distance matrix over a list of equal-length flat vectors.
 
-    Entry (i, j) equals ``cosine_distance(updates[i], updates[j])`` exactly,
-    so the zero-norm conventions carry over unchanged.
+    Entry (i, j) equals ``cosine_distance(updates[i], updates[j])`` exactly:
+    both come from the same kernel, zero-norm conventions included.
     """
-    vecs = [np.asarray(u, dtype=np.float64).reshape(-1) for u in updates]
-    if len(vecs) < 2:
+    entries = _cosine_distances(updates)
+    if entries.shape[0] < 2:
         raise ValueError("need at least 2 update vectors")
-    width = vecs[0].size
-    for k, v in enumerate(vecs):
-        if v.size != width:
-            raise ShapeMismatchError(f"update {k}: vector length {v.size} vs {width}")
-    n = len(vecs)
-    entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = cosine_distance(vecs[i], vecs[j])
-            entries[i, j] = d
-            entries[j, i] = d
     return DistanceMatrix(entries)
 
 
@@ -147,46 +141,23 @@ def agglomerative_two_clusters(matrix: DistanceMatrix, linkage: str = "average")
     n = matrix.n
     if n < 2:
         raise ValueError("clustering requires at least 2 clients")
-    dist = matrix.entries
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    size = {i: 1 for i in range(n)}
-    # Cross-cluster statistic keyed by (rep_a, rep_b) with rep_a < rep_b.
-    # Average linkage carries the *sum* of member-pair distances (turned into
-    # a mean on demand); single/complete carry the min/max directly.
-    stat = {(i, j): float(dist[i, j]) for i in range(n) for j in range(i + 1, n)}
-
-    def linkage_value(key: tuple[int, int]) -> float:
-        if linkage == "average":
-            return stat[key] / (size[key[0]] * size[key[1]])
-        return stat[key]
-
-    while len(members) > 2:
-        best_key = min(stat, key=lambda k: (linkage_value(k), k))
-        a, b = best_key
-        for c in members:
-            if c == a or c == b:
-                continue
-            key_a = (a, c) if a < c else (c, a)
-            key_b = (b, c) if b < c else (c, b)
-            if linkage == "average":
-                merged = stat[key_a] + stat[key_b]
-            elif linkage == "single":
-                merged = min(stat[key_a], stat[key_b])
-            else:
-                merged = max(stat[key_a], stat[key_b])
-            stat[key_a] = merged
-            del stat[key_b]
-        del stat[best_key]
-        members[a] = sorted(members[a] + members[b])
+    merge = _MERGE[linkage]
+    # stat[a, b]: statistic between the clusters represented by a and b;
+    # rows and columns of merged-away clusters, and the diagonal, hold inf.
+    stat = np.array(matrix.entries)
+    np.fill_diagonal(stat, np.inf)
+    size = np.ones(n)
+    rep = np.arange(n)
+    for _ in range(n - 2):
+        link = stat / np.outer(size, size) if linkage == "average" else stat
+        # stat is symmetric, so the first minimum in row-major order is the
+        # lexicographically smallest (rep_a, rep_b) pair, and a < b.
+        a, b = divmod(int(np.argmin(link)), n)
+        stat[a] = stat[:, a] = merge(stat[a], stat[b])
+        stat[a, a] = stat[b] = stat[:, b] = np.inf
         size[a] += size[b]
-        del members[b]
-        del size[b]
-
-    rep_1, rep_2 = sorted(members)  # rep_1 is always 0
-    labels = np.empty(n, dtype=np.int64)
-    labels[members[rep_1]] = 1
-    labels[members[rep_2]] = 2
-    return ClusterAssignment(labels)
+        rep[rep == b] = a
+    return ClusterAssignment(np.where(rep == 0, 1, 2))
 
 
 def cluster_density(matrix: DistanceMatrix, members) -> float:

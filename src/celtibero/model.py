@@ -135,22 +135,42 @@ def add_update(global_model: ModelWeights, update: ModelWeights) -> ModelWeights
     )
 
 
-def cosine_distance(u, v) -> float:
-    """``1 - cos(u, v)``, clamped to [0, 2].
+def _cosine_distances(vectors) -> np.ndarray:
+    """The cosine kernel: ``1 - cos`` between every pair of equal-length
+    vectors, clamped to [0, 2], as a symmetric matrix with a zero diagonal.
 
-    Zero-norm convention: 1.0 when exactly one argument is all-zero (a zero
+    Each vector is converted, checked and scaled once. Scaling by the power
+    of two that brings its largest magnitude into [0.5, 1) is exact, so the
+    cosine of normal-range vectors is unchanged, while the norms of huge
+    vectors no longer overflow. NaN or Inf input raises ``ValueError``.
+    Zero-norm convention: 1.0 when exactly one vector is all-zero (a zero
     vector carries no direction, so it sits at the neutral distance), 0.0
     when both are.
     """
-    uu = np.asarray(u, dtype=np.float64).reshape(-1)
-    vv = np.asarray(v, dtype=np.float64).reshape(-1)
-    if uu.size != vv.size:
-        raise ShapeMismatchError(f"vector lengths differ: {uu.size} vs {vv.size}")
-    norm_u = float(np.linalg.norm(uu))
-    norm_v = float(np.linalg.norm(vv))
-    if norm_u == 0.0 and norm_v == 0.0:
-        return 0.0
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 1.0
-    dist = 1.0 - float(np.dot(uu, vv)) / (norm_u * norm_v)
-    return float(min(2.0, max(0.0, dist)))
+    scaled = []
+    for k, vec in enumerate(vectors):
+        arr = np.asarray(vec, dtype=np.float64).reshape(-1)
+        if scaled and arr.size != scaled[0].size:
+            raise ShapeMismatchError(f"vector {k}: length {arr.size} vs {scaled[0].size}")
+        peak = float(np.max(np.abs(arr), initial=0.0))
+        if not math.isfinite(peak):
+            raise ValueError(f"vector {k} contains NaN or Inf")
+        scaled.append(np.ldexp(arr, -math.frexp(peak)[1]))
+    norms = [float(np.linalg.norm(s)) for s in scaled]
+    n = len(scaled)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if norms[i] == 0.0 or norms[j] == 0.0:
+                dist = 0.0 if norms[i] == norms[j] else 1.0
+            else:
+                cos = float(np.dot(scaled[i], scaled[j])) / (norms[i] * norms[j])
+                dist = min(2.0, max(0.0, 1.0 - cos))
+            out[i, j] = out[j, i] = dist
+    return out
+
+
+def cosine_distance(u, v) -> float:
+    """``1 - cos(u, v)``, clamped to [0, 2]: the two-vector case of the cosine
+    kernel, with its scaling, NaN/Inf check and zero-norm convention."""
+    return float(_cosine_distances((u, v))[0, 1])

@@ -91,12 +91,22 @@ class TestAgglomerativeTwoClusters:
             want = replay_two_clusters(m.entries, linkage=linkage)
             assert got == (sorted(want[0]), sorted(want[1]))
 
-    @pytest.mark.parametrize("linkage", ["single", "complete"])
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
     def test_matches_oracle_on_tie_heavy_dyadic_matrices(self, linkage):
         rng = np.random.default_rng(23)
         for _ in range(150):
             n = int(rng.integers(3, 9))
             m = dyadic_matrix(rng, n)
+            got = clusters_of(agglomerative_two_clusters(m, linkage=linkage))
+            want = replay_two_clusters(m.entries, linkage=linkage)
+            assert got == (sorted(want[0]), sorted(want[1]))
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @pytest.mark.parametrize("make", [random_matrix, dyadic_matrix])
+    def test_matches_oracle_over_many_merges(self, linkage, make):
+        rng = np.random.default_rng(41)
+        for n in (20, 27, 33, 40):
+            m = make(rng, n)
             got = clusters_of(agglomerative_two_clusters(m, linkage=linkage))
             want = replay_two_clusters(m.entries, linkage=linkage)
             assert got == (sorted(want[0]), sorted(want[1]))

@@ -14,6 +14,7 @@ from celtibero import (
     add_update,
     cosine_distance,
     diff,
+    pairwise_cosine_matrix,
 )
 from .conftest import make_weights
 
@@ -116,8 +117,21 @@ class TestCosineDistance:
     def test_orthogonal_vectors_are_one(self):
         assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == pytest.approx(1.0)
 
-    def test_opposite_vectors_are_two(self):
-        assert cosine_distance(np.array([2.0, 0.0]), np.array([-5.0, 0.0])) == pytest.approx(2.0)
+    @pytest.mark.parametrize(
+        "u, v",
+        [([2.0, 0.0], [-5.0, 0.0]), ([1e200, 1e200], [-1e200, -1e200])],
+    )
+    def test_opposite_vectors_are_two(self, u, v):
+        assert cosine_distance(np.array(u), np.array(v)) == pytest.approx(2.0)
+        entries = pairwise_cosine_matrix([np.array(u), np.array(v)]).entries
+        assert entries[0, 1] == entries[1, 0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            cosine_distance(np.array([1.0, bad]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="vector 2 contains NaN or Inf"):
+            pairwise_cosine_matrix([np.ones(2), np.ones(2), np.array([bad, 0.0])])
 
     def test_forty_five_degrees(self):
         d = cosine_distance(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
@@ -130,11 +144,16 @@ class TestCosineDistance:
         assert cosine_distance(some, zero) == 1.0
         assert cosine_distance(zero, np.zeros(3)) == 0.0
 
-    def test_scale_invariance(self):
+    @given(
+        st.floats(min_value=1e-200, max_value=1e200),
+        st.floats(min_value=1e-200, max_value=1e200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scale_invariance(self, a, b):
         u = np.array([0.3, -0.7, 0.1])
         v = np.array([-0.2, 0.5, 0.9])
         assert cosine_distance(u, v) == pytest.approx(
-            cosine_distance(1000.0 * u, 0.001 * v), abs=1e-12
+            cosine_distance(a * u, b * v), abs=1e-12
         )
 
     @given(
