@@ -6,8 +6,11 @@ group scored as coordinated manipulation, and advances the global layer by
 the coordinate-wise median of the surviving updates. The remaining
 strategies (``fedavg``, ``coordinate_median``, ``krum``, ``median_krum``)
 serve as baselines under the same interface. Local models, updates and the
-result are all :class:`~celtibero.model.ModelWeights`; ``aggregate`` picks the
-strategy from a parsed :class:`~celtibero.config.AggregatorConfig`.
+result are all :class:`~celtibero.model.ModelWeights`; each strategy stacks
+its models once into one ``(models, parameters)`` matrix (``model.stack``)
+and works on its columns, a layer at a time where the rule is per layer
+(``ModelWeights.slices``). ``aggregate`` picks the strategy from a parsed
+:class:`~celtibero.config.AggregatorConfig`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .clustering import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from .model import ModelWeights, _aligned_layers, diff
+from .model import ModelWeights, diff, stack
 
 if TYPE_CHECKING:
     from .config import AggregatorConfig
@@ -38,12 +41,6 @@ __all__ = [
 ]
 
 AGGREGATOR_NAMES = ("celtibero", "fedavg", "coord_median", "krum", "median_krum")
-
-
-def _check_same_structure(local_models: list[ModelWeights]) -> None:
-    """Raise ``ShapeMismatchError`` unless every model aligns with the first."""
-    for model in local_models[1:]:
-        list(_aligned_layers(local_models[0], model))
 
 
 def celtibero_aggregate(
@@ -64,30 +61,29 @@ def celtibero_aggregate(
     """
     if len(local_models) < 2:
         raise ValueError("celtibero requires at least 2 local models")
-    updates = [diff(w, global_model) for w in local_models]
-    new_layers = []
+    updates = stack([diff(w, global_model) for w in local_models])
+    step = np.empty(updates.shape[1])
     verdicts = []
-    for layer, (shape, global_vec) in enumerate(global_model.layers):
-        vecs = [u.layers[layer][1] for u in updates]
-        matrix = pairwise_cosine_matrix(vecs)
-        assignment = agglomerative_two_clusters(matrix, linkage)
-        verdict = label_clusters(matrix, assignment)
-        survivors = np.stack([vecs[i] for i in verdict.benign])
-        new_layers.append((shape, global_vec + np.median(survivors, axis=0)))
+    for sl in global_model.slices():
+        layer = updates[:, sl]
+        matrix = pairwise_cosine_matrix(layer)
+        verdict = label_clusters(matrix, agglomerative_two_clusters(matrix, linkage))
+        step[sl] = np.median(layer[list(verdict.benign)], axis=0)
         verdicts.append(verdict)
-    return ModelWeights(new_layers), tuple(verdicts)
+    return ModelWeights(global_model.shapes(), global_model.flat + step), tuple(verdicts)
 
 
 def fedavg(local_models: list[ModelWeights]) -> ModelWeights:
-    """Unweighted per-coordinate mean of the local models."""
+    """Unweighted per-coordinate mean of the local models, taken one layer's
+    columns at a time: NumPy sums a one-column block pairwise but a wider one
+    row by row, so a whole-matrix mean would change width-1 layers' bits."""
     if len(local_models) < 1:
         raise ValueError("fedavg requires at least 1 local model")
-    _check_same_structure(local_models)
-    layers = []
-    for layer, (shape, _) in enumerate(local_models[0].layers):
-        stacked = np.stack([m.layers[layer][1] for m in local_models])
-        layers.append((shape, stacked.mean(axis=0)))
-    return ModelWeights(layers)
+    stacked = stack(local_models)
+    mean = np.empty(stacked.shape[1])
+    for sl in local_models[0].slices():
+        mean[sl] = stacked[:, sl].mean(axis=0)
+    return ModelWeights(local_models[0].shapes(), mean)
 
 
 def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
@@ -97,12 +93,7 @@ def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
     """
     if len(local_models) < 1:
         raise ValueError("coordinate median requires at least 1 local model")
-    _check_same_structure(local_models)
-    layers = []
-    for layer, (shape, _) in enumerate(local_models[0].layers):
-        stacked = np.stack([m.layers[layer][1] for m in local_models])
-        layers.append((shape, np.median(stacked, axis=0)))
-    return ModelWeights(layers)
+    return ModelWeights(local_models[0].shapes(), np.median(stack(local_models), axis=0))
 
 
 def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
@@ -111,8 +102,7 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
         raise ValueError(f"f must be >= 0, got {f}")
     if n < 2 * f + 3:
         raise ValueError(f"krum requires n >= 2f + 3, got n={n}, f={f}")
-    _check_same_structure(local_models)
-    flat = np.stack([m.concat() for m in local_models])
+    flat = stack(local_models)
     squared = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ShapeMismatchError
-from .model import ModelWeights, _aligned_layers
+from .model import ModelWeights, check_shapes
 
 __all__ = [
     "ATTACK_KINDS",
@@ -231,10 +231,9 @@ def boost_update(
     ``global + gamma * (local - global)`` per coordinate."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    layers = []
-    for _, shape, global_vec, local_vec in _aligned_layers(global_model, local):
-        layers.append((shape, global_vec + gamma * (local_vec - global_vec)))
-    return ModelWeights(layers)
+    check_shapes((global_model, local))
+    boosted = global_model.flat + gamma * (local.flat - global_model.flat)
+    return ModelWeights(global_model.shapes(), boosted)
 
 
 def neurotoxin_mask(
@@ -250,11 +249,10 @@ def neurotoxin_mask(
     """
     if not 0.0 < mask_ratio < 1.0:
         raise ValueError(f"mask_ratio must lie in (0, 1), got {mask_ratio}")
-    masked_layers = []
-    for _, shape, vec, ref in _aligned_layers(update, reference):
-        count = math.ceil(mask_ratio * vec.size)
-        order = np.argsort(-np.abs(ref), kind="stable")
-        masked = vec.copy()
-        masked[order[:count]] = 0.0
-        masked_layers.append((shape, masked))
-    return ModelWeights(masked_layers)
+    check_shapes((update, reference))
+    masked = update.flat.copy()
+    for shape, sl in zip(update.shapes(), update.slices()):
+        count = math.ceil(mask_ratio * shape.size)
+        order = np.argsort(-np.abs(reference.flat[sl]), kind="stable")
+        masked[sl][order[:count]] = 0.0
+    return ModelWeights(update.shapes(), masked)

@@ -2,8 +2,8 @@
 
 
 class ShapeMismatchError(ValueError):
-    """Structural mismatch between layered containers: differing layer counts,
-    differing vector lengths, or indices outside the feature dimension."""
+    """Structural mismatch: models with differing layer shapes, a flat vector
+    that does not fit its layers, or indices outside the feature dimension."""
 
 
 class IdxFormatError(ValueError):

@@ -1,16 +1,19 @@
-"""Layered weight containers and the vector arithmetic built on top of them.
+"""Weight containers and the vector arithmetic built on top of them.
 
-Weights travel between clients and server as an ordered sequence of flat
-float64 vectors, one per registered layer; each weight matrix and each bias
-vector counts as its own layer. Updates (a local model minus the global model
-it started from), gradients and attack masks use the same container, in the
-shapes of the model they were taken against. Every operation here is pure:
-inputs are never mutated and the containers are immutable once constructed,
-so they are safe to share between concurrently training clients.
+A model is one flat read-only float64 vector plus the ordered
+:class:`LayerShape` of its layers (each weight matrix and each bias vector
+is its own layer), every layer a fixed range of the vector. Only this module
+computes those ranges: ``ModelWeights.slices()`` hands them out, and
+``stack`` lines models up as the rows of one matrix whose columns the
+aggregators slice per layer. Updates (a local model minus the global model
+it started from), gradients and attack masks use the same container.
+Every operation here is pure: inputs are never mutated and containers are
+immutable, so they are safe to share between concurrently training clients.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,12 +29,6 @@ __all__ = [
     "add_update",
     "cosine_distance",
 ]
-
-
-def _readonly_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -52,87 +49,94 @@ class LayerShape:
 
 
 class ModelWeights:
-    """Ordered per-layer weights; the unit exchanged between clients and server.
+    """Ordered layer weights in one flat vector; the unit exchanged between
+    clients and server.
 
-    ``layers`` is a tuple of ``(LayerShape, vector)`` pairs where each vector
-    is a read-only flat float64 array whose length matches the shape. All
-    values must be finite.
+    ``flat`` is a read-only float64 copy of the given values holding every
+    layer back to back, in the order of ``shapes``; layer ``k`` is the view
+    ``flat[slices()[k]]``. Its length must equal the layers' total size, and
+    all values must be finite.
     """
 
-    __slots__ = ("layers",)
+    __slots__ = ("flat", "_shapes", "_slices")
 
-    def __init__(self, layers: Iterable[tuple[LayerShape, Sequence[float]]]):
-        checked = []
-        for k, (shape, vec) in enumerate(layers):
-            arr = _readonly_vector(vec)
-            if arr.size != shape.size:
+    def __init__(self, shapes: Iterable[LayerShape], flat: Sequence[float]):
+        arr = np.array(flat, dtype=np.float64).reshape(-1)
+        self._shapes = tuple(shapes)
+        slices, start = [], 0
+        for k, shape in enumerate(self._shapes):
+            stop = start + shape.size
+            if stop > arr.size:
                 raise ShapeMismatchError(
-                    f"layer {k}: vector length {arr.size} does not match shape size {shape.size}"
+                    f"layer {k}: needs entries [{start}, {stop}) of a {arr.size}-entry vector"
                 )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"layer {k}: weights contain NaN or Inf")
-            checked.append((shape, arr))
-        self.layers: tuple[tuple[LayerShape, np.ndarray], ...] = tuple(checked)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def total_size(self) -> int:
-        return sum(s.size for s, _ in self.layers)
+            slices.append(slice(start, stop))
+            start = stop
+        if start != arr.size:
+            raise ShapeMismatchError(
+                f"vector length {arr.size} exceeds the layers' total size {start}"
+            )
+        self._slices = tuple(slices)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            k = next(k for k, sl in enumerate(self._slices) if first < sl.stop)
+            raise ValueError(f"layer {k}: weights contain NaN or Inf")
+        arr.flags.writeable = False
+        self.flat: np.ndarray = arr
 
     def shapes(self) -> tuple[LayerShape, ...]:
-        return tuple(s for s, _ in self.layers)
+        return self._shapes
+
+    def slices(self) -> tuple[slice, ...]:
+        """Each layer's range of entries in ``flat``, in layer order."""
+        return self._slices
 
     def vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(v for _, v in self.layers)
-
-    def concat(self) -> np.ndarray:
-        """All layers joined into a single flat vector, in layer order."""
-        if not self.layers:
-            return np.zeros(0)
-        return np.concatenate([v for _, v in self.layers])
+        """Each layer as a read-only flat view into ``flat``."""
+        return tuple(self.flat[sl] for sl in self._slices)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelWeights):
             return NotImplemented
-        return self.shapes() == other.shapes() and all(
-            np.array_equal(a, b) for a, b in zip(self.vectors(), other.vectors())
-        )
+        return self._shapes == other._shapes and np.array_equal(self.flat, other.flat)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        dims = ", ".join("x".join(map(str, s.dims)) for s, _ in self.layers)
+        dims = ", ".join("x".join(map(str, s.dims)) for s in self._shapes)
         return f"ModelWeights([{dims}])"
 
 
-def _aligned_layers(a: ModelWeights, b: ModelWeights):
-    if a.num_layers != b.num_layers:
-        raise ShapeMismatchError(
-            f"layer count mismatch: {a.num_layers} vs {b.num_layers}"
-        )
-    for k, ((shape_a, vec_a), (_, vec_b)) in enumerate(zip(a.layers, b.layers)):
-        if vec_a.size != vec_b.size:
-            raise ShapeMismatchError(
-                f"layer {k}: vector length {vec_a.size} vs {vec_b.size}"
-            )
-        yield k, shape_a, vec_a, vec_b
+def check_shapes(models: Sequence[ModelWeights]) -> None:
+    """Raise ``ShapeMismatchError`` unless every model has the layer shapes
+    of the first, naming the first layer that differs."""
+    first = models[0].shapes()
+    for model in models[1:]:
+        if model.shapes() != first:
+            for k, (a, b) in enumerate(itertools.zip_longest(first, model.shapes())):
+                if a != b:
+                    raise ShapeMismatchError(f"layer {k}: {a} vs {b}")
+
+
+def stack(models: Sequence[ModelWeights]) -> np.ndarray:
+    """The flat vectors of equally shaped models as the rows of one
+    ``(len(models), size)`` matrix; ``slices()`` of any of them picks a
+    layer's columns."""
+    check_shapes(models)
+    return np.stack([m.flat for m in models])
 
 
 def diff(local: ModelWeights, global_model: ModelWeights) -> ModelWeights:
-    """Per-layer, per-coordinate ``local - global``, in the global model's shapes."""
-    return ModelWeights(
-        (shape, vl - vg) for _, shape, vg, vl in _aligned_layers(global_model, local)
-    )
+    """Per-coordinate ``local - global``, in the global model's shapes."""
+    check_shapes((global_model, local))
+    return ModelWeights(global_model.shapes(), local.flat - global_model.flat)
 
 
 def add_update(global_model: ModelWeights, update: ModelWeights) -> ModelWeights:
-    """Apply an update layer-wise; the result keeps the global model's shapes."""
-    return ModelWeights(
-        (shape, vg + delta) for _, shape, vg, delta in _aligned_layers(global_model, update)
-    )
+    """Apply an update coordinate-wise; the result keeps the global model's shapes."""
+    check_shapes((global_model, update))
+    return ModelWeights(global_model.shapes(), global_model.flat + update.flat)
 
 
 def _cosine_distances(vectors) -> np.ndarray:

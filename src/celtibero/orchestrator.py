@@ -316,7 +316,7 @@ class Experiment:
         )
 
     def _zero_update(self) -> ModelWeights:
-        return ModelWeights((s, np.zeros(s.size)) for s in self.initial_model.shapes())
+        return ModelWeights(self.initial_model.shapes(), np.zeros(self.initial_model.flat.size))
 
     def run_round(
         self,
@@ -348,19 +348,22 @@ class Experiment:
                 epochs=cfg.local_epochs,
                 seed=derive_seed(state.master_seed, "train", t, client.index),
             )
-            local = train_local(
-                state.global_model, client.data, train_cfg, cfg.architecture.activation
-            )
-            if client.malicious and cfg.attack.kind == "mra":
-                gamma = cfg.attack.boost_factor
-                if gamma is None:
-                    gamma = float(len(participants))
-                local = boost_update(local, state.global_model, gamma)
-            elif client.malicious and cfg.attack.kind == "neurotoxin":
-                masked = neurotoxin_mask(
-                    diff(local, state.global_model), prev_global_update, cfg.attack.mask_ratio
+            try:
+                local = train_local(
+                    state.global_model, client.data, train_cfg, cfg.architecture.activation
                 )
-                local = add_update(state.global_model, masked)
+                if client.malicious and cfg.attack.kind == "mra":
+                    gamma = cfg.attack.boost_factor
+                    if gamma is None:
+                        gamma = float(len(participants))
+                    local = boost_update(local, state.global_model, gamma)
+                elif client.malicious and cfg.attack.kind == "neurotoxin":
+                    masked = neurotoxin_mask(
+                        diff(local, state.global_model), prev_global_update, cfg.attack.mask_ratio
+                    )
+                    local = add_update(state.global_model, masked)
+            except ValueError as exc:
+                raise RoundError(f"round {t}: client {client.index} failed: {exc}") from exc
             local_models.append(local)
         try:
             new_global, verdicts = aggregate(cfg.aggregator, state.global_model, local_models)

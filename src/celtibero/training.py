@@ -87,31 +87,37 @@ def init_model(arch: NetworkArchitecture, seed: int | None = None) -> ModelWeigh
     from ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]``, biases start at zero. Every
     matrix and every bias registers as its own layer."""
     rng = np.random.default_rng(arch.seed if seed is None else seed)
-    layers: list[tuple[LayerShape, np.ndarray]] = []
+    shapes, draws = [], []
     sizes = arch.layer_sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         scale = 1.0 / math.sqrt(fan_in)
-        weight = rng.uniform(-scale, scale, (fan_in, fan_out))
-        layers.append((LayerShape((fan_in, fan_out)), weight.ravel()))
-        layers.append((LayerShape((fan_out,)), np.zeros(fan_out)))
-    return ModelWeights(layers)
+        draws.append(rng.uniform(-scale, scale, (fan_in, fan_out)).ravel())
+        draws.append(np.zeros(fan_out))
+        shapes += [LayerShape((fan_in, fan_out)), LayerShape((fan_out,))]
+    return ModelWeights(shapes, np.concatenate(draws))
 
 
-def _dense_pairs(model: ModelWeights) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Reshape the flat layers back into (weight matrix, bias) pairs."""
-    if model.num_layers == 0 or model.num_layers % 2 != 0:
+def _dense_pairs(
+    model: ModelWeights, flat: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight matrix, bias) pairs as reshaped views into ``flat``, which
+    defaults to the model's own read-only vector; a writable copy of it
+    gives writable views."""
+    shapes, slices = model.shapes(), model.slices()
+    if len(shapes) == 0 or len(shapes) % 2 != 0:
         raise ShapeMismatchError(
-            f"expected alternating matrix/bias layers, got {model.num_layers} layers"
+            f"expected alternating matrix/bias layers, got {len(shapes)} layers"
         )
+    flat = model.flat if flat is None else flat
     pairs = []
-    for k in range(0, model.num_layers, 2):
-        (w_shape, w_vec), (b_shape, b_vec) = model.layers[k], model.layers[k + 1]
+    for k in range(0, len(shapes), 2):
+        w_shape, b_shape = shapes[k], shapes[k + 1]
         if len(w_shape.dims) != 2 or len(b_shape.dims) != 1 or w_shape.dims[1] != b_shape.dims[0]:
             raise ShapeMismatchError(
                 f"layers {k},{k + 1}: expected a matrix followed by its bias, "
                 f"got dims {w_shape.dims} and {b_shape.dims}"
             )
-        pairs.append((w_vec.reshape(w_shape.dims), b_vec))
+        pairs.append((flat[slices[k]].reshape(w_shape.dims), flat[slices[k + 1]]))
     return pairs
 
 
@@ -217,11 +223,8 @@ def loss_and_grad(
     loss, weight_grads, bias_grads = _batch_grads(
         [w for w, _ in pairs], [b for _, b in pairs], X, y, activation
     )
-    flat: list[np.ndarray] = []
-    for wg, bg in zip(weight_grads, bias_grads):
-        flat.append(wg.ravel())
-        flat.append(bg)
-    return loss, ModelWeights(zip(model.shapes(), flat))
+    grads = [g.ravel() for pair in zip(weight_grads, bias_grads) for g in pair]
+    return loss, ModelWeights(model.shapes(), np.concatenate(grads))
 
 
 def train_local(
@@ -239,14 +242,15 @@ def train_local(
     """
     if data.n < 1:
         raise ValueError("training requires a nonempty dataset")
-    pairs = _dense_pairs(model)
+    flat = model.flat.copy()
+    pairs = _dense_pairs(model, flat)
     if data.d != pairs[0][0].shape[0]:
         raise ShapeMismatchError(
             f"dataset width {data.d}, model expects {pairs[0][0].shape[0]}"
         )
     rng = np.random.default_rng(cfg.seed)
-    weights = [np.array(w, copy=True) for w, _ in pairs]
-    biases = [np.array(b, copy=True) for _, b in pairs]
+    weights = [w for w, _ in pairs]
+    biases = [b for _, b in pairs]
     batch = min(cfg.batch_size, data.n)
     lr = cfg.learning_rate
     for _ in range(cfg.epochs):
@@ -259,11 +263,7 @@ def train_local(
             for k in range(len(weights)):
                 weights[k] -= lr * weight_grads[k]
                 biases[k] -= lr * bias_grads[k]
-    layers: list[tuple[LayerShape, np.ndarray]] = []
-    for k, (shape, _) in enumerate(model.layers):
-        source = weights[k // 2] if k % 2 == 0 else biases[k // 2]
-        layers.append((shape, source.ravel()))
-    return ModelWeights(layers)
+    return ModelWeights(model.shapes(), flat)
 
 
 def evaluate(model: ModelWeights, data: LabeledDataset, activation: str = "relu") -> EvalResult:

@@ -36,11 +36,8 @@ def pytest_terminal_summary(terminalreporter):
 
 def make_weights(*layer_values) -> ModelWeights:
     """Build a one-or-more layer model from plain nested lists."""
-    layers = []
-    for vals in layer_values:
-        arr = np.asarray(vals, dtype=np.float64).reshape(-1)
-        layers.append((LayerShape((arr.size,)), arr))
-    return ModelWeights(tuple(layers))
+    vectors = [np.asarray(vals, dtype=np.float64).reshape(-1) for vals in layer_values]
+    return ModelWeights([LayerShape((v.size,)) for v in vectors], np.concatenate(vectors))
 
 
 @pytest.fixture

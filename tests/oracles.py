@@ -1,13 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written in plain Python against the documented contracts,
+Most of it is written in plain Python against the documented contracts,
 deliberately avoiding the incremental bookkeeping tricks the real code uses,
-so that agreement between the two is meaningful.
+so that agreement between the two is meaningful. The ``per_layer_*``
+functions are the exception: they keep the aggregators' former layout, one
+``np.stack`` of separate per-layer vectors, as the bit-for-bit reference for
+the aggregators that now slice the columns of one stacked matrix. Their
+models are sequences of per-layer flat vectors.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from celtibero import agglomerative_two_clusters, label_clusters, pairwise_cosine_matrix
 
 
 def replay_two_clusters(matrix, linkage="average"):
@@ -116,3 +124,49 @@ def top_mask_indices(reference, mask_ratio):
     count = math.ceil(mask_ratio * size)
     order = sorted(range(size), key=lambda i: (-abs(reference[i]), i))
     return set(order[:count])
+
+
+def _layer_stack(models, k):
+    return np.stack([m[k] for m in models])
+
+
+def per_layer_fedavg(models):
+    """Per-layer reference for ``fedavg``: the mean of each layer's stack."""
+    return [_layer_stack(models, k).mean(axis=0) for k in range(len(models[0]))]
+
+
+def per_layer_coordinate_median(models):
+    """Per-layer reference for ``coordinate_median``."""
+    return [np.median(_layer_stack(models, k), axis=0) for k in range(len(models[0]))]
+
+
+def per_layer_celtibero(global_model, local_models, linkage="average"):
+    """Per-layer reference for ``celtibero_aggregate``: each layer's updates
+    are clustered on their own, and the global layer moves by the median of
+    the stacked surviving updates. Returns (new layers, verdicts)."""
+    new_layers, verdicts = [], []
+    for k, global_vec in enumerate(global_model):
+        vecs = [m[k] - global_vec for m in local_models]
+        matrix = pairwise_cosine_matrix(vecs)
+        verdict = label_clusters(matrix, agglomerative_two_clusters(matrix, linkage))
+        survivors = np.stack([vecs[i] for i in verdict.benign])
+        new_layers.append(global_vec + np.median(survivors, axis=0))
+        verdicts.append(verdict)
+    return new_layers, tuple(verdicts)
+
+
+def per_layer_krum_scores(models, f):
+    """Krum scores from the pairwise squared distances of the models' layers
+    joined end to end, one ``np.dot`` per pair."""
+    flat = np.stack([np.concatenate(m) for m in models])
+    n = len(models)
+    squared = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = flat[i] - flat[j]
+            squared[i, j] = squared[j, i] = float(np.dot(d, d))
+    scores = np.empty(n)
+    for i in range(n):
+        others = np.sort(np.delete(squared[i], i))
+        scores[i] = others[: n - f - 2].sum()
+    return scores

@@ -7,6 +7,9 @@ import pytest
 
 from celtibero import (
     AggregatorConfig,
+    LayerShape,
+    ModelWeights,
+    ShapeMismatchError,
     aggregate,
     celtibero_aggregate,
     coordinate_median,
@@ -15,7 +18,15 @@ from celtibero import (
     median_krum,
 )
 from .conftest import make_weights
-from .oracles import krum_scores, sorted_median
+from celtibero.aggregators import _krum_scores
+from .oracles import (
+    krum_scores,
+    per_layer_celtibero,
+    per_layer_coordinate_median,
+    per_layer_fedavg,
+    per_layer_krum_scores,
+    sorted_median,
+)
 
 GLOBAL_VEC = np.array([0.5, -0.25, 1.0])
 
@@ -45,7 +56,7 @@ class TestCeltiberoAggregate:
         out, verdicts = celtibero_aggregate(global_model, locals_)
         # per-coordinate medians of the six benign deltas are 1.005, 1.0, 1.005
         expected = np.array([1.505, 0.75, 2.005])
-        assert np.max(np.abs(out.layers[0][1] - expected)) <= 1e-9
+        assert np.max(np.abs(out.vectors()[0] - expected)) <= 1e-9
         (verdict,) = verdicts
         assert verdict.benign == (0, 1, 2, 3, 4, 5)
         assert verdict.poisoned == (6, 7, 8)
@@ -68,8 +79,8 @@ class TestCeltiberoAggregate:
         medians1 = [
             sorted_median([layer1[i][c] for i in range(3, 9)]) for c in range(3)
         ]
-        assert np.allclose(out.layers[0][1], expected0, atol=1e-9)
-        assert np.allclose(out.layers[1][1], GLOBAL_VEC + np.asarray(medians1), atol=1e-9)
+        assert np.allclose(out.vectors()[0], expected0, atol=1e-9)
+        assert np.allclose(out.vectors()[1], GLOBAL_VEC + np.asarray(medians1), atol=1e-9)
 
     def test_permutation_invariance(self):
         global_model, locals_ = detection_scenario()
@@ -84,27 +95,27 @@ class TestCeltiberoAggregate:
         global_model, locals_ = detection_scenario()
         _, verdicts = celtibero_aggregate(global_model, locals_)
         scaled = [
-            make_weights(GLOBAL_VEC + 7.5 * (m.layers[0][1] - GLOBAL_VEC))
+            make_weights(GLOBAL_VEC + 7.5 * (m.vectors()[0] - GLOBAL_VEC))
             for m in locals_
         ]
         out_scaled, verdicts_scaled = celtibero_aggregate(global_model, scaled)
         assert [v.poisoned for v in verdicts] == [v.poisoned for v in verdicts_scaled]
         expected = GLOBAL_VEC + 7.5 * (np.array([1.505, 0.75, 2.005]) - GLOBAL_VEC)
-        assert np.allclose(out_scaled.layers[0][1], expected, atol=1e-9)
+        assert np.allclose(out_scaled.vectors()[0], expected, atol=1e-9)
 
     def test_output_within_benign_envelope(self):
         rng = np.random.default_rng(13)
         global_model = make_weights(rng.normal(size=4), rng.normal(size=2))
         locals_ = [
             make_weights(
-                global_model.layers[0][1] + rng.normal(size=4),
-                global_model.layers[1][1] + rng.normal(size=2),
+                global_model.vectors()[0] + rng.normal(size=4),
+                global_model.vectors()[1] + rng.normal(size=2),
             )
             for _ in range(7)
         ]
         out, verdicts = celtibero_aggregate(global_model, locals_)
-        for k, (_, vec) in enumerate(out.layers):
-            kept = [locals_[i].layers[k][1] for i in verdicts[k].benign]
+        for k, vec in enumerate(out.vectors()):
+            kept = [locals_[i].vectors()[k] for i in verdicts[k].benign]
             assert np.all(vec >= np.min(kept, axis=0) - 1e-12)
             assert np.all(vec <= np.max(kept, axis=0) + 1e-12)
 
@@ -117,13 +128,13 @@ class TestCeltiberoAggregate:
             noise = rng.normal(scale=1e-3, size=4)
             locals_.append(
                 make_weights(
-                    global_model.layers[0][1] + delta + noise,
-                    global_model.layers[1][1] + delta[:3] + noise[:3],
+                    global_model.vectors()[0] + delta + noise,
+                    global_model.vectors()[1] + delta[:3] + noise[:3],
                 )
             )
         adversary = make_weights(
-            global_model.layers[0][1] - delta,
-            global_model.layers[1][1] - delta[:3],
+            global_model.vectors()[0] - delta,
+            global_model.vectors()[1] - delta[:3],
         )
         locals_.append(adversary)
         _, verdicts = celtibero_aggregate(global_model, locals_)
@@ -139,7 +150,7 @@ class TestCeltiberoAggregate:
 class TestFedavg:
     def test_two_point_mean(self):
         out = fedavg([make_weights([0.0]), make_weights([2.0])])
-        assert np.array_equal(out.layers[0][1], [1.0])
+        assert np.array_equal(out.vectors()[0], [1.0])
 
     def test_identical_inputs_identity(self):
         m = make_weights([1.0, -2.0], [0.5])
@@ -150,10 +161,10 @@ class TestFedavg:
         locals_ = [make_weights(rng.normal(size=5), rng.normal(size=3)) for _ in range(9)]
         out = fedavg(locals_)
         for k in range(2):
-            vecs = [m.layers[k][1] for m in locals_]
+            vecs = [m.vectors()[k] for m in locals_]
             for c in range(vecs[0].size):
                 expected = math.fsum(v[c] for v in vecs) / len(vecs)
-                assert abs(out.layers[k][1][c] - expected) <= 1e-12
+                assert abs(out.vectors()[k][c] - expected) <= 1e-12
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -163,11 +174,11 @@ class TestFedavg:
 class TestCoordinateMedian:
     def test_odd_count(self):
         out = coordinate_median([make_weights([1.0]), make_weights([9.0]), make_weights([2.0])])
-        assert out.layers[0][1][0] == 2.0
+        assert out.vectors()[0][0] == 2.0
 
     def test_even_count_midpoint(self):
         out = coordinate_median([make_weights([1.0]), make_weights([3.0])])
-        assert out.layers[0][1][0] == 2.0
+        assert out.vectors()[0][0] == 2.0
 
     def test_matches_sort_oracle_exhaustively(self):
         grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -176,7 +187,7 @@ class TestCoordinateMedian:
             for _ in range(40):
                 values = rng.choice(grid, size=n)
                 out = coordinate_median([make_weights([v]) for v in values])
-                assert out.layers[0][1][0] == sorted_median(values.tolist())
+                assert out.vectors()[0][0] == sorted_median(values.tolist())
 
     def test_breakdown_envelope_by_construction(self):
         rng = np.random.default_rng(43)
@@ -185,9 +196,9 @@ class TestCoordinateMedian:
             benign = [make_weights(rng.normal(size=4)) for _ in range(n - adversaries)]
             hostile = [make_weights(np.full(4, 1e9 * (-1) ** i)) for i in range(adversaries)]
             out = coordinate_median(benign + hostile)
-            stack = np.array([m.layers[0][1] for m in benign])
-            assert np.all(out.layers[0][1] >= stack.min(axis=0))
-            assert np.all(out.layers[0][1] <= stack.max(axis=0))
+            stack = np.array([m.vectors()[0] for m in benign])
+            assert np.all(out.vectors()[0] >= stack.min(axis=0))
+            assert np.all(out.vectors()[0] <= stack.max(axis=0))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -217,7 +228,7 @@ class TestKrum:
             f = int(rng.integers(0, (n - 3) // 2 + 1))
             locals_ = self.make_locals(rng, n)
             chosen = krum(locals_, f=f)
-            scores = krum_scores([m.concat().tolist() for m in locals_], f)
+            scores = krum_scores([m.flat.tolist() for m in locals_], f)
             best = min(range(n), key=lambda i: (scores[i], i))
             assert chosen is locals_[best]
 
@@ -244,9 +255,9 @@ class TestMedianKrum:
         clustered = [make_weights(rng.normal(scale=0.01, size=3) + 2.0) for _ in range(5)]
         outlier = make_weights(np.full(3, -100.0))
         out = median_krum(clustered + [outlier], f=1)
-        stack = np.array([m.layers[0][1] for m in clustered])
-        assert np.all(out.layers[0][1] >= stack.min(axis=0))
-        assert np.all(out.layers[0][1] <= stack.max(axis=0))
+        stack = np.array([m.vectors()[0] for m in clustered])
+        assert np.all(out.vectors()[0] >= stack.min(axis=0))
+        assert np.all(out.vectors()[0] <= stack.max(axis=0))
 
     def test_matches_score_sorted_median_oracle(self):
         rng = np.random.default_rng(71)
@@ -255,11 +266,11 @@ class TestMedianKrum:
             f = int(rng.integers(0, (n - 3) // 2 + 1))
             locals_ = [make_weights(rng.normal(size=4)) for _ in range(n)]
             out = median_krum(locals_, f=f)
-            scores = krum_scores([m.concat().tolist() for m in locals_], f)
+            scores = krum_scores([m.flat.tolist() for m in locals_], f)
             order = sorted(range(n), key=lambda i: (scores[i], i))[: n - f]
             for c in range(4):
-                expected = sorted_median([locals_[i].layers[0][1][c] for i in order])
-                assert out.layers[0][1][c] == pytest.approx(expected, abs=1e-12)
+                expected = sorted_median([locals_[i].vectors()[0][c] for i in order])
+                assert out.vectors()[0][c] == pytest.approx(expected, abs=1e-12)
 
 
 class TestAggregateDispatcher:
@@ -293,3 +304,56 @@ class TestAggregateDispatcher:
         assert aggregate(AggregatorConfig("median_krum", krum_f=2), global_model, locals_)[0] == (
             median_krum(locals_, f=2)
         )
+
+    @pytest.mark.parametrize("kind", ["celtibero", "fedavg", "coord_median", "krum", "median_krum"])
+    def test_rejects_models_of_other_shapes(self, kind):
+        global_model, locals_ = detection_scenario()
+        reshaped = ModelWeights([LayerShape((1, 3))], locals_[-1].flat)
+        with pytest.raises(ShapeMismatchError, match="layer 0"):
+            aggregate(AggregatorConfig(kind, krum_f=2), global_model, locals_[:-1] + [reshaped])
+
+
+def random_layers(rng, widths, scale, dyadic):
+    """One model's per-layer vectors: quarter steps with many ties when
+    ``dyadic``, else Gaussian, at the given scale."""
+    if dyadic:
+        return [rng.integers(-4, 5, size=w) / 4.0 * scale for w in widths]
+    return [rng.normal(size=w) * scale for w in widths]
+
+
+def as_model(widths, layers):
+    return ModelWeights([LayerShape((w,)) for w in widths], np.concatenate(layers))
+
+
+class TestPerLayerReference:
+    """The matrix aggregators give bit for bit what one ``np.stack`` per
+    layer gave (``oracles.per_layer_*``), width-1 layers included."""
+
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 40])
+    def test_bit_identical_to_per_layer_stacks(self, m):
+        rng = np.random.default_rng(500 + m)
+        for draw in range(8):
+            widths = [1, int(rng.integers(1, 40)), 1, int(rng.integers(2, 12))]
+            scale = float(10.0 ** rng.uniform(-8, 8))
+            dyadic = draw % 2 == 0
+            layers = [random_layers(rng, widths, scale, dyadic) for _ in range(m)]
+            global_layers = random_layers(rng, widths, scale, dyadic)
+            models = [as_model(widths, ls) for ls in layers]
+
+            for got, want in (
+                (fedavg(models), per_layer_fedavg(layers)),
+                (coordinate_median(models), per_layer_coordinate_median(layers)),
+            ):
+                assert all(np.array_equal(g, w) for g, w in zip(got.vectors(), want))
+
+            linkage = ("average", "single", "complete")[draw % 3]
+            out, verdicts = celtibero_aggregate(as_model(widths, global_layers), models, linkage)
+            want, want_verdicts = per_layer_celtibero(global_layers, layers, linkage)
+            assert verdicts == want_verdicts
+            assert all(np.array_equal(g, w) for g, w in zip(out.vectors(), want))
+
+            if m >= 3:
+                for f in sorted({0, (m - 3) // 2}):
+                    scores = per_layer_krum_scores(layers, f)
+                    assert np.array_equal(_krum_scores(models, f), scores)
+                    assert krum(models, f) is models[int(np.argmin(scores))]

@@ -255,7 +255,7 @@ class TestBoostUpdate:
         global_model = make_weights([0.0, 0.0])
         local = make_weights([1.0, 1.0])
         boosted = boost_update(local, global_model, 2.0)
-        assert np.array_equal(boosted.layers[0][1], [2.0, 2.0])
+        assert np.array_equal(boosted.vectors()[0], [2.0, 2.0])
 
     def test_composes_multiplicatively(self):
         rng = np.random.default_rng(73)
@@ -263,7 +263,7 @@ class TestBoostUpdate:
         local = make_weights(rng.normal(size=5))
         twice = boost_update(boost_update(local, global_model, 2.0), global_model, 3.0)
         once = boost_update(local, global_model, 6.0)
-        assert np.allclose(twice.layers[0][1], once.layers[0][1], atol=1e-12)
+        assert np.allclose(twice.vectors()[0], once.vectors()[0], atol=1e-12)
 
     def test_boost_by_cohort_size_survives_averaging(self):
         # boosting by the cohort size makes the attacker's delta enter the
@@ -271,13 +271,13 @@ class TestBoostUpdate:
         global_model = make_weights([1.0, -1.0])
         benign_delta = np.array([0.2, 0.4])
         mal_delta = np.array([-3.0, 5.0])
-        benign = [make_weights(global_model.layers[0][1] + benign_delta) for _ in range(3)]
+        benign = [make_weights(global_model.vectors()[0] + benign_delta) for _ in range(3)]
         attacker = boost_update(
-            make_weights(global_model.layers[0][1] + mal_delta), global_model, 4.0
+            make_weights(global_model.vectors()[0] + mal_delta), global_model, 4.0
         )
         merged = fedavg(benign + [attacker])
-        expected = global_model.layers[0][1] + mal_delta + 0.75 * benign_delta
-        assert np.allclose(merged.layers[0][1], expected, atol=1e-12)
+        expected = global_model.vectors()[0] + mal_delta + 0.75 * benign_delta
+        assert np.allclose(merged.vectors()[0], expected, atol=1e-12)
 
     def test_rejections(self):
         m = make_weights([1.0])

@@ -41,23 +41,22 @@ class TestModelWeights:
 
     def test_total_size_and_concat_order(self):
         m = make_weights([1.0, 2.0], [3.0])
-        assert m.num_layers == 2
-        assert m.total_size == 3
-        assert np.array_equal(m.concat(), [1.0, 2.0, 3.0])
+        assert len(m.shapes()) == 2
+        assert m.flat.size == 3
+        assert np.array_equal(m.flat, [1.0, 2.0, 3.0])
 
     def test_length_mismatch_names_the_layer(self):
         with pytest.raises(ShapeMismatchError, match="layer 1"):
-            ModelWeights(
-                (
-                    (LayerShape((2,)), np.zeros(2)),
-                    (LayerShape((3,)), np.zeros(2)),
-                )
-            )
+            ModelWeights((LayerShape((2,)), LayerShape((3,))), np.zeros(4))
+        with pytest.raises(ShapeMismatchError, match="total size 2"):
+            ModelWeights((LayerShape((2,)),), np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="layer 0"):
             make_weights([1.0, bad])
+        with pytest.raises(ValueError, match="layer 1"):
+            make_weights([1.0], [2.0, bad], [3.0])
 
     def test_equality_is_exact(self):
         a = make_weights([1.0, 2.0])
@@ -88,6 +87,11 @@ class TestDiffAddUpdate:
         b = make_weights([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ShapeMismatchError, match="layer 1"):
             diff(a, b)
+        with pytest.raises(ShapeMismatchError, match="layer 1"):
+            diff(make_weights([1.0, 2.0]), a)
+        square = ModelWeights([LayerShape((2, 2))], np.zeros(4))
+        with pytest.raises(ShapeMismatchError, match="layer 0"):
+            add_update(square, make_weights(np.zeros(4)))
 
     @given(
         st.lists(
@@ -107,7 +111,7 @@ class TestDiffAddUpdate:
         base = make_weights(base_vals[:n])
         local = make_weights(np.asarray(base_vals[:n]) + np.asarray(delta_vals[:n]))
         rebuilt = add_update(base, diff(local, base))
-        assert np.allclose(rebuilt.concat(), local.concat(), atol=1e-9)
+        assert np.allclose(rebuilt.flat, local.flat, atol=1e-9)
 
 
 class TestCosineDistance:

@@ -260,6 +260,36 @@ class TestExperiment:
         assert experiment.cfg.attack.trigger == make_default_trigger(6, 0)
         assert len(experiment.run()) == 2
 
+    @pytest.mark.parametrize(
+        "boost_factor, learning_rate, client",
+        [
+            (1e308, 50.0, 4),  # the boost overflows
+            (3.0, 1e300, 0),  # local training diverges
+        ],
+    )
+    def test_client_failure_names_round_and_client(self, boost_factor, learning_rate, client):
+        cfg = config_from_dict(
+            {
+                "dataset": {"kind": "synthetic", "classes": 3, "features": 6, "samples": 240, "test_samples": 60},
+                "clients": 6,
+                "malicious_fraction": 0.34,
+                "participation": [1.0, 1.0],
+                "attack": {"kind": "mra", "target_class": 0, "boost_factor": boost_factor},
+                "training": {"learning_rate": learning_rate},
+                "aggregator": {"kind": "celtibero", "linkage": "average"},
+                "rounds": 2,
+                "local_epochs": 1,
+                "seed": 3,
+            }
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RoundError) as failure:
+                Experiment(cfg).run()
+        assert str(failure.value) == (
+            f"round 0: client {client} failed: layer 0: weights contain NaN or Inf"
+        )
+        assert isinstance(failure.value.__cause__, ValueError)
+
     def test_zero_rounds(self):
         reports = Experiment(tiny_config(rounds=0)).run()
         assert reports == ()
@@ -307,6 +337,26 @@ class TestRunExperiment:
     def test_non_celtibero_reports_carry_no_verdicts(self):
         result = run_experiment(tiny_config(rounds=1))
         assert all(r.verdicts is None for r in result.reports)
+
+    @pytest.mark.parametrize("aggregator", ["fedavg", "celtibero"])
+    def test_one_unit_hidden_layer_end_to_end(self, aggregator):
+        cfg = tiny_config(
+            clients=10,
+            malicious_fraction=0.3,
+            rounds=3,
+            architecture={"hidden": [1]},
+            attack={"kind": "mra", "target_class": 0, "boost_factor": 3.0},
+            aggregator={"kind": aggregator},
+        )
+        result = run_experiment(cfg)
+        assert [r.round_index for r in result.reports] == [0, 1, 2]
+        for r in result.reports:
+            assert 0.0 <= r.mta <= 1.0
+            assert 0.0 <= r.asr <= 1.0
+            if aggregator == "celtibero":
+                assert len(r.verdicts) == 4  # the 1-wide bias is layer 1
+                assert all(v.benign for v in r.verdicts)
+        assert run_experiment(cfg).summary == result.summary
 
     def test_summary_core_fields(self):
         cfg = tiny_config(rounds=2)

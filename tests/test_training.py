@@ -24,11 +24,8 @@ from celtibero import (
 
 def dense_model(*arrays):
     """Build a model from alternating weight matrices and bias vectors."""
-    layers = []
-    for arr in arrays:
-        a = np.asarray(arr, dtype=np.float64)
-        layers.append((LayerShape(a.shape), a.ravel()))
-    return ModelWeights(layers)
+    arrays = [np.asarray(arr, dtype=np.float64) for arr in arrays]
+    return ModelWeights([LayerShape(a.shape) for a in arrays], np.concatenate([a.ravel() for a in arrays]))
 
 
 class TestNetworkArchitecture:
@@ -61,18 +58,18 @@ class TestTrainConfig:
 class TestInitModel:
     def test_alternating_matrix_bias_shapes(self):
         model = init_model(NetworkArchitecture((4, 3, 2)))
-        dims = [shape.dims for shape, _ in model.layers]
+        dims = [shape.dims for shape in model.shapes()]
         assert dims == [(4, 3), (3,), (3, 2), (2,)]
 
     def test_biases_start_at_zero(self):
         model = init_model(NetworkArchitecture((5, 4, 3)))
-        assert np.all(model.layers[1][1] == 0.0)
-        assert np.all(model.layers[3][1] == 0.0)
+        assert np.all(model.vectors()[1] == 0.0)
+        assert np.all(model.vectors()[3] == 0.0)
 
     def test_weights_within_fan_in_bound(self):
         model = init_model(NetworkArchitecture((4, 3, 2), seed=9))
-        assert np.all(np.abs(model.layers[0][1]) <= 1.0 / math.sqrt(4))
-        assert np.all(np.abs(model.layers[2][1]) <= 1.0 / math.sqrt(3))
+        assert np.all(np.abs(model.vectors()[0]) <= 1.0 / math.sqrt(4))
+        assert np.all(np.abs(model.vectors()[2]) <= 1.0 / math.sqrt(3))
 
     def test_deterministic_and_seed_sensitive(self):
         arch = NetworkArchitecture((4, 3, 2), seed=5)
@@ -111,7 +108,7 @@ class TestForward:
         model = init_model(NetworkArchitecture((4, 3, 2)))
         with pytest.raises(ShapeMismatchError):
             forward(model, [0.1, 0.2, 0.3])
-        lopsided = ModelWeights([(LayerShape((2, 2)), np.zeros(4))])
+        lopsided = ModelWeights([LayerShape((2, 2))], np.zeros(4))
         with pytest.raises(ShapeMismatchError):
             forward(lopsided, [0.1, 0.2])
 
@@ -144,14 +141,14 @@ class TestLossAndGrad:
         y = rng.integers(0, 2, size=4)
         _, grad = loss_and_grad(model, X, y, "tanh")
         h = 1e-6
-        for k, (shape, vec) in enumerate(model.layers):
+        for k, vec in enumerate(model.vectors()):
             for c in range(vec.size):
                 def perturbed(delta):
-                    layers = [
-                        (s, v.copy() if j != k else _bump(v, c, delta))
-                        for j, (s, v) in enumerate(model.layers)
+                    vectors = [
+                        v.copy() if j != k else _bump(v, c, delta)
+                        for j, v in enumerate(model.vectors())
                     ]
-                    return ModelWeights(layers)
+                    return ModelWeights(model.shapes(), np.concatenate(vectors))
                 up, _ = loss_and_grad(perturbed(h), X, y, "tanh")
                 down, _ = loss_and_grad(perturbed(-h), X, y, "tanh")
                 numeric = (up - down) / (2 * h)
@@ -212,9 +209,9 @@ class TestTrainLocal:
 
     def test_input_model_not_mutated(self):
         model = init_model(NetworkArchitecture((6, 5, 3), seed=22))
-        snapshot = [v.copy() for _, v in model.layers]
+        snapshot = [v.copy() for v in model.vectors()]
         train_local(model, self.make_data(4), TrainConfig(0.1, 16))
-        assert all(np.array_equal(v, s) for (_, v), s in zip(model.layers, snapshot))
+        assert all(np.array_equal(v, s) for v, s in zip(model.vectors(), snapshot))
 
     def test_rejects_width_mismatch(self):
         model = init_model(NetworkArchitecture((5, 4, 3)))
