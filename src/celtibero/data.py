@@ -181,7 +181,8 @@ def gen_synthetic(
 def partition_iid(data: LabeledDataset, num_clients: int, rng: np.random.Generator) -> Partition:
     """Shuffle each class and deal round-robin across clients.
 
-    The dealing offset carries over from class to class, so client sizes stay
+    The shuffled classes are dealt as one sequence, client ``k`` taking every
+    ``num_clients``-th sample from position ``k``, so client sizes stay
     within one sample of each other and nobody ends up empty as long as
     ``data.n >= num_clients``.
     """
@@ -189,15 +190,13 @@ def partition_iid(data: LabeledDataset, num_clients: int, rng: np.random.Generat
         raise ValueError(f"need at least 1 client, got {num_clients}")
     if data.n < num_clients:
         raise ValueError(f"cannot split {data.n} samples across {num_clients} clients")
-    buckets: list[list[int]] = [[] for _ in range(num_clients)]
-    offset = 0
+    shuffled = []
     for cls in range(data.num_classes):
         idx = np.flatnonzero(data.labels == cls)
         rng.shuffle(idx)
-        for j, sample in enumerate(idx):
-            buckets[(offset + j) % num_clients].append(int(sample))
-        offset = (offset + idx.size) % num_clients
-    assignments = tuple(np.sort(np.array(b, dtype=np.int64)) for b in buckets)
+        shuffled.append(idx)
+    dealt = np.concatenate(shuffled)
+    assignments = tuple(np.sort(dealt[k::num_clients]) for k in range(num_clients))
     return Partition(assignments, data.n)
 
 

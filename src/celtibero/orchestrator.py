@@ -11,7 +11,6 @@ and the result would be bit-identical to the sequential loop used here.
 from __future__ import annotations
 
 import logging
-import math
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -31,7 +30,13 @@ from .attacks import (
     split_trigger,
 )
 from .clustering import ClusterVerdict
-from .config import ExperimentConfig, config_from_dict, config_to_dict, malicious_count
+from .config import (
+    ExperimentConfig,
+    _participant_count,
+    config_from_dict,
+    config_to_dict,
+    malicious_count,
+)
 from .data import LabeledDataset, gen_synthetic, load_idx, partition_dirichlet, partition_iid
 from .errors import RoundError
 from .model import ModelWeights, add_update, diff
@@ -140,9 +145,7 @@ def sample_participants(
         raise ValueError(f"participation bounds must satisfy 0 < low <= high <= 1, got {bounds}")
     if num_clients < 2:
         raise ValueError(f"need at least 2 clients to sample from, got {num_clients}")
-    fraction = rng.uniform(low, high)
-    count = int(math.floor(fraction * num_clients + 0.5))
-    count = max(2, min(num_clients, count))
+    count = _participant_count(rng.uniform(low, high), num_clients)
     return np.sort(rng.choice(num_clients, size=count, replace=False))
 
 
@@ -415,7 +418,6 @@ class Experiment:
             reference = reference_reports[t] if reference_reports else None
             state, report, prev_update = self.run_round(state, reference, prev_update)
             reports.append(report)
-        self.final_state = state
         return tuple(reports)
 
 

@@ -170,3 +170,18 @@ def per_layer_krum_scores(models, f):
         others = np.sort(np.delete(squared[i], i))
         scores[i] = others[: n - f - 2].sum()
     return scores
+
+
+def dealt_partition_iid(labels, num_classes, num_clients, rng):
+    """Reference for ``partition_iid``: shuffle each class in turn and deal
+    its samples one at a time round-robin, the dealing offset carrying over
+    from class to class. Returns each client's sorted sample indices."""
+    buckets = [[] for _ in range(num_clients)]
+    offset = 0
+    for cls in range(num_classes):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        for j, sample in enumerate(idx):
+            buckets[(offset + j) % num_clients].append(int(sample))
+        offset = (offset + idx.size) % num_clients
+    return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]

@@ -1,14 +1,20 @@
 """Label flipping, backdoor triggers, update boosting, and masked updates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from celtibero import (
     AttackSpec,
+    ConfigError,
+    Experiment,
     LabeledDataset,
     ShapeMismatchError,
     TriggerPattern,
     boost_update,
+    config_from_dict,
+    config_to_dict,
     embed_trigger,
     fedavg,
     flip_labels_targeted,
@@ -56,20 +62,29 @@ class TestAttackSpec:
         assert spec.mask_ratio == 0.05
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
-            AttackSpec("gradient_inversion")
-        with pytest.raises(ValueError):
-            AttackSpec("tlfa", source_class=2, target_class=2)
-        with pytest.raises(ValueError):
-            AttackSpec("ulfa", flip_fraction=1.5)
-        with pytest.raises(ValueError):
-            AttackSpec("mra", poison_fraction=0.0)
-        with pytest.raises(ValueError):
-            AttackSpec("mra", boost_factor=0.0)
-        with pytest.raises(ValueError):
-            AttackSpec("neurotoxin", mask_ratio=1.0)
-        with pytest.raises(ValueError):
-            AttackSpec("dba", dba_fragments=0)
+        # AttackSpec itself checks nothing; a run built from it gets the parser's checks.
+        base = config_from_dict({"malicious_fraction": 0.2})
+        rejected = [
+            (AttackSpec("gradient_inversion"), "attack.kind: must be one of"),
+            (
+                AttackSpec("tlfa", source_class=2, target_class=2),
+                "attack: tlfa source and target classes must differ",
+            ),
+            (AttackSpec("ulfa", flip_fraction=1.5), "attack.flip_fraction: must lie in [0, 1]"),
+            (AttackSpec("mra", poison_fraction=0.0), "attack.poison_fraction: must lie in (0, 1]"),
+            (AttackSpec("mra", boost_factor=0.0), "attack.boost_factor: must be positive"),
+            (AttackSpec("neurotoxin", mask_ratio=1.0), "attack.mask_ratio: must lie in (0, 1)"),
+            (AttackSpec("dba", dba_fragments=0), "attack.dba_fragments: must be >= 1"),
+        ]
+        for spec, message in rejected:
+            cfg = replace(base, attack=spec)
+            with pytest.raises(ConfigError) as built:
+                Experiment(cfg)
+            with pytest.raises(ConfigError) as parsed:
+                config_from_dict(config_to_dict(cfg))
+            assert built.value.violations == parsed.value.violations
+            assert len(built.value.violations) == 1
+            assert built.value.violations[0].startswith(message)
 
 
 class TestMakeDefaultTrigger:

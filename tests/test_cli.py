@@ -59,6 +59,20 @@ class TestRunCommand:
         assert "rounds" in stderr
         assert stderr.count("  - ") == 2
 
+    def test_empty_trigger_exits_1_with_every_violation(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            clients=-3,
+            malicious_fraction=0.2,
+            attack={"kind": "mra", "trigger": {"positions": [], "values": []}},
+        )
+        assert cli.main(["run", str(config)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("config error")
+        assert "  - top level.clients: must be >= 2, got -3" in stderr
+        assert "  - attack.trigger.positions: expected at least one position" in stderr
+        assert stderr.count("  - ") == 2
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.yaml")]) == 1
         assert "config error" in capsys.readouterr().err

@@ -144,6 +144,14 @@ class TestValueViolations:
                 {"clients": 2, "malicious_fraction": 0.4999999999999},
                 "1 malicious, which leaves no strict honest majority",
             ),
+            (
+                {"dataset": {"samples": 10}, "clients": 20},
+                "dataset.samples: 10 training samples cannot be split across 20 clients",
+            ),
+            (
+                {"dataset": {"kind": "mnist_idx", **MNIST_PATHS, "train_subset": 19}},
+                "dataset.train_subset: 19 training samples cannot be split across 20 clients",
+            ),
         ],
     )
     def test_violation_mentions_offending_key(self, raw, fragment):
@@ -163,6 +171,24 @@ class TestValueViolations:
     def test_trigger_violations(self, trigger, fragment):
         raw = {"attack": {"kind": "mra", "trigger": trigger}, "malicious_fraction": 0.2}
         assert any(fragment in v for v in violations_of(raw))
+
+
+class TestParserOwnsEveryCheck:
+    def test_empty_trigger_is_listed_with_other_violations(self):
+        raw = {
+            "attack": {"kind": "mra", "trigger": {"positions": [], "values": []}},
+            "malicious_fraction": 0.2,
+            "clients": -3,
+        }
+        assert violations_of(raw) == [
+            "top level.clients: must be >= 2, got -3",
+            "attack.trigger.positions: expected at least one position",
+        ]
+
+    def test_one_sample_per_client_is_enough(self):
+        assert config_from_dict({"dataset": {"samples": 20}, "clients": 20}).clients == 20
+        raw = {"dataset": {"kind": "mnist_idx", **MNIST_PATHS, "train_subset": 20}}
+        assert config_from_dict(raw).dataset.train_subset == 20
 
 
 class TestTriggerMaterialization:

@@ -15,6 +15,8 @@ from celtibero import (
     partition_iid,
 )
 
+from .oracles import dealt_partition_iid
+
 
 class TestLabeledDataset:
     def test_valid_construction(self):
@@ -211,6 +213,27 @@ class TestPartitionIid:
             partition_iid(data, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             partition_iid(data, 6, np.random.default_rng(0))
+
+    def test_matches_one_at_a_time_dealing(self):
+        draw = np.random.default_rng(10)
+        for case in range(40):
+            num_classes = int(draw.integers(2, 8))
+            # Uneven class sizes, some classes possibly empty.
+            labels = draw.integers(0, num_classes, size=int(draw.integers(1, 400)))
+            labels[0] = 0
+            if case % 4 == 0:
+                labels[labels == num_classes - 1] = 0
+            n = labels.size
+            data = LabeledDataset(np.zeros((n, 1)), labels, num_classes)
+            num_clients = int(draw.integers(1, n + 1))
+            got = partition_iid(data, num_clients, np.random.default_rng(case))
+            want = dealt_partition_iid(
+                data.labels, num_classes, num_clients, np.random.default_rng(case)
+            )
+            assert len(got.assignments) == len(want)
+            for a, b in zip(got.assignments, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
 
 
 class TestPartitionDirichlet:
