@@ -2,7 +2,7 @@
 
 Each client's per-layer update is characterized by its direction only.
 The cosine kernel shared with ``model.cosine_distance`` fills the pairwise
-distance matrix, taking each vector's norm once. A bottom-up merge on one
+distance matrix a row at a time, taking each norm once. A bottom-up merge on one
 n x n NumPy array, updated by the Lance-Williams rule (Lance & Williams
 1967), runs until exactly two clusters remain, and the cluster with the
 smaller ``size * mean pairwise distance`` score is labeled poisoned: a

@@ -149,21 +149,43 @@ _WRITTEN_KEYS = {
 }
 
 
+class _Violations(list):
+    """Violation messages, plus the fields whose given value was rejected
+    (and so replaced by a default, or dropped). A cross-field check runs
+    only while the fields it reads are ``valid``: else it checks a stand-in."""
+
+    def __init__(self):
+        super().__init__()
+        self.rejected: set[str] = set()
+
+    def reject(self, field: str, problem: str) -> None:
+        self.append(f"{field}: {problem}")
+        self.rejected.add(field.removeprefix("top level."))
+
+    def valid(self, *fields: str) -> bool:
+        """False when a field, its block or a part of it was rejected."""
+        return not any(
+            f == r or f.startswith(r + ".") or r.startswith(f + ".")
+            for f in fields
+            for r in self.rejected
+        )
+
+
 class _Reader:
     """Pulls typed values out of one mapping block, collecting violations.
 
-    A key that is missing or null takes its value from ``defaults``, the
-    block's default instance, whose field names are also the allowed keys
-    unless ``allowed`` names them.
+    A key that is missing or null, or whose value is rejected, takes its
+    value from ``defaults``, the block's default instance, whose field names
+    are also the allowed keys unless ``allowed`` names them.
     """
 
-    def __init__(self, raw, where: str, errors: list[str], defaults=None, allowed=None):
+    def __init__(self, raw, where: str, errors: _Violations, defaults=None, allowed=None):
         self.raw = raw if isinstance(raw, dict) else {}
         self.where = where
         self.errors = errors
         self.defaults = defaults
         if raw is not None and not isinstance(raw, dict):
-            errors.append(f"{where}: expected a mapping, got {type(raw).__name__}")
+            errors.reject(where, f"expected a mapping, got {type(raw).__name__}")
         if allowed is None:
             allowed = {f.name for f in fields(defaults)}
         for key in self.raw:
@@ -176,10 +198,10 @@ class _Reader:
         if value is None:
             return default
         if isinstance(value, bool) or not isinstance(value, int):
-            self.errors.append(f"{self.where}.{key}: expected an integer, got {value!r}")
+            self.errors.reject(f"{self.where}.{key}", f"expected an integer, got {value!r}")
             return default
         if minimum is not None and value < minimum:
-            self.errors.append(f"{self.where}.{key}: must be >= {minimum}, got {value}")
+            self.errors.reject(f"{self.where}.{key}", f"must be >= {minimum}, got {value}")
             return default
         return int(value)
 
@@ -189,7 +211,7 @@ class _Reader:
         if value is None:
             return default
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.errors.append(f"{self.where}.{key}: expected a number, got {value!r}")
+            self.errors.reject(f"{self.where}.{key}", f"expected a number, got {value!r}")
             return default
         return float(value)
 
@@ -199,11 +221,11 @@ class _Reader:
         if value is None:
             return default
         if not isinstance(value, str):
-            self.errors.append(f"{self.where}.{key}: expected a string, got {value!r}")
+            self.errors.reject(f"{self.where}.{key}", f"expected a string, got {value!r}")
             return default
         if choices is not None and value not in choices:
-            self.errors.append(
-                f"{self.where}.{key}: must be one of {tuple(choices)}, got {value!r}"
+            self.errors.reject(
+                f"{self.where}.{key}", f"must be one of {tuple(choices)}, got {value!r}"
             )
             return default
         return value
@@ -213,18 +235,18 @@ class _Reader:
         if value is None:
             return {}
         if not isinstance(value, dict):
-            self.errors.append(f"{self.where}.{key}: expected a mapping, got {value!r}")
+            self.errors.reject(f"{self.where}.{key}", f"expected a mapping, got {value!r}")
             return {}
         return value
 
 
-def _parse_dataset(raw: dict, errors: list[str]) -> DatasetConfig:
+def _parse_dataset(raw: dict, errors: _Violations) -> DatasetConfig:
     reader = _Reader(raw, "dataset", errors, _DEFAULTS.dataset)
     kind = reader.str_("kind", choices=("synthetic", "mnist_idx"))
     if kind == "synthetic":
         classes = reader.int_("classes", minimum=2)
         features = reader.int_("features", minimum=1)
-        if features < classes:
+        if features < classes and errors.valid("dataset.classes", "dataset.features"):
             errors.append(
                 f"dataset: features ({features}) must be >= classes ({classes})"
             )
@@ -242,7 +264,7 @@ def _parse_dataset(raw: dict, errors: list[str]) -> DatasetConfig:
     paths = {}
     for key in ("train_images", "train_labels", "test_images", "test_labels"):
         value = reader.str_(key)
-        if value is None:
+        if value is None and errors.valid(f"dataset.{key}"):
             errors.append(f"dataset.{key}: required for mnist_idx")
         paths[key] = value or ""
     return DatasetConfig(
@@ -253,7 +275,7 @@ def _parse_dataset(raw: dict, errors: list[str]) -> DatasetConfig:
     )
 
 
-def _parse_partition(raw: dict, errors: list[str]) -> PartitionConfig:
+def _parse_partition(raw: dict, errors: _Violations) -> PartitionConfig:
     reader = _Reader(raw, "partition", errors, _DEFAULTS.partition)
     kind = reader.str_("kind", choices=("iid", "dirichlet"))
     if kind != "dirichlet":
@@ -264,57 +286,50 @@ def _parse_partition(raw: dict, errors: list[str]) -> PartitionConfig:
     return PartitionConfig(kind="dirichlet", alpha=alpha)
 
 
-def _dataset_feature_count(dataset: DatasetConfig) -> int:
-    return _MNIST_FEATURES if dataset.kind == "mnist_idx" else dataset.features
-
-
-def _dataset_class_count(dataset: DatasetConfig) -> int:
-    return _MNIST_CLASSES if dataset.kind == "mnist_idx" else dataset.classes
-
-
-def _parse_trigger(raw, num_features: int, target_class: int, errors: list[str]):
+def _parse_trigger(raw, num_features: int, target_class: int, errors: _Violations):
     reader = _Reader(raw, "attack.trigger", errors, allowed=_WRITTEN_KEYS[TriggerPattern])
     positions = reader.raw.get("positions")
     values = reader.raw.get("values")
     if not isinstance(positions, list) or not all(
         isinstance(p, int) and not isinstance(p, bool) for p in positions
     ):
-        errors.append("attack.trigger.positions: expected a list of integers")
+        errors.reject("attack.trigger.positions", "expected a list of integers")
         return None
     if not isinstance(values, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
-        errors.append("attack.trigger.values: expected a list of numbers")
+        errors.reject("attack.trigger.values", "expected a list of numbers")
         return None
     if len(positions) != len(values):
-        errors.append(
-            f"attack.trigger: {len(positions)} positions but {len(values)} values"
-        )
+        errors.reject("attack.trigger", f"{len(positions)} positions but {len(values)} values")
         return None
     if not positions:
-        errors.append("attack.trigger.positions: expected at least one position")
+        errors.reject("attack.trigger.positions", "expected at least one position")
         return None
-    if any(p < 0 or p >= num_features for p in positions):
-        errors.append(
-            f"attack.trigger.positions: every position must lie in [0, {num_features})"
+    if errors.valid("dataset.kind", "dataset.features") and any(
+        p < 0 or p >= num_features for p in positions
+    ):
+        errors.reject(
+            "attack.trigger.positions", f"every position must lie in [0, {num_features})"
         )
         return None
     if len(set(positions)) != len(positions):
-        errors.append("attack.trigger.positions: positions must be distinct")
+        errors.reject("attack.trigger.positions", "positions must be distinct")
         return None
     if any(not 0.0 <= float(v) <= 1.0 for v in values):
-        errors.append("attack.trigger.values: values must lie in [0, 1]")
+        errors.reject("attack.trigger.values", "values must lie in [0, 1]")
         return None
     return TriggerPattern(tuple(positions), tuple(float(v) for v in values), target_class)
 
 
 def _parse_attack(
-    raw: dict, dataset: DatasetConfig, attackers: int, errors: list[str]
+    raw: dict, dataset: DatasetConfig, attackers: int, errors: _Violations
 ) -> AttackSpec:
     reader = _Reader(raw, "attack", errors, _DEFAULTS.attack)
     kind = reader.str_("kind", choices=ATTACK_KINDS)
-    classes = _dataset_class_count(dataset)
-    features = _dataset_feature_count(dataset)
+    mnist = dataset.kind == "mnist_idx"
+    classes = _MNIST_CLASSES if mnist else dataset.classes
+    features = _MNIST_FEATURES if mnist else dataset.features
     if kind == "none":
         return AttackSpec(kind="none")
     if kind == "ulfa":
@@ -325,16 +340,16 @@ def _parse_attack(
     if kind == "tlfa":
         source = reader.int_("source_class", minimum=0)
         target = reader.int_("target_class", minimum=0)
-        if source == target:
+        if source == target and errors.valid("attack.source_class", "attack.target_class"):
             errors.append(f"attack: tlfa source and target classes must differ, both are {source}")
         for name, cls in (("source_class", source), ("target_class", target)):
-            if cls >= classes:
+            if cls >= classes and errors.valid("dataset.kind", "dataset.classes"):
                 errors.append(f"attack.{name}: class {cls} outside [0, {classes})")
         return AttackSpec(kind="tlfa", source_class=source, target_class=target)
 
     # Backdoor family: mra, dba, neurotoxin.
     target = reader.int_("target_class", minimum=0)
-    if target >= classes:
+    if target >= classes and errors.valid("dataset.kind", "dataset.classes"):
         errors.append(f"attack.target_class: class {target} outside [0, {classes})")
     poison_fraction = reader.float_("poison_fraction")
     if not 0.0 < poison_fraction <= 1.0:
@@ -345,7 +360,7 @@ def _parse_attack(
     if reader.raw.get("trigger") is not None:
         trigger = _parse_trigger(reader.raw["trigger"], features, target, errors)
     if trigger is None:
-        side = _MNIST_SIDE if dataset.kind == "mnist_idx" else None
+        side = _MNIST_SIDE if mnist else None
         trigger = make_default_trigger(features, target, image_side=side)
     spec = AttackSpec(
         kind=kind, target_class=target, poison_fraction=poison_fraction, trigger=trigger
@@ -359,7 +374,9 @@ def _parse_attack(
         fragments = reader.int_("dba_fragments", minimum=1)
         explicit = fragments is not None
         if fragments is None:
-            if attackers < 1:
+            if attackers < 1 and errors.valid(
+                "clients", "malicious_fraction", "attack.dba_fragments"
+            ):
                 errors.append(
                     "attack: dba needs at least one malicious client to assign fragments to"
                 )
@@ -367,7 +384,7 @@ def _parse_attack(
         if fragments > len(trigger.positions):
             # A derived count is clamped to what the trigger can supply; only
             # an explicit request for more fragments than positions is an error.
-            if explicit:
+            if explicit and errors.valid("attack.trigger"):
                 errors.append(
                     f"attack.dba_fragments: {fragments} fragments exceed "
                     f"{len(trigger.positions)} trigger positions"
@@ -380,7 +397,7 @@ def _parse_attack(
     return replace(spec, mask_ratio=mask_ratio)
 
 
-def _parse_aggregator(raw: dict, errors: list[str]) -> AggregatorConfig:
+def _parse_aggregator(raw: dict, errors: _Violations) -> AggregatorConfig:
     reader = _Reader(raw, "aggregator", errors, _DEFAULTS.aggregator)
     kind = reader.str_("kind", choices=AGGREGATOR_NAMES)
     if kind in ("krum", "median_krum"):
@@ -390,7 +407,7 @@ def _parse_aggregator(raw: dict, errors: list[str]) -> AggregatorConfig:
     return AggregatorConfig(kind=kind)
 
 
-def _parse_architecture(raw: dict, errors: list[str]) -> ArchitectureConfig:
+def _parse_architecture(raw: dict, errors: _Violations) -> ArchitectureConfig:
     reader = _Reader(raw, "architecture", errors, _DEFAULTS.architecture)
     hidden = reader.defaults.hidden
     hidden_raw = reader.raw.get("hidden")
@@ -410,7 +427,7 @@ def _parse_architecture(raw: dict, errors: list[str]) -> ArchitectureConfig:
     )
 
 
-def _parse_training(raw: dict, dataset: DatasetConfig, errors: list[str]) -> TrainingConfig:
+def _parse_training(raw: dict, dataset: DatasetConfig, errors: _Violations) -> TrainingConfig:
     defaults = _DEFAULTS.training
     if dataset.kind == "mnist_idx":
         defaults = replace(defaults, learning_rate=_MNIST_LEARNING_RATE)
@@ -426,7 +443,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     Raises :class:`ConfigError` carrying *every* violation found.
     """
-    errors: list[str] = []
+    errors = _Violations()
     if not isinstance(raw, dict):
         raise ConfigError([f"top level: expected a mapping, got {type(raw).__name__}"])
     top = _Reader(raw, "top level", errors, _DEFAULTS)
@@ -436,7 +453,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     clients = top.int_("clients", minimum=2)
     size_key = "samples" if dataset.kind == "synthetic" else "train_subset"
     size = getattr(dataset, size_key)
-    if size is not None and size < clients:
+    read = ("dataset.kind", f"dataset.{size_key}", "clients")
+    if size is not None and size < clients and errors.valid(*read):
         # Every client needs at least one training sample.
         errors.append(
             f"dataset.{size_key}: {size} training samples cannot be split across "
@@ -444,20 +462,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     malicious_fraction = top.float_("malicious_fraction")
     if not 0.0 <= malicious_fraction < 0.5:
-        errors.append(
-            "malicious_fraction: must lie in [0, 0.5) so honest clients hold a "
-            f"strict majority, got {malicious_fraction}"
+        errors.reject(
+            "malicious_fraction",
+            "must lie in [0, 0.5) so honest clients hold a strict majority, "
+            f"got {malicious_fraction}",
         )
         attackers = 0
     else:
         attackers = _malicious_count(malicious_fraction, clients)
-        if attackers * 2 >= clients:
+        if attackers * 2 >= clients and errors.valid("clients"):
             # malicious_count's epsilon can round a fraction just under 0.5 up to half.
-            errors.append(
-                f"malicious_fraction: {malicious_fraction} of {clients} clients gives "
-                f"{attackers} malicious, which leaves no strict honest majority"
+            errors.reject(
+                "malicious_fraction",
+                f"{malicious_fraction} of {clients} clients gives "
+                f"{attackers} malicious, which leaves no strict honest majority",
             )
-            attackers = 0
     attack = _parse_attack(top.block("attack"), dataset, attackers, errors)
     aggregator = _parse_aggregator(top.block("aggregator"), errors)
     rounds = top.int_("rounds", minimum=0)
@@ -474,21 +493,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 for v in participation_raw
             )
         ):
-            errors.append("participation: expected [low, high] with two numbers")
+            errors.reject("participation", "expected [low, high] with two numbers")
         else:
             bounds = (float(participation_raw[0]), float(participation_raw[1]))
             if 0.0 < bounds[0] <= bounds[1] <= 1.0:
                 participation = bounds
             else:
-                errors.append(
-                    f"participation: bounds must satisfy 0 < low <= high <= 1, got {bounds}"
+                errors.reject(
+                    "participation", f"bounds must satisfy 0 < low <= high <= 1, got {bounds}"
                 )
 
     if aggregator.kind in ("krum", "median_krum"):
         # Smallest round that sample_participants can draw: the low bound's count.
         fewest = _participant_count(participation[0], clients)
         needed = 2 * aggregator.krum_f + 3
-        if fewest < needed:
+        if fewest < needed and errors.valid("clients", "participation", "aggregator.krum_f"):
             errors.append(
                 f"aggregator.krum_f: {aggregator.kind} with krum_f={aggregator.krum_f} needs "
                 f">= {needed} participants per round (2*krum_f + 3), but a round of "

@@ -294,12 +294,10 @@ class Experiment:
         for k in range(cfg.clients):
             share = self.train_data.subset(partition.assignments[k])
             malicious = k in malicious_ids
-            if malicious and cfg.attack.kind != "none":
+            if malicious:
                 share = _poison_client_data(
                     share, cfg.attack, rank, sub_triggers, derive_rng(master, "attack", k)
                 )
-                rank += 1
-            elif malicious:
                 rank += 1
             clients.append(ClientSpec(index=k, malicious=malicious, data=share))
         self.clients = tuple(clients)
@@ -318,9 +316,6 @@ class Experiment:
             master_seed=self.cfg.seed,
         )
 
-    def _zero_update(self) -> ModelWeights:
-        return ModelWeights(self.initial_model.shapes(), np.zeros(self.initial_model.flat.size))
-
     def run_round(
         self,
         state: FederationState,
@@ -330,7 +325,8 @@ class Experiment:
         """Execute one round from ``state``.
 
         Returns the next state, the round's report, and the realized global
-        update (the Neurotoxin reference for the following round). For
+        update (the Neurotoxin reference for the following round; ``None``,
+        before the first round, stands for a zero update). For
         label-flipping attacks ``reference_report`` must carry the matching
         round of the no-attack reference run.
         """
@@ -341,7 +337,9 @@ class Experiment:
             cfg.clients, cfg.participation, derive_rng(state.master_seed, "participants", t)
         )
         if prev_global_update is None:
-            prev_global_update = self._zero_update()
+            prev_global_update = ModelWeights(
+                state.global_model.shapes(), np.zeros(state.global_model.flat.size)
+            )
         local_models = []
         for i in participants:
             client = state.clients[int(i)]
@@ -412,7 +410,7 @@ class Experiment:
         self, reference_reports: tuple[RoundReport, ...] | None = None
     ) -> tuple[RoundReport, ...]:
         state = self.initial_state()
-        prev_update = self._zero_update()
+        prev_update = None
         reports = []
         for t in range(self.cfg.rounds):
             reference = reference_reports[t] if reference_reports else None

@@ -6,7 +6,9 @@ so that agreement between the two is meaningful. The ``per_layer_*``
 functions are the exception: they keep the aggregators' former layout, one
 ``np.stack`` of separate per-layer vectors, as the bit-for-bit reference for
 the aggregators that now slice the columns of one stacked matrix. Their
-models are sequences of per-layer flat vectors.
+models are sequences of per-layer flat vectors. ``per_pair_cosine_distances``
+is likewise the former cosine kernel, one ``np.dot`` per pair, kept as the
+bit-for-bit reference for the kernel that fills a row at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import math
 
 import numpy as np
 
-from celtibero import agglomerative_two_clusters, label_clusters, pairwise_cosine_matrix
+from celtibero import (
+    ShapeMismatchError,
+    agglomerative_two_clusters,
+    label_clusters,
+    pairwise_cosine_matrix,
+)
 
 
 def replay_two_clusters(matrix, linkage="average"):
@@ -170,6 +177,32 @@ def per_layer_krum_scores(models, f):
         others = np.sort(np.delete(squared[i], i))
         scores[i] = others[: n - f - 2].sum()
     return scores
+
+
+def per_pair_cosine_distances(vectors):
+    """Per-pair reference for ``model._cosine_distances``: each vector
+    converted, checked and scaled on its own, then one ``np.dot`` per pair."""
+    scaled = []
+    for k, vec in enumerate(vectors):
+        arr = np.asarray(vec, dtype=np.float64).reshape(-1)
+        if scaled and arr.size != scaled[0].size:
+            raise ShapeMismatchError(f"vector {k}: length {arr.size} vs {scaled[0].size}")
+        peak = float(np.max(np.abs(arr), initial=0.0))
+        if not math.isfinite(peak):
+            raise ValueError(f"vector {k} contains NaN or Inf")
+        scaled.append(np.ldexp(arr, -math.frexp(peak)[1]))
+    norms = [float(np.linalg.norm(s)) for s in scaled]
+    n = len(scaled)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if norms[i] == 0.0 or norms[j] == 0.0:
+                dist = 0.0 if norms[i] == norms[j] else 1.0
+            else:
+                cos = float(np.dot(scaled[i], scaled[j])) / (norms[i] * norms[j])
+                dist = min(2.0, max(0.0, 1.0 - cos))
+            out[i, j] = out[j, i] = dist
+    return out
 
 
 def dealt_partition_iid(labels, num_classes, num_clients, rng):

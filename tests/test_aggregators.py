@@ -18,6 +18,7 @@ from celtibero import (
     median_krum,
 )
 from .conftest import make_weights
+from celtibero import aggregators
 from celtibero.aggregators import _krum_scores
 from .oracles import (
     krum_scores,
@@ -330,13 +331,16 @@ class TestPerLayerReference:
     layer gave (``oracles.per_layer_*``), width-1 layers included."""
 
     @pytest.mark.parametrize("m", [2, 7, 8, 9, 40])
-    def test_bit_identical_to_per_layer_stacks(self, m):
+    def test_bit_identical_to_per_layer_stacks(self, m, monkeypatch):
         rng = np.random.default_rng(500 + m)
-        for draw in range(8):
+        for draw in range(9):
             widths = [1, int(rng.integers(1, 40)), 1, int(rng.integers(2, 12))]
             scale = float(10.0 ** rng.uniform(-8, 8))
             dyadic = draw % 2 == 0
             layers = [random_layers(rng, widths, scale, dyadic) for _ in range(m)]
+            if draw == 8:
+                # Colluding clients: every odd-indexed client sends client 0's model.
+                layers[1::2] = [layers[0]] * len(layers[1::2])
             global_layers = random_layers(rng, widths, scale, dyadic)
             models = [as_model(widths, ls) for ls in layers]
 
@@ -357,3 +361,7 @@ class TestPerLayerReference:
                     scores = per_layer_krum_scores(layers, f)
                     assert np.array_equal(_krum_scores(models, f), scores)
                     assert krum(models, f) is models[int(np.argmin(scores))]
+                    # Difference blocks of 3 rows, so a row takes several blocks.
+                    with monkeypatch.context() as patch:
+                        patch.setattr(aggregators, "_BLOCK_VALUES", 3 * sum(widths))
+                        assert np.array_equal(_krum_scores(models, f), scores)

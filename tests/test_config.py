@@ -158,6 +158,72 @@ class TestValueViolations:
         assert any(fragment in v for v in violations_of(raw))
 
     @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (
+                {"clients": 1, "dataset": {"samples": 10}},
+                ["top level.clients: must be >= 2, got 1"],
+            ),
+            (
+                {"clients": "x", "participation": [0.2, 1.0], "aggregator": {"kind": "krum"}},
+                ["top level.clients: expected an integer, got 'x'"],
+            ),
+            (
+                {"clients": 5, "participation": [0.0, 1.0], "aggregator": {"kind": "krum"}},
+                ["participation: bounds must satisfy 0 < low <= high <= 1, got (0.0, 1.0)"],
+            ),
+            (
+                {"aggregator": {"kind": "krum", "krum_f": -1}, "clients": 5},
+                ["aggregator.krum_f: must be >= 0, got -1"],
+            ),
+            ({"dataset": 5, "clients": 5000}, ["top level.dataset: expected a mapping, got 5"]),
+            ({"dataset": {"classes": 1, "features": 3}}, ["dataset.classes: must be >= 2, got 1"]),
+            (
+                {"dataset": {"classes": 1}, "attack": {"kind": "tlfa", "source_class": 5}},
+                ["dataset.classes: must be >= 2, got 1"],
+            ),
+            (
+                {
+                    "dataset": {"features": "wide"},
+                    "malicious_fraction": 0.2,
+                    "attack": {"kind": "mra", "trigger": {"positions": [30], "values": [1.0]}},
+                },
+                ["dataset.features: expected an integer, got 'wide'"],
+            ),
+            (
+                {"malicious_fraction": 0.7, "attack": {"kind": "dba"}},
+                [
+                    "malicious_fraction: must lie in [0, 0.5) so honest clients hold a "
+                    "strict majority, got 0.7"
+                ],
+            ),
+            (
+                {"attack": {"kind": "dba", "dba_fragments": 0}},
+                ["attack.dba_fragments: must be >= 1, got 0"],
+            ),
+            (
+                {
+                    "malicious_fraction": 0.4,
+                    "attack": {
+                        "kind": "dba",
+                        "dba_fragments": 5,
+                        "trigger": {"positions": [0, 1, 2, 3, 4, 5], "values": [1.0]},
+                    },
+                },
+                ["attack.trigger: 6 positions but 1 values"],
+            ),
+            (
+                {"dataset": {"kind": "mnist_idx", **MNIST_PATHS, "train_images": 5}},
+                ["dataset.train_images: expected a string, got 5"],
+            ),
+        ],
+    )
+    def test_cross_field_check_skipped_after_its_field_was_rejected(self, raw, expected):
+        """A rejected value is replaced by its default; no check may then
+        report on that default, which the config never gave."""
+        assert violations_of(raw) == expected
+
+    @pytest.mark.parametrize(
         "trigger, fragment",
         [
             ({"positions": [0, 25], "values": [1.0]}, "1 values"),

@@ -17,6 +17,7 @@ from celtibero import (
     pairwise_cosine_matrix,
 )
 from .conftest import make_weights
+from .oracles import per_pair_cosine_distances
 
 
 class TestLayerShape:
@@ -183,3 +184,40 @@ class TestCosineDistance:
         assert 0.0 <= d <= 2.0
         assert d == pytest.approx(cosine_distance(v, u), abs=1e-12)
 
+
+def cosine_inputs(rng, n, width):
+    """``n`` rows of ``width`` at row scales 1e-200..1e200, with zero,
+    duplicated and negated rows mixed in (or all rows equal)."""
+    rows = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-200, 200, size=(n, 1))
+    if rng.random() < 0.1:
+        return np.repeat(rows[:1], n, axis=0)
+    for i in range(n):
+        pick = rng.random()
+        if pick < 0.1:
+            rows[i] = 0.0
+        elif pick < 0.3:
+            rows[i] = rows[rng.integers(n)]
+        elif pick < 0.4:
+            rows[i] = -rows[rng.integers(n)]
+    return rows
+
+
+class TestPerPairReference:
+    """The row-at-a-time kernel gives bit for bit what one ``np.dot`` per
+    pair gave (``oracles.per_pair_cosine_distances``)."""
+
+    def test_bit_identical_to_per_pair_kernel(self):
+        rng = np.random.default_rng(42)
+        for draw in range(60):
+            n = int(rng.integers(2, 46))
+            width = int(rng.integers(1, 1001)) if draw % 3 else int(rng.integers(1, 9))
+            rows = cosine_inputs(rng, n, width)
+            want = per_pair_cosine_distances(list(rows))
+            # A list of vectors, a 2-D array, and a column block of a wider
+            # matrix (as the aggregator passes one layer).
+            wide = np.hstack([rng.normal(size=(n, 3)), rows, rng.normal(size=(n, 2))])
+            for given_rows in (list(rows), rows, wide[:, 3 : 3 + width]):
+                assert np.array_equal(pairwise_cosine_matrix(given_rows).entries, want)
+            for i, j in rng.integers(n, size=(5, 2)):
+                pair = per_pair_cosine_distances([rows[i], rows[j]])[0, 1]
+                assert np.array_equal(cosine_distance(rows[i], rows[j]), pair)
