@@ -56,9 +56,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
-        if args.seed < 0:
-            print("config error: --seed must be nonnegative", file=sys.stderr)
-            return 1
         cfg = replace(cfg, seed=args.seed)
     out_dir = args.out or cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out"
     try:

@@ -172,10 +172,12 @@ def gen_synthetic(
     centroids = np.full((num_classes, num_features), _BLOB_LOW)
     centroids[np.arange(num_classes), np.arange(num_classes)] = _BLOB_HIGH
     sigma = (_BLOB_HIGH - _BLOB_LOW) / separation
-    features = centroids[labels] + rng.normal(0.0, sigma, (num_samples, num_features))
+    features = rng.normal(0.0, sigma, (num_samples, num_features))
+    features += centroids[labels]
     np.clip(features, 0.0, 1.0, out=features)
     order = rng.permutation(num_samples)
-    return LabeledDataset(features[order], labels[order], num_classes)
+    features = features[order]  # frees the unshuffled matrix before the dataset copies
+    return LabeledDataset(features, labels[order], num_classes)
 
 
 def partition_iid(data: LabeledDataset, num_clients: int, rng: np.random.Generator) -> Partition:

@@ -135,12 +135,20 @@ def _activate_grad(z: np.ndarray, activated: np.ndarray, activation: str) -> np.
     return 1.0 - activated * activated
 
 
-def _forward_probs(pairs, features: np.ndarray, activation: str) -> np.ndarray:
-    hidden = features
+def _forward(pairs, X: np.ndarray, activation: str):
+    """The hidden layers' pre-activations, the activations (input first) and
+    the logits of a batch."""
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = [X]
     for weight, bias in pairs[:-1]:
-        hidden = _activate(hidden @ weight + bias, activation)
+        pre.append(post[-1] @ weight + bias)
+        post.append(_activate(pre[-1], activation))
     weight, bias = pairs[-1]
-    logits = hidden @ weight + bias
+    return pre, post, post[-1] @ weight + bias
+
+
+def _forward_probs(pairs, features: np.ndarray, activation: str) -> np.ndarray:
+    logits = _forward(pairs, features, activation)[2]
     logits = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     return exp / exp.sum(axis=1, keepdims=True)
@@ -180,36 +188,24 @@ def predict(model: ModelWeights, features, activation: str = "relu") -> np.ndarr
     return out
 
 
-def _batch_grads(weights, biases, X, y, activation):
-    """Mean cross-entropy over the batch and its gradients, in layer order."""
-    batch = X.shape[0]
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [X]
-    hidden = X
-    for weight, bias in zip(weights[:-1], biases[:-1]):
-        z = hidden @ weight + bias
-        hidden = _activate(z, activation)
-        pre.append(z)
-        post.append(hidden)
-    logits = hidden @ weights[-1] + biases[-1]
+def _batch_grads(pairs, grads, X, y, activation) -> np.ndarray:
+    """Backpropagate the batch's mean cross-entropy: each layer's gradient is
+    written into ``grads``, (matrix, bias) views laid out like ``pairs``.
+    Returns the batch's log-probabilities."""
+    pre, post, logits = _forward(pairs, X, activation)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
-    loss = -float(log_probs[np.arange(batch), y].mean())
-    grad_logits = np.exp(log_probs)
-    grad_logits[np.arange(batch), y] -= 1.0
-    grad_logits /= batch
-    weight_grads = [np.empty(0)] * len(weights)
-    bias_grads = [np.empty(0)] * len(biases)
-    upstream = grad_logits
-    for k in range(len(weights) - 1, -1, -1):
-        weight_grads[k] = post[k].T @ upstream
-        bias_grads[k] = upstream.sum(axis=0)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    upstream = np.exp(log_probs)
+    upstream[np.arange(X.shape[0]), y] -= 1.0
+    upstream /= X.shape[0]
+    for k in range(len(pairs) - 1, -1, -1):
+        np.matmul(post[k].T, upstream, out=grads[k][0])
+        np.sum(upstream, axis=0, out=grads[k][1])
         if k > 0:
-            upstream = (upstream @ weights[k].T) * _activate_grad(
+            upstream = (upstream @ pairs[k][0].T) * _activate_grad(
                 pre[k - 1], post[k], activation
             )
-    return loss, weight_grads, bias_grads
+    return log_probs
 
 
 def loss_and_grad(
@@ -219,12 +215,10 @@ def loss_and_grad(
     the model's shapes and layer order (matrix, bias, matrix, bias, ...)."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    pairs = _dense_pairs(model)
-    loss, weight_grads, bias_grads = _batch_grads(
-        [w for w, _ in pairs], [b for _, b in pairs], X, y, activation
-    )
-    grads = [g.ravel() for pair in zip(weight_grads, bias_grads) for g in pair]
-    return loss, ModelWeights(model.shapes(), np.concatenate(grads))
+    grad = np.empty_like(model.flat)
+    log_probs = _batch_grads(_dense_pairs(model), _dense_pairs(model, grad), X, y, activation)
+    loss = -float(log_probs[np.arange(X.shape[0]), y].mean())
+    return loss, ModelWeights(model.shapes(), grad)
 
 
 def train_local(
@@ -238,31 +232,25 @@ def train_local(
     Every epoch reshuffles the sample order from a stream derived from
     ``cfg.seed``, so identical inputs always produce identical outputs. The
     batch size is clamped to the local dataset size and the final short
-    batch of each epoch is used as-is.
+    batch of each epoch is used as-is. Each step backpropagates into one
+    flat gradient buffer and updates the model's flat vector at once.
     """
-    if data.n < 1:
-        raise ValueError("training requires a nonempty dataset")
     flat = model.flat.copy()
     pairs = _dense_pairs(model, flat)
     if data.d != pairs[0][0].shape[0]:
         raise ShapeMismatchError(
             f"dataset width {data.d}, model expects {pairs[0][0].shape[0]}"
         )
+    grad = np.empty_like(flat)
+    grads = _dense_pairs(model, grad)
     rng = np.random.default_rng(cfg.seed)
-    weights = [w for w, _ in pairs]
-    biases = [b for _, b in pairs]
     batch = min(cfg.batch_size, data.n)
-    lr = cfg.learning_rate
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n)
         for start in range(0, data.n, batch):
             take = order[start : start + batch]
-            _, weight_grads, bias_grads = _batch_grads(
-                weights, biases, data.features[take], data.labels[take], activation
-            )
-            for k in range(len(weights)):
-                weights[k] -= lr * weight_grads[k]
-                biases[k] -= lr * bias_grads[k]
+            _batch_grads(pairs, grads, data.features[take], data.labels[take], activation)
+            flat -= cfg.learning_rate * grad
     return ModelWeights(model.shapes(), flat)
 
 

@@ -8,7 +8,11 @@ functions are the exception: they keep the aggregators' former layout, one
 the aggregators that now slice the columns of one stacked matrix. Their
 models are sequences of per-layer flat vectors. ``per_pair_cosine_distances``
 is likewise the former cosine kernel, one ``np.dot`` per pair, kept as the
-bit-for-bit reference for the kernel that fills a row at a time.
+bit-for-bit reference for the kernel that fills a row at a time, and
+``per_layer_loss_and_grad``/``per_layer_train_local`` are the former
+trainer: a second copy of the forward pass, separate per-layer gradient
+arrays and one SGD update per layer, the reference for the trainer that
+backpropagates into one flat gradient and updates the flat vector at once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import numpy as np
 
 from celtibero import (
+    ModelWeights,
     ShapeMismatchError,
     agglomerative_two_clusters,
     label_clusters,
@@ -203,6 +208,81 @@ def per_pair_cosine_distances(vectors):
                 dist = min(2.0, max(0.0, 1.0 - cos))
             out[i, j] = out[j, i] = dist
     return out
+
+
+def _per_layer_grads(weights, biases, X, y, activation):
+    """Mean cross-entropy over the batch and its gradients, in layer order."""
+    batch = X.shape[0]
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = [X]
+    hidden = X
+    for weight, bias in zip(weights[:-1], biases[:-1]):
+        z = hidden @ weight + bias
+        hidden = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+        pre.append(z)
+        post.append(hidden)
+    logits = hidden @ weights[-1] + biases[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - log_norm
+    loss = -float(log_probs[np.arange(batch), y].mean())
+    grad_logits = np.exp(log_probs)
+    grad_logits[np.arange(batch), y] -= 1.0
+    grad_logits /= batch
+    weight_grads = [np.empty(0)] * len(weights)
+    bias_grads = [np.empty(0)] * len(biases)
+    upstream = grad_logits
+    for k in range(len(weights) - 1, -1, -1):
+        weight_grads[k] = post[k].T @ upstream
+        bias_grads[k] = upstream.sum(axis=0)
+        if k > 0:
+            if activation == "relu":
+                slope = (pre[k - 1] > 0.0).astype(np.float64)
+            else:
+                slope = 1.0 - post[k] * post[k]
+            upstream = (upstream @ weights[k].T) * slope
+    return loss, weight_grads, bias_grads
+
+
+def _per_layer_params(model):
+    """Writable copies of a dense model's weight matrices and biases."""
+    layers = [v.reshape(s.dims).copy() for v, s in zip(model.vectors(), model.shapes())]
+    return layers[0::2], layers[1::2]
+
+
+def _pack(shapes, weights, biases):
+    return ModelWeights(
+        shapes, np.concatenate([g.ravel() for pair in zip(weights, biases) for g in pair])
+    )
+
+
+def per_layer_loss_and_grad(model, features, labels, activation="relu"):
+    """Per-layer reference for ``loss_and_grad``."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    loss, weight_grads, bias_grads = _per_layer_grads(
+        *_per_layer_params(model), X, y, activation
+    )
+    return loss, _pack(model.shapes(), weight_grads, bias_grads)
+
+
+def per_layer_train_local(model, data, cfg, activation="relu"):
+    """Per-layer reference for ``train_local``: the same epochs, sample
+    order and batches, each step updating every matrix and bias on its own."""
+    weights, biases = _per_layer_params(model)
+    rng = np.random.default_rng(cfg.seed)
+    batch = min(cfg.batch_size, data.n)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, batch):
+            take = order[start : start + batch]
+            _, weight_grads, bias_grads = _per_layer_grads(
+                weights, biases, data.features[take], data.labels[take], activation
+            )
+            for k in range(len(weights)):
+                weights[k] -= cfg.learning_rate * weight_grads[k]
+                biases[k] -= cfg.learning_rate * bias_grads[k]
+    return _pack(model.shapes(), weights, biases)
 
 
 def dealt_partition_iid(labels, num_classes, num_clients, rng):

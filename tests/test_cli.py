@@ -87,7 +87,7 @@ class TestRunCommand:
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert cli.main(["run", str(config), "--seed", "-1"]) == 1
-        assert "nonnegative" in capsys.readouterr().err
+        assert "top level.seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_runtime_failure_exits_2(self, tmp_path, capsys):
         absent = str(tmp_path / "absent-idx")

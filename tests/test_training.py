@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from celtibero import (
+    ACTIVATIONS,
     LabeledDataset,
     LayerShape,
     ModelWeights,
@@ -20,6 +23,8 @@ from celtibero import (
     predict,
     train_local,
 )
+
+from .oracles import per_layer_loss_and_grad, per_layer_train_local
 
 
 def dense_model(*arrays):
@@ -217,6 +222,48 @@ class TestTrainLocal:
         model = init_model(NetworkArchitecture((5, 4, 3)))
         with pytest.raises(ShapeMismatchError):
             train_local(model, self.make_data(), TrainConfig(0.1, 16))
+
+
+class TestPerLayerReference:
+    """The flat trainer against the former per-layer one, bit for bit."""
+
+    @given(
+        n=st.integers(1, 200),
+        batch=st.integers(1, 64),
+        width=st.integers(1, 784),
+        hidden=st.lists(st.integers(1, 16), min_size=1, max_size=2),
+        classes=st.integers(2, 10),
+        activation=st.sampled_from(ACTIVATIONS),
+        lr=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+        epochs=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, batch=64, width=784, hidden=[16, 16], classes=10, activation="relu",
+             lr=0.0, epochs=2, seed=0)
+    @example(n=200, batch=1, width=1, hidden=[1], classes=2, activation="tanh",
+             lr=0.5, epochs=1, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_train_local_and_loss_and_grad_match_bitwise(
+        self, n, batch, width, hidden, classes, activation, lr, epochs, seed
+    ):
+        rng = np.random.default_rng(seed)
+        data = LabeledDataset(
+            rng.uniform(size=(n, width)), rng.integers(0, classes, size=n), classes
+        )
+        model = init_model(NetworkArchitecture((width, *hidden, classes), activation, seed))
+        cfg = TrainConfig(lr, batch, epochs, seed)
+        trained = train_local(model, data, cfg, activation)
+        reference = per_layer_train_local(model, data, cfg, activation)
+        assert trained.flat.tobytes() == reference.flat.tobytes()
+        if lr == 0.0:
+            assert trained.flat.tobytes() == model.flat.tobytes()
+        loss, grad = loss_and_grad(trained, data.features, data.labels, activation)
+        ref_loss, ref_grad = per_layer_loss_and_grad(
+            trained, data.features, data.labels, activation
+        )
+        assert loss == ref_loss
+        assert grad.shapes() == ref_grad.shapes()
+        assert grad.flat.tobytes() == ref_grad.flat.tobytes()
 
 
 class TestEvaluate:

@@ -1,0 +1,164 @@
+"""Fingerprint the simulator's outputs on a fixed set of 48 configs.
+
+    python3 tools/identity_set.py SRC_DIR
+
+Imports ``celtibero`` from ``SRC_DIR``, runs every config of the set through
+``config_from_dict`` -> ``run_experiment`` -> ``emit_reports``, and prints
+one line per config: its name, the sha256 of ``summary.json`` and the
+sha256 of ``rounds.csv`` with the ``wall_ms`` column dropped. Two source
+trees that print the same lines produce the same outputs on the set, so
+``diff`` of two runs is the byte-identity check of a change that must keep
+every bit.
+
+The set: the README quick-start config; the three benchmark workloads of
+``perfbench/workloads.py`` at their default seeds; the README config cut to
+8 rounds with participation [0.6, 1.0] and seed 11 under each aggregator
+(fedavg, coord_median, krum and median_krum with f 2, celtibero with each
+linkage) against each attack kind (none, ulfa, tlfa 1->0, mra, dba with an
+8-feature trigger, neurotoxin with mask ratio 0.5); and that 8-round config
+with one hidden unit under fedavg and celtibero. Standard library and
+NumPy only; it runs the configs one after another in this process.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import importlib.util
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+README_TRIGGER = {"positions": [16, 17, 18], "values": [1.0, 1.0, 1.0]}
+README_CONFIG = {
+    "dataset": {
+        "kind": "synthetic",
+        "classes": 4,
+        "features": 20,
+        "samples": 4000,
+        "test_samples": 1000,
+        "separation": 4.0,
+    },
+    "clients": 20,
+    "malicious_fraction": 0.4,
+    "rounds": 30,
+    "local_epochs": 3,
+    "participation": [1.0, 1.0],
+    "attack": {
+        "kind": "mra",
+        "target_class": 0,
+        "poison_fraction": 1.0,
+        "boost_factor": 3.0,
+        "trigger": README_TRIGGER,
+    },
+    "aggregator": {"kind": "celtibero"},
+    "seed": 5,
+}
+
+AGGREGATORS = {
+    "fedavg": {"kind": "fedavg"},
+    "coord_median": {"kind": "coord_median"},
+    "krum": {"kind": "krum", "krum_f": 2},
+    "median_krum": {"kind": "median_krum", "krum_f": 2},
+    "celtibero-average": {"kind": "celtibero", "linkage": "average"},
+    "celtibero-single": {"kind": "celtibero", "linkage": "single"},
+    "celtibero-complete": {"kind": "celtibero", "linkage": "complete"},
+}
+
+ATTACKS = {
+    "none": {"kind": "none"},
+    "ulfa": {"kind": "ulfa"},
+    "tlfa": {"kind": "tlfa", "source_class": 1, "target_class": 0},
+    "mra": README_CONFIG["attack"],
+    "dba": {
+        "kind": "dba",
+        "target_class": 0,
+        "poison_fraction": 1.0,
+        "trigger": {"positions": list(range(12, 20)), "values": [1.0] * 8},
+    },
+    "neurotoxin": {
+        "kind": "neurotoxin",
+        "target_class": 0,
+        "poison_fraction": 1.0,
+        "mask_ratio": 0.5,
+        "trigger": README_TRIGGER,
+    },
+}
+
+
+def _workloads() -> dict:
+    """``perfbench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "identity_set_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def configs() -> dict[str, dict]:
+    """Every config of the set by name, in run order."""
+    out = {"readme": README_CONFIG}
+    for name, workload in _workloads().items():
+        out[f"workload/{name}"] = workload.config_for(workload.default_seed)
+    short = dict(README_CONFIG, rounds=8, participation=[0.6, 1.0], seed=11)
+    for agg_name, aggregator in AGGREGATORS.items():
+        for attack_name, attack in ATTACKS.items():
+            out[f"r8/{agg_name}/{attack_name}"] = dict(
+                short, aggregator=aggregator, attack=attack
+            )
+    for agg_name in ("fedavg", "celtibero-average"):
+        out[f"r8-hidden1/{agg_name}"] = dict(
+            short, aggregator=AGGREGATORS[agg_name], architecture={"hidden": [1]}
+        )
+    return out
+
+
+def _rounds_without_wall_ms(text: str) -> bytes:
+    rows = list(csv.reader(io.StringIO(text)))
+    drop = rows[0].index("wall_ms")
+    kept = io.StringIO()
+    csv.writer(kept, lineterminator="\n").writerows(
+        [cell for k, cell in enumerate(row) if k != drop] for row in rows
+    )
+    return kept.getvalue().encode()
+
+
+def fingerprint(raw: dict, out_dir: Path) -> tuple[str, str]:
+    from celtibero import config_from_dict, emit_reports, run_experiment
+
+    result = run_experiment(config_from_dict(raw))
+    csv_path, summary_path = emit_reports(result.reports, result.summary, out_dir)
+    return (
+        hashlib.sha256(summary_path.read_bytes()).hexdigest(),
+        hashlib.sha256(_rounds_without_wall_ms(csv_path.read_text())).hexdigest(),
+    )
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 1
+    src = Path(argv[0]).resolve()
+    if not (src / "celtibero" / "__init__.py").is_file():
+        print(f"error: {src} holds no celtibero package", file=sys.stderr)
+        return 1
+    sys.path.insert(0, str(src))
+    import celtibero
+
+    if Path(celtibero.__file__).resolve().parent != src / "celtibero":
+        print(f"error: celtibero imports from {celtibero.__file__}, not {src}", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as scratch:
+        for k, (name, raw) in enumerate(configs().items()):
+            summary, rounds = fingerprint(raw, Path(scratch) / str(k))
+            print(f"{name} summary={summary} rounds={rounds}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
