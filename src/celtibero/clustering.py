@@ -1,13 +1,13 @@
 """Two-cluster agglomerative clustering over pairwise cosine distances.
 
-Each client's per-layer update is characterized by its direction only.
-The cosine kernel shared with ``model.cosine_distance`` fills the pairwise
-distance matrix a row at a time, taking each norm once. A bottom-up merge on one
-n x n NumPy array, updated by the Lance-Williams rule (Lance & Williams
-1967), runs until exactly two clusters remain, and the cluster with the
-smaller ``size * mean pairwise distance`` score is labeled poisoned: a
-small, tightly packed group of updates is treated as coordinated
-manipulation, while the larger or more naturally dispersed group is kept.
+Each client's per-layer update is characterized by its direction only. The
+cosine kernel shared with ``model.cosine_distance`` fills the pairwise distance
+matrix a row at a time, taking each norm once. Bottom-up merges on n x n NumPy
+arrays, updated in the merged row and column only by the Lance-Williams rule
+(Lance & Williams 1967), run until exactly two clusters remain, and the cluster
+with the smaller ``size * mean pairwise distance`` score is labeled poisoned: a
+small, tightly packed group of updates is treated as coordinated manipulation,
+while the larger or more naturally dispersed group is kept.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ class DistanceMatrix:
             raise ValueError(f"distance matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("distance matrix must cover at least one client")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("distance matrix entries must be finite")
         if not np.array_equal(arr, arr.T):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(arr) != 0.0):
@@ -134,7 +136,8 @@ def agglomerative_two_clusters(matrix: DistanceMatrix, linkage: str = "average")
     (``complete``). Merging is deterministic: a cluster is represented by its
     smallest member index, and equal linkage values are broken in favor of
     the lexicographically smallest (min representative, max representative)
-    pair. Cluster 1 is the final cluster containing client 0.
+    pair. Cluster 1 is the final cluster containing client 0. Each merge
+    recomputes only the merged cluster's row and column of the linkage matrix.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -148,15 +151,18 @@ def agglomerative_two_clusters(matrix: DistanceMatrix, linkage: str = "average")
     np.fill_diagonal(stat, np.inf)
     size = np.ones(n)
     rep = np.arange(n)
+    link = stat.copy() if linkage == "average" else stat
     for _ in range(n - 2):
-        link = stat / np.outer(size, size) if linkage == "average" else stat
-        # stat is symmetric, so the first minimum in row-major order is the
+        # link is symmetric, so the first minimum in row-major order is the
         # lexicographically smallest (rep_a, rep_b) pair, and a < b.
         a, b = divmod(int(np.argmin(link)), n)
         stat[a] = stat[:, a] = merge(stat[a], stat[b])
         stat[a, a] = stat[b] = stat[:, b] = np.inf
         size[a] += size[b]
         rep[rep == b] = a
+        if linkage == "average":
+            link[a] = link[:, a] = stat[a] / (size[a] * size)
+            link[b] = link[:, b] = np.inf
     return ClusterAssignment(np.where(rep == 0, 1, 2))
 
 

@@ -13,6 +13,10 @@ bit-for-bit reference for the kernel that fills a row at a time, and
 trainer: a second copy of the forward pass, separate per-layer gradient
 arrays and one SGD update per layer, the reference for the trainer that
 backpropagates into one flat gradient and updates the flat vector at once.
+``full_recompute_two_clusters`` is the former agglomeration loop, which
+divides the whole statistic matrix by the size products at every merge,
+kept as the bit-for-bit reference for the loop that recomputes only the
+merged row and column of the average linkage.
 """
 
 from __future__ import annotations
@@ -73,6 +77,31 @@ def replay_two_clusters(matrix, linkage="average"):
     if 0 in second:
         first, second = second, first
     return sorted(first), sorted(second)
+
+
+def full_recompute_two_clusters(matrix, linkage="average"):
+    """Former ``agglomerative_two_clusters`` loop on a ``DistanceMatrix``:
+    the average linkage is recomputed in full, ``stat / np.outer(size,
+    size)``, before every merge. Returns the label array, 1 for the cluster
+    that holds client 0 and 2 for the other."""
+    merge = {"average": np.add, "single": np.minimum, "complete": np.maximum}[linkage]
+    n = matrix.n
+    # stat[a, b]: statistic between the clusters represented by a and b;
+    # rows and columns of merged-away clusters, and the diagonal, hold inf.
+    stat = np.array(matrix.entries)
+    np.fill_diagonal(stat, np.inf)
+    size = np.ones(n)
+    rep = np.arange(n)
+    for _ in range(n - 2):
+        link = stat / np.outer(size, size) if linkage == "average" else stat
+        # stat is symmetric, so the first minimum in row-major order is the
+        # lexicographically smallest (rep_a, rep_b) pair, and a < b.
+        a, b = divmod(int(np.argmin(link)), n)
+        stat[a] = stat[:, a] = merge(stat[a], stat[b])
+        stat[a, a] = stat[b] = stat[:, b] = np.inf
+        size[a] += size[b]
+        rep[rep == b] = a
+    return np.where(rep == 0, 1, 2)
 
 
 def mean_pairwise(matrix, members):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celtibero import (
+    LINKAGES,
     ClusterAssignment,
     DistanceMatrix,
     ShapeMismatchError,
@@ -15,7 +16,12 @@ from celtibero import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from .oracles import mean_pairwise, replay_two_clusters, replay_verdict
+from .oracles import (
+    full_recompute_two_clusters,
+    mean_pairwise,
+    replay_two_clusters,
+    replay_verdict,
+)
 
 
 def random_matrix(rng, n):
@@ -32,6 +38,24 @@ def dyadic_matrix(rng, n):
     sym = np.triu(upper, 1)
     sym = sym + sym.T
     return DistanceMatrix(sym)
+
+
+def reference_matrix(rng, n, family):
+    """A matrix on which the agglomeration must match the full-recompute
+    reference. Families: 0 quarter-step ties, 1 all-equal, 2 all-zero,
+    3 cosines of duplicated rows (colluding clients sit at distance 0),
+    4 cosines of Gaussian rows at a scale from 1e-8 to 1e8 set by n."""
+    if family == 0:
+        quarters = np.triu(rng.integers(0, 9, size=(n, n)) / 4.0, 1)
+        return DistanceMatrix(quarters + quarters.T)
+    if family == 1:
+        return DistanceMatrix(np.where(np.eye(n) == 1.0, 0.0, 0.75))
+    if family == 2:
+        return DistanceMatrix(np.zeros((n, n)))
+    if family == 3:
+        distinct = rng.normal(size=(max(1, n // 4), 6))
+        return pairwise_cosine_matrix(distinct[rng.integers(0, distinct.shape[0], size=n)])
+    return pairwise_cosine_matrix(10.0 ** (n % 17 - 8) * rng.normal(size=(n, 6)))
 
 
 def clusters_of(assignment: ClusterAssignment):
@@ -54,6 +78,18 @@ class TestDistanceMatrix:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             DistanceMatrix(np.array([[0.0, 2.5], [2.5, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "spot, value",
+        [((0, 1), np.nan), ((1, 1), np.nan), ((0, 2), np.inf)],
+        ids=["nan-off-diagonal", "nan-on-diagonal", "inf"],
+    )
+    def test_rejects_non_finite_as_such(self, spot, value):
+        entries = np.full((3, 3), 0.5)
+        np.fill_diagonal(entries, 0.0)
+        entries[spot] = entries[spot[::-1]] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            DistanceMatrix(entries)
 
     def test_entries_read_only(self):
         m = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -161,6 +197,20 @@ class TestAgglomerativeTwoClusters:
         assert sorted(map(tuple, mapped)) == sorted(
             map(tuple, ({tuple(base_1), tuple(base_2)}))
         )
+
+
+class TestFullRecomputeReference:
+    def test_bit_identical_labels(self):
+        # Every family at every n up to 60, then one family per n, in turn,
+        # at every ninth n up to 250.
+        rng = np.random.default_rng(43)
+        for n in [*range(2, 61), *range(61, 251, 9)]:
+            for family in range(5) if n < 61 else (n % 5,):
+                matrix = reference_matrix(rng, n, family)
+                for linkage in LINKAGES:
+                    got = agglomerative_two_clusters(matrix, linkage).cluster_of
+                    want = full_recompute_two_clusters(matrix, linkage)
+                    assert np.array_equal(got, want), (n, family, linkage)
 
 
 class TestClusterDensity:

@@ -18,9 +18,20 @@ linkage) against each attack kind (none, ulfa, tlfa 1->0, mra, dba with an
 8-feature trigger, neurotoxin with mask ratio 0.5); and that 8-round config
 with one hidden unit under fedavg and celtibero. Standard library and
 NumPy only; it runs the configs one after another in this process.
+
+BLAS runs on one thread: ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` are set to 1 before NumPy loads, as in
+``perfbench/run.py``. The wide dot products round differently with the BLAS
+thread count, so fingerprints from two machines compare only at one fixed
+count (and on the same NumPy and BLAS build).
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import csv
 import hashlib
