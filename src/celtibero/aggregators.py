@@ -25,7 +25,7 @@ from .clustering import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from .model import ModelWeights, _dots, diff, stack
+from .model import ModelWeights, diff, stack
 
 if TYPE_CHECKING:
     from .config import AggregatorConfig
@@ -41,8 +41,11 @@ __all__ = [
 ]
 
 AGGREGATOR_NAMES = ("celtibero", "fedavg", "coord_median", "krum", "median_krum")
-# Float64 values in Krum's difference buffer: 1 MiB, which stays in a core's cache.
-_BLOCK_VALUES = 2**17
+# Krum pairs whose squared distance from the Gram matrix is at most this
+# share of ``G_ii + G_jj`` are recomputed from the difference of the two
+# models: there ``G_ii + G_jj - 2 G_ij`` cancels too many bits, and
+# identical models must stay at distance exactly 0.
+_EXACT_SHARE = 1e-3
 
 
 def celtibero_aggregate(
@@ -70,7 +73,7 @@ def celtibero_aggregate(
         layer = updates[:, sl]
         matrix = pairwise_cosine_matrix(layer)
         verdict = label_clusters(matrix, agglomerative_two_clusters(matrix, linkage))
-        step[sl] = np.median(layer[list(verdict.benign)], axis=0)
+        step[sl] = _median_rows(layer[list(verdict.benign)])
         verdicts.append(verdict)
     return ModelWeights(global_model.shapes(), global_model.flat + step), tuple(verdicts)
 
@@ -95,7 +98,20 @@ def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
     """
     if len(local_models) < 1:
         raise ValueError("coordinate median requires at least 1 local model")
-    return ModelWeights(local_models[0].shapes(), np.median(stack(local_models), axis=0))
+    return ModelWeights(local_models[0].shapes(), _median_rows(stack(local_models)))
+
+
+def _median_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=0)`` bit for bit on finite rows, from one
+    partition: ``np.median`` also partitions at the last row, only to move
+    NaN to the end. The ``np.add.reduce`` and the division repeat
+    ``np.mean`` of the central rows, which a bare ``part[k]`` or ``(a + b)
+    / 2`` does not on signed zeros."""
+    k = rows.shape[0] // 2
+    part = np.partition(rows, k, axis=0)
+    if rows.shape[0] % 2:
+        return np.add.reduce(part[k : k + 1], axis=0) / 1.0
+    return np.add.reduce(np.stack([part[:k].max(axis=0), part[k]]), axis=0) / 2.0
 
 
 def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
@@ -104,23 +120,29 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
         raise ValueError(f"f must be >= 0, got {f}")
     if n < 2 * f + 3:
         raise ValueError(f"krum requires n >= 2f + 3, got n={n}, f={f}")
-    flat = stack(local_models)
-    # Row i's differences to rows i+1: go through one cache-sized buffer a
-    # block at a time; all of them at once stream through main memory.
-    rows = max(1, _BLOCK_VALUES // max(1, flat.shape[1]))
-    buf = np.empty((rows, flat.shape[1]))
+    # Squared distances ||a||^2 + ||b||^2 - 2<a, b> from one Gram matrix of
+    # the rows centred on their mean, which keeps the norms near the distances.
+    centred = stack(local_models)
+    centred -= centred.mean(axis=0)
+    gram = centred @ centred.T
+    norm2 = np.diag(gram)
+    bound = norm2[:, None] + norm2
+    squared = np.maximum(bound - 2.0 * gram, 0.0)
+    bound *= _EXACT_SHARE
+    for i, j in zip(*np.nonzero(np.triu(squared <= bound, 1))):
+        d = local_models[i].flat - local_models[j].flat
+        squared[i, j] = squared[j, i] = np.dot(d, d)
     # An inf diagonal sorts last, so no row counts a model against itself.
-    squared = np.full((n, n), np.inf)
-    for i in range(n - 1):
-        for j in range(i + 1, n, rows):
-            d = np.subtract(flat[i], flat[j : j + rows], out=buf[: min(rows, n - j)])
-            squared[i, j : j + rows] = squared[j : j + rows, i] = _dots(d, d)
+    np.fill_diagonal(squared, np.inf)
     return np.sort(squared, axis=1)[:, : n - f - 2].sum(axis=1)
 
 
 def krum(local_models: list[ModelWeights], f: int) -> ModelWeights:
     """Return the input model whose summed squared distance to its
-    ``n - f - 2`` nearest peers is smallest (ties go to the lowest index)."""
+    ``n - f - 2`` nearest peers is smallest, the lowest index on a tie.
+    Squared distances come from a Gram matrix, so identical models can score
+    a few ulps apart: the result is then equal to all of them, but need not
+    be the one with the lowest index."""
     scores = _krum_scores(local_models, f)
     return local_models[int(np.argmin(scores))]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +30,25 @@ class LabeledDataset:
     __slots__ = ("features", "labels", "num_classes")
 
     def __init__(self, features, labels, num_classes: int):
-        feats = np.array(features, dtype=np.float64, copy=True)
-        labs = np.array(labels, dtype=np.int64, copy=True)
+        self._adopt(
+            np.array(features, dtype=np.float64, copy=True),
+            np.array(labels, dtype=np.int64, copy=True),
+            num_classes,
+        )
+
+    @classmethod
+    def _owning(cls, features: np.ndarray, labels: np.ndarray, num_classes: int):
+        """A dataset that keeps ``features`` and ``labels`` themselves instead
+        of copies, for arrays its caller has just built and hands over; the
+        checks are those of ``__init__``. Saves one ``n x d`` matrix at the
+        peak."""
+        data = cls.__new__(cls)
+        data._adopt(
+            np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64), num_classes
+        )
+        return data
+
+    def _adopt(self, feats: np.ndarray, labs: np.ndarray, num_classes: int) -> None:
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         if labs.ndim != 1 or labs.size != feats.shape[0]:
@@ -62,7 +80,7 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
+        return LabeledDataset._owning(self.features[idx], self.labels[idx], self.num_classes)
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
@@ -135,7 +153,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"{labels_path}: labels must lie in 0-9, found {labels.max()}")
-    return LabeledDataset(features, labels, 10)
+    return LabeledDataset._owning(features, labels, 10)
 
 
 _BLOB_LOW = 0.2
@@ -169,15 +187,21 @@ def gen_synthetic(
     base, remainder = divmod(num_samples, num_classes)
     counts = [base + (1 if c < remainder else 0) for c in range(num_classes)]
     labels = np.repeat(np.arange(num_classes), counts)
-    centroids = np.full((num_classes, num_features), _BLOB_LOW)
-    centroids[np.arange(num_classes), np.arange(num_classes)] = _BLOB_HIGH
     sigma = (_BLOB_HIGH - _BLOB_LOW) / separation
     features = rng.normal(0.0, sigma, (num_samples, num_features))
-    features += centroids[labels]
+    # Every sample's centroid, added in place: the baseline everywhere, the
+    # peak on its class's axis (each sum is the noise plus one of the two).
+    rows = np.arange(num_samples)
+    peaks = features[rows, labels] + _BLOB_HIGH
+    features += _BLOB_LOW
+    features[rows, labels] = peaks
     np.clip(features, 0.0, 1.0, out=features)
-    order = rng.permutation(num_samples)
-    features = features[order]  # frees the unshuffled matrix before the dataset copies
-    return LabeledDataset(features, labels[order], num_classes)
+    # Shuffle the samples in place: the rows as one 1-D array of row-sized
+    # items, which takes the Fisher-Yates swaps of ``rng.permutation``, and
+    # the labels by the same swaps from a copy of the generator.
+    copy.deepcopy(rng).shuffle(labels)
+    rng.shuffle(features.view(np.dtype((np.void, features.strides[0]))).reshape(num_samples))
+    return LabeledDataset._owning(features, labels, num_classes)
 
 
 def partition_iid(data: LabeledDataset, num_clients: int, rng: np.random.Generator) -> Partition:

@@ -16,7 +16,10 @@ backpropagates into one flat gradient and updates the flat vector at once.
 ``full_recompute_two_clusters`` is the former agglomeration loop, which
 divides the whole statistic matrix by the size products at every merge,
 kept as the bit-for-bit reference for the loop that recomputes only the
-merged row and column of the average linkage.
+merged row and column of the average linkage. ``gathered_synthetic`` is
+the former synthetic-blob generator, which adds a per-sample centroid
+matrix and shuffles by a gather into a second matrix, kept as the
+bit-for-bit reference for the generator that does both in place.
 """
 
 from __future__ import annotations
@@ -327,3 +330,17 @@ def dealt_partition_iid(labels, num_classes, num_clients, rng):
             buckets[(offset + j) % num_clients].append(int(sample))
         offset = (offset + idx.size) % num_clients
     return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
+
+
+def gathered_synthetic(num_classes, num_samples, num_features, separation, rng):
+    """Former ``gen_synthetic`` body: returns (features, labels)."""
+    base, remainder = divmod(num_samples, num_classes)
+    counts = [base + (1 if c < remainder else 0) for c in range(num_classes)]
+    labels = np.repeat(np.arange(num_classes), counts)
+    centroids = np.full((num_classes, num_features), 0.2)
+    centroids[np.arange(num_classes), np.arange(num_classes)] = 0.8
+    features = rng.normal(0.0, (0.8 - 0.2) / separation, (num_samples, num_features))
+    features += centroids[labels]
+    np.clip(features, 0.0, 1.0, out=features)
+    order = rng.permutation(num_samples)
+    return features[order], labels[order]

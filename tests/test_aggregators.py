@@ -1,6 +1,10 @@
 """Aggregation rules: the layered defense and the four baselines."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from celtibero import (
 )
 from .conftest import make_weights
 from celtibero import aggregators
-from celtibero.aggregators import _krum_scores
+from celtibero.aggregators import _krum_scores, _median_rows
 from .oracles import (
     krum_scores,
     per_layer_celtibero,
@@ -328,10 +332,11 @@ def as_model(widths, layers):
 
 class TestPerLayerReference:
     """The matrix aggregators give bit for bit what one ``np.stack`` per
-    layer gave (``oracles.per_layer_*``), width-1 layers included."""
+    layer gave (``oracles.per_layer_*``), width-1 layers included; Krum's
+    scores, from a Gram matrix, only to within their last bits."""
 
     @pytest.mark.parametrize("m", [2, 7, 8, 9, 40])
-    def test_bit_identical_to_per_layer_stacks(self, m, monkeypatch):
+    def test_bit_identical_to_per_layer_stacks(self, m):
         rng = np.random.default_rng(500 + m)
         for draw in range(9):
             widths = [1, int(rng.integers(1, 40)), 1, int(rng.integers(2, 12))]
@@ -358,10 +363,100 @@ class TestPerLayerReference:
 
             if m >= 3:
                 for f in sorted({0, (m - 3) // 2}):
+                    # Krum's scores come from a Gram matrix, so only their
+                    # last bits may differ from the per-pair differences'.
                     scores = per_layer_krum_scores(layers, f)
-                    assert np.array_equal(_krum_scores(models, f), scores)
+                    np.testing.assert_allclose(_krum_scores(models, f), scores, rtol=1e-12, atol=0)
                     assert krum(models, f) is models[int(np.argmin(scores))]
-                    # Difference blocks of 3 rows, so a row takes several blocks.
-                    with monkeypatch.context() as patch:
-                        patch.setattr(aggregators, "_BLOCK_VALUES", 3 * sum(widths))
-                        assert np.array_equal(_krum_scores(models, f), scores)
+                    chosen = np.argsort(scores, kind="stable")[: m - f]
+                    want = per_layer_coordinate_median([layers[i] for i in chosen])
+                    got = median_krum(models, f).vectors()
+                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestKrumGramMatrix:
+    """Krum's squared distances come from one Gram matrix; the pairs too
+    close for it to resolve are recomputed from the models' difference."""
+
+    @pytest.mark.parametrize("width", [10, 13124])
+    @pytest.mark.parametrize("n", [5, 23, 60, 90, 120])
+    def test_duplicates_score_exactly_zero_at_every_row_position(self, n, width):
+        rng = np.random.default_rng(n + width)
+        f = (n - 3) // 2
+        # Each copy's n - f - 2 nearest peers are the other copies.
+        copies = n - f - 1
+        base = rng.normal(size=(n, width))
+        # Windows of copies wrapping past the last row, which a GEMM edge tile
+        # computes; on the wide models every row lies in two windows.
+        starts = range(n) if width < 100 else range(0, n, copies // 2)
+        for start in starts:
+            members = (start + np.arange(copies)) % n
+            rows = base.copy()
+            rows[members] = base[start]
+            scores = _krum_scores([as_model([width], [r]) for r in rows], f)
+            assert np.all(scores[members] == 0.0)
+            assert np.all(np.delete(scores, members) > 0.0)
+
+    def test_pairs_inside_the_exact_band_keep_the_difference_bits(self):
+        rng = np.random.default_rng(89)
+        for n in (5, 12, 31):
+            for width in (3, 40, 1000):
+                f = (n - 3) // 2
+                close = n - f - 1
+                rows = rng.normal(size=(n, width))
+                # A tight cluster far from the rest: its pairs fall in the band,
+                # and each member's nearest n - f - 2 peers are in the cluster.
+                rows[:close] = 50.0 + rng.normal(scale=1e-4, size=(close, width))
+                layers = [[r] for r in rows]
+                scores = _krum_scores([as_model([width], ls) for ls in layers], f)
+                want = per_layer_krum_scores(layers, f)
+                assert scores[:close].tobytes() == want[:close].tobytes()
+
+    def test_scores_do_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from celtibero import LayerShape, ModelWeights\n"
+            "from celtibero.aggregators import _krum_scores\n"
+            "rng = np.random.default_rng(97)\n"
+            "models = [ModelWeights([LayerShape((13124,))], rng.normal(size=13124))"
+            " for _ in range(100)]\n"
+            "print(hashlib.sha256(_krum_scores(models, 25).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(aggregators.__file__).resolve().parent.parent)
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            child = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(child.stdout)
+        assert len(digests) == 1
+
+
+class TestMedianRows:
+    """``_median_rows`` is ``np.median(rows, axis=0)`` byte for byte on
+    finite rows, signed zeros included."""
+
+    def test_byte_equal_to_np_median(self):
+        rng = np.random.default_rng(101)
+        big = np.finfo(np.float64).max
+        specials = np.array([0.0, -0.0, 1.0, -1.0, big, -big, 5e-324])
+        cases = 0
+        for m in range(1, 81):
+            for width in rng.integers(1, 61, size=8):
+                half = rng.normal(size=((m + 2) // 3, width))
+                signed_copies = np.concatenate([half, -half, half])[:m]
+                for rows in (
+                    rng.integers(-4, 5, size=(m, width)) / 4.0,
+                    rng.normal(size=(m, width)) * 1e300,
+                    rng.normal(size=(m, width)) * 1e-300,
+                    rng.permutation(signed_copies),
+                    rng.choice(specials, size=(m, width)),
+                ):
+                    with np.errstate(over="ignore"):
+                        got, want = _median_rows(rows), np.median(rows, axis=0)
+                    assert got.tobytes() == want.tobytes(), (m, width)
+                    cases += 1
+        assert cases == 80 * 8 * 5

@@ -1,6 +1,7 @@
 """Dataset container, IDX file ingestion, synthetic data, and partitioning."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from celtibero import (
     partition_iid,
 )
 
-from .oracles import dealt_partition_iid
+from .oracles import dealt_partition_iid, gathered_synthetic
 
 
 class TestLabeledDataset:
@@ -34,6 +35,16 @@ class TestLabeledDataset:
             data.features[0, 0] = 0.1
         with pytest.raises(ValueError):
             data.labels[0] = 0
+
+    def test_owning_keeps_the_arrays_and_every_check(self):
+        features, labels = np.array([[0.5, 0.25]]), np.array([1])
+        data = LabeledDataset._owning(features, labels, 2)
+        assert data.features is features and data.labels is labels
+        assert not features.flags.writeable and not labels.flags.writeable
+        with pytest.raises(ValueError, match="feature values"):
+            LabeledDataset._owning(np.array([[1.5]]), np.array([0]), 2)
+        with pytest.raises(ValueError, match="labels must lie"):
+            LabeledDataset._owning(np.array([[0.5]]), np.array([2]), 2)
 
     def test_subset(self):
         data = LabeledDataset([[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]], [0, 1, 2], 3)
@@ -154,6 +165,24 @@ class TestGenSynthetic:
         b = gen_synthetic(3, 200, 8, 2.0, np.random.default_rng(42))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("classes, samples, features", [(2, 1, 2), (3, 200, 8), (10, 3001, 40)])
+    def test_bit_identical_to_former_gather(self, classes, samples, features):
+        data = gen_synthetic(classes, samples, features, 2.5, np.random.default_rng(samples))
+        want_features, want_labels = gathered_synthetic(
+            classes, samples, features, 2.5, np.random.default_rng(samples)
+        )
+        assert data.features.tobytes() == want_features.tobytes()
+        assert np.array_equal(data.labels, want_labels)
+
+    def test_peak_memory_stays_near_one_dataset(self):
+        tracemalloc.start()
+        try:
+            data = gen_synthetic(10, 4000, 200, 4.0, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (data.features.nbytes + data.labels.nbytes)
 
     def test_classes_linearly_separable_at_high_separation(self):
         data = gen_synthetic(4, 2000, 20, 4.0, np.random.default_rng(1))

@@ -1,6 +1,7 @@
 """Fingerprint the simulator's outputs on a fixed set of 48 configs.
 
     python3 tools/identity_set.py SRC_DIR
+    python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
 
 Imports ``celtibero`` from ``SRC_DIR``, runs every config of the set through
 ``config_from_dict`` -> ``run_experiment`` -> ``emit_reports``, and prints
@@ -9,6 +10,10 @@ sha256 of ``rounds.csv`` with the ``wall_ms`` column dropped. Two source
 trees that print the same lines produce the same outputs on the set, so
 ``diff`` of two runs is the byte-identity check of a change that must keep
 every bit.
+
+With ``--compare OTHER_SRC`` it fingerprints both trees, each in a child
+process of its own, prints the names of the configs whose lines differ, and
+exits 1 if any do (0 if none).
 
 The set: the README quick-start config; the three benchmark workloads of
 ``perfbench/workloads.py`` at their default seeds; the README config cut to
@@ -33,10 +38,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import csv
 import hashlib
 import importlib.util
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -150,11 +157,7 @@ def fingerprint(raw: dict, out_dir: Path) -> tuple[str, str]:
     )
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 1
-    src = Path(argv[0]).resolve()
+def _print_fingerprints(src: Path) -> int:
     if not (src / "celtibero" / "__init__.py").is_file():
         print(f"error: {src} holds no celtibero package", file=sys.stderr)
         return 1
@@ -169,6 +172,49 @@ def main(argv: list[str]) -> int:
             summary, rounds = fingerprint(raw, Path(scratch) / str(k))
             print(f"{name} summary={summary} rounds={rounds}", flush=True)
     return 0
+
+
+def _fingerprints(src: Path) -> dict[str, str] | None:
+    """Each config's printed line for ``src``, from a child process (two trees
+    cannot both be imported as ``celtibero`` here); None if the child failed."""
+    child = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), str(src)],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    if child.returncode != 0:
+        return None
+    return {line.split(" ", 1)[0]: line for line in child.stdout.splitlines()}
+
+
+def _compare(src: Path, other: Path) -> int:
+    ours, theirs = _fingerprints(src), _fingerprints(other)
+    if ours is None or theirs is None:
+        print("error: a fingerprint run failed", file=sys.stderr)
+        return 1
+    names = list(configs())
+    differ = [name for name in names if ours.get(name) != theirs.get(name)]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(names)} configs differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("src", type=Path, help="directory that holds the celtibero package")
+    parser.add_argument(
+        "--compare",
+        type=Path,
+        metavar="OTHER_SRC",
+        help="print the configs whose fingerprints differ from OTHER_SRC's; exit 1 if any do",
+    )
+    args = parser.parse_args(argv)
+    if args.compare is not None:
+        return _compare(args.src.resolve(), args.compare.resolve())
+    return _print_fingerprints(args.src.resolve())
 
 
 if __name__ == "__main__":
