@@ -75,7 +75,7 @@ def celtibero_aggregate(
         verdict = label_clusters(matrix, agglomerative_two_clusters(matrix, linkage))
         step[sl] = _median_rows(layer[list(verdict.benign)])
         verdicts.append(verdict)
-    return ModelWeights(global_model.shapes(), global_model.flat + step), tuple(verdicts)
+    return ModelWeights._owning(global_model, global_model.flat + step), tuple(verdicts)
 
 
 def fedavg(local_models: list[ModelWeights]) -> ModelWeights:
@@ -88,7 +88,7 @@ def fedavg(local_models: list[ModelWeights]) -> ModelWeights:
     mean = np.empty(stacked.shape[1])
     for sl in local_models[0].slices():
         mean[sl] = stacked[:, sl].mean(axis=0)
-    return ModelWeights(local_models[0].shapes(), mean)
+    return ModelWeights._owning(local_models[0], mean)
 
 
 def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
@@ -98,7 +98,7 @@ def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
     """
     if len(local_models) < 1:
         raise ValueError("coordinate median requires at least 1 local model")
-    return ModelWeights(local_models[0].shapes(), _median_rows(stack(local_models)))
+    return ModelWeights._owning(local_models[0], _median_rows(stack(local_models)))
 
 
 def _median_rows(rows: np.ndarray) -> np.ndarray:

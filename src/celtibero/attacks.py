@@ -219,7 +219,7 @@ def boost_update(
         raise ValueError(f"gamma must be positive, got {gamma}")
     check_shapes((global_model, local))
     boosted = global_model.flat + gamma * (local.flat - global_model.flat)
-    return ModelWeights(global_model.shapes(), boosted)
+    return ModelWeights._owning(global_model, boosted)
 
 
 def neurotoxin_mask(
@@ -232,13 +232,22 @@ def neurotoxin_mask(
     index); the rest pass through unchanged. Keeping the attack out of
     heavily-updated coordinates makes it harder for later rounds to
     overwrite.
+
+    The cut is found by one ``np.partition`` per layer, not a sort: every
+    coordinate above the ``count``-th largest magnitude is zeroed, then the
+    lowest-index coordinates at that magnitude until ``count`` are. When
+    ``count`` is the whole layer, the cut is its minimum and all of it goes.
     """
     if not 0.0 < mask_ratio < 1.0:
         raise ValueError(f"mask_ratio must lie in (0, 1), got {mask_ratio}")
     check_shapes((update, reference))
     masked = update.flat.copy()
+    magnitude = np.abs(reference.flat)
     for shape, sl in zip(update.shapes(), update.slices()):
         count = math.ceil(mask_ratio * shape.size)
-        order = np.argsort(-np.abs(reference.flat[sl]), kind="stable")
-        masked[sl][order[:count]] = 0.0
-    return ModelWeights(update.shapes(), masked)
+        layer, mag = masked[sl], magnitude[sl]
+        floor = np.partition(mag, shape.size - count)[shape.size - count]
+        above = mag > floor
+        layer[above] = 0.0
+        layer[np.flatnonzero(mag == floor)[: count - np.count_nonzero(above)]] = 0.0
+    return ModelWeights._owning(update, masked)

@@ -55,28 +55,44 @@ class ModelWeights:
     ``flat`` is a read-only float64 copy of the given values holding every
     layer back to back, in the order of ``shapes``; layer ``k`` is the view
     ``flat[slices()[k]]``. Its length must equal the layers' total size, and
-    all values must be finite.
+    all values must be finite. A vector the package has just computed is
+    adopted through ``_owning`` instead of copied.
     """
 
     __slots__ = ("flat", "_shapes", "_slices")
 
     def __init__(self, shapes: Iterable[LayerShape], flat: Sequence[float]):
-        arr = np.array(flat, dtype=np.float64).reshape(-1)
         self._shapes = tuple(shapes)
         slices, start = [], 0
-        for k, shape in enumerate(self._shapes):
-            stop = start + shape.size
-            if stop > arr.size:
-                raise ShapeMismatchError(
-                    f"layer {k}: needs entries [{start}, {stop}) of a {arr.size}-entry vector"
-                )
-            slices.append(slice(start, stop))
-            start = stop
-        if start != arr.size:
-            raise ShapeMismatchError(
-                f"vector length {arr.size} exceeds the layers' total size {start}"
-            )
+        for shape in self._shapes:
+            slices.append(slice(start, start + shape.size))
+            start += shape.size
         self._slices = tuple(slices)
+        self._adopt(np.array(flat, dtype=np.float64).reshape(-1))
+
+    @classmethod
+    def _owning(cls, like: ModelWeights, flat: np.ndarray) -> ModelWeights:
+        """A model in ``like``'s shapes that keeps ``flat`` itself instead of
+        a copy, for a 1-D float64 vector its caller has just computed and
+        hands over; the checks are those of ``__init__``. Saves one copy of
+        the vector per container."""
+        weights = cls.__new__(cls)
+        weights._shapes, weights._slices = like._shapes, like._slices
+        weights._adopt(flat)
+        return weights
+
+    def _adopt(self, arr: np.ndarray) -> None:
+        total = self._slices[-1].stop if self._slices else 0
+        if arr.size != total:
+            for k, sl in enumerate(self._slices):
+                if sl.stop > arr.size:
+                    raise ShapeMismatchError(
+                        f"layer {k}: needs entries [{sl.start}, {sl.stop}) "
+                        f"of a {arr.size}-entry vector"
+                    )
+            raise ShapeMismatchError(
+                f"vector length {arr.size} exceeds the layers' total size {total}"
+            )
         finite = np.isfinite(arr)
         if not finite.all():
             first = int(np.argmin(finite))
@@ -130,13 +146,13 @@ def stack(models: Sequence[ModelWeights]) -> np.ndarray:
 def diff(local: ModelWeights, global_model: ModelWeights) -> ModelWeights:
     """Per-coordinate ``local - global``, in the global model's shapes."""
     check_shapes((global_model, local))
-    return ModelWeights(global_model.shapes(), local.flat - global_model.flat)
+    return ModelWeights._owning(global_model, local.flat - global_model.flat)
 
 
 def add_update(global_model: ModelWeights, update: ModelWeights) -> ModelWeights:
     """Apply an update coordinate-wise; the result keeps the global model's shapes."""
     check_shapes((global_model, update))
-    return ModelWeights(global_model.shapes(), global_model.flat + update.flat)
+    return ModelWeights._owning(global_model, global_model.flat + update.flat)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -122,36 +122,35 @@ def _dense_pairs(
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    """The activation of ``z``, written over ``z``."""
     if activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
 
 
-def _activate_grad(z: np.ndarray, activated: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - activated * activated
-
-
 def _forward(pairs, X: np.ndarray, activation: str):
-    """The hidden layers' pre-activations, the activations (input first) and
-    the logits of a batch."""
-    pre: list[np.ndarray] = []
+    """The activations of a batch (input first, then each hidden layer) and
+    its logits. Each bias is added in place to its fresh product, the same
+    float ops as ``x @ W + b`` without a second array."""
     post: list[np.ndarray] = [X]
     for weight, bias in pairs[:-1]:
-        pre.append(post[-1] @ weight + bias)
-        post.append(_activate(pre[-1], activation))
+        z = post[-1] @ weight
+        z += bias
+        post.append(_activate(z, activation))
     weight, bias = pairs[-1]
-    return pre, post, post[-1] @ weight + bias
+    logits = post[-1] @ weight
+    logits += bias
+    return post, logits
 
 
 def _forward_probs(pairs, features: np.ndarray, activation: str) -> np.ndarray:
-    logits = _forward(pairs, features, activation)[2]
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    return exp / exp.sum(axis=1, keepdims=True)
+    logits = _forward(pairs, features, activation)[1]
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
+    return logits
 
 
 def forward(model: ModelWeights, features, activation: str = "relu") -> np.ndarray:
@@ -188,24 +187,36 @@ def predict(model: ModelWeights, features, activation: str = "relu") -> np.ndarr
     return out
 
 
-def _batch_grads(pairs, grads, X, y, activation) -> np.ndarray:
+def _batch_grads(pairs, grads, X, targets, activation) -> np.ndarray:
     """Backpropagate the batch's mean cross-entropy: each layer's gradient is
     written into ``grads``, (matrix, bias) views laid out like ``pairs``.
-    Returns the batch's log-probabilities."""
-    pre, post, logits = _forward(pairs, X, activation)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    upstream = np.exp(log_probs)
-    upstream[np.arange(X.shape[0]), y] -= 1.0
+    ``targets`` holds the batch's labels one-hot. Returns the batch's
+    log-probabilities.
+
+    Every step is the float op of the textbook form, with fewer NumPy calls:
+    the probabilities, all at least +0.0, lose their one-hot rows exactly as
+    ``p[i, y_i] -= 1.0`` would (``p - 0.0`` is ``p``); the reductions are
+    the ufuncs' own ``reduce`` (what ``.max`` and ``.sum`` run, without
+    their Python layer); and a relu derivative is the mask ``a > 0`` of its
+    activation, which holds where the pre-activation is positive, and
+    multiplying by that bool mask gives the bits, signed zeros included, of
+    multiplying by it as 1.0/0.0."""
+    post, logits = _forward(pairs, X, activation)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+    upstream = np.exp(logits)
+    upstream -= targets
     upstream /= X.shape[0]
     for k in range(len(pairs) - 1, -1, -1):
         np.matmul(post[k].T, upstream, out=grads[k][0])
-        np.sum(upstream, axis=0, out=grads[k][1])
+        np.add.reduce(upstream, axis=0, out=grads[k][1])
         if k > 0:
-            upstream = (upstream @ pairs[k][0].T) * _activate_grad(
-                pre[k - 1], post[k], activation
-            )
-    return log_probs
+            upstream = upstream @ pairs[k][0].T
+            if activation == "relu":
+                upstream *= post[k] > 0.0
+            else:
+                upstream *= 1.0 - post[k] * post[k]
+    return logits
 
 
 def loss_and_grad(
@@ -216,9 +227,11 @@ def loss_and_grad(
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     grad = np.empty_like(model.flat)
-    log_probs = _batch_grads(_dense_pairs(model), _dense_pairs(model, grad), X, y, activation)
+    pairs = _dense_pairs(model)
+    targets = np.eye(pairs[-1][1].size)[y]
+    log_probs = _batch_grads(pairs, _dense_pairs(model, grad), X, targets, activation)
     loss = -float(log_probs[np.arange(X.shape[0]), y].mean())
-    return loss, ModelWeights(model.shapes(), grad)
+    return loss, ModelWeights._owning(model, grad)
 
 
 def train_local(
@@ -232,8 +245,10 @@ def train_local(
     Every epoch reshuffles the sample order from a stream derived from
     ``cfg.seed``, so identical inputs always produce identical outputs. The
     batch size is clamped to the local dataset size and the final short
-    batch of each epoch is used as-is. Each step backpropagates into one
-    flat gradient buffer and updates the model's flat vector at once.
+    batch of each epoch is used as-is. The labels are made one-hot once,
+    and each step gathers its batch's feature and target rows,
+    backpropagates into one flat gradient buffer and updates the model's
+    flat vector at once.
     """
     flat = model.flat.copy()
     pairs = _dense_pairs(model, flat)
@@ -245,13 +260,15 @@ def train_local(
     grads = _dense_pairs(model, grad)
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, data.n)
+    features, lr = data.features, cfg.learning_rate
+    targets = np.eye(pairs[-1][1].size)[data.labels]
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n)
         for start in range(0, data.n, batch):
             take = order[start : start + batch]
-            _batch_grads(pairs, grads, data.features[take], data.labels[take], activation)
-            flat -= cfg.learning_rate * grad
-    return ModelWeights(model.shapes(), flat)
+            _batch_grads(pairs, grads, features[take], targets[take], activation)
+            flat -= lr * grad
+    return ModelWeights._owning(model, flat)
 
 
 def evaluate(model: ModelWeights, data: LabeledDataset, activation: str = "relu") -> EvalResult:

@@ -20,6 +20,9 @@ merged row and column of the average linkage. ``gathered_synthetic`` is
 the former synthetic-blob generator, which adds a per-sample centroid
 matrix and shuffles by a gather into a second matrix, kept as the
 bit-for-bit reference for the generator that does both in place.
+``argsort_neurotoxin_mask`` is the former Neurotoxin mask, one stable
+``np.argsort`` of each layer's negated magnitudes, kept as the bit-for-bit
+reference for the mask that cuts each layer with one ``np.partition``.
 """
 
 from __future__ import annotations
@@ -168,6 +171,18 @@ def top_mask_indices(reference, mask_ratio):
     count = math.ceil(mask_ratio * size)
     order = sorted(range(size), key=lambda i: (-abs(reference[i]), i))
     return set(order[:count])
+
+
+def argsort_neurotoxin_mask(update, reference, mask_ratio):
+    """Argsort reference for ``neurotoxin_mask``: per layer, zero the first
+    ``ceil(mask_ratio * size)`` entries of a stable argsort of
+    ``-|reference|``. Returns the masked flat vector."""
+    masked = update.flat.copy()
+    for shape, sl in zip(update.shapes(), update.slices()):
+        count = math.ceil(mask_ratio * shape.size)
+        order = np.argsort(-np.abs(reference.flat[sl]), kind="stable")
+        masked[sl][order[:count]] = 0.0
+    return masked
 
 
 def _layer_stack(models, k):

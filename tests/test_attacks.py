@@ -1,15 +1,20 @@
 """Label flipping, backdoor triggers, update boosting, and masked updates."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from celtibero import (
     AttackSpec,
     ConfigError,
     Experiment,
     LabeledDataset,
+    LayerShape,
+    ModelWeights,
     ShapeMismatchError,
     TriggerPattern,
     boost_update,
@@ -24,7 +29,7 @@ from celtibero import (
     split_trigger,
 )
 from .conftest import make_weights
-from .oracles import top_mask_indices
+from .oracles import argsort_neurotoxin_mask, top_mask_indices
 
 
 def make_dataset(n=10, d=6, num_classes=3, seed=0):
@@ -343,6 +348,55 @@ class TestNeurotoxinMask:
         )
         assert np.array_equal(masked.vectors()[0], [1.0, 1.0, 1.0, 0.0])
         assert np.array_equal(masked.vectors()[1], [0.0, 1.0, 1.0, 1.0])
+
+    @given(
+        width=st.integers(1, 1000),
+        ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        reference=st.sampled_from(["normal", "quarter", "zero", "straddle"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=3, ratio=0.9, reference="normal", seed=0)  # count == size
+    @example(width=1, ratio=0.01, reference="zero", seed=0)
+    @example(width=7, ratio=0.99, reference="quarter", seed=1)  # count == size, ties
+    @example(width=1000, ratio=0.05, reference="straddle", seed=2)
+    @example(width=1000, ratio=0.5, reference="zero", seed=3)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_argsort_kernel_bytewise(self, width, ratio, reference, seed):
+        rng = np.random.default_rng(seed)
+        count = math.ceil(ratio * width)
+        if reference == "normal":
+            ref = rng.normal(size=width)
+        elif reference == "quarter":  # magnitudes 0, 0.25, ..., 1: many ties
+            ref = rng.integers(-4, 5, size=width) / 4.0
+        elif reference == "zero":
+            ref = np.zeros(width)
+        else:  # one magnitude on both sides of the cut, larger ones above it
+            ref = np.full(width, 0.5) * rng.choice([-1.0, 1.0], size=width)
+            ref[rng.permutation(width)[: count // 2]] = 2.0
+        # a layer of the reference's width between two others
+        vec = rng.normal(size=width + 5)
+        refs = np.concatenate([rng.normal(size=2), ref, rng.integers(-1, 2, size=3) / 2.0])
+        update = make_weights(vec[:2], vec[2:-3], vec[-3:])
+        masked = neurotoxin_mask(update, make_weights(refs[:2], refs[2:-3], refs[-3:]), ratio)
+        expected = argsort_neurotoxin_mask(
+            update, make_weights(refs[:2], refs[2:-3], refs[-3:]), ratio
+        )
+        assert masked.flat.tobytes() == expected.tobytes()
+        zeroed = {i for i in range(width) if masked.vectors()[1][i] == 0.0}
+        assert zeroed == top_mask_indices(ref.tolist(), ratio)
+
+    def test_matches_argsort_kernel_on_a_wide_layer(self):
+        rng = np.random.default_rng(89)
+        size = 784 * 64
+        update = ModelWeights([LayerShape((784, 64))], rng.normal(size=size))
+        coarse = rng.integers(-50, 51, size=size) / 64.0  # ~500 entries per magnitude
+        for ref in (rng.normal(size=size), coarse):
+            reference = ModelWeights([LayerShape((784, 64))], ref)
+            for ratio in (0.05, 0.5):
+                masked = neurotoxin_mask(update, reference, ratio)
+                expected = argsort_neurotoxin_mask(update, reference, ratio)
+                assert masked.flat.tobytes() == expected.tobytes()
+                assert int(np.sum(masked.flat == 0.0)) == math.ceil(ratio * size)
 
     def test_rejections(self):
         u = make_weights(np.ones(3))

@@ -10,11 +10,22 @@ from hypothesis import strategies as st
 from celtibero import (
     LayerShape,
     ModelWeights,
+    NetworkArchitecture,
     ShapeMismatchError,
+    TrainConfig,
     add_update,
+    boost_update,
+    celtibero_aggregate,
+    coordinate_median,
     cosine_distance,
     diff,
+    fedavg,
+    gen_synthetic,
+    init_model,
+    loss_and_grad,
+    neurotoxin_mask,
     pairwise_cosine_matrix,
+    train_local,
 )
 from .conftest import make_weights
 from .oracles import per_pair_cosine_distances
@@ -68,6 +79,77 @@ class TestModelWeights:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(make_weights([1.0]))
+
+
+class TestOwnedVectors:
+    """Fresh vectors the package computes are handed to their container
+    without a copy, keeping every check of ``__init__``."""
+
+    def test_owning_keeps_the_vector_and_every_check(self):
+        like = make_weights([1.0, 2.0], [3.0])
+        vec = np.array([4.0, 5.0, 6.0])
+        owned = ModelWeights._owning(like, vec)
+        assert owned.flat is vec and not vec.flags.writeable
+        assert owned.shapes() == like.shapes() and owned.slices() == like.slices()
+        with pytest.raises(ShapeMismatchError, match="layer 1"):
+            ModelWeights._owning(like, np.zeros(2))
+        with pytest.raises(ShapeMismatchError, match="total size 3"):
+            ModelWeights._owning(like, np.zeros(4))
+        with pytest.raises(ValueError, match="layer 1: weights contain NaN or Inf"):
+            ModelWeights._owning(like, np.array([0.0, 0.0, np.inf]))
+
+    def test_results_are_read_only(self):
+        rng = np.random.default_rng(31)
+        arch = NetworkArchitecture((4, 3, 2), seed=1)
+        base = init_model(arch)
+        data = gen_synthetic(2, 12, 4, 3.0, rng)
+        local = train_local(base, data, TrainConfig(0.1, 4, epochs=1))
+        update = diff(local, base)
+        results = [
+            local,
+            update,
+            add_update(base, update),
+            boost_update(local, base, 3.0),
+            neurotoxin_mask(update, update, 0.5),
+            loss_and_grad(base, data.features, data.labels)[1],
+            celtibero_aggregate(base, [local, base, boost_update(local, base, 2.0)])[0],
+            fedavg([local, base]),
+            coordinate_median([local, base]),
+        ]
+        for result in results:
+            assert not result.flat.flags.writeable
+            with pytest.raises(ValueError):
+                result.flat[0] = 1.0
+
+    def test_inputs_are_never_frozen_or_aliased(self):
+        vec = np.array([1.0, 2.0, 3.0])
+        built = ModelWeights([LayerShape((3,))], vec)
+        assert vec.flags.writeable and not np.shares_memory(built.flat, vec)
+        vec[0] = 9.0
+        assert built.flat[0] == 1.0
+        base = init_model(NetworkArchitecture((4, 3, 2), seed=2))
+        data = gen_synthetic(2, 12, 4, 3.0, np.random.default_rng(32))
+        local = train_local(base, data, TrainConfig(0.1, 4, epochs=1))
+        assert not np.shares_memory(local.flat, base.flat)
+        for result in (
+            diff(local, base),
+            add_update(base, diff(local, base)),
+            boost_update(local, base, 1.0),
+            neurotoxin_mask(diff(local, base), base, 0.5),
+            fedavg([local, base]),
+        ):
+            assert not np.shares_memory(result.flat, base.flat)
+            assert not np.shares_memory(result.flat, local.flat)
+
+    def test_overflowing_boost_names_the_layer(self):
+        base = make_weights([0.0, 0.0], [0.0])
+        local = make_weights([1e-300, 0.0], [10.0])
+        huge = make_weights([1e308], [0.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="layer 1: weights contain NaN or Inf"):
+                boost_update(local, base, 1e308)
+            with pytest.raises(ValueError, match="layer 0: weights contain NaN or Inf"):
+                add_update(huge, huge)
 
 
 class TestDiffAddUpdate:

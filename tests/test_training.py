@@ -237,19 +237,28 @@ class TestPerLayerReference:
         lr=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
         epochs=st.integers(1, 2),
         seed=st.integers(0, 2**32 - 1),
+        zero_features=st.booleans(),
     )
     @example(n=1, batch=64, width=784, hidden=[16, 16], classes=10, activation="relu",
-             lr=0.0, epochs=2, seed=0)
+             lr=0.0, epochs=2, seed=0, zero_features=False)
     @example(n=200, batch=1, width=1, hidden=[1], classes=2, activation="tanh",
-             lr=0.5, epochs=1, seed=1)
+             lr=0.5, epochs=1, seed=1, zero_features=False)
+    # Every first relu input is exactly 0.0 (zero features, zero initial
+    # biases), so the relu derivative meets signed zeros at every step.
+    @example(n=37, batch=16, width=6, hidden=[8, 4], classes=3, activation="relu",
+             lr=0.1, epochs=2, seed=2, zero_features=True)
+    # A ragged last batch: 37 = 2 x 16 + 5.
+    @example(n=37, batch=16, width=12, hidden=[8], classes=4, activation="tanh",
+             lr=0.1, epochs=2, seed=3, zero_features=False)
     @settings(max_examples=60, deadline=None)
     def test_train_local_and_loss_and_grad_match_bitwise(
-        self, n, batch, width, hidden, classes, activation, lr, epochs, seed
+        self, n, batch, width, hidden, classes, activation, lr, epochs, seed, zero_features
     ):
         rng = np.random.default_rng(seed)
-        data = LabeledDataset(
-            rng.uniform(size=(n, width)), rng.integers(0, classes, size=n), classes
-        )
+        features = rng.uniform(size=(n, width))  # drawn either way: the labels keep their draws
+        if zero_features:
+            features = np.zeros((n, width))
+        data = LabeledDataset(features, rng.integers(0, classes, size=n), classes)
         model = init_model(NetworkArchitecture((width, *hidden, classes), activation, seed))
         cfg = TrainConfig(lr, batch, epochs, seed)
         trained = train_local(model, data, cfg, activation)

@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 48 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 50 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -21,7 +21,8 @@ The set: the README quick-start config; the three benchmark workloads of
 (fedavg, coord_median, krum and median_krum with f 2, celtibero with each
 linkage) against each attack kind (none, ulfa, tlfa 1->0, mra, dba with an
 8-feature trigger, neurotoxin with mask ratio 0.5); and that 8-round config
-with one hidden unit under fedavg and celtibero. Standard library and
+with one hidden unit, and with tanh hidden units (the only configs of the
+set that run tanh), each under fedavg and celtibero. Standard library and
 NumPy only; it runs the configs one after another in this process.
 
 BLAS runs on one thread: ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
@@ -129,10 +130,11 @@ def configs() -> dict[str, dict]:
             out[f"r8/{agg_name}/{attack_name}"] = dict(
                 short, aggregator=aggregator, attack=attack
             )
-    for agg_name in ("fedavg", "celtibero-average"):
-        out[f"r8-hidden1/{agg_name}"] = dict(
-            short, aggregator=AGGREGATORS[agg_name], architecture={"hidden": [1]}
-        )
+    for variant, architecture in (("hidden1", {"hidden": [1]}), ("tanh", {"activation": "tanh"})):
+        for agg_name in ("fedavg", "celtibero-average"):
+            out[f"r8-{variant}/{agg_name}"] = dict(
+                short, aggregator=AGGREGATORS[agg_name], architecture=architecture
+            )
     return out
 
 
