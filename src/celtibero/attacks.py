@@ -3,8 +3,9 @@ update manipulation.
 
 Data-level attacks consume and produce :class:`~celtibero.data.LabeledDataset`
 instances without mutating their inputs, so the same clean dataset can back a
-poisoned run and its reference run. Model-level attacks (boosting, masked
-updates) act on weight containers after local training.
+poisoned run and its reference run. A label flip shares its input's
+read-only feature matrix; a trigger stamps a copy. Model-level attacks
+(boosting, masked updates) act on weight containers after local training.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def flip_labels_untargeted(
     labels = data.labels.copy()
     offsets = rng.integers(1, data.num_classes, size=count)
     labels[chosen] = (labels[chosen] + offsets) % data.num_classes
-    return LabeledDataset(data.features, labels, data.num_classes)
+    return LabeledDataset._owning(data.features, labels, data.num_classes)
 
 
 def flip_labels_targeted(data: LabeledDataset, source: int, target: int) -> LabeledDataset:
@@ -146,7 +147,7 @@ def flip_labels_targeted(data: LabeledDataset, source: int, target: int) -> Labe
             raise ValueError(f"{name} class {cls} outside [0, {data.num_classes})")
     labels = data.labels.copy()
     labels[labels == source] = target
-    return LabeledDataset(data.features, labels, data.num_classes)
+    return LabeledDataset._owning(data.features, labels, data.num_classes)
 
 
 def embed_trigger(
@@ -185,7 +186,7 @@ def embed_trigger(
     labels = data.labels.copy()
     features[np.ix_(chosen, np.array(trigger.positions))] = np.array(trigger.values)
     labels[chosen] = trigger.target_class
-    return LabeledDataset(features, labels, data.num_classes)
+    return LabeledDataset._owning(features, labels, data.num_classes)
 
 
 def split_trigger(trigger: TriggerPattern, fragments: int) -> tuple[TriggerPattern, ...]:

@@ -39,9 +39,10 @@ class LabeledDataset:
     @classmethod
     def _owning(cls, features: np.ndarray, labels: np.ndarray, num_classes: int):
         """A dataset that keeps ``features`` and ``labels`` themselves instead
-        of copies, for arrays its caller has just built and hands over; the
-        checks are those of ``__init__``. Saves one ``n x d`` matrix at the
-        peak."""
+        of copies: arrays its caller has just built and hands over, or another
+        dataset's read-only arrays that it shares (a label flip keeps its
+        input's features). The checks are those of ``__init__``. Saves one
+        ``n x d`` matrix at the peak."""
         data = cls.__new__(cls)
         data._adopt(
             np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64), num_classes

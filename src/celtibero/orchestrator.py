@@ -10,6 +10,7 @@ and the result would be bit-identical to the sequential loop used here.
 
 from __future__ import annotations
 
+import copy
 import logging
 import time
 import zlib
@@ -63,6 +64,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Attacks scored against a clean reference federation.
+_FLIP_KINDS = ("ulfa", "tlfa")
 
 
 def _derive_seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
@@ -190,21 +194,35 @@ def compute_asr(
     return float(max(0.0, (ref_value - atk_value) / ref_value))
 
 
+def _stamped_rows(data: LabeledDataset, trigger: TriggerPattern) -> np.ndarray:
+    """The rows of ``data`` whose class is not the trigger's target, with the
+    full trigger stamped in: one read-only copy, possibly with no rows."""
+    features = data.features[data.labels != trigger.target_class]
+    features[:, np.array(trigger.positions)] = np.array(trigger.values)
+    features.flags.writeable = False
+    return features
+
+
 def backdoor_success_rate(
     model: ModelWeights,
     data: LabeledDataset,
     trigger: TriggerPattern,
     activation: str = "relu",
+    *,
+    stamped: np.ndarray | None = None,
 ) -> float:
     """Fraction of test samples, excluding those whose true class is already
-    the target, classified as the target once the full trigger is stamped in."""
-    keep = data.labels != trigger.target_class
-    if not keep.any():
+    the target, classified as the target once the full trigger is stamped in.
+
+    ``stamped``, the rows ``_stamped_rows(data, trigger)`` builds, saves
+    rebuilding them; an ``Experiment`` builds them once for all its rounds.
+    """
+    if stamped is None:
+        stamped = _stamped_rows(data, trigger)
+    if not len(stamped):
         logger.warning("every test sample belongs to the target class; backdoor rate is 0")
         return 0.0
-    features = data.features[keep].copy()
-    features[:, np.array(trigger.positions)] = np.array(trigger.values)
-    preds = predict(model, features, activation)
+    preds = predict(model, stamped, activation)
     return float((preds == trigger.target_class).mean())
 
 
@@ -267,21 +285,20 @@ class Experiment:
     (a hand-built config gets every violation listed and its defaults
     materialized), loads/generates the data, partitions it across the roster,
     poisons the malicious clients' shares, and initializes the global model.
-    ``run`` then executes the configured number of rounds.
+    Only the shares are kept, not the full training set. ``run`` then
+    executes the configured number of rounds.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         cfg = config_from_dict(config_to_dict(cfg))
         self.cfg = cfg
         master = cfg.seed
-        self.train_data, self.test_data = _load_datasets(cfg)
+        train, self.test_data = _load_datasets(cfg)
         if cfg.partition.kind == "iid":
-            partition = partition_iid(
-                self.train_data, cfg.clients, derive_rng(master, "partition")
-            )
+            partition = partition_iid(train, cfg.clients, derive_rng(master, "partition"))
         else:
             partition = partition_dirichlet(
-                self.train_data, cfg.clients, cfg.partition.alpha, derive_rng(master, "partition")
+                train, cfg.clients, cfg.partition.alpha, derive_rng(master, "partition")
             )
         attackers = malicious_count(cfg)
         roster_order = derive_rng(master, "roster").permutation(cfg.clients)
@@ -290,11 +307,15 @@ class Experiment:
         if cfg.attack.kind == "dba" and attackers:
             sub_triggers = split_trigger(cfg.attack.trigger, cfg.attack.dba_fragments)
         clients = []
+        # The malicious clients' unpoisoned shares, for the clean reference run.
+        self._clean_shares: dict[int, LabeledDataset] = {}
         rank = 0
         for k in range(cfg.clients):
-            share = self.train_data.subset(partition.assignments[k])
+            share = train.subset(partition.assignments[k])
             malicious = k in malicious_ids
             if malicious:
+                if cfg.attack.kind in _FLIP_KINDS:
+                    self._clean_shares[k] = share
                 share = _poison_client_data(
                     share, cfg.attack, rank, sub_triggers, derive_rng(master, "attack", k)
                 )
@@ -302,11 +323,29 @@ class Experiment:
             clients.append(ClientSpec(index=k, malicious=malicious, data=share))
         self.clients = tuple(clients)
         self.architecture = NetworkArchitecture(
-            layer_sizes=(self.train_data.d, *cfg.architecture.hidden, self.train_data.num_classes),
+            layer_sizes=(train.d, *cfg.architecture.hidden, train.num_classes),
             activation=cfg.architecture.activation,
             seed=derive_seed(master, "init"),
         )
+        del train  # released before the stamped test rows are built
         self.initial_model = init_model(self.architecture)
+        self._stamped = None
+        if cfg.attack.kind in BACKDOOR_KINDS:
+            self._stamped = _stamped_rows(self.test_data, cfg.attack.trigger)
+
+    def _clean_reference(self) -> Experiment:
+        """The no-attack federation of a label-flip experiment, on this
+        experiment's own test set, roster, architecture and initial model,
+        with each client's clean share (a benign client's is its ``data``).
+        Nothing is regenerated, repartitioned or re-cut."""
+        reference = copy.copy(self)
+        reference.cfg = config_from_dict(
+            config_to_dict(replace(self.cfg, attack=AttackSpec(kind="none")))
+        )
+        reference.clients = tuple(
+            replace(c, data=self._clean_shares.get(c.index, c.data)) for c in self.clients
+        )
+        return reference
 
     def initial_state(self) -> FederationState:
         return FederationState(
@@ -375,10 +414,14 @@ class Experiment:
         metrics = evaluate(new_global, self.test_data, cfg.architecture.activation)
         if cfg.attack.kind in BACKDOOR_KINDS:
             rate = backdoor_success_rate(
-                new_global, self.test_data, cfg.attack.trigger, cfg.architecture.activation
+                new_global,
+                self.test_data,
+                cfg.attack.trigger,
+                cfg.architecture.activation,
+                stamped=self._stamped,
             )
             asr = compute_asr(cfg.attack.kind, triggered_rate=rate)
-        elif cfg.attack.kind in ("ulfa", "tlfa"):
+        elif cfg.attack.kind in _FLIP_KINDS:
             if reference_report is None:
                 raise RoundError(
                     f"round {t}: {cfg.attack.kind} needs the matching reference round"
@@ -488,13 +531,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     Label-flipping attacks automatically execute the paired no-attack
     reference run first (same master seed, same roster, attack disabled) so
-    per-round success rates compare matched rounds.
+    per-round success rates compare matched rounds. The reference shares the
+    experiment's data: its test set, architecture and initial model, and
+    each client's clean share; no data is built twice.
     """
     experiment = Experiment(cfg)
     reference_reports = None
-    if cfg.attack.kind in ("ulfa", "tlfa"):
-        reference_cfg = replace(cfg, attack=AttackSpec(kind="none"))
-        reference_reports = Experiment(reference_cfg).run()
+    if experiment.cfg.attack.kind in _FLIP_KINDS:
+        reference_reports = experiment._clean_reference().run()
     reports = experiment.run(reference_reports)
     summary = _summarize(experiment, reports, reference_reports)
     return ExperimentResult(

@@ -226,6 +226,52 @@ class TestEmbedTrigger:
             embed_trigger(make_dataset(num_classes=3), bad_target, 1.0)
 
 
+def unchecked_dataset(features, labels, num_classes):
+    """A dataset built around ``LabeledDataset``'s checks, to see that a
+    poisoning result is still checked."""
+    data = LabeledDataset.__new__(LabeledDataset)
+    data.features = np.asarray(features, dtype=np.float64)
+    data.labels = np.asarray(labels, dtype=np.int64)
+    data.num_classes = num_classes
+    return data
+
+
+class TestPoisoningOwnership:
+    trigger = TriggerPattern((1, 4), (0.9, 0.1), 2)
+
+    def test_label_flips_share_the_read_only_features(self):
+        data = make_dataset(n=30, d=6, seed=3)
+        for flipped in (
+            flip_labels_untargeted(data, 0.5, np.random.default_rng(1)),
+            flip_labels_targeted(data, 1, 0),
+        ):
+            assert np.shares_memory(flipped.features, data.features)
+            assert not flipped.features.flags.writeable
+            assert not np.shares_memory(flipped.labels, data.labels)
+            assert not flipped.labels.flags.writeable
+
+    def test_trigger_stamps_its_own_copy(self):
+        data = make_dataset(n=12, d=6, seed=6)
+        features, labels = data.features.copy(), data.labels.copy()
+        for fraction, rng in ((1.0, None), (0.5, np.random.default_rng(2))):
+            poisoned = embed_trigger(data, self.trigger, fraction, rng)
+            assert not np.shares_memory(poisoned.features, data.features)
+            assert not poisoned.features.flags.writeable
+            assert not poisoned.labels.flags.writeable
+        assert np.array_equal(data.features, features)
+        assert np.array_equal(data.labels, labels)
+
+    def test_out_of_range_labels_still_raise(self):
+        features = np.full((4, 6), 0.5)
+        bad = unchecked_dataset(features, [7, 7, 7, 7], 3)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            flip_labels_untargeted(bad, 0.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="labels must lie in"):
+            flip_labels_targeted(unchecked_dataset(features, [0, 1, 1, 5], 3), 1, 0)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            embed_trigger(bad, self.trigger, 0.5, np.random.default_rng(0))
+
+
 class TestSplitTrigger:
     trigger = TriggerPattern((8, 2, 5, 11, 0), (0.8, 0.2, 0.5, 1.1, 0.0), 1)
 

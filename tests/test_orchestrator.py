@@ -1,6 +1,7 @@
 """Round loop, participant sampling, attack metrics, and experiment drivers."""
 
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from celtibero import (
     sample_participants,
     TriggerPattern,
 )
+from celtibero.orchestrator import _stamped_rows
 from .test_training import dense_model
 
 
@@ -176,6 +178,32 @@ class TestBackdoorSuccessRate:
             rate = backdoor_success_rate(model, target_only, self.trigger)
         assert rate == 0.0
         assert "target class" in caplog.text
+        caplog.clear()
+        stamped = _stamped_rows(target_only, self.trigger)
+        assert stamped.shape == (0, 3)
+        with caplog.at_level(logging.WARNING, logger="celtibero.orchestrator"):
+            rate = backdoor_success_rate(model, target_only, self.trigger, stamped=stamped)
+        assert rate == 0.0
+        assert "target class" in caplog.text
+
+    def test_prepared_rows_give_the_same_rate(self):
+        stamped = _stamped_rows(self.data, self.trigger)
+        assert np.array_equal(stamped, [[0.0, 0.5, 1.0], [1.0, 0.5, 1.0], [0.0, 0.2, 1.0]])
+        assert not stamped.flags.writeable
+        assert not np.shares_memory(stamped, self.data.features)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            model = dense_model(rng.normal(size=(3, 3)), rng.normal(size=3))
+            assert backdoor_success_rate(
+                model, self.data, self.trigger, stamped=stamped
+            ) == backdoor_success_rate(model, self.data, self.trigger)
+
+    def test_experiment_stamps_its_test_rows_once(self):
+        cfg = tiny_config(attack={"kind": "mra", "target_class": 0, "poison_fraction": 1.0})
+        experiment = Experiment(cfg)
+        expected = _stamped_rows(experiment.test_data, experiment.cfg.attack.trigger)
+        assert np.array_equal(experiment._stamped, expected)
+        assert Experiment(tiny_config())._stamped is None
 
 
 class TestStateAndReportValidation:
@@ -301,6 +329,73 @@ class TestExperiment:
             assert 0.0 <= r.mta <= 1.0
             assert 0.0 <= r.asr <= 1.0
             assert r.wall_ms >= 0.0
+
+
+LABEL_FLIP_CONFIGS = {
+    "ulfa-iid": {"attack": {"kind": "ulfa", "flip_fraction": 1.0}},
+    "tlfa-iid": {
+        "attack": {"kind": "tlfa", "source_class": 1, "target_class": 0},
+        "aggregator": {"kind": "celtibero"},
+    },
+    "ulfa-dirichlet": {
+        "attack": {"kind": "ulfa", "flip_fraction": 0.5},
+        "partition": {"kind": "dirichlet", "alpha": 0.5},
+        "aggregator": {"kind": "coord_median"},
+    },
+}
+
+
+def label_flip_config(name):
+    dataset = {"kind": "synthetic", "classes": 3, "samples": 300, "features": 6,
+               "separation": 3.0, "test_samples": 60}
+    return tiny_config(dataset=dataset, clients=10, malicious_fraction=0.3, rounds=3,
+                       participation=[0.6, 1.0], **LABEL_FLIP_CONFIGS[name])
+
+
+class TestCleanReference:
+    @pytest.mark.parametrize("name", list(LABEL_FLIP_CONFIGS))
+    def test_reports_match_a_reference_built_from_scratch(self, name):
+        cfg = label_flip_config(name)
+        shared = run_experiment(cfg).reference_reports
+        scratch = Experiment(replace(cfg, attack=AttackSpec(kind="none"))).run()
+        assert len(shared) == cfg.rounds
+        assert [replace(r, wall_ms=0.0) for r in shared] == [
+            replace(r, wall_ms=0.0) for r in scratch
+        ]
+
+    @pytest.mark.parametrize("name", list(LABEL_FLIP_CONFIGS))
+    def test_clients_hold_the_clean_shares(self, name):
+        cfg = label_flip_config(name)
+        experiment = Experiment(cfg)
+        reference = experiment._clean_reference()
+        scratch = Experiment(replace(cfg, attack=AttackSpec(kind="none")))
+        assert reference.cfg == scratch.cfg
+        assert reference.test_data is experiment.test_data
+        assert reference.initial_model is experiment.initial_model
+        poisoned = 0
+        for attacked, ref, clean in zip(experiment.clients, reference.clients, scratch.clients):
+            assert (ref.index, ref.malicious) == (clean.index, clean.malicious)
+            assert ref.malicious == attacked.malicious
+            assert np.array_equal(ref.data.labels, clean.data.labels)
+            assert np.array_equal(ref.data.features, clean.data.features)
+            if attacked.malicious:
+                poisoned += not np.array_equal(attacked.data.labels, ref.data.labels)
+            else:
+                assert ref.data is attacked.data
+        assert poisoned == 3
+
+    def test_label_flip_run_peaks_under_three_training_matrices(self):
+        dataset = {"kind": "synthetic", "classes": 4, "samples": 2000, "features": 100,
+                   "separation": 3.0, "test_samples": 100}
+        cfg = tiny_config(dataset=dataset, clients=8, malicious_fraction=0.25, rounds=1,
+                          attack={"kind": "ulfa"})
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (2000 * 100 * 8)
 
 
 class TestRunExperiment:

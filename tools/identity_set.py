@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 50 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 52 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -22,8 +22,11 @@ The set: the README quick-start config; the three benchmark workloads of
 linkage) against each attack kind (none, ulfa, tlfa 1->0, mra, dba with an
 8-feature trigger, neurotoxin with mask ratio 0.5); and that 8-round config
 with one hidden unit, and with tanh hidden units (the only configs of the
-set that run tanh), each under fedavg and celtibero. Standard library and
-NumPy only; it runs the configs one after another in this process.
+set that run tanh), each under fedavg and celtibero; and that 8-round config
+on Dirichlet (alpha 0.5) shares under ulfa with celtibero and tlfa with
+median_krum, whose reference federations run on ragged clean shares.
+Standard library and NumPy only; it runs the configs one after another in
+this process.
 
 BLAS runs on one thread: ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` are set to 1 before NumPy loads, as in
@@ -135,6 +138,12 @@ def configs() -> dict[str, dict]:
             out[f"r8-{variant}/{agg_name}"] = dict(
                 short, aggregator=AGGREGATORS[agg_name], architecture=architecture
             )
+    dirichlet = dict(short, partition={"kind": "dirichlet", "alpha": 0.5})
+    for name, attack, aggregator in (
+        ("ulfa-celtibero", ATTACKS["ulfa"], {"kind": "celtibero"}),
+        ("tlfa-median_krum", ATTACKS["tlfa"], AGGREGATORS["median_krum"]),
+    ):
+        out[f"r8-dirichlet/{name}"] = dict(dirichlet, aggregator=aggregator, attack=attack)
     return out
 
 
