@@ -66,7 +66,6 @@ from .model import (
     LayerShape,
     ModelWeights,
     add_update,
-    cosine_distance,
     diff,
 )
 from .orchestrator import (
@@ -89,7 +88,6 @@ from .training import (
     NetworkArchitecture,
     TrainConfig,
     evaluate,
-    forward,
     init_model,
     loss_and_grad,
     predict,

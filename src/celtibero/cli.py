@@ -39,6 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(path: str, exc: ConfigError) -> int:
+    """Print every violation of the config at ``path``; the exit code is 1."""
+    print(f"config error: {path}", file=sys.stderr)
+    for violation in exc.violations:
+        print(f"  - {violation}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -48,10 +56,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
-        print(f"config error: {args.config}", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
+        return _config_error(args.config, exc)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -62,10 +67,7 @@ def main(argv=None) -> int:
         result = run_experiment(cfg)
         csv_path, summary_path = emit_reports(result.reports, result.summary, out_dir)
     except ConfigError as exc:
-        print(f"config error: {args.config}", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
+        return _config_error(args.config, exc)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {exc}", file=sys.stderr)
         return 2

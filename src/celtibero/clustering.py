@@ -1,8 +1,8 @@
 """Two-cluster agglomerative clustering over pairwise cosine distances.
 
 Each client's per-layer update is characterized by its direction only. The
-cosine kernel shared with ``model.cosine_distance`` fills the pairwise distance
-matrix a row at a time, taking each norm once. Bottom-up merges on n x n NumPy
+cosine kernel of the ``model`` module fills the pairwise distance matrix a
+row at a time, taking each norm once. Bottom-up merges on n x n NumPy
 arrays, updated in the merged row and column only by the Lance-Williams rule
 (Lance & Williams 1967), run until exactly two clusters remain, and the cluster
 with the smaller ``size * mean pairwise distance`` score is labeled poisoned: a
@@ -119,8 +119,8 @@ class ClusterVerdict:
 def pairwise_cosine_matrix(updates) -> DistanceMatrix:
     """Cosine-distance matrix over a list of equal-length flat vectors.
 
-    Entry (i, j) equals ``cosine_distance(updates[i], updates[j])`` exactly:
-    both come from the same kernel, zero-norm conventions included.
+    Entry (i, j) is ``1 - cos`` of updates i and j, clamped to [0, 2], with
+    the cosine kernel's scaling, NaN/Inf check and zero-norm conventions.
     """
     entries = _cosine_distances(updates)
     if entries.shape[0] < 2:

@@ -2,17 +2,22 @@
 
 The frozen dataclasses below (with :class:`~celtibero.attacks.AttackSpec`)
 declare each block's keys and defaults; the parser here makes every check on
-their values. ``parse_config`` refuses unknown keys, reports *every*
-violation it finds in one shot, and materializes the defaults into the
-returned config so an emitted report fully describes the run. Keys that do
-not apply to the selected dataset, partition, or attack kind are accepted
-but reset to their defaults, which keeps ``config_from_dict(config_to_dict(cfg))``
-an exact round trip.
+their values. One table, ``_WRITTEN_KEYS``, names the keys that apply to each
+block kind, for the parser and ``config_to_dict`` alike, and ``_KEY_RULES``
+gives each key's type and accepted range; numbers must be finite.
+``parse_config`` refuses unknown keys, reports *every* violation it finds in
+one shot, and materializes the defaults into the returned config so an
+emitted report fully describes the run. Keys that do not apply to the
+selected dataset, partition, attack or aggregator kind are accepted but
+neither read nor checked: they reset to their defaults, which keeps
+``config_from_dict(config_to_dict(cfg))`` an exact round trip.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -40,6 +45,7 @@ __all__ = [
 _MNIST_SIDE = 28
 _MNIST_FEATURES = _MNIST_SIDE * _MNIST_SIDE
 _MNIST_CLASSES = 10
+_MNIST_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 @dataclass(frozen=True)
@@ -120,16 +126,14 @@ def _participant_count(fraction: float, clients: int) -> int:
 _DEFAULTS = ExperimentConfig()
 _MNIST_LEARNING_RATE = 0.1
 
-# Keys ``config_to_dict`` writes for a block, in order. A block with a
-# ``kind`` maps each kind to its keys (a kind not listed, such as attack
-# "none", writes only ``kind``); a block not listed writes every field.
+# Keys of a block, in order: ``config_to_dict`` writes them and the parser
+# reads them, both through ``_written_keys``. A block with a ``kind`` maps
+# each kind to its keys (a kind not listed, such as attack "none", has only
+# ``kind``); a block not listed has every field.
 _WRITTEN_KEYS = {
     DatasetConfig: {
         "synthetic": ("kind", "classes", "samples", "features", "separation", "test_samples"),
-        "mnist_idx": (
-            "kind", "train_images", "train_labels", "test_images", "test_labels",
-            "train_subset", "test_subset",
-        ),
+        "mnist_idx": ("kind", *_MNIST_PATHS, "train_subset", "test_subset"),
     },
     PartitionConfig: {"dirichlet": ("kind", "alpha")},
     AttackSpec: {
@@ -146,6 +150,65 @@ _WRITTEN_KEYS = {
     },
     # The trigger's target class is the attack's, so it is neither written nor read.
     TriggerPattern: ("positions", "values"),
+}
+
+
+def _written_keys(block: type, kind: str | None) -> tuple[str, ...]:
+    keys = _WRITTEN_KEYS.get(block)
+    if keys is None:
+        return tuple(f.name for f in fields(block))
+    return keys.get(kind, ("kind",)) if isinstance(keys, dict) else keys
+
+
+def _at_least(minimum: int):
+    return int, lambda v: v >= minimum, f"must be >= {minimum}"
+
+
+def _one_of(*choices: str):
+    return str, lambda v: v in choices, f"must be one of {choices}"
+
+
+def _within(interval: str):
+    """A number in ``interval``, written like "[0, 1]" or "(0, 1]"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = operator.lt if interval[0] == "(" else operator.le
+    below = operator.lt if interval[-1] == ")" else operator.le
+    return float, lambda v: above(low, v) and below(v, high), f"must lie in {interval}"
+
+
+_NUMBER = (float, None, None)
+_POSITIVE = (float, lambda v: v > 0, "must be positive")
+_STRING = (str, None, None)
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+# How ``_Reader.read`` reads each key: (type, test of an accepted value or
+# None, the rule a rejected value broke). Keys not listed (the trigger,
+# hidden widths, participation and the blocks) are parsed by hand.
+_KEY_RULES = {
+    ExperimentConfig: {
+        "clients": _at_least(2), "malicious_fraction": _NUMBER, "rounds": _at_least(0),
+        "local_epochs": _at_least(1), "seed": _at_least(0), "output_dir": _STRING,
+    },
+    DatasetConfig: {
+        "kind": _one_of("synthetic", "mnist_idx"),
+        "classes": _at_least(2), "samples": _at_least(1), "features": _at_least(1),
+        "separation": _POSITIVE, "test_samples": _at_least(1),
+        **dict.fromkeys(_MNIST_PATHS, _STRING),
+        "train_subset": _at_least(1), "test_subset": _at_least(1),
+    },
+    PartitionConfig: {"kind": _one_of("iid", "dirichlet"), "alpha": _POSITIVE},
+    AttackSpec: {
+        "kind": _one_of(*ATTACK_KINDS),
+        "flip_fraction": _within("[0, 1]"),
+        "source_class": _at_least(0), "target_class": _at_least(0),
+        "poison_fraction": _within("(0, 1]"),
+        "boost_factor": _POSITIVE, "dba_fragments": _at_least(1), "mask_ratio": _within("(0, 1)"),
+    },
+    AggregatorConfig: {
+        "kind": _one_of(*AGGREGATOR_NAMES), "krum_f": _at_least(0), "linkage": _one_of(*LINKAGES),
+    },
+    ArchitectureConfig: {"activation": _one_of(*ACTIVATIONS)},
+    TrainingConfig: {"learning_rate": _POSITIVE, "batch_size": _at_least(1)},
 }
 
 
@@ -192,98 +255,56 @@ class _Reader:
             if key not in allowed:
                 errors.append(f"{where}: unknown key {key!r}")
 
-    def int_(self, key: str, minimum=None):
-        default = getattr(self.defaults, key)
+    def read(self, key: str):
+        """``key``'s value, checked by its rule in ``_KEY_RULES``."""
+        type_, ok, rule = _KEY_RULES[type(self.defaults)][key]
         value = self.raw.get(key)
         if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.errors.reject(f"{self.where}.{key}", f"expected an integer, got {value!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self.errors.reject(f"{self.where}.{key}", f"must be >= {minimum}, got {value}")
-            return default
-        return int(value)
+            return getattr(self.defaults, key)
+        accepted = (int, float) if type_ is float else type_
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            problem = f"expected {_TYPE_NAMES[type_]}, got {value!r}"
+        elif type_ is float and not abs(value) <= sys.float_info.max:
+            # NaN fails every comparison; an int past the float range has no finite float.
+            problem = f"expected a finite number, got {value!r}"
+        elif ok is None or ok(type_(value)):
+            return type_(value)
+        else:
+            problem = f"{rule}, got {type_(value)!r}"
+        self.errors.reject(f"{self.where}.{key}", problem)
+        return getattr(self.defaults, key)
 
-    def float_(self, key: str):
-        default = getattr(self.defaults, key)
-        value = self.raw.get(key)
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.errors.reject(f"{self.where}.{key}", f"expected a number, got {value!r}")
-            return default
-        return float(value)
+    def read_all(self) -> dict:
+        """The block's ``kind`` (if it has one), then every other key written
+        for that kind that has a rule, as a mapping of field values."""
+        rules = _KEY_RULES[type(self.defaults)]
+        values = {"kind": self.read("kind")} if "kind" in rules else {}
+        for key in _written_keys(type(self.defaults), values.get("kind")):
+            if key in rules and key not in values:
+                values[key] = self.read(key)
+        return values
 
-    def str_(self, key: str, choices=None):
-        default = getattr(self.defaults, key)
+    def block(self, key: str, defaults=None) -> _Reader:
+        """A reader of the mapping under ``key``; its defaults are ``defaults``
+        if given, else this block's default for ``key``."""
         value = self.raw.get(key)
-        if value is None:
-            return default
-        if not isinstance(value, str):
-            self.errors.reject(f"{self.where}.{key}", f"expected a string, got {value!r}")
-            return default
-        if choices is not None and value not in choices:
-            self.errors.reject(
-                f"{self.where}.{key}", f"must be one of {tuple(choices)}, got {value!r}"
-            )
-            return default
-        return value
-
-    def block(self, key: str) -> dict:
-        value = self.raw.get(key)
-        if value is None:
-            return {}
-        if not isinstance(value, dict):
+        if value is not None and not isinstance(value, dict):
             self.errors.reject(f"{self.where}.{key}", f"expected a mapping, got {value!r}")
-            return {}
-        return value
+            value = None
+        return _Reader(value, key, self.errors, defaults or getattr(self.defaults, key))
 
 
-def _parse_dataset(raw: dict, errors: _Violations) -> DatasetConfig:
-    reader = _Reader(raw, "dataset", errors, _DEFAULTS.dataset)
-    kind = reader.str_("kind", choices=("synthetic", "mnist_idx"))
-    if kind == "synthetic":
-        classes = reader.int_("classes", minimum=2)
-        features = reader.int_("features", minimum=1)
+def _parse_dataset(reader: _Reader, errors: _Violations) -> DatasetConfig:
+    values = reader.read_all()
+    if values["kind"] == "synthetic":
+        classes, features = values["classes"], values["features"]
         if features < classes and errors.valid("dataset.classes", "dataset.features"):
-            errors.append(
-                f"dataset: features ({features}) must be >= classes ({classes})"
-            )
-        separation = reader.float_("separation")
-        if not separation > 0:
-            errors.append(f"dataset.separation: must be positive, got {separation}")
-        return DatasetConfig(
-            kind="synthetic",
-            classes=classes,
-            samples=reader.int_("samples", minimum=1),
-            features=features,
-            separation=separation,
-            test_samples=reader.int_("test_samples", minimum=1),
-        )
-    paths = {}
-    for key in ("train_images", "train_labels", "test_images", "test_labels"):
-        value = reader.str_(key)
-        if value is None and errors.valid(f"dataset.{key}"):
-            errors.append(f"dataset.{key}: required for mnist_idx")
-        paths[key] = value or ""
-    return DatasetConfig(
-        kind="mnist_idx",
-        **paths,
-        train_subset=reader.int_("train_subset", minimum=1),
-        test_subset=reader.int_("test_subset", minimum=1),
-    )
-
-
-def _parse_partition(raw: dict, errors: _Violations) -> PartitionConfig:
-    reader = _Reader(raw, "partition", errors, _DEFAULTS.partition)
-    kind = reader.str_("kind", choices=("iid", "dirichlet"))
-    if kind != "dirichlet":
-        return PartitionConfig(kind=kind)
-    alpha = reader.float_("alpha")
-    if not alpha > 0:
-        errors.append(f"partition.alpha: must be positive, got {alpha}")
-    return PartitionConfig(kind="dirichlet", alpha=alpha)
+            errors.append(f"dataset: features ({features}) must be >= classes ({classes})")
+    else:
+        for key in _MNIST_PATHS:
+            if values[key] is None and errors.valid(f"dataset.{key}"):
+                errors.append(f"dataset.{key}: required for mnist_idx")
+    return DatasetConfig(**values)
 
 
 def _parse_trigger(raw, num_features: int, target_class: int, errors: _Violations):
@@ -323,55 +344,33 @@ def _parse_trigger(raw, num_features: int, target_class: int, errors: _Violation
 
 
 def _parse_attack(
-    raw: dict, dataset: DatasetConfig, attackers: int, errors: _Violations
+    reader: _Reader, dataset: DatasetConfig, attackers: int, errors: _Violations
 ) -> AttackSpec:
-    reader = _Reader(raw, "attack", errors, _DEFAULTS.attack)
-    kind = reader.str_("kind", choices=ATTACK_KINDS)
+    values = reader.read_all()
+    kind = values["kind"]
     mnist = dataset.kind == "mnist_idx"
     classes = _MNIST_CLASSES if mnist else dataset.classes
     features = _MNIST_FEATURES if mnist else dataset.features
-    if kind == "none":
-        return AttackSpec(kind="none")
-    if kind == "ulfa":
-        fraction = reader.float_("flip_fraction")
-        if not 0.0 <= fraction <= 1.0:
-            errors.append(f"attack.flip_fraction: must lie in [0, 1], got {fraction}")
-        return AttackSpec(kind="ulfa", flip_fraction=fraction)
     if kind == "tlfa":
-        source = reader.int_("source_class", minimum=0)
-        target = reader.int_("target_class", minimum=0)
+        source, target = values["source_class"], values["target_class"]
         if source == target and errors.valid("attack.source_class", "attack.target_class"):
             errors.append(f"attack: tlfa source and target classes must differ, both are {source}")
-        for name, cls in (("source_class", source), ("target_class", target)):
-            if cls >= classes and errors.valid("dataset.kind", "dataset.classes"):
-                errors.append(f"attack.{name}: class {cls} outside [0, {classes})")
-        return AttackSpec(kind="tlfa", source_class=source, target_class=target)
+    for name in ("source_class", "target_class"):
+        cls = values.get(name)
+        if cls is not None and cls >= classes and errors.valid("dataset.kind", "dataset.classes"):
+            errors.append(f"attack.{name}: class {cls} outside [0, {classes})")
+    if "trigger" not in _written_keys(AttackSpec, kind):
+        return AttackSpec(**values)
 
-    # Backdoor family: mra, dba, neurotoxin.
-    target = reader.int_("target_class", minimum=0)
-    if target >= classes and errors.valid("dataset.kind", "dataset.classes"):
-        errors.append(f"attack.target_class: class {target} outside [0, {classes})")
-    poison_fraction = reader.float_("poison_fraction")
-    if not 0.0 < poison_fraction <= 1.0:
-        errors.append(
-            f"attack.poison_fraction: must lie in (0, 1], got {poison_fraction}"
-        )
+    target = values["target_class"]
     trigger = None
     if reader.raw.get("trigger") is not None:
         trigger = _parse_trigger(reader.raw["trigger"], features, target, errors)
     if trigger is None:
         side = _MNIST_SIDE if mnist else None
         trigger = make_default_trigger(features, target, image_side=side)
-    spec = AttackSpec(
-        kind=kind, target_class=target, poison_fraction=poison_fraction, trigger=trigger
-    )
-    if kind == "mra":
-        boost = reader.float_("boost_factor")
-        if boost is not None and not boost > 0:
-            errors.append(f"attack.boost_factor: must be positive, got {boost}")
-        return replace(spec, boost_factor=boost)
     if kind == "dba":
-        fragments = reader.int_("dba_fragments", minimum=1)
+        fragments = values["dba_fragments"]
         explicit = fragments is not None
         if fragments is None:
             if attackers < 1 and errors.valid(
@@ -390,25 +389,11 @@ def _parse_attack(
                     f"{len(trigger.positions)} trigger positions"
                 )
             fragments = len(trigger.positions)
-        return replace(spec, dba_fragments=fragments)
-    mask_ratio = reader.float_("mask_ratio")
-    if not 0.0 < mask_ratio < 1.0:
-        errors.append(f"attack.mask_ratio: must lie in (0, 1), got {mask_ratio}")
-    return replace(spec, mask_ratio=mask_ratio)
+        values["dba_fragments"] = fragments
+    return AttackSpec(**values, trigger=trigger)
 
 
-def _parse_aggregator(raw: dict, errors: _Violations) -> AggregatorConfig:
-    reader = _Reader(raw, "aggregator", errors, _DEFAULTS.aggregator)
-    kind = reader.str_("kind", choices=AGGREGATOR_NAMES)
-    if kind in ("krum", "median_krum"):
-        return AggregatorConfig(kind=kind, krum_f=reader.int_("krum_f", minimum=0))
-    if kind == "celtibero":
-        return AggregatorConfig(kind=kind, linkage=reader.str_("linkage", choices=LINKAGES))
-    return AggregatorConfig(kind=kind)
-
-
-def _parse_architecture(raw: dict, errors: _Violations) -> ArchitectureConfig:
-    reader = _Reader(raw, "architecture", errors, _DEFAULTS.architecture)
+def _parse_architecture(reader: _Reader, errors: _Violations) -> ArchitectureConfig:
     hidden = reader.defaults.hidden
     hidden_raw = reader.raw.get("hidden")
     if hidden_raw is not None:
@@ -422,20 +407,7 @@ def _parse_architecture(raw: dict, errors: _Violations) -> ArchitectureConfig:
             errors.append("architecture.hidden: expected a nonempty list of positive integers")
         else:
             hidden = tuple(int(h) for h in hidden_raw)
-    return ArchitectureConfig(
-        hidden=hidden, activation=reader.str_("activation", choices=ACTIVATIONS)
-    )
-
-
-def _parse_training(raw: dict, dataset: DatasetConfig, errors: _Violations) -> TrainingConfig:
-    defaults = _DEFAULTS.training
-    if dataset.kind == "mnist_idx":
-        defaults = replace(defaults, learning_rate=_MNIST_LEARNING_RATE)
-    reader = _Reader(raw, "training", errors, defaults)
-    lr = reader.float_("learning_rate")
-    if not lr > 0:
-        errors.append(f"training.learning_rate: must be positive, got {lr}")
-    return TrainingConfig(learning_rate=lr, batch_size=reader.int_("batch_size", minimum=1))
+    return ArchitectureConfig(hidden=hidden, **reader.read_all())
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -449,8 +421,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     top = _Reader(raw, "top level", errors, _DEFAULTS)
 
     dataset = _parse_dataset(top.block("dataset"), errors)
-    partition = _parse_partition(top.block("partition"), errors)
-    clients = top.int_("clients", minimum=2)
+    partition = PartitionConfig(**top.block("partition").read_all())
+    clients = top.read("clients")
     size_key = "samples" if dataset.kind == "synthetic" else "train_subset"
     size = getattr(dataset, size_key)
     read = ("dataset.kind", f"dataset.{size_key}", "clients")
@@ -460,7 +432,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"dataset.{size_key}: {size} training samples cannot be split across "
             f"{clients} clients"
         )
-    malicious_fraction = top.float_("malicious_fraction")
+    malicious_fraction = top.read("malicious_fraction")
     if not 0.0 <= malicious_fraction < 0.5:
         errors.reject(
             "malicious_fraction",
@@ -478,9 +450,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"{attackers} malicious, which leaves no strict honest majority",
             )
     attack = _parse_attack(top.block("attack"), dataset, attackers, errors)
-    aggregator = _parse_aggregator(top.block("aggregator"), errors)
-    rounds = top.int_("rounds", minimum=0)
-    local_epochs = top.int_("local_epochs", minimum=1)
+    aggregator = AggregatorConfig(**top.block("aggregator").read_all())
+    rounds = top.read("rounds")
+    local_epochs = top.read("local_epochs")
 
     participation = top.defaults.participation
     participation_raw = raw.get("participation")
@@ -515,9 +487,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             )
 
     architecture = _parse_architecture(top.block("architecture"), errors)
-    training = _parse_training(top.block("training"), dataset, errors)
-    seed = top.int_("seed", minimum=0)
-    output_dir = top.str_("output_dir")
+    training_defaults = _DEFAULTS.training
+    if dataset.kind == "mnist_idx":
+        training_defaults = replace(training_defaults, learning_rate=_MNIST_LEARNING_RATE)
+    training = TrainingConfig(**top.block("training", training_defaults).read_all())
+    seed = top.read("seed")
+    output_dir = top.read("output_dir")
 
     if errors:
         raise ConfigError(errors)
@@ -562,16 +537,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def _plain(value):
     """``value`` as YAML-ready data: a config block as a mapping of its
-    ``_WRITTEN_KEYS``, a tuple as a list, anything else unchanged."""
+    ``_written_keys``, a tuple as a list, anything else unchanged."""
     if isinstance(value, tuple):
         return list(value)
     if not is_dataclass(value):
         return value
-    keys = _WRITTEN_KEYS.get(type(value), [f.name for f in fields(value)])
-    if isinstance(keys, dict):
-        keys = keys.get(value.kind, ("kind",))
     out = {}
-    for key in keys:
+    for key in _written_keys(type(value), getattr(value, "kind", None)):
         item = getattr(value, key)
         if item is not None or key != "trigger":
             out[key] = _plain(item)

@@ -27,7 +27,6 @@ __all__ = [
     "ModelWeights",
     "diff",
     "add_update",
-    "cosine_distance",
 ]
 
 
@@ -193,9 +192,3 @@ def _cosine_distances(vectors) -> np.ndarray:
         out[i, i + 1:] = out[i + 1:, i] = np.clip(1.0 - cos, 0.0, 2.0)
     out[np.ix_(zero, zero)] = 0.0
     return out
-
-
-def cosine_distance(u, v) -> float:
-    """``1 - cos(u, v)``, clamped to [0, 2]: the two-vector case of the cosine
-    kernel, with its scaling, NaN/Inf check and zero-norm convention."""
-    return float(_cosine_distances((u, v))[0, 1])

@@ -24,7 +24,6 @@ __all__ = [
     "TrainConfig",
     "EvalResult",
     "init_model",
-    "forward",
     "predict",
     "loss_and_grad",
     "train_local",
@@ -151,20 +150,6 @@ def _forward_probs(pairs, features: np.ndarray, activation: str) -> np.ndarray:
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits, axis=1, keepdims=True)
     return logits
-
-
-def forward(model: ModelWeights, features, activation: str = "relu") -> np.ndarray:
-    """Class probabilities for a single feature vector.
-
-    Softmax is computed with max-subtraction, so finite inputs always give a
-    finite probability vector summing to 1.
-    """
-    x = np.asarray(features, dtype=np.float64).reshape(-1)
-    pairs = _dense_pairs(model)
-    expected = pairs[0][0].shape[0]
-    if x.size != expected:
-        raise ShapeMismatchError(f"feature vector length {x.size}, model expects {expected}")
-    return _forward_probs(pairs, x[np.newaxis, :], activation)[0]
 
 
 def predict(model: ModelWeights, features, activation: str = "relu") -> np.ndarray:

@@ -23,6 +23,8 @@ bit-for-bit reference for the generator that does both in place.
 ``argsort_neurotoxin_mask`` is the former Neurotoxin mask, one stable
 ``np.argsort`` of each layer's negated magnitudes, kept as the bit-for-bit
 reference for the mask that cuts each layer with one ``np.partition``.
+``cosine_distance`` and ``forward`` are the package's own kernels on one
+pair of vectors and on one feature row, which only the tests call.
 """
 
 from __future__ import annotations
@@ -38,6 +40,29 @@ from celtibero import (
     label_clusters,
     pairwise_cosine_matrix,
 )
+from celtibero.model import _cosine_distances
+from celtibero.training import _dense_pairs, _forward_probs
+
+
+def cosine_distance(u, v) -> float:
+    """``1 - cos(u, v)``, clamped to [0, 2]: the two-vector case of the cosine
+    kernel, with its scaling, NaN/Inf check and zero-norm convention."""
+    return float(_cosine_distances((u, v))[0, 1])
+
+
+def forward(model, features, activation="relu"):
+    """Class probabilities for a single feature vector, through the trainer's
+    own forward pass: the row-at-a-time reference for batched ``predict``.
+
+    Softmax is computed with max-subtraction, so finite inputs always give a
+    finite probability vector summing to 1.
+    """
+    x = np.asarray(features, dtype=np.float64).reshape(-1)
+    pairs = _dense_pairs(model)
+    expected = pairs[0][0].shape[0]
+    if x.size != expected:
+        raise ShapeMismatchError(f"feature vector length {x.size}, model expects {expected}")
+    return _forward_probs(pairs, x[np.newaxis, :], activation)[0]
 
 
 def replay_two_clusters(matrix, linkage="average"):

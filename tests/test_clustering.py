@@ -12,11 +12,11 @@ from celtibero import (
     ShapeMismatchError,
     agglomerative_two_clusters,
     cluster_density,
-    cosine_distance,
     label_clusters,
     pairwise_cosine_matrix,
 )
 from .oracles import (
+    cosine_distance,
     full_recompute_two_clusters,
     mean_pairwise,
     replay_two_clusters,

@@ -11,6 +11,8 @@ from celtibero import (
     run_experiment,
 )
 
+INF = float("inf")
+
 MNIST_PATHS = {
     "train_images": "data/train-images-idx3-ubyte",
     "train_labels": "data/train-labels-idx1-ubyte",
@@ -151,6 +153,45 @@ class TestValueViolations:
             (
                 {"dataset": {"kind": "mnist_idx", **MNIST_PATHS, "train_subset": 19}},
                 "dataset.train_subset: 19 training samples cannot be split across 20 clients",
+            ),
+            (
+                {"training": {"learning_rate": INF}},
+                "training.learning_rate: expected a finite number, got inf",
+            ),
+            (
+                {"training": {"learning_rate": -INF}},
+                "training.learning_rate: expected a finite number, got -inf",
+            ),
+            ({"training": {"learning_rate": 10**400}}, "learning_rate: expected a finite number"),
+            (
+                {"attack": {"kind": "mra", "boost_factor": INF}},
+                "attack.boost_factor: expected a finite number, got inf",
+            ),
+            (
+                {"attack": {"kind": "mra", "boost_factor": -INF}},
+                "attack.boost_factor: expected a finite number, got -inf",
+            ),
+            (
+                {"partition": {"kind": "dirichlet", "alpha": INF}},
+                "partition.alpha: expected a finite number, got inf",
+            ),
+            (
+                {"partition": {"kind": "dirichlet", "alpha": -INF}},
+                "partition.alpha: expected a finite number, got -inf",
+            ),
+            (
+                {"partition": {"kind": "dirichlet", "alpha": float("nan")}},
+                "partition.alpha: expected a finite number, got nan",
+            ),
+            ({"dataset": {"separation": INF}}, "separation: expected a finite number, got inf"),
+            ({"dataset": {"separation": -INF}}, "separation: expected a finite number, got -inf"),
+            (
+                {"attack": {"kind": "neurotoxin", "mask_ratio": INF}},
+                "attack.mask_ratio: expected a finite number, got inf",
+            ),
+            (
+                {"attack": {"kind": "neurotoxin", "mask_ratio": -INF}},
+                "attack.mask_ratio: expected a finite number, got -inf",
             ),
         ],
     )
@@ -378,6 +419,17 @@ class TestCanonicalization:
         )
         assert cfg.aggregator.krum_f == 1
         assert cfg.aggregator.linkage == "single"
+        # A key that does not apply to the kind is neither read nor checked.
+        cfg = config_from_dict({"attack": {"kind": "ulfa", "mask_ratio": "x"}})
+        assert cfg.attack.mask_ratio == 0.05
+        cfg = config_from_dict({"aggregator": {"kind": "fedavg", "krum_f": -3}})
+        assert cfg.aggregator.krum_f == 1
+        cfg = config_from_dict({"partition": {"kind": "iid", "alpha": INF}})
+        assert cfg.partition.alpha == 0.5
+        cfg = config_from_dict({"dataset": {"kind": "synthetic", "train_subset": 0}})
+        assert cfg.dataset.train_subset is None
+        cfg = config_from_dict({"attack": {"kind": "none", "boost_factor": INF}})
+        assert cfg.attack.boost_factor is None
 
 
 class TestRoundTrip:

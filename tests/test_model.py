@@ -17,7 +17,6 @@ from celtibero import (
     boost_update,
     celtibero_aggregate,
     coordinate_median,
-    cosine_distance,
     diff,
     fedavg,
     gen_synthetic,
@@ -28,7 +27,7 @@ from celtibero import (
     train_local,
 )
 from .conftest import make_weights
-from .oracles import per_pair_cosine_distances
+from .oracles import cosine_distance, per_pair_cosine_distances
 
 
 class TestLayerShape:

@@ -16,7 +16,6 @@ from celtibero import (
     ShapeMismatchError,
     TrainConfig,
     evaluate,
-    forward,
     gen_synthetic,
     init_model,
     loss_and_grad,
@@ -24,7 +23,7 @@ from celtibero import (
     train_local,
 )
 
-from .oracles import per_layer_loss_and_grad, per_layer_train_local
+from .oracles import forward, per_layer_loss_and_grad, per_layer_train_local
 
 
 def dense_model(*arrays):
