@@ -75,7 +75,6 @@ from .orchestrator import (
     FederationState,
     RoundReport,
     backdoor_success_rate,
-    compute_asr,
     derive_rng,
     derive_seed,
     run_experiment,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-``celtibero run config.yaml [--seed N] [--out DIR] [--quiet]`` executes one
-experiment and writes ``rounds.csv`` plus ``summary.json``. Exit codes:
-0 on success, 1 on configuration errors, 2 on runtime failures. The output
-directory resolves as ``--out``, then the config's ``output_dir``, then the
-``CELTIBERO_OUT`` environment variable, then ``./out``.
+``celtibero run config.yaml [--seed N] [--out DIR] [--quiet]``, or
+``python -m celtibero.cli run ...``, executes one experiment and writes
+``rounds.csv`` plus ``summary.json``. Exit codes: 0 on success, 1 on
+configuration errors, 2 on runtime failures. The output directory resolves
+as ``--out``, then the config's ``output_dir``, then the ``CELTIBERO_OUT``
+environment variable, then ``./out``.
 """
 
 from __future__ import annotations
@@ -82,3 +83,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -58,7 +58,6 @@ __all__ = [
     "ExperimentResult",
     "Experiment",
     "sample_participants",
-    "compute_asr",
     "backdoor_success_rate",
     "run_experiment",
 ]
@@ -151,47 +150,6 @@ def sample_participants(
         raise ValueError(f"need at least 2 clients to sample from, got {num_clients}")
     count = _participant_count(rng.uniform(low, high), num_clients)
     return np.sort(rng.choice(num_clients, size=count, replace=False))
-
-
-def compute_asr(
-    kind: str,
-    attacked: EvalResult | None = None,
-    reference: EvalResult | None = None,
-    triggered_rate: float | None = None,
-    source_class: int | None = None,
-) -> float:
-    """Attack success rate in [0, 1] for the given attack kind.
-
-    Untargeted flipping measures relative main-accuracy decay against the
-    reference run; targeted flipping measures relative source-class accuracy
-    decay; backdoor attacks pass through the triggered misclassification
-    rate. A zero reference denominator yields 0 with a warning record.
-    """
-    if kind == "none":
-        return 0.0
-    if kind in BACKDOOR_KINDS:
-        if triggered_rate is None:
-            raise ValueError(f"{kind} needs a triggered evaluation rate")
-        if not 0.0 <= triggered_rate <= 1.0:
-            raise ValueError(f"triggered rate must lie in [0, 1], got {triggered_rate}")
-        return float(triggered_rate)
-    if attacked is None or reference is None:
-        raise ValueError(f"{kind} needs both attacked and reference metrics")
-    if kind == "ulfa":
-        ref_value, atk_value = reference.accuracy, attacked.accuracy
-    elif kind == "tlfa":
-        if source_class is None:
-            raise ValueError("tlfa needs the source class")
-        ref_value = reference.per_class.get(source_class, 0.0)
-        atk_value = attacked.per_class.get(source_class, 0.0)
-    else:
-        raise ValueError(f"unknown attack kind {kind!r}")
-    if ref_value == 0.0:
-        logger.warning(
-            "reference accuracy is zero for %s; defining attack success rate as 0", kind
-        )
-        return 0.0
-    return float(max(0.0, (ref_value - atk_value) / ref_value))
 
 
 def _stamped_rows(data: LabeledDataset, trigger: TriggerPattern) -> np.ndarray:
@@ -339,13 +297,41 @@ class Experiment:
         with each client's clean share (a benign client's is its ``data``).
         Nothing is regenerated, repartitioned or re-cut."""
         reference = copy.copy(self)
-        reference.cfg = config_from_dict(
-            config_to_dict(replace(self.cfg, attack=AttackSpec(kind="none")))
-        )
+        reference.cfg = replace(self.cfg, attack=AttackSpec(kind="none"))
         reference.clients = tuple(
             replace(c, data=self._clean_shares.get(c.index, c.data)) for c in self.clients
         )
         return reference
+
+    def _score(
+        self, model: ModelWeights, reference: RoundReport | None
+    ) -> tuple[EvalResult, float]:
+        """The model's metrics on the test set and its attack success rate in
+        [0, 1]: the triggered misclassification rate for a backdoor; the
+        relative decay, against the matching ``reference`` round, of overall
+        accuracy for ulfa and of source-class accuracy for tlfa. A zero
+        reference accuracy scores 0 with a warning; every other case, a
+        label flip without a reference included, scores 0."""
+        attack, activation = self.cfg.attack, self.cfg.architecture.activation
+        metrics = evaluate(model, self.test_data, activation)
+        if attack.kind in BACKDOOR_KINDS:
+            return metrics, backdoor_success_rate(
+                model, self.test_data, attack.trigger, activation, stamped=self._stamped
+            )
+        if attack.kind not in _FLIP_KINDS or reference is None:
+            return metrics, 0.0
+        if attack.kind == "ulfa":
+            ref_value, value = reference.mta, metrics.accuracy
+        else:
+            ref_value = reference.per_class.get(attack.source_class, 0.0)
+            value = metrics.per_class.get(attack.source_class, 0.0)
+        if ref_value == 0.0:
+            logger.warning(
+                "reference accuracy is zero for %s; defining attack success rate as 0",
+                attack.kind,
+            )
+            return metrics, 0.0
+        return metrics, float(max(0.0, (ref_value - value) / ref_value))
 
     def initial_state(self) -> FederationState:
         return FederationState(
@@ -372,6 +358,8 @@ class Experiment:
         cfg = self.cfg
         started = time.perf_counter()
         t = state.round_index
+        if cfg.attack.kind in _FLIP_KINDS and reference_report is None:
+            raise RoundError(f"round {t}: {cfg.attack.kind} needs the matching reference round")
         participants = sample_participants(
             cfg.clients, cfg.participation, derive_rng(state.master_seed, "participants", t)
         )
@@ -411,30 +399,7 @@ class Experiment:
             raise RoundError(
                 f"round {t}: aggregation failed with {len(local_models)} participants: {exc}"
             ) from exc
-        metrics = evaluate(new_global, self.test_data, cfg.architecture.activation)
-        if cfg.attack.kind in BACKDOOR_KINDS:
-            rate = backdoor_success_rate(
-                new_global,
-                self.test_data,
-                cfg.attack.trigger,
-                cfg.architecture.activation,
-                stamped=self._stamped,
-            )
-            asr = compute_asr(cfg.attack.kind, triggered_rate=rate)
-        elif cfg.attack.kind in _FLIP_KINDS:
-            if reference_report is None:
-                raise RoundError(
-                    f"round {t}: {cfg.attack.kind} needs the matching reference round"
-                )
-            reference = EvalResult(reference_report.mta, reference_report.per_class)
-            asr = compute_asr(
-                cfg.attack.kind,
-                attacked=metrics,
-                reference=reference,
-                source_class=cfg.attack.source_class,
-            )
-        else:
-            asr = 0.0
+        metrics, asr = self._score(new_global, reference_report)
         realized_update = diff(new_global, state.global_model)
         wall_ms = (time.perf_counter() - started) * 1000.0
         report = RoundReport(
@@ -468,23 +433,14 @@ def _summarize(
     reference_reports: tuple[RoundReport, ...] | None,
 ) -> dict:
     cfg = experiment.cfg
-    initial_metrics = evaluate(
-        experiment.initial_model, experiment.test_data, cfg.architecture.activation
-    )
     if reports:
-        final_mta = reports[-1].mta
-        final_asr = reports[-1].asr
+        initial_metrics = evaluate(
+            experiment.initial_model, experiment.test_data, cfg.architecture.activation
+        )
+        final_mta, final_asr = reports[-1].mta, reports[-1].asr
     else:
+        initial_metrics, final_asr = experiment._score(experiment.initial_model, None)
         final_mta = initial_metrics.accuracy
-        if cfg.attack.kind in BACKDOOR_KINDS:
-            final_asr = backdoor_success_rate(
-                experiment.initial_model,
-                experiment.test_data,
-                cfg.attack.trigger,
-                cfg.architecture.activation,
-            )
-        else:
-            final_asr = 0.0
     summary: dict = {
         "config": config_to_dict(cfg),
         "rounds_completed": len(reports),

@@ -1,6 +1,10 @@
 """Command-line entry point: exit codes, output routing, and overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 
@@ -101,6 +105,39 @@ class TestRunCommand:
         config = write_config(tmp_path, dataset=dataset)
         assert cli.main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestModuleEntryPoint:
+    """``python -m celtibero.cli`` runs the same command as ``celtibero``."""
+
+    def run_module(self, *args, cwd):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "celtibero.cli", "run", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=cwd,
+            timeout=120,
+        )
+
+    def test_valid_config_runs_and_exits_0(self, tmp_path):
+        config = write_config(tmp_path)
+        done = self.run_module(str(config), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("completed 1 rounds: mta=")
+        assert (tmp_path / "o" / "summary.json").exists()
+
+    def test_violations_exit_1_with_every_violation_listed(self, tmp_path):
+        config = write_config(tmp_path, clients=1, rounds=-1)
+        done = self.run_module(str(config), cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"config error: {config}")
+        assert "  - top level.clients: must be >= 2, got 1" in done.stderr
+        assert "rounds" in done.stderr
+        assert done.stderr.count("  - ") == 2
 
 
 class TestOutputDirPrecedence:

@@ -11,23 +11,23 @@ from celtibero import (
     AttackSpec,
     ClientSpec,
     ConfigError,
-    EvalResult,
     Experiment,
     FederationState,
     LabeledDataset,
     RoundError,
     RoundReport,
     backdoor_success_rate,
-    compute_asr,
     config_from_dict,
     config_to_dict,
     derive_rng,
     derive_seed,
+    evaluate,
     make_default_trigger,
     run_experiment,
     sample_participants,
     TriggerPattern,
 )
+from celtibero import orchestrator
 from celtibero.orchestrator import _stamped_rows
 from .test_training import dense_model
 
@@ -109,44 +109,96 @@ class TestSampleParticipants:
             sample_participants(1, (1.0, 1.0), rng)
 
 
-class TestComputeAsr:
-    def test_none_kind_is_zero(self):
-        assert compute_asr("none") == 0.0
+ULFA = {"kind": "ulfa"}
+TLFA = {"kind": "tlfa", "source_class": 1, "target_class": 0}
+BACKDOORS = [
+    {"kind": "mra", "target_class": 0, "poison_fraction": 1.0},
+    {"kind": "dba", "target_class": 0, "poison_fraction": 1.0},
+    {"kind": "neurotoxin", "target_class": 0, "poison_fraction": 1.0},
+]
 
-    def test_backdoor_rate_passes_through(self):
-        assert compute_asr("mra", triggered_rate=0.42) == 0.42
-        assert compute_asr("dba", triggered_rate=1.0) == 1.0
-        assert compute_asr("neurotoxin", triggered_rate=0.0) == 0.0
+
+def constant_model(cls):
+    """A model of ``tiny_config``'s (6, 5, 3) network that predicts ``cls``
+    for every input."""
+    bias = np.zeros(3)
+    bias[cls] = 1.0
+    return dense_model(np.zeros((6, 5)), np.zeros(5), np.zeros((5, 3)), bias)
+
+
+def reference_round(mta, per_class=None):
+    return RoundReport(0, (0, 1), mta, per_class or {}, 0.0, None, 0.0)
+
+
+class TestScore:
+    """``Experiment._score``: the one rule that gives each round its MTA and
+    ASR, for every attack kind."""
+
+    def test_none_kind_is_zero_even_against_a_reference(self):
+        experiment = Experiment(tiny_config())
+        model = experiment.initial_model
+        metrics, asr = experiment._score(model, reference_round(1.0, {0: 1.0, 1: 1.0}))
+        assert metrics == evaluate(model, experiment.test_data)
+        assert asr == 0.0
+
+    @pytest.mark.parametrize("attack", BACKDOORS, ids=lambda a: a["kind"])
+    def test_backdoor_rate_passes_through(self, attack):
+        experiment = Experiment(tiny_config(attack=attack))
+        trigger = experiment.cfg.attack.trigger
+        for model, expected in (
+            (constant_model(0), 1.0),  # always the target class
+            (constant_model(1), 0.0),
+            (experiment.initial_model, None),
+        ):
+            _, asr = experiment._score(model, reference_round(1.0))
+            assert asr == backdoor_success_rate(model, experiment.test_data, trigger)
+            assert expected is None or asr == expected
 
     def test_untargeted_relative_accuracy_decay(self):
-        asr = compute_asr("ulfa", EvalResult(0.889, {}), EvalResult(0.973, {}))
-        assert round(asr, 3) == 0.086
-        assert asr == pytest.approx((0.973 - 0.889) / 0.973, abs=1e-12)
+        experiment = Experiment(tiny_config(attack=ULFA))
+        accuracy = float(np.mean(experiment.test_data.labels == 0))
+        metrics, asr = experiment._score(constant_model(0), reference_round(0.973))
+        assert metrics.accuracy == accuracy
+        assert 0.0 < asr < 1.0
+        assert asr == pytest.approx((0.973 - accuracy) / 0.973, abs=1e-12)
 
-    def test_improvement_clamps_to_zero(self):
-        assert compute_asr("ulfa", EvalResult(0.99, {}), EvalResult(0.9, {})) == 0.0
-
-    def test_zero_reference_warns_and_returns_zero(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="celtibero.orchestrator"):
-            asr = compute_asr("ulfa", EvalResult(0.5, {}), EvalResult(0.0, {}))
+    @pytest.mark.parametrize("attack", [ULFA, TLFA], ids=["ulfa", "tlfa"])
+    def test_improvement_clamps_to_zero(self, attack):
+        experiment = Experiment(tiny_config(attack=attack))
+        metrics, asr = experiment._score(constant_model(1), reference_round(0.1, {1: 0.5}))
+        assert metrics.accuracy > 0.1 and metrics.per_class[1] == 1.0
         assert asr == 0.0
-        assert "reference accuracy is zero" in caplog.text
+
+    @pytest.mark.parametrize("attack", [ULFA, TLFA], ids=["ulfa", "tlfa"])
+    def test_zero_reference_warns_and_returns_zero(self, attack, caplog):
+        experiment = Experiment(tiny_config(attack=attack))
+        with caplog.at_level(logging.WARNING, logger="celtibero.orchestrator"):
+            _, asr = experiment._score(constant_model(2), reference_round(0.0, {1: 0.0}))
+        assert asr == 0.0
+        assert f"reference accuracy is zero for {attack['kind']}" in caplog.text
 
     def test_targeted_uses_source_class_accuracy(self):
-        attacked = EvalResult(0.95, {0: 1.0, 1: 0.45})
-        reference = EvalResult(0.97, {0: 1.0, 1: 0.9})
-        asr = compute_asr("tlfa", attacked, reference, source_class=1)
-        assert asr == pytest.approx(0.5, abs=1e-12)
+        experiment = Experiment(tiny_config(attack=TLFA))
+        model = experiment.initial_model
+        metrics = evaluate(model, experiment.test_data)
+        # Overall accuracy matches the reference; only the source class counts.
+        _, asr = experiment._score(model, reference_round(metrics.accuracy, {0: 0.2, 1: 1.0}))
+        assert asr == pytest.approx(1.0 - metrics.per_class[1], abs=1e-12)
+        _, asr = experiment._score(constant_model(0), reference_round(0.0, {0: 1.0, 1: 0.9}))
+        assert asr == 1.0
+        _, asr = experiment._score(constant_model(1), reference_round(1.0, {0: 1.0, 1: 0.9}))
+        assert asr == 0.0
 
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            compute_asr("mra")
-        with pytest.raises(ValueError):
-            compute_asr("mra", triggered_rate=1.2)
-        with pytest.raises(ValueError):
-            compute_asr("ulfa", EvalResult(0.9, {}))
-        with pytest.raises(ValueError):
-            compute_asr("tlfa", EvalResult(0.9, {}), EvalResult(0.9, {}))
+    @pytest.mark.parametrize("name, source", [("ulfa-iid", None), ("tlfa-iid", 1)])
+    def test_rounds_are_scored_against_the_matching_reference_round(self, name, source):
+        result = run_experiment(label_flip_config(name))
+        for report, ref in zip(result.reports, result.reference_reports, strict=True):
+            if source is None:
+                ref_value, value = ref.mta, report.mta
+            else:
+                ref_value, value = ref.per_class[source], report.per_class[source]
+            expected = max(0.0, (ref_value - value) / ref_value) if ref_value else 0.0
+            assert report.asr == expected
 
 
 class TestBackdoorSuccessRate:
@@ -263,9 +315,15 @@ class TestExperiment:
         assert [r.asr for r in a] == [r.asr for r in b]
         assert [r.participants for r in a] == [r.participants for r in b]
 
-    def test_flip_attacks_require_reference_rounds(self):
+    def test_flip_attacks_require_reference_rounds(self, monkeypatch):
         cfg = tiny_config(attack={"kind": "ulfa", "flip_fraction": 1.0})
-        with pytest.raises(RoundError, match="needs the matching reference round"):
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a client trained")
+
+        # The misuse fails before any client trains.
+        monkeypatch.setattr(orchestrator, "train_local", no_training)
+        with pytest.raises(RoundError, match="round 0: ulfa needs the matching reference round"):
             Experiment(cfg).run()
 
     def test_hand_built_config_gets_the_parse_time_check(self):
@@ -463,11 +521,26 @@ class TestRunExperiment:
         assert len(summary["malicious_clients"]) == 2
         assert summary["config"]["clients"] == 6
 
-    def test_zero_round_summary_falls_back_to_initial_model(self):
-        result = run_experiment(tiny_config(rounds=0))
+    @pytest.mark.parametrize(
+        "attack", [{"kind": "none"}, BACKDOORS[0], ULFA, TLFA], ids=lambda a: a["kind"]
+    )
+    def test_zero_round_summary_falls_back_to_initial_model(self, attack):
+        cfg = tiny_config(rounds=0, attack=attack)
+        result = run_experiment(cfg)
+        summary = result.summary
         assert result.reports == ()
-        assert result.summary["rounds_completed"] == 0
-        assert result.summary["final_mta"] == result.summary["initial_mta"]
+        assert summary["rounds_completed"] == 0
+        assert summary["final_mta"] == summary["initial_mta"]
+        if attack["kind"] == "mra":
+            experiment = Experiment(cfg)
+            assert summary["final_asr"] == backdoor_success_rate(
+                experiment.initial_model, experiment.test_data, experiment.cfg.attack.trigger
+            )
+        else:
+            assert summary["final_asr"] == 0.0
+        if attack["kind"] in ("ulfa", "tlfa"):
+            assert result.reference_reports == ()
+            assert summary["reference"]["final_mta"] == summary["initial_mta"]
 
     def test_neurotoxin_round_zero_uses_zero_reference(self):
         cfg = tiny_config(

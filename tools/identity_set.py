@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 52 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 55 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -24,7 +24,9 @@ linkage) against each attack kind (none, ulfa, tlfa 1->0, mra, dba with an
 with one hidden unit, and with tanh hidden units (the only configs of the
 set that run tanh), each under fedavg and celtibero; and that 8-round config
 on Dirichlet (alpha 0.5) shares under ulfa with celtibero and tlfa with
-median_krum, whose reference federations run on ragged clean shares.
+median_krum, whose reference federations run on ragged clean shares; and
+that 8-round config at 0 rounds under celtibero against mra, ulfa and tlfa,
+whose summaries score the initial model.
 Standard library and NumPy only; it runs the configs one after another in
 this process.
 
@@ -144,6 +146,10 @@ def configs() -> dict[str, dict]:
         ("tlfa-median_krum", ATTACKS["tlfa"], AGGREGATORS["median_krum"]),
     ):
         out[f"r8-dirichlet/{name}"] = dict(dirichlet, aggregator=aggregator, attack=attack)
+    for attack_name in ("mra", "ulfa", "tlfa"):
+        out[f"r0/{attack_name}"] = dict(
+            short, rounds=0, aggregator={"kind": "celtibero"}, attack=ATTACKS[attack_name]
+        )
     return out
 
 
