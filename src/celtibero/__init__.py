@@ -37,7 +37,6 @@ from .clustering import (
     ClusterVerdict,
     DistanceMatrix,
     agglomerative_two_clusters,
-    cluster_density,
     label_clusters,
     pairwise_cosine_matrix,
 )

@@ -1,13 +1,15 @@
-"""Two-cluster agglomerative clustering over pairwise cosine distances.
+"""One layer's verdict: pairwise cosine distances, two-cluster agglomerative
+clustering, and the size x density score that discards one cluster.
 
 Each client's per-layer update is characterized by its direction only. The
-cosine kernel of the ``model`` module fills the pairwise distance matrix a
-row at a time, taking each norm once. Bottom-up merges on n x n NumPy
-arrays, updated in the merged row and column only by the Lance-Williams rule
-(Lance & Williams 1967), run until exactly two clusters remain, and the cluster
-with the smaller ``size * mean pairwise distance`` score is labeled poisoned: a
-small, tightly packed group of updates is treated as coordinated manipulation,
-while the larger or more naturally dispersed group is kept.
+cosine kernel, ``pairwise_cosine_matrix``, fills the pairwise distance
+matrix a row at a time, taking each norm once. Bottom-up merges on n x n
+NumPy arrays, updated in the merged row and column only by the
+Lance-Williams rule (Lance & Williams 1967), run until exactly two clusters
+remain, and the cluster with the smaller ``size * mean pairwise distance``
+score is labeled poisoned: a small, tightly packed group of updates is
+treated as coordinated manipulation, while the larger or more naturally
+dispersed group is kept.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _cosine_distances
+from .errors import ShapeMismatchError
 
 __all__ = [
     "LINKAGES",
@@ -25,7 +27,6 @@ __all__ = [
     "ClusterVerdict",
     "pairwise_cosine_matrix",
     "agglomerative_two_clusters",
-    "cluster_density",
     "label_clusters",
 ]
 
@@ -116,16 +117,48 @@ class ClusterVerdict:
             raise ValueError("benign and poisoned sets must partition 0..n-1")
 
 
-def pairwise_cosine_matrix(updates) -> DistanceMatrix:
-    """Cosine-distance matrix over a list of equal-length flat vectors.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[k], b[k])`` for every row k (a 1-D ``a`` or ``b`` stands for
+    itself in every row), bit for bit: one batched ``np.matmul`` of C-contiguous
+    ``(1, w) @ (w, 1)`` blocks runs the vector dot ``np.dot`` runs."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    Entry (i, j) is ``1 - cos`` of updates i and j, clamped to [0, 2], with
-    the cosine kernel's scaling, NaN/Inf check and zero-norm conventions.
+
+def pairwise_cosine_matrix(updates) -> DistanceMatrix:
+    """The cosine kernel: ``1 - cos`` between every pair of at least two
+    equal-length flat vectors, clamped to [0, 2].
+
+    Each row is scaled by the power of two that brings its largest magnitude
+    into [0.5, 1): exact, so normal-range cosines are unchanged, while huge
+    norms no longer overflow. NaN or Inf input raises ``ValueError``, checked
+    before a length mismatch (``ShapeMismatchError``), and fewer than two
+    vectors raise ``ValueError``. Row ``i`` is filled against rows
+    ``i+1:`` by one ``_dots`` call, bit for bit the per-pair ``np.dot``.
+    Zero-norm convention: 1.0 when exactly one vector is all-zero (a zero
+    vector carries no direction, so it sits at the neutral distance), 0.0
+    when both are.
     """
-    entries = _cosine_distances(updates)
-    if entries.shape[0] < 2:
+    rows = [np.asarray(vec, dtype=np.float64).reshape(-1) for vec in updates]
+    width = rows[0].size if rows else 0
+    n = next((k for k, row in enumerate(rows) if row.size != width), len(rows))
+    scaled = np.array(rows[:n]).reshape(n, width)
+    peak = np.max(np.abs(scaled), axis=1, initial=0.0)
+    if not np.isfinite(peak).all():
+        raise ValueError(f"vector {int(np.argmin(np.isfinite(peak)))} contains NaN or Inf")
+    if n < len(rows):
+        raise ShapeMismatchError(f"vector {n}: length {rows[n].size} vs {width}")
+    if n < 2:
         raise ValueError("need at least 2 update vectors")
-    return DistanceMatrix(entries)
+    scaled = np.ldexp(scaled, -np.frexp(peak)[1][:, None])
+    norms = np.sqrt(_dots(scaled, scaled))
+    zero = norms == 0.0
+    norms[zero] = 1.0  # a zero row's cosines are then 0, its distances 1
+    out = np.zeros((n, n))
+    for i in range(n - 1):
+        cos = _dots(scaled[i], scaled[i + 1:]) / (norms[i] * norms[i + 1:])
+        out[i, i + 1:] = out[i + 1:, i] = np.clip(1.0 - cos, 0.0, 2.0)
+    out[np.ix_(zero, zero)] = 0.0
+    return DistanceMatrix(out)
 
 
 def agglomerative_two_clusters(matrix: DistanceMatrix, linkage: str = "average") -> ClusterAssignment:
@@ -166,45 +199,24 @@ def agglomerative_two_clusters(matrix: DistanceMatrix, linkage: str = "average")
     return ClusterAssignment(np.where(rep == 0, 1, 2))
 
 
-def cluster_density(matrix: DistanceMatrix, members) -> float:
-    """Mean pairwise distance inside ``members``; singletons have density 0."""
-    idx = np.asarray(members, dtype=np.int64).reshape(-1)
-    if idx.size == 0:
-        raise ValueError("cluster must be nonempty")
-    if np.any(idx < 0) or np.any(idx >= matrix.n):
-        raise ValueError("cluster member index out of range")
-    if np.unique(idx).size != idx.size:
-        raise ValueError("cluster members must be distinct")
-    k = idx.size
-    if k == 1:
-        return 0.0
-    sub = matrix.entries[np.ix_(idx, idx)]
-    # The full submatrix counts each unordered pair twice and the zero
-    # diagonal not at all, so this is the mean over unordered pairs.
-    return float(sub.sum() / (k * (k - 1)))
-
-
 def label_clusters(matrix: DistanceMatrix, assignment: ClusterAssignment) -> ClusterVerdict:
     """Score both clusters as ``size * density`` and discard the smaller score.
 
-    A strictly smaller score for cluster 1 marks it poisoned; otherwise
-    (including exact ties) cluster 2 is poisoned.
+    A cluster's density is the mean pairwise distance between its members;
+    a singleton's is 0. A strictly smaller score for cluster 1 marks it
+    poisoned; otherwise (including exact ties) cluster 2 is poisoned.
     """
     if assignment.n != matrix.n:
         raise ValueError(
             f"assignment covers {assignment.n} clients, matrix has {matrix.n}"
         )
-    cluster_1 = assignment.members(1)
-    cluster_2 = assignment.members(2)
-    score_1 = cluster_1.size * cluster_density(matrix, cluster_1)
-    score_2 = cluster_2.size * cluster_density(matrix, cluster_2)
-    if score_1 < score_2:
-        poisoned, benign = cluster_1, cluster_2
-    else:
-        poisoned, benign = cluster_2, cluster_1
-    return ClusterVerdict(
-        benign=tuple(int(i) for i in benign),
-        poisoned=tuple(int(i) for i in poisoned),
-        score_1=float(score_1),
-        score_2=float(score_2),
-    )
+    clusters = assignment.members(1), assignment.members(2)
+    scores = []
+    for members in clusters:
+        k = members.size
+        # The full submatrix counts each unordered pair twice and the zero
+        # diagonal not at all: sum / (k * (k - 1)) is the mean pair distance.
+        sub = matrix.entries[np.ix_(members, members)]
+        scores.append(float(k * (sub.sum() / (k * (k - 1)))) if k > 1 else 0.0)
+    poisoned = 0 if scores[0] < scores[1] else 1
+    return ClusterVerdict(clusters[1 - poisoned], clusters[poisoned], *scores)

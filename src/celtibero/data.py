@@ -61,9 +61,10 @@ class LabeledDataset:
         num_classes = int(num_classes)
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-        if np.any(labs < 0) or np.any(labs >= num_classes):
+        if labs.min() < 0 or labs.max() >= num_classes:
             raise ValueError(f"labels must lie in [0, {num_classes})")
-        if not np.isfinite(feats).all() or np.any(feats < 0.0) or np.any(feats > 1.0):
+        # One reduction per bound; min and max propagate NaN, which fails both.
+        if not (np.min(feats, initial=np.inf) >= 0.0 and np.max(feats, initial=-np.inf) <= 1.0):
             raise ValueError("feature values must lie in [0, 1]")
         feats.flags.writeable = False
         labs.flags.writeable = False

@@ -152,43 +152,3 @@ def add_update(global_model: ModelWeights, update: ModelWeights) -> ModelWeights
     """Apply an update coordinate-wise; the result keeps the global model's shapes."""
     check_shapes((global_model, update))
     return ModelWeights._owning(global_model, global_model.flat + update.flat)
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot(a[k], b[k])`` for every row k (a 1-D ``a`` or ``b`` stands for
-    itself in every row), bit for bit: one batched ``np.matmul`` of C-contiguous
-    ``(1, w) @ (w, 1)`` blocks runs the vector dot ``np.dot`` runs."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def _cosine_distances(vectors) -> np.ndarray:
-    """The cosine kernel: ``1 - cos`` between every pair of equal-length
-    vectors, clamped to [0, 2], as a symmetric matrix with a zero diagonal.
-
-    Each row is scaled by the power of two that brings its largest magnitude
-    into [0.5, 1): exact, so normal-range cosines are unchanged, while huge
-    norms no longer overflow. NaN or Inf input raises ``ValueError``. Row
-    ``i`` is filled against rows ``i+1:`` by one ``_dots`` call, bit for bit
-    the per-pair ``np.dot``. Zero-norm convention: 1.0 when exactly one
-    vector is all-zero (a zero vector carries no direction, so it sits at
-    the neutral distance), 0.0 when both are.
-    """
-    rows = [np.asarray(vec, dtype=np.float64).reshape(-1) for vec in vectors]
-    width = rows[0].size if rows else 0
-    n = next((k for k, row in enumerate(rows) if row.size != width), len(rows))
-    scaled = np.array(rows[:n]).reshape(n, width)
-    peak = np.max(np.abs(scaled), axis=1, initial=0.0)
-    if not np.isfinite(peak).all():
-        raise ValueError(f"vector {int(np.argmin(np.isfinite(peak)))} contains NaN or Inf")
-    if n < len(rows):
-        raise ShapeMismatchError(f"vector {n}: length {rows[n].size} vs {width}")
-    scaled = np.ldexp(scaled, -np.frexp(peak)[1][:, None])
-    norms = np.sqrt(_dots(scaled, scaled))
-    zero = norms == 0.0
-    norms[zero] = 1.0  # a zero row's cosines are then 0, its distances 1
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        cos = _dots(scaled[i], scaled[i + 1:]) / (norms[i] * norms[i + 1:])
-        out[i, i + 1:] = out[i + 1:, i] = np.clip(1.0 - cos, 0.0, 2.0)
-    out[np.ix_(zero, zero)] = 0.0
-    return out

@@ -14,7 +14,7 @@ import copy
 import logging
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -185,36 +185,31 @@ def backdoor_success_rate(
 
 
 def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    master = cfg.seed
-    if cfg.dataset.kind == "synthetic":
-        train = gen_synthetic(
-            cfg.dataset.classes,
-            cfg.dataset.samples,
-            cfg.dataset.features,
-            cfg.dataset.separation,
-            derive_rng(master, "data", "train"),
-        )
-        test = gen_synthetic(
-            cfg.dataset.classes,
-            cfg.dataset.test_samples,
-            cfg.dataset.features,
-            cfg.dataset.separation,
-            derive_rng(master, "data", "test"),
-        )
-        return train, test
-    train = load_idx(cfg.dataset.train_images, cfg.dataset.train_labels)
-    test = load_idx(cfg.dataset.test_images, cfg.dataset.test_labels)
-    if cfg.dataset.train_subset is not None and cfg.dataset.train_subset < train.n:
-        pick = derive_rng(master, "data", "train_subset").choice(
-            train.n, size=cfg.dataset.train_subset, replace=False
-        )
-        train = train.subset(np.sort(pick))
-    if cfg.dataset.test_subset is not None and cfg.dataset.test_subset < test.n:
-        pick = derive_rng(master, "data", "test_subset").choice(
-            test.n, size=cfg.dataset.test_subset, replace=False
-        )
-        test = test.subset(np.sort(pick))
-    return train, test
+    dataset, master = cfg.dataset, cfg.seed
+    splits = []
+    for split, samples, subset in (
+        ("train", dataset.samples, dataset.train_subset),
+        ("test", dataset.test_samples, dataset.test_subset),
+    ):
+        if dataset.kind == "synthetic":
+            data = gen_synthetic(
+                dataset.classes,
+                samples,
+                dataset.features,
+                dataset.separation,
+                derive_rng(master, "data", split),
+            )
+        else:
+            data = load_idx(
+                getattr(dataset, f"{split}_images"), getattr(dataset, f"{split}_labels")
+            )
+            if subset is not None and subset < data.n:
+                pick = derive_rng(master, "data", f"{split}_subset").choice(
+                    data.n, size=subset, replace=False
+                )
+                data = data.subset(np.sort(pick))
+        splits.append(data)
+    return splits[0], splits[1]
 
 
 def _poison_client_data(
@@ -453,25 +448,10 @@ def _summarize(
         "participants": [list(r.participants) for r in reports],
     }
     if cfg.attack.kind in BACKDOOR_KINDS:
-        summary["trigger"] = {
-            "positions": list(cfg.attack.trigger.positions),
-            "values": list(cfg.attack.trigger.values),
-            "target_class": cfg.attack.trigger.target_class,
-        }
+        summary["trigger"] = asdict(cfg.attack.trigger)
     if cfg.aggregator.kind == "celtibero":
         summary["verdict_history"] = [
-            {
-                "round": r.round_index,
-                "layers": [
-                    {
-                        "benign": list(v.benign),
-                        "poisoned": list(v.poisoned),
-                        "score_1": v.score_1,
-                        "score_2": v.score_2,
-                    }
-                    for v in r.verdicts
-                ],
-            }
+            {"round": r.round_index, "layers": [asdict(v) for v in r.verdicts]}
             for r in reports
         ]
     if reference_reports is not None:

@@ -8,7 +8,8 @@ functions are the exception: they keep the aggregators' former layout, one
 the aggregators that now slice the columns of one stacked matrix. Their
 models are sequences of per-layer flat vectors. ``per_pair_cosine_distances``
 is likewise the former cosine kernel, one ``np.dot`` per pair, kept as the
-bit-for-bit reference for the kernel that fills a row at a time, and
+bit-for-bit reference for ``pairwise_cosine_matrix``, which fills a row at
+a time, and
 ``per_layer_loss_and_grad``/``per_layer_train_local`` are the former
 trainer: a second copy of the forward pass, separate per-layer gradient
 arrays and one SGD update per layer, the reference for the trainer that
@@ -23,8 +24,9 @@ bit-for-bit reference for the generator that does both in place.
 ``argsort_neurotoxin_mask`` is the former Neurotoxin mask, one stable
 ``np.argsort`` of each layer's negated magnitudes, kept as the bit-for-bit
 reference for the mask that cuts each layer with one ``np.partition``.
-``cosine_distance`` and ``forward`` are the package's own kernels on one
-pair of vectors and on one feature row, which only the tests call.
+``cosine_distance`` is ``pairwise_cosine_matrix`` on one pair of vectors
+and ``forward`` the trainer's forward pass on one feature row, which only
+the tests call.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from celtibero import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from celtibero.model import _cosine_distances
 from celtibero.training import _dense_pairs, _forward_probs
 
 
 def cosine_distance(u, v) -> float:
     """``1 - cos(u, v)``, clamped to [0, 2]: the two-vector case of the cosine
     kernel, with its scaling, NaN/Inf check and zero-norm convention."""
-    return float(_cosine_distances((u, v))[0, 1])
+    return float(pairwise_cosine_matrix((u, v)).entries[0, 1])
 
 
 def forward(model, features, activation="relu"):
@@ -257,7 +258,7 @@ def per_layer_krum_scores(models, f):
 
 
 def per_pair_cosine_distances(vectors):
-    """Per-pair reference for ``model._cosine_distances``: each vector
+    """Per-pair reference for ``pairwise_cosine_matrix``: each vector
     converted, checked and scaled on its own, then one ``np.dot`` per pair."""
     scaled = []
     for k, vec in enumerate(vectors):

@@ -11,7 +11,6 @@ from celtibero import (
     DistanceMatrix,
     ShapeMismatchError,
     agglomerative_two_clusters,
-    cluster_density,
     label_clusters,
     pairwise_cosine_matrix,
 )
@@ -108,12 +107,18 @@ class TestPairwiseCosineMatrix:
                 assert m[i, j] == expected
 
     def test_needs_two_vectors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 update vectors"):
             pairwise_cosine_matrix([np.ones(3)])
+        # A non-finite vector is named first.
+        with pytest.raises(ValueError, match="vector 0 contains NaN or Inf"):
+            pairwise_cosine_matrix([np.array([np.nan, 1.0])])
 
     def test_length_mismatch_names_index(self):
         with pytest.raises(ShapeMismatchError, match="1"):
             pairwise_cosine_matrix([np.ones(3), np.ones(4)])
+        # A non-finite vector before the first mismatch is named first.
+        with pytest.raises(ValueError, match="vector 1 contains NaN or Inf"):
+            pairwise_cosine_matrix([np.ones(3), np.array([np.inf, 0.0, 0.0]), np.ones(4)])
 
 
 class TestAgglomerativeTwoClusters:
@@ -213,45 +218,48 @@ class TestFullRecomputeReference:
                     assert np.array_equal(got, want), (n, family, linkage)
 
 
-class TestClusterDensity:
-    def test_singleton_is_zero(self):
+class TestClusterScores:
+    """``label_clusters`` scores each cluster as its size times the mean
+    pairwise distance between its members."""
+
+    def test_singleton_scores_zero(self):
         m = random_matrix(np.random.default_rng(0), 4)
-        assert cluster_density(m, [2]) == 0.0
+        verdict = label_clusters(m, ClusterAssignment([1, 1, 2, 1]))
+        assert verdict.score_2 == 0.0
+        assert verdict.poisoned == (2,)
 
-    def test_pair_is_their_distance(self):
-        entries = np.zeros((3, 3))
-        entries[0, 1] = entries[1, 0] = 0.8
-        entries[0, 2] = entries[2, 0] = 1.1
-        entries[1, 2] = entries[2, 1] = 0.3
+    def test_pair_and_triple_score_size_times_mean(self):
+        entries = np.zeros((5, 5))
+        pairs = {(0, 1): 0.2, (0, 2): 0.4, (1, 2): 0.6, (3, 4): 1.1}
+        for (i, j), d in pairs.items():
+            entries[i, j] = entries[j, i] = d
+        for i in range(3):
+            for j in (3, 4):
+                entries[i, j] = entries[j, i] = 1.9
         m = DistanceMatrix(entries)
-        assert cluster_density(m, [0, 2]) == pytest.approx(1.1)
+        verdict = label_clusters(m, ClusterAssignment([1, 1, 1, 2, 2]))
+        assert verdict.score_1 == pytest.approx(3 * 0.4)
+        assert verdict.score_2 == pytest.approx(2 * 1.1)
+        assert verdict.benign == (3, 4) and verdict.poisoned == (0, 1, 2)
 
-    def test_triple_mean(self):
-        entries = np.zeros((3, 3))
-        entries[0, 1] = entries[1, 0] = 0.2
-        entries[0, 2] = entries[2, 0] = 0.4
-        entries[1, 2] = entries[2, 1] = 0.6
-        m = DistanceMatrix(entries)
-        assert cluster_density(m, [0, 1, 2]) == pytest.approx(0.4)
-
-    def test_matches_oracle_on_random_subsets(self):
+    def test_scores_keep_the_former_bits(self):
+        # The former rule: size times a float density of sum / (k * (k - 1)).
         rng = np.random.default_rng(29)
-        m = random_matrix(rng, 7)
-        for _ in range(25):
-            k = int(rng.integers(1, 8))
-            members = rng.choice(7, size=k, replace=False)
-            assert cluster_density(m, members) == pytest.approx(
-                mean_pairwise(m.entries, members.tolist()), abs=1e-12
-            )
-
-    def test_rejects_duplicates_and_out_of_range(self):
-        m = random_matrix(np.random.default_rng(1), 4)
-        with pytest.raises(ValueError):
-            cluster_density(m, [1, 1])
-        with pytest.raises(ValueError):
-            cluster_density(m, [4])
-        with pytest.raises(ValueError):
-            cluster_density(m, [])
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            m = random_matrix(rng, n)
+            labels = rng.integers(1, 3, size=n)
+            labels[rng.choice(n, size=2, replace=False)] = (1, 2)
+            verdict = label_clusters(m, ClusterAssignment(labels))
+            for label, score in ((1, verdict.score_1), (2, verdict.score_2)):
+                members = np.flatnonzero(labels == label)
+                k = members.size
+                sub = m.entries[np.ix_(members, members)]
+                former = k * float(sub.sum() / (k * (k - 1))) if k > 1 else 0.0
+                assert type(score) is float and score == former
+                assert score == pytest.approx(
+                    k * mean_pairwise(m.entries, members.tolist()), abs=1e-12
+                )
 
 
 class TestLabelClusters:

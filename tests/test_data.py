@@ -68,10 +68,15 @@ class TestLabeledDataset:
             LabeledDataset([[0.1]], [0], 1)  # too few classes
         with pytest.raises(ValueError):
             LabeledDataset([[0.1]], [2], 2)  # label out of range
-        with pytest.raises(ValueError):
-            LabeledDataset([[1.5]], [0], 2)  # feature above 1
-        with pytest.raises(ValueError):
-            LabeledDataset([[np.nan]], [0], 2)  # non-finite feature
+        with pytest.raises(ValueError, match="labels must lie"):
+            LabeledDataset([[0.1]], [-1], 2)  # label below 0
+        for bad in (1.5, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="feature values must lie"):
+                LabeledDataset([[0.5, bad]], [0], 2)
+
+    def test_zero_width_features_are_accepted(self):
+        data = LabeledDataset(np.empty((3, 0)), [0, 1, 0], 2)
+        assert data.n == 3 and data.d == 0
 
 
 class TestPartition:

@@ -22,6 +22,7 @@ from celtibero import (
     derive_rng,
     derive_seed,
     evaluate,
+    load_idx,
     make_default_trigger,
     run_experiment,
     sample_participants,
@@ -29,6 +30,7 @@ from celtibero import (
 )
 from celtibero import orchestrator
 from celtibero.orchestrator import _stamped_rows
+from .test_data import write_idx_pair
 from .test_training import dense_model
 
 
@@ -387,6 +389,41 @@ class TestExperiment:
             assert 0.0 <= r.mta <= 1.0
             assert 0.0 <= r.asr <= 1.0
             assert r.wall_ms >= 0.0
+
+
+def write_idx_split(directory, rng, count):
+    """``count`` random 28 x 28 images with digit labels, as an IDX pair in
+    ``directory``."""
+    directory.mkdir()
+    pixels = rng.integers(0, 256, size=count * 28 * 28).tolist()
+    labels = rng.integers(0, 10, size=count).tolist()
+    return write_idx_pair(directory, pixels, labels, rows=28, cols=28)
+
+
+class TestIdxExperiment:
+    def test_subsets_shares_and_rerun(self, tmp_path):
+        rng = np.random.default_rng(0)
+        train_images, train_labels = write_idx_split(tmp_path / "train", rng, 40)
+        test_images, test_labels = write_idx_split(tmp_path / "test", rng, 20)
+        dataset = {
+            "kind": "mnist_idx",
+            "train_images": str(train_images),
+            "train_labels": str(train_labels),
+            "test_images": str(test_images),
+            "test_labels": str(test_labels),
+            "train_subset": 30,
+            "test_subset": 12,
+        }
+        cfg = tiny_config(dataset=dataset, clients=3, aggregator={"kind": "celtibero"})
+        experiment = Experiment(cfg)
+        pick = derive_rng(cfg.seed, "data", "test_subset").choice(20, 12, replace=False)
+        want = load_idx(test_images, test_labels).subset(np.sort(pick))
+        assert np.array_equal(experiment.test_data.features, want.features)
+        assert np.array_equal(experiment.test_data.labels, want.labels)
+        assert sum(c.data.n for c in experiment.clients) == 30
+        first = run_experiment(cfg)
+        assert first.summary["rounds_completed"] == 2
+        assert run_experiment(cfg).summary == first.summary
 
 
 LABEL_FLIP_CONFIGS = {

@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 55 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 56 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -26,7 +26,12 @@ set that run tanh), each under fedavg and celtibero; and that 8-round config
 on Dirichlet (alpha 0.5) shares under ulfa with celtibero and tlfa with
 median_krum, whose reference federations run on ragged clean shares; and
 that 8-round config at 0 rounds under celtibero against mra, ulfa and tlfa,
-whose summaries score the initial model.
+whose summaries score the initial model; and that 8-round config under
+celtibero against mra on ``mnist_idx`` data (the only config of the set that
+reads IDX files): tiny 28 x 28 image and label files drawn from a fixed seed
+into the run's scratch directory, both splits cut to a random subset. The
+configs run from that directory and name the files by relative paths, so the
+``config`` in ``summary.json`` is the same for every tree.
 Standard library and NumPy only; it runs the configs one after another in
 this process.
 
@@ -49,6 +54,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import struct
 import subprocess
 import sys
 import tempfile
@@ -112,6 +118,37 @@ ATTACKS = {
     },
 }
 
+# Image count of each IDX split; the r8-idx config takes a subset of each.
+IDX_COUNTS = {"train": 400, "test": 100}
+IDX_DATASET = {
+    "kind": "mnist_idx",
+    **{
+        f"{split}_{part}": f"idx/{split}-{part}-idx{dims}-ubyte"
+        for split in IDX_COUNTS
+        for part, dims in (("images", 3), ("labels", 1))
+    },
+    "train_subset": 300,
+    "test_subset": 80,
+}
+
+
+def _write_idx_files(directory: Path) -> None:
+    """The IDX files ``IDX_DATASET`` names, relative to ``directory``: random
+    28 x 28 images and digit labels from a fixed seed."""
+    import numpy as np
+
+    rng = np.random.default_rng(8)
+    (directory / "idx").mkdir()
+    for split, count in IDX_COUNTS.items():
+        images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=count, dtype=np.uint8)
+        (directory / IDX_DATASET[f"{split}_images"]).write_bytes(
+            struct.pack(">IIII", 0x803, count, 28, 28) + images.tobytes()
+        )
+        (directory / IDX_DATASET[f"{split}_labels"]).write_bytes(
+            struct.pack(">II", 0x801, count) + labels.tobytes()
+        )
+
 
 def _workloads() -> dict:
     """``perfbench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
@@ -150,6 +187,7 @@ def configs() -> dict[str, dict]:
         out[f"r0/{attack_name}"] = dict(
             short, rounds=0, aggregator={"kind": "celtibero"}, attack=ATTACKS[attack_name]
         )
+    out["r8-idx/celtibero"] = dict(short, dataset=IDX_DATASET, aggregator={"kind": "celtibero"})
     return out
 
 
@@ -185,9 +223,12 @@ def _print_fingerprints(src: Path) -> int:
         print(f"error: celtibero imports from {celtibero.__file__}, not {src}", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as scratch:
+        _write_idx_files(Path(scratch))
+        os.chdir(scratch)  # the IDX config names its files relative to it
         for k, (name, raw) in enumerate(configs().items()):
             summary, rounds = fingerprint(raw, Path(scratch) / str(k))
             print(f"{name} summary={summary} rounds={rounds}", flush=True)
+        os.chdir(REPO)
     return 0
 
 
