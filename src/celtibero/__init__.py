@@ -87,7 +87,6 @@ from .training import (
     TrainConfig,
     evaluate,
     init_model,
-    loss_and_grad,
     predict,
     train_local,
 )

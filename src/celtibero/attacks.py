@@ -86,33 +86,34 @@ class AttackSpec:
     dba_fragments: int | None = None
 
 
+# The default trigger's square side (its length on plain vectors) and value.
+_TRIGGER_PATCH = 3
+_TRIGGER_VALUE = 1.0
+
+
 def make_default_trigger(
-    num_features: int,
-    target_class: int,
-    image_side: int | None = None,
-    patch: int = 3,
-    value: float = 1.0,
+    num_features: int, target_class: int, image_side: int | None = None
 ) -> TriggerPattern:
     """Built-in reproducible trigger.
 
-    Image data (``image_side`` given) gets a ``patch x patch`` square of
-    maximum intensity in the top-left corner of the row-major layout; plain
-    feature vectors get their first ``patch`` features set to the top of the
-    normalized range.
+    Image data (``image_side`` given) gets a 3 x 3 square of maximum
+    intensity in the top-left corner of the row-major layout; plain feature
+    vectors get their first 3 features set to the top of the normalized
+    range.
     """
     if image_side is not None:
         if image_side * image_side != num_features:
             raise ValueError(
                 f"image_side {image_side} does not square to {num_features} features"
             )
-        if patch > image_side:
-            raise ValueError(f"patch {patch} exceeds image side {image_side}")
+        if _TRIGGER_PATCH > image_side:
+            raise ValueError(f"patch {_TRIGGER_PATCH} exceeds image side {image_side}")
         positions = tuple(
-            r * image_side + c for r in range(patch) for c in range(patch)
+            r * image_side + c for r in range(_TRIGGER_PATCH) for c in range(_TRIGGER_PATCH)
         )
     else:
-        positions = tuple(range(min(patch, num_features)))
-    return TriggerPattern(positions, tuple(value for _ in positions), target_class)
+        positions = tuple(range(min(_TRIGGER_PATCH, num_features)))
+    return TriggerPattern(positions, (_TRIGGER_VALUE,) * len(positions), target_class)
 
 
 def _round_half_up(fraction: float, n: int) -> int:

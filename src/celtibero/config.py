@@ -513,17 +513,40 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, noting each key repeated within one mapping (plain
+    loading keeps its last value) as a (line, violation) pair."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.repeats: list[tuple[int, str]] = []
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    self.repeats.append((line, f"line {line}: duplicate key {key!r}"))
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(path) -> ExperimentConfig:
-    """Load and validate a YAML experiment config from ``path``."""
-    text = Path(path).read_text()
+    """Load and validate a YAML experiment config from ``path``. A key
+    repeated within one mapping is a violation."""
+    loader = _UniqueKeyLoader(Path(path).read_text())
     try:
-        raw = yaml.safe_load(text)
+        raw = loader.get_single_data()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or str(exc)
         if mark is not None:
             raise ConfigError([f"syntax error at line {mark.line + 1}: {problem}"]) from exc
         raise ConfigError([f"syntax error: {problem}"]) from exc
+    if loader.repeats:
+        raise ConfigError(violation for _, violation in sorted(loader.repeats))
     if raw is None:
         raw = {}
     return config_from_dict(raw)

@@ -84,9 +84,6 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset._owning(self.features[idx], self.labels[idx], self.num_classes)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def __repr__(self) -> str:
         return f"LabeledDataset(n={self.n}, d={self.d}, classes={self.num_classes})"
 
@@ -110,13 +107,6 @@ class Partition:
         joined = np.sort(np.concatenate(cleaned))
         if not np.array_equal(joined, np.arange(self.total)):
             raise ValueError("assignments must cover every index exactly once")
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.assignments)
-
-    def sizes(self) -> np.ndarray:
-        return np.array([a.size for a in self.assignments])
 
 
 def _read_idx_header(data: bytes, path, magic: int, header_len: int, what: str) -> tuple[int, ...]:

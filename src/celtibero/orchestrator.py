@@ -95,21 +95,13 @@ class ClientSpec:
 
 @dataclass(frozen=True)
 class FederationState:
-    """Server-side snapshot between rounds."""
+    """What one round hands the next: the round to run, the global model it
+    starts from, and the global update the previous round realized (a zero
+    update before round 0), which Neurotoxin masks against."""
 
     round_index: int
     global_model: ModelWeights
-    clients: tuple[ClientSpec, ...]
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        total = len(self.clients)
-        bad = sum(1 for c in self.clients if c.malicious)
-        if total and bad * 2 >= total:
-            raise ValueError(
-                f"threat model violated: {bad} malicious of {total} clients "
-                "(honest clients must hold a strict majority)"
-            )
+    last_update: ModelWeights
 
 
 @dataclass(frozen=True)
@@ -322,31 +314,24 @@ class Experiment:
             value = metrics.per_class.get(attack.source_class, 0.0)
         if ref_value == 0.0:
             logger.warning(
-                "reference accuracy is zero for %s; defining attack success rate as 0",
+                "round %d: reference accuracy is zero for %s; "
+                "defining attack success rate as 0",
+                reference.round_index,
                 attack.kind,
             )
             return metrics, 0.0
         return metrics, float(max(0.0, (ref_value - value) / ref_value))
 
     def initial_state(self) -> FederationState:
-        return FederationState(
-            round_index=0,
-            global_model=self.initial_model,
-            clients=self.clients,
-            master_seed=self.cfg.seed,
-        )
+        model = self.initial_model
+        zero = ModelWeights(model.shapes(), np.zeros(model.flat.size))
+        return FederationState(round_index=0, global_model=model, last_update=zero)
 
     def run_round(
-        self,
-        state: FederationState,
-        reference_report: RoundReport | None = None,
-        prev_global_update: ModelWeights | None = None,
-    ) -> tuple[FederationState, RoundReport, ModelWeights]:
-        """Execute one round from ``state``.
-
-        Returns the next state, the round's report, and the realized global
-        update (the Neurotoxin reference for the following round; ``None``,
-        before the first round, stands for a zero update). For
+        self, state: FederationState, reference_report: RoundReport | None = None
+    ) -> tuple[FederationState, RoundReport]:
+        """Execute one round from ``state`` with this experiment's roster and
+        master seed, and return the next state and the round's report. For
         label-flipping attacks ``reference_report`` must carry the matching
         round of the no-attack reference run.
         """
@@ -356,20 +341,16 @@ class Experiment:
         if cfg.attack.kind in _FLIP_KINDS and reference_report is None:
             raise RoundError(f"round {t}: {cfg.attack.kind} needs the matching reference round")
         participants = sample_participants(
-            cfg.clients, cfg.participation, derive_rng(state.master_seed, "participants", t)
+            cfg.clients, cfg.participation, derive_rng(cfg.seed, "participants", t)
         )
-        if prev_global_update is None:
-            prev_global_update = ModelWeights(
-                state.global_model.shapes(), np.zeros(state.global_model.flat.size)
-            )
         local_models = []
         for i in participants:
-            client = state.clients[int(i)]
+            client = self.clients[int(i)]
             train_cfg = TrainConfig(
                 learning_rate=cfg.training.learning_rate,
                 batch_size=cfg.training.batch_size,
                 epochs=cfg.local_epochs,
-                seed=derive_seed(state.master_seed, "train", t, client.index),
+                seed=derive_seed(cfg.seed, "train", t, client.index),
             )
             try:
                 local = train_local(
@@ -382,7 +363,7 @@ class Experiment:
                     local = boost_update(local, state.global_model, gamma)
                 elif client.malicious and cfg.attack.kind == "neurotoxin":
                     masked = neurotoxin_mask(
-                        diff(local, state.global_model), prev_global_update, cfg.attack.mask_ratio
+                        diff(local, state.global_model), state.last_update, cfg.attack.mask_ratio
                     )
                     local = add_update(state.global_model, masked)
             except ValueError as exc:
@@ -395,7 +376,7 @@ class Experiment:
                 f"round {t}: aggregation failed with {len(local_models)} participants: {exc}"
             ) from exc
         metrics, asr = self._score(new_global, reference_report)
-        realized_update = diff(new_global, state.global_model)
+        next_state = FederationState(t + 1, new_global, diff(new_global, state.global_model))
         wall_ms = (time.perf_counter() - started) * 1000.0
         report = RoundReport(
             round_index=t,
@@ -406,18 +387,16 @@ class Experiment:
             verdicts=verdicts,
             wall_ms=wall_ms,
         )
-        next_state = replace(state, round_index=t + 1, global_model=new_global)
-        return next_state, report, realized_update
+        return next_state, report
 
     def run(
         self, reference_reports: tuple[RoundReport, ...] | None = None
     ) -> tuple[RoundReport, ...]:
         state = self.initial_state()
-        prev_update = None
         reports = []
         for t in range(self.cfg.rounds):
             reference = reference_reports[t] if reference_reports else None
-            state, report, prev_update = self.run_round(state, reference, prev_update)
+            state, report = self.run_round(state, reference)
             reports.append(report)
         return tuple(reports)
 

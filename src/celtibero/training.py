@@ -25,7 +25,6 @@ __all__ = [
     "EvalResult",
     "init_model",
     "predict",
-    "loss_and_grad",
     "train_local",
     "evaluate",
 ]
@@ -81,11 +80,11 @@ class EvalResult:
     per_class: dict[int, float]
 
 
-def init_model(arch: NetworkArchitecture, seed: int | None = None) -> ModelWeights:
+def init_model(arch: NetworkArchitecture) -> ModelWeights:
     """Deterministic initialization: each weight matrix is drawn uniformly
     from ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]``, biases start at zero. Every
     matrix and every bias registers as its own layer."""
-    rng = np.random.default_rng(arch.seed if seed is None else seed)
+    rng = np.random.default_rng(arch.seed)
     shapes, draws = [], []
     sizes = arch.layer_sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -202,21 +201,6 @@ def _batch_grads(pairs, grads, X, targets, activation) -> np.ndarray:
             else:
                 upstream *= 1.0 - post[k] * post[k]
     return logits
-
-
-def loss_and_grad(
-    model: ModelWeights, features, labels, activation: str = "relu"
-) -> tuple[float, ModelWeights]:
-    """Mean softmax cross-entropy over a batch and its gradient, packaged in
-    the model's shapes and layer order (matrix, bias, matrix, bias, ...)."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    grad = np.empty_like(model.flat)
-    pairs = _dense_pairs(model)
-    targets = np.eye(pairs[-1][1].size)[y]
-    log_probs = _batch_grads(pairs, _dense_pairs(model, grad), X, targets, activation)
-    loss = -float(log_probs[np.arange(X.shape[0]), y].mean())
-    return loss, ModelWeights._owning(model, grad)
 
 
 def train_local(

@@ -25,8 +25,8 @@ bit-for-bit reference for the generator that does both in place.
 ``np.argsort`` of each layer's negated magnitudes, kept as the bit-for-bit
 reference for the mask that cuts each layer with one ``np.partition``.
 ``cosine_distance`` is ``pairwise_cosine_matrix`` on one pair of vectors
-and ``forward`` the trainer's forward pass on one feature row, which only
-the tests call.
+``forward`` the trainer's forward pass on one feature row, and
+``loss_and_grad`` its backward pass on one batch, which only the tests call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from celtibero import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from celtibero.training import _dense_pairs, _forward_probs
+from celtibero.training import _batch_grads, _dense_pairs, _forward_probs
 
 
 def cosine_distance(u, v) -> float:
@@ -64,6 +64,20 @@ def forward(model, features, activation="relu"):
     if x.size != expected:
         raise ShapeMismatchError(f"feature vector length {x.size}, model expects {expected}")
     return _forward_probs(pairs, x[np.newaxis, :], activation)[0]
+
+
+def loss_and_grad(model, features, labels, activation="relu"):
+    """Mean softmax cross-entropy over a batch and its gradient, through the
+    trainer's own backward pass, packaged in the model's shapes and layer
+    order (matrix, bias, matrix, bias, ...)."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    grad = np.empty_like(model.flat)
+    pairs = _dense_pairs(model)
+    targets = np.eye(pairs[-1][1].size)[y]
+    log_probs = _batch_grads(pairs, _dense_pairs(model, grad), X, targets, activation)
+    loss = -float(log_probs[np.arange(X.shape[0]), y].mean())
+    return loss, ModelWeights._owning(model, grad)
 
 
 def replay_two_clusters(matrix, linkage="average"):

@@ -25,11 +25,10 @@ from celtibero import (
     coordinate_median,
     emit_reports,
     init_model,
-    loss_and_grad,
     run_experiment,
 )
 from .conftest import make_weights, record_criterion, ulfa_config
-from .oracles import replay_two_clusters
+from .oracles import loss_and_grad, replay_two_clusters
 
 
 def test_criterion_01_clustering_matches_step_replay_oracle():

@@ -111,8 +111,8 @@ class TestMakeDefaultTrigger:
     def test_rejections(self):
         with pytest.raises(ValueError):
             make_default_trigger(10, target_class=0, image_side=3)
-        with pytest.raises(ValueError):
-            make_default_trigger(4, target_class=0, image_side=2, patch=3)
+        with pytest.raises(ValueError, match="patch 3 exceeds image side 2"):
+            make_default_trigger(4, target_class=0, image_side=2)
 
 
 class TestFlipLabelsUntargeted:

@@ -504,6 +504,38 @@ class TestParseConfig:
             parse_config(path)
         assert excinfo.value.violations[0].startswith("syntax error at line")
 
+    def test_repeated_keys_are_all_rejected(self, tmp_path):
+        path = tmp_path / "repeats.yaml"
+        path.write_text(
+            "rounds: 5\n"
+            "aggregator: {kind: krum, kind: fedavg}\n"
+            "clients: 8\n"
+            "rounds: 50\n"
+            "attack:\n"
+            "  kind: mra\n"
+            "  target_class: 0\n"
+            "  kind: none\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert excinfo.value.violations == [
+            "line 2: duplicate key 'kind'",
+            "line 4: duplicate key 'rounds'",
+            "line 8: duplicate key 'kind'",
+        ]
+
+    def test_merged_and_reused_key_names_are_not_repeats(self, tmp_path):
+        # A key may name one entry in each mapping, and may override a key
+        # merged in with ``<<``.
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            "aggregator:\n  kind: krum\n"
+            "attack:\n  <<: {kind: mra, target_class: 0}\n  target_class: 1\n"
+        )
+        cfg = parse_config(path)
+        assert cfg.aggregator.kind == "krum"
+        assert (cfg.attack.kind, cfg.attack.target_class) == ("mra", 1)
+
     def test_non_mapping_document_rejected(self, tmp_path):
         path = tmp_path / "scalar.yaml"
         path.write_text("just a string\n")

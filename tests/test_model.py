@@ -21,13 +21,12 @@ from celtibero import (
     fedavg,
     gen_synthetic,
     init_model,
-    loss_and_grad,
     neurotoxin_mask,
     pairwise_cosine_matrix,
     train_local,
 )
 from .conftest import make_weights
-from .oracles import cosine_distance, per_pair_cosine_distances
+from .oracles import cosine_distance, loss_and_grad, per_pair_cosine_distances
 
 
 class TestLayerShape:

@@ -9,7 +9,6 @@ import pytest
 
 from celtibero import (
     AttackSpec,
-    ClientSpec,
     ConfigError,
     Experiment,
     FederationState,
@@ -21,6 +20,7 @@ from celtibero import (
     config_to_dict,
     derive_rng,
     derive_seed,
+    diff,
     evaluate,
     load_idx,
     make_default_trigger,
@@ -174,10 +174,11 @@ class TestScore:
     @pytest.mark.parametrize("attack", [ULFA, TLFA], ids=["ulfa", "tlfa"])
     def test_zero_reference_warns_and_returns_zero(self, attack, caplog):
         experiment = Experiment(tiny_config(attack=attack))
+        reference = replace(reference_round(0.0, {1: 0.0}), round_index=4)
         with caplog.at_level(logging.WARNING, logger="celtibero.orchestrator"):
-            _, asr = experiment._score(constant_model(2), reference_round(0.0, {1: 0.0}))
+            _, asr = experiment._score(constant_model(2), reference)
         assert asr == 0.0
-        assert f"reference accuracy is zero for {attack['kind']}" in caplog.text
+        assert f"round 4: reference accuracy is zero for {attack['kind']}" in caplog.text
 
     def test_targeted_uses_source_class_accuracy(self):
         experiment = Experiment(tiny_config(attack=TLFA))
@@ -261,22 +262,6 @@ class TestBackdoorSuccessRate:
 
 
 class TestStateAndReportValidation:
-    def make_client(self, index, malicious):
-        data = LabeledDataset([[0.1, 0.2]], [0], 2)
-        return ClientSpec(index=index, malicious=malicious, data=data)
-
-    def test_rejects_malicious_majority(self):
-        model = dense_model(np.zeros((2, 2)), np.zeros(2))
-        clients = tuple(self.make_client(i, i < 3) for i in range(6))
-        with pytest.raises(ValueError, match="threat model violated"):
-            FederationState(0, model, clients, master_seed=0)
-
-    def test_accepts_strict_minority(self):
-        model = dense_model(np.zeros((2, 2)), np.zeros(2))
-        clients = tuple(self.make_client(i, i < 2) for i in range(6))
-        state = FederationState(0, model, clients, master_seed=0)
-        assert state.round_index == 0
-
     def test_round_report_bounds(self):
         with pytest.raises(ValueError):
             RoundReport(0, (0, 1), mta=1.2, per_class={}, asr=0.0, verdicts=None, wall_ms=1.0)
@@ -579,7 +564,7 @@ class TestRunExperiment:
             assert result.reference_reports == ()
             assert summary["reference"]["final_mta"] == summary["initial_mta"]
 
-    def test_neurotoxin_round_zero_uses_zero_reference(self):
+    def test_neurotoxin_round_zero_uses_zero_reference(self, monkeypatch):
         cfg = tiny_config(
             attack={"kind": "neurotoxin", "target_class": 0, "mask_ratio": 0.5,
                     "poison_fraction": 1.0},
@@ -588,3 +573,30 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert len(result.reports) == 2
         assert all(0.0 <= r.asr <= 1.0 for r in result.reports)
+
+        mask = orchestrator.neurotoxin_mask
+        references = []
+
+        def capture(update, reference, mask_ratio):
+            references.append(reference)
+            return mask(update, reference, mask_ratio)
+
+        monkeypatch.setattr(orchestrator, "neurotoxin_mask", capture)
+        experiment = Experiment(cfg)
+        first = experiment.run_round(experiment.initial_state())
+        assert isinstance(first, tuple) and len(first) == 2
+        state, report = first
+        assert isinstance(state, FederationState) and isinstance(report, RoundReport)
+        zero_round = len(references)
+        assert zero_round == 2  # both attackers take part in every round
+        for reference in references:
+            assert reference.shapes() == experiment.initial_model.shapes()
+            assert np.all(reference.flat == 0.0)
+        realized = diff(state.global_model, experiment.initial_model)
+        assert state.last_update == realized
+        assert np.any(realized.flat != 0.0)
+        following, report = experiment.run_round(state)
+        assert len(references) == 2 * zero_round
+        assert all(reference == realized for reference in references[zero_round:])
+        assert following.last_update == diff(following.global_model, state.global_model)
+        assert report.mta == result.reports[1].mta and report.asr == result.reports[1].asr
