@@ -6,11 +6,12 @@ group scored as coordinated manipulation, and advances the global layer by
 the coordinate-wise median of the surviving updates. The remaining
 strategies (``fedavg``, ``coordinate_median``, ``krum``, ``median_krum``)
 serve as baselines under the same interface. Local models, updates and the
-result are all :class:`~celtibero.model.ModelWeights`; each strategy stacks
-its models once into one ``(models, parameters)`` matrix (``model.stack``)
-and works on its columns, a layer at a time where the rule is per layer
-(``ModelWeights.slices``). ``aggregate`` picks the strategy from a parsed
-:class:`~celtibero.config.AggregatorConfig`.
+result are all :class:`~celtibero.model.ModelWeights`. Each strategy stacks
+rows into ``(rows, parameters)`` matrices (``model.stack``): celtibero its
+updates, median-Krum all models and then the kept ones. It works on their
+columns, a layer at a time where the rule is per layer
+(``ModelWeights.slices``). ``aggregate`` picks the strategy for a parsed
+:class:`~celtibero.config.AggregatorConfig` from ``_RULES``, the kind table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,16 @@ __all__ = [
     "median_krum",
 ]
 
-AGGREGATOR_NAMES = ("celtibero", "fedavg", "coord_median", "krum", "median_krum")
+# Each kind's call: (global model, local models, config) -> (new global model,
+# verdicts or None). Rows name their rule at call time: rebinding it rebinds the row.
+_RULES = {
+    "celtibero": lambda g, models, cfg: celtibero_aggregate(g, models, cfg.linkage),
+    "fedavg": lambda g, models, cfg: (fedavg(models), None),
+    "coord_median": lambda g, models, cfg: (coordinate_median(models), None),
+    "krum": lambda g, models, cfg: (krum(models, cfg.krum_f), None),
+    "median_krum": lambda g, models, cfg: (median_krum(models, cfg.krum_f), None),
+}
+AGGREGATOR_NAMES = tuple(_RULES)
 # Krum pairs whose squared distance from the Gram matrix is at most this
 # share of ``G_ii + G_jj`` are recomputed from the difference of the two
 # models: there ``G_ii + G_jj - 2 G_ij`` cancels too many bits, and
@@ -162,14 +172,6 @@ def aggregate(
     local_models: list[ModelWeights],
 ) -> tuple[ModelWeights, tuple[ClusterVerdict, ...] | None]:
     """Apply the configured strategy; verdicts are returned for celtibero only."""
-    if cfg.kind == "celtibero":
-        return celtibero_aggregate(global_model, local_models, cfg.linkage)
-    if cfg.kind == "fedavg":
-        return fedavg(local_models), None
-    if cfg.kind == "coord_median":
-        return coordinate_median(local_models), None
-    if cfg.kind == "krum":
-        return krum(local_models, cfg.krum_f), None
-    if cfg.kind == "median_krum":
-        return median_krum(local_models, cfg.krum_f), None
-    raise ValueError(f"aggregator must be one of {AGGREGATOR_NAMES}, got {cfg.kind!r}")
+    if cfg.kind not in _RULES:
+        raise ValueError(f"aggregator must be one of {AGGREGATOR_NAMES}, got {cfg.kind!r}")
+    return _RULES[cfg.kind](global_model, local_models, cfg)

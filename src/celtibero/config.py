@@ -475,7 +475,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                     "participation", f"bounds must satisfy 0 < low <= high <= 1, got {bounds}"
                 )
 
-    if aggregator.kind in ("krum", "median_krum"):
+    if "krum_f" in _written_keys(AggregatorConfig, aggregator.kind):
         # Smallest round that sample_participants can draw: the low bound's count.
         fewest = _participant_count(participation[0], clients)
         needed = 2 * aggregator.krum_f + 3

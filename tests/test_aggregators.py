@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from celtibero import (
+    AGGREGATOR_NAMES,
     AggregatorConfig,
     LayerShape,
     ModelWeights,
@@ -278,11 +279,22 @@ class TestMedianKrum:
                 assert out.vectors()[0][c] == pytest.approx(expected, abs=1e-12)
 
 
+# The module-level rule each aggregator kind calls.
+RULE_NAMES = {
+    "celtibero": "celtibero_aggregate",
+    "fedavg": "fedavg",
+    "coord_median": "coordinate_median",
+    "krum": "krum",
+    "median_krum": "median_krum",
+}
+
+
 class TestAggregateDispatcher:
     def test_kind_validation(self):
         global_model, locals_ = detection_scenario()
+        with pytest.raises(ValueError, match="aggregator must be one of"):
+            aggregate(AggregatorConfig("trimmed_mean"), global_model, locals_)
         for bad in (
-            AggregatorConfig("trimmed_mean"),
             AggregatorConfig("krum", krum_f=-1),
             AggregatorConfig("celtibero", linkage="ward"),
         ):
@@ -293,9 +305,33 @@ class TestAggregateDispatcher:
         global_model, locals_ = detection_scenario()
         out, verdicts = aggregate(AggregatorConfig("celtibero"), global_model, locals_)
         assert verdicts is not None and len(verdicts) == 1
-        for name in ("fedavg", "coord_median"):
-            _, verdicts = aggregate(AggregatorConfig(name), global_model, locals_)
-            assert verdicts is None
+        for name in AGGREGATOR_NAMES:
+            if name != "celtibero":
+                cfg = AggregatorConfig(name, krum_f=2)
+                _, verdicts = aggregate(cfg, global_model, locals_)
+                assert verdicts is None
+
+    @pytest.mark.parametrize("kind", AGGREGATOR_NAMES)
+    def test_rules_are_looked_up_when_called(self, kind, monkeypatch):
+        # A probe that rebinds a rule's module-level name must see the
+        # calls ``aggregate`` makes, so no row may hold the function itself.
+        assert set(RULE_NAMES) == set(AGGREGATOR_NAMES)
+        global_model, locals_ = detection_scenario()
+        calls = []
+        result = make_weights(GLOBAL_VEC)
+
+        def stub(*args, **kwargs):
+            calls.append(args)
+            return (result, ()) if kind == "celtibero" else result
+
+        monkeypatch.setattr(aggregators, RULE_NAMES[kind], stub)
+        out, _ = aggregate(AggregatorConfig(kind, krum_f=2), global_model, locals_)
+        assert out is result
+        (args,) = calls
+        if kind == "celtibero":
+            assert args[0] is global_model and args[1] is locals_
+        else:
+            assert args[0] is locals_
 
     def test_dispatch_matches_direct_calls(self):
         global_model, locals_ = detection_scenario()
@@ -310,7 +346,7 @@ class TestAggregateDispatcher:
             median_krum(locals_, f=2)
         )
 
-    @pytest.mark.parametrize("kind", ["celtibero", "fedavg", "coord_median", "krum", "median_krum"])
+    @pytest.mark.parametrize("kind", AGGREGATOR_NAMES)
     def test_rejects_models_of_other_shapes(self, kind):
         global_model, locals_ = detection_scenario()
         reshaped = ModelWeights([LayerShape((1, 3))], locals_[-1].flat)

@@ -3,13 +3,19 @@
 import pytest
 
 from celtibero import (
+    AGGREGATOR_NAMES,
+    ATTACK_KINDS,
+    AggregatorConfig,
+    AttackSpec,
     ConfigError,
+    TriggerPattern,
     config_from_dict,
     config_to_dict,
     malicious_count,
     parse_config,
     run_experiment,
 )
+from celtibero.config import _KEY_RULES, _WRITTEN_KEYS
 
 INF = float("inf")
 
@@ -404,6 +410,31 @@ class TestKrumParticipants:
         raw = {"clients": 10, "participation": [0.1, 1.0],
                "aggregator": {"kind": "median_krum", "krum_f": 0}}
         assert any("can have 2" in v for v in violations_of(raw))
+
+    def test_check_follows_the_kinds_that_read_krum_f(self, monkeypatch):
+        raw = {"clients": 4, "participation": [1.0, 1.0],
+               "aggregator": {"kind": "fedavg", "krum_f": 2}}
+        assert config_from_dict(raw).aggregator.kind == "fedavg"
+        monkeypatch.setitem(_WRITTEN_KEYS[AggregatorConfig], "fedavg", ("kind", "krum_f"))
+        assert any("fedavg with krum_f=2 needs >= 7" in v for v in violations_of(raw))
+
+
+class TestKeyTables:
+    """``_WRITTEN_KEYS`` names only real kinds, and each key it names for
+    the parser to read has a rule: a misspelt kind would silently read only
+    ``kind``, and a key without a rule would silently keep its default."""
+
+    def test_every_kind_exists(self):
+        assert set(_WRITTEN_KEYS[AggregatorConfig]) <= set(AGGREGATOR_NAMES)
+        assert set(_WRITTEN_KEYS[AttackSpec]) <= set(ATTACK_KINDS)
+
+    def test_every_written_key_has_a_rule(self):
+        for block, keys in _WRITTEN_KEYS.items():
+            if block is TriggerPattern:
+                continue  # parsed by hand
+            for kind_keys in keys.values():
+                missing = set(kind_keys) - {"kind", "trigger"} - set(_KEY_RULES[block])
+                assert not missing, (block.__name__, missing)
 
 
 class TestCanonicalization:

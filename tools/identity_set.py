@@ -11,9 +11,9 @@ trees that print the same lines produce the same outputs on the set, so
 ``diff`` of two runs is the byte-identity check of a change that must keep
 every bit.
 
-With ``--compare OTHER_SRC`` it fingerprints both trees, each in a child
-process of its own, prints the names of the configs whose lines differ, and
-exits 1 if any do (0 if none).
+With ``--compare OTHER_SRC`` it fingerprints both trees at once, each in a
+child process of its own, prints the names of the configs whose lines
+differ, and exits 1 if any do (0 if none) or if either child fails.
 
 The set: the README quick-start config; the three benchmark workloads of
 ``perfbench/workloads.py`` at their default seeds; the README config cut to
@@ -232,21 +232,27 @@ def _print_fingerprints(src: Path) -> int:
     return 0
 
 
-def _fingerprints(src: Path) -> dict[str, str] | None:
-    """Each config's printed line for ``src``, from a child process (two trees
-    cannot both be imported as ``celtibero`` here); None if the child failed."""
-    child = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), str(src)],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    if child.returncode != 0:
-        return None
-    return {line.split(" ", 1)[0]: line for line in child.stdout.splitlines()}
+def _fingerprints(*srcs: Path) -> list[dict[str, str] | None]:
+    """Each config's printed line for each tree, from child processes that run
+    at once (two trees cannot both be imported as ``celtibero`` here); None
+    for a tree whose child failed."""
+    children = [
+        subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), str(src)],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for src in srcs
+    ]
+    outputs = [child.communicate()[0] for child in children]
+    return [
+        {line.split(" ", 1)[0]: line for line in out.splitlines()} if child.returncode == 0 else None
+        for child, out in zip(children, outputs)
+    ]
 
 
 def _compare(src: Path, other: Path) -> int:
-    ours, theirs = _fingerprints(src), _fingerprints(other)
+    ours, theirs = _fingerprints(src, other)
     if ours is None or theirs is None:
         print("error: a fingerprint run failed", file=sys.stderr)
         return 1
