@@ -21,6 +21,7 @@ from .aggregators import (
 from .attacks import (
     ATTACK_KINDS,
     BACKDOOR_KINDS,
+    REFERENCE_KINDS,
     AttackSpec,
     TriggerPattern,
     boost_update,

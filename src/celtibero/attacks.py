@@ -6,6 +6,8 @@ instances without mutating their inputs, so the same clean dataset can back a
 poisoned run and its reference run. A label flip shares its input's
 read-only feature matrix; a trigger stamps a copy. Model-level attacks
 (boosting, masked updates) act on weight containers after local training.
+The tables below say once what each attack kind does; the orchestrator
+looks a kind up in them and names none itself.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ShapeMismatchError
-from .model import ModelWeights, check_shapes
+from .model import ModelWeights, add_update, check_shapes, diff
 
 __all__ = [
     "ATTACK_KINDS",
     "BACKDOOR_KINDS",
+    "REFERENCE_KINDS",
     "TriggerPattern",
     "AttackSpec",
     "make_default_trigger",
@@ -33,8 +36,46 @@ __all__ = [
     "neurotoxin_mask",
 ]
 
-ATTACK_KINDS = ("none", "ulfa", "tlfa", "mra", "dba", "neurotoxin")
+# Rows name their functions at call time: rebinding a name rebinds the rows.
+# Each kind's data attack: (clean share, spec, attacker rank, rng) -> poisoned share.
+_SHARE_RULES = {
+    "none": lambda data, spec, rank, rng: data,
+    "ulfa": lambda data, spec, rank, rng: flip_labels_untargeted(data, spec.flip_fraction, rng),
+    "tlfa": lambda data, spec, rank, rng: flip_labels_targeted(
+        data, spec.source_class, spec.target_class
+    ),
+    "mra": lambda data, spec, rank, rng: embed_trigger(
+        data, spec.trigger, spec.poison_fraction, rng
+    ),
+    "dba": lambda data, spec, rank, rng: embed_trigger(
+        data,
+        split_trigger(spec.trigger, spec.dba_fragments)[rank % spec.dba_fragments],
+        spec.poison_fraction,
+        rng,
+    ),
+    "neurotoxin": lambda data, spec, rank, rng: embed_trigger(
+        data, spec.trigger, spec.poison_fraction, rng
+    ),
+}
+# The model-level attacks: (local model, global model, the last realized global
+# update, spec, participant count) -> the model an attacker sends.
+_MODEL_RULES = {
+    "mra": lambda local, g, last, spec, n: boost_update(
+        local, g, float(n) if spec.boost_factor is None else spec.boost_factor
+    ),
+    "neurotoxin": lambda local, g, last, spec, n: add_update(
+        g, neurotoxin_mask(diff(local, g), last, spec.mask_ratio)
+    ),
+}
+# The kinds scored against a clean reference federation: (accuracy, per-class
+# accuracies, spec) -> the accuracy whose relative decay is the kind's ASR.
+_DECAYS = {
+    "ulfa": lambda accuracy, per_class, spec: accuracy,
+    "tlfa": lambda accuracy, per_class, spec: per_class.get(spec.source_class, 0.0),
+}
+ATTACK_KINDS = tuple(_SHARE_RULES)
 BACKDOOR_KINDS = ("mra", "dba", "neurotoxin")
+REFERENCE_KINDS = tuple(_DECAYS)
 
 
 @dataclass(frozen=True)
@@ -70,9 +111,10 @@ class AttackSpec:
     """Which attack a malicious client runs, with its parameters.
 
     ``boost_factor=None`` means "use the number of clients selected in the
-    round"; ``dba_fragments=None`` means "min(4, attacker count)". Values are
-    checked where a config is parsed (``config_from_dict``, and
-    ``Experiment`` for a hand-built config), not here.
+    round"; ``dba_fragments=None`` means "min(4, attacker count)", capped at
+    the trigger's size. Values are checked where a config is parsed
+    (``config_from_dict``, and ``Experiment`` for a hand-built config), not
+    here.
     """
 
     kind: str

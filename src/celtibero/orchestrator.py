@@ -20,15 +20,7 @@ import numpy as np
 
 from .aggregators import aggregate
 from .attacks import (
-    BACKDOOR_KINDS,
-    AttackSpec,
-    TriggerPattern,
-    boost_update,
-    embed_trigger,
-    flip_labels_targeted,
-    flip_labels_untargeted,
-    neurotoxin_mask,
-    split_trigger,
+    _DECAYS, _MODEL_RULES, _SHARE_RULES, BACKDOOR_KINDS, REFERENCE_KINDS, AttackSpec, TriggerPattern
 )
 from .clustering import ClusterVerdict
 from .config import (
@@ -40,7 +32,7 @@ from .config import (
 )
 from .data import LabeledDataset, gen_synthetic, load_idx, partition_dirichlet, partition_iid
 from .errors import RoundError
-from .model import ModelWeights, add_update, diff
+from .model import ModelWeights, diff
 from .training import (
     EvalResult,
     NetworkArchitecture,
@@ -63,9 +55,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Attacks scored against a clean reference federation.
-_FLIP_KINDS = ("ulfa", "tlfa")
 
 
 def _derive_seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
@@ -204,25 +193,6 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     return splits[0], splits[1]
 
 
-def _poison_client_data(
-    data: LabeledDataset,
-    attack: AttackSpec,
-    attacker_rank: int,
-    sub_triggers: tuple[TriggerPattern, ...],
-    rng: np.random.Generator,
-) -> LabeledDataset:
-    if attack.kind == "ulfa":
-        return flip_labels_untargeted(data, attack.flip_fraction, rng)
-    if attack.kind == "tlfa":
-        return flip_labels_targeted(data, attack.source_class, attack.target_class)
-    if attack.kind in ("mra", "neurotoxin"):
-        return embed_trigger(data, attack.trigger, attack.poison_fraction, rng)
-    if attack.kind == "dba":
-        piece = sub_triggers[attacker_rank % len(sub_triggers)]
-        return embed_trigger(data, piece, attack.poison_fraction, rng)
-    return data
-
-
 class Experiment:
     """Fully materialized runtime for one experiment.
 
@@ -248,9 +218,7 @@ class Experiment:
         attackers = malicious_count(cfg)
         roster_order = derive_rng(master, "roster").permutation(cfg.clients)
         malicious_ids = set(int(i) for i in roster_order[:attackers])
-        sub_triggers: tuple[TriggerPattern, ...] = ()
-        if cfg.attack.kind == "dba" and attackers:
-            sub_triggers = split_trigger(cfg.attack.trigger, cfg.attack.dba_fragments)
+        poison = _SHARE_RULES[cfg.attack.kind]
         clients = []
         # The malicious clients' unpoisoned shares, for the clean reference run.
         self._clean_shares: dict[int, LabeledDataset] = {}
@@ -259,11 +227,9 @@ class Experiment:
             share = train.subset(partition.assignments[k])
             malicious = k in malicious_ids
             if malicious:
-                if cfg.attack.kind in _FLIP_KINDS:
+                if cfg.attack.kind in REFERENCE_KINDS:
                     self._clean_shares[k] = share
-                share = _poison_client_data(
-                    share, cfg.attack, rank, sub_triggers, derive_rng(master, "attack", k)
-                )
+                share = poison(share, cfg.attack, rank, derive_rng(master, "attack", k))
                 rank += 1
             clients.append(ClientSpec(index=k, malicious=malicious, data=share))
         self.clients = tuple(clients)
@@ -279,7 +245,7 @@ class Experiment:
             self._stamped = _stamped_rows(self.test_data, cfg.attack.trigger)
 
     def _clean_reference(self) -> Experiment:
-        """The no-attack federation of a label-flip experiment, on this
+        """The no-attack federation of a reference-kind experiment, on this
         experiment's own test set, roster, architecture and initial model,
         with each client's clean share (a benign client's is its ``data``).
         Nothing is regenerated, repartitioned or re-cut."""
@@ -295,23 +261,21 @@ class Experiment:
     ) -> tuple[EvalResult, float]:
         """The model's metrics on the test set and its attack success rate in
         [0, 1]: the triggered misclassification rate for a backdoor; the
-        relative decay, against the matching ``reference`` round, of overall
-        accuracy for ulfa and of source-class accuracy for tlfa. A zero
-        reference accuracy scores 0 with a warning; every other case, a
-        label flip without a reference included, scores 0."""
+        relative decay, against the matching ``reference`` round, of the
+        accuracy ``attacks._DECAYS`` names for the kind (overall for ulfa,
+        source-class for tlfa). A zero reference accuracy scores 0 with a
+        warning; every other case, a missing reference included, scores 0."""
         attack, activation = self.cfg.attack, self.cfg.architecture.activation
         metrics = evaluate(model, self.test_data, activation)
         if attack.kind in BACKDOOR_KINDS:
             return metrics, backdoor_success_rate(
                 model, self.test_data, attack.trigger, activation, stamped=self._stamped
             )
-        if attack.kind not in _FLIP_KINDS or reference is None:
+        decay = _DECAYS.get(attack.kind)
+        if decay is None or reference is None:
             return metrics, 0.0
-        if attack.kind == "ulfa":
-            ref_value, value = reference.mta, metrics.accuracy
-        else:
-            ref_value = reference.per_class.get(attack.source_class, 0.0)
-            value = metrics.per_class.get(attack.source_class, 0.0)
+        ref_value = decay(reference.mta, reference.per_class, attack)
+        value = decay(metrics.accuracy, metrics.per_class, attack)
         if ref_value == 0.0:
             logger.warning(
                 "round %d: reference accuracy is zero for %s; "
@@ -331,18 +295,19 @@ class Experiment:
         self, state: FederationState, reference_report: RoundReport | None = None
     ) -> tuple[FederationState, RoundReport]:
         """Execute one round from ``state`` with this experiment's roster and
-        master seed, and return the next state and the round's report. For
-        label-flipping attacks ``reference_report`` must carry the matching
-        round of the no-attack reference run.
+        master seed, and return the next state and the round's report. For a
+        kind in ``REFERENCE_KINDS`` ``reference_report`` must carry the
+        matching round of the no-attack reference run.
         """
         cfg = self.cfg
         started = time.perf_counter()
         t = state.round_index
-        if cfg.attack.kind in _FLIP_KINDS and reference_report is None:
+        if cfg.attack.kind in REFERENCE_KINDS and reference_report is None:
             raise RoundError(f"round {t}: {cfg.attack.kind} needs the matching reference round")
         participants = sample_participants(
             cfg.clients, cfg.participation, derive_rng(cfg.seed, "participants", t)
         )
+        model_rule = _MODEL_RULES.get(cfg.attack.kind)
         local_models = []
         for i in participants:
             client = self.clients[int(i)]
@@ -356,16 +321,10 @@ class Experiment:
                 local = train_local(
                     state.global_model, client.data, train_cfg, cfg.architecture.activation
                 )
-                if client.malicious and cfg.attack.kind == "mra":
-                    gamma = cfg.attack.boost_factor
-                    if gamma is None:
-                        gamma = float(len(participants))
-                    local = boost_update(local, state.global_model, gamma)
-                elif client.malicious and cfg.attack.kind == "neurotoxin":
-                    masked = neurotoxin_mask(
-                        diff(local, state.global_model), state.last_update, cfg.attack.mask_ratio
+                if client.malicious and model_rule is not None:
+                    local = model_rule(
+                        local, state.global_model, state.last_update, cfg.attack, len(participants)
                     )
-                    local = add_update(state.global_model, masked)
             except ValueError as exc:
                 raise RoundError(f"round {t}: client {client.index} failed: {exc}") from exc
             local_models.append(local)
@@ -444,7 +403,7 @@ def _summarize(
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the configured federation end to end.
 
-    Label-flipping attacks automatically execute the paired no-attack
+    Kinds in ``REFERENCE_KINDS`` automatically execute the paired no-attack
     reference run first (same master seed, same roster, attack disabled) so
     per-round success rates compare matched rounds. The reference shares the
     experiment's data: its test set, architecture and initial model, and
@@ -452,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     experiment = Experiment(cfg)
     reference_reports = None
-    if experiment.cfg.attack.kind in _FLIP_KINDS:
+    if experiment.cfg.attack.kind in REFERENCE_KINDS:
         reference_reports = experiment._clean_reference().run()
     reports = experiment.run(reference_reports)
     summary = _summarize(experiment, reports, reference_reports)

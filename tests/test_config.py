@@ -5,6 +5,8 @@ import pytest
 from celtibero import (
     AGGREGATOR_NAMES,
     ATTACK_KINDS,
+    BACKDOOR_KINDS,
+    REFERENCE_KINDS,
     AggregatorConfig,
     AttackSpec,
     ConfigError,
@@ -15,6 +17,7 @@ from celtibero import (
     parse_config,
     run_experiment,
 )
+from celtibero.attacks import _MODEL_RULES
 from celtibero.config import _KEY_RULES, _WRITTEN_KEYS
 
 INF = float("inf")
@@ -435,6 +438,21 @@ class TestKeyTables:
             for kind_keys in keys.values():
                 missing = set(kind_keys) - {"kind", "trigger"} - set(_KEY_RULES[block])
                 assert not missing, (block.__name__, missing)
+
+    def test_attack_kind_sets_agree(self):
+        # A backdoor is scored by its trigger, so exactly the backdoors read one.
+        reads_trigger = {k for k, keys in _WRITTEN_KEYS[AttackSpec].items() if "trigger" in keys}
+        assert set(BACKDOOR_KINDS) == reads_trigger
+        assert set(REFERENCE_KINDS) <= set(ATTACK_KINDS)
+        assert set(_MODEL_RULES) <= set(ATTACK_KINDS)
+        assert not set(REFERENCE_KINDS) & set(BACKDOOR_KINDS)
+
+    def test_attack_kinds_keep_their_order(self):
+        kinds = ("none", "ulfa", "tlfa", "mra", "dba", "neurotoxin")
+        assert ATTACK_KINDS == kinds
+        assert violations_of({"attack": {"kind": "minmax"}}) == [
+            f"attack.kind: must be one of {kinds}, got 'minmax'"
+        ]
 
 
 class TestCanonicalization:

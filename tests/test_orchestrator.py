@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from celtibero import (
+    ATTACK_KINDS,
     AttackSpec,
     ConfigError,
     Experiment,
@@ -28,10 +29,20 @@ from celtibero import (
     sample_participants,
     TriggerPattern,
 )
-from celtibero import orchestrator
+from celtibero import attacks, orchestrator
 from celtibero.orchestrator import _stamped_rows
 from .test_data import write_idx_pair
 from .test_training import dense_model
+
+
+# The functions of ``celtibero.attacks`` that each attack kind's rows call.
+ROW_FUNCTIONS = {
+    "ulfa": ("flip_labels_untargeted",),
+    "tlfa": ("flip_labels_targeted",),
+    "mra": ("embed_trigger", "boost_update"),
+    "dba": ("split_trigger", "embed_trigger"),
+    "neurotoxin": ("embed_trigger", "diff", "neurotoxin_mask", "add_update"),
+}
 
 
 def tiny_config(**overrides):
@@ -313,6 +324,26 @@ class TestExperiment:
         with pytest.raises(RoundError, match="round 0: ulfa needs the matching reference round"):
             Experiment(cfg).run()
 
+    @pytest.mark.parametrize(
+        "kind, name", [(kind, name) for kind, names in ROW_FUNCTIONS.items() for name in names]
+    )
+    def test_attack_rows_are_looked_up_when_called(self, kind, name, monkeypatch):
+        # A probe that rebinds a function's name in ``celtibero.attacks``
+        # must see the calls an attack row makes, so no row may hold the
+        # function itself.
+        assert set(ROW_FUNCTIONS) == set(ATTACK_KINDS) - {"none"}
+        original, calls = getattr(attacks, name), []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, name, record)
+        experiment = Experiment(tiny_config(attack={"kind": kind}))
+        if kind in attacks._MODEL_RULES:  # model rows act in a round
+            experiment.run_round(experiment.initial_state())
+        assert calls
+
     def test_hand_built_config_gets_the_parse_time_check(self):
         cfg = tiny_config()
         for changes in ({"malicious_fraction": 0.6}, {"rounds": -1}):
@@ -574,14 +605,14 @@ class TestRunExperiment:
         assert len(result.reports) == 2
         assert all(0.0 <= r.asr <= 1.0 for r in result.reports)
 
-        mask = orchestrator.neurotoxin_mask
+        mask = attacks.neurotoxin_mask
         references = []
 
         def capture(update, reference, mask_ratio):
             references.append(reference)
             return mask(update, reference, mask_ratio)
 
-        monkeypatch.setattr(orchestrator, "neurotoxin_mask", capture)
+        monkeypatch.setattr(attacks, "neurotoxin_mask", capture)
         experiment = Experiment(cfg)
         first = experiment.run_round(experiment.initial_state())
         assert isinstance(first, tuple) and len(first) == 2

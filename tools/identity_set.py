@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 56 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 60 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -29,9 +29,14 @@ that 8-round config at 0 rounds under celtibero against mra, ulfa and tlfa,
 whose summaries score the initial model; and that 8-round config under
 celtibero against mra on ``mnist_idx`` data (the only config of the set that
 reads IDX files): tiny 28 x 28 image and label files drawn from a fixed seed
-into the run's scratch directory, both splits cut to a random subset. The
-configs run from that directory and name the files by relative paths, so the
-``config`` in ``summary.json`` is the same for every tree.
+into the run's scratch directory, both splits cut to a random subset; and
+that 8-round config under celtibero against mra with no boost factor (the
+boost is each round's participant count) and poison fraction 0.5, against
+neurotoxin and dba with the default trigger (dba's fragment count derived
+from the attackers), and under median_krum against ulfa at flip fraction
+0.5. Every config runs from that scratch directory, and the IDX config
+names its files by relative paths, so the ``config`` in ``summary.json`` is
+the same for every tree.
 Standard library and NumPy only; it runs the configs one after another in
 this process.
 
@@ -188,6 +193,21 @@ def configs() -> dict[str, dict]:
             short, rounds=0, aggregator={"kind": "celtibero"}, attack=ATTACKS[attack_name]
         )
     out["r8-idx/celtibero"] = dict(short, dataset=IDX_DATASET, aggregator={"kind": "celtibero"})
+
+    def without(attack_name: str, key: str) -> dict:
+        return {k: v for k, v in ATTACKS[attack_name].items() if k != key}
+
+    for name, attack in (
+        ("mra-participant-boost", dict(without("mra", "boost_factor"), poison_fraction=0.5)),
+        ("neurotoxin-default-trigger", without("neurotoxin", "trigger")),
+        ("dba-default-trigger", without("dba", "trigger")),
+    ):
+        out[f"r8-attack/{name}"] = dict(short, aggregator={"kind": "celtibero"}, attack=attack)
+    out["r8-attack/ulfa-half-median_krum"] = dict(
+        short,
+        aggregator=AGGREGATORS["median_krum"],
+        attack=dict(ATTACKS["ulfa"], flip_fraction=0.5),
+    )
     return out
 
 
