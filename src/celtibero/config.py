@@ -4,7 +4,8 @@ The frozen dataclasses below (with :class:`~celtibero.attacks.AttackSpec`)
 declare each block's keys and defaults; the parser here makes every check on
 their values. One table, ``_WRITTEN_KEYS``, names the keys that apply to each
 block kind, for the parser and ``config_to_dict`` alike, and ``_KEY_RULES``
-gives each key's type and accepted range; numbers must be finite.
+gives each key's type (a list key's item type) and accepted range; numbers
+must be finite.
 ``parse_config`` refuses unknown keys, reports *every* violation it finds in
 one shot, and materializes the defaults into the returned config so an
 emitted report fully describes the run. Keys that do not apply to the
@@ -168,26 +169,38 @@ def _one_of(*choices: str):
     return str, lambda v: v in choices, f"must be one of {choices}"
 
 
-def _within(interval: str):
+def _within(interval: str, why: str = ""):
     """A number in ``interval``, written like "[0, 1]" or "(0, 1]"."""
     low, high = (float(end) for end in interval[1:-1].split(","))
     above = operator.lt if interval[0] == "(" else operator.le
     below = operator.lt if interval[-1] == ")" else operator.le
-    return float, lambda v: above(low, v) and below(v, high), f"must lie in {interval}"
+    return float, lambda v: above(low, v) and below(v, high), f"must lie in {interval}{why}"
 
 
-_NUMBER = (float, None, None)
 _POSITIVE = (float, lambda v: v > 0, "must be positive")
 _STRING = (str, None, None)
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+# What a rejected value should have been: one value, or a list of them.
+_EXPECTED = {
+    int: ("an integer", "a list of integers"),
+    float: ("a number", "a list of numbers"),
+    str: ("a string", "a list of strings"),
+    "finite": ("a finite number", "a list of finite numbers"),
+}
 
 # How ``_Reader.read`` reads each key: (type, test of an accepted value or
-# None, the rule a rejected value broke). Keys not listed (the trigger,
-# hidden widths, participation and the blocks) are parsed by hand.
+# None, the rule a rejected value broke). A key whose default is a tuple
+# takes a list of that type, and the test sees it as a tuple. Every key but
+# the blocks and the attack's trigger, a block of its own, has a row.
 _KEY_RULES = {
     ExperimentConfig: {
-        "clients": _at_least(2), "malicious_fraction": _NUMBER, "rounds": _at_least(0),
-        "local_epochs": _at_least(1), "seed": _at_least(0), "output_dir": _STRING,
+        "clients": _at_least(2),
+        "malicious_fraction": _within("[0, 0.5)", " so honest clients hold a strict majority"),
+        "rounds": _at_least(0), "local_epochs": _at_least(1),
+        "participation": (
+            float, lambda v: len(v) == 2 and 0 < v[0] <= v[1] <= 1,
+            "bounds must satisfy 0 < low <= high <= 1",
+        ),
+        "seed": _at_least(0), "output_dir": _STRING,
     },
     DatasetConfig: {
         "kind": _one_of("synthetic", "mnist_idx"),
@@ -207,8 +220,15 @@ _KEY_RULES = {
     AggregatorConfig: {
         "kind": _one_of(*AGGREGATOR_NAMES), "krum_f": _at_least(0), "linkage": _one_of(*LINKAGES),
     },
-    ArchitectureConfig: {"activation": _one_of(*ACTIVATIONS)},
+    ArchitectureConfig: {
+        "hidden": (int, lambda v: min(v, default=0) >= 1, "must be a nonempty list of widths >= 1"),
+        "activation": _one_of(*ACTIVATIONS),
+    },
     TrainingConfig: {"learning_rate": _POSITIVE, "batch_size": _at_least(1)},
+    TriggerPattern: {
+        "positions": (int, lambda v: min(v, default=0) >= 0, "positions must be >= 0"),
+        "values": (float, lambda v: all(0 <= x <= 1 for x in v), "values must lie in [0, 1]"),
+    },
 }
 
 
@@ -238,41 +258,50 @@ class _Reader:
     """Pulls typed values out of one mapping block, collecting violations.
 
     A key that is missing or null, or whose value is rejected, takes its
-    value from ``defaults``, the block's default instance, whose field names
-    are also the allowed keys unless ``allowed`` names them.
+    value from ``defaults``, the block's default instance. The allowed keys
+    are those ``_WRITTEN_KEYS`` lists for the block, or for a block with
+    kinds or one it does not list, every field.
     """
 
-    def __init__(self, raw, where: str, errors: _Violations, defaults=None, allowed=None):
+    def __init__(self, raw, where: str, errors: _Violations, defaults):
         self.raw = raw if isinstance(raw, dict) else {}
         self.where = where
         self.errors = errors
         self.defaults = defaults
         if raw is not None and not isinstance(raw, dict):
             errors.reject(where, f"expected a mapping, got {type(raw).__name__}")
-        if allowed is None:
+        allowed = _WRITTEN_KEYS.get(type(defaults))
+        if not isinstance(allowed, tuple):
             allowed = {f.name for f in fields(defaults)}
         for key in self.raw:
             if key not in allowed:
                 errors.append(f"{where}: unknown key {key!r}")
 
     def read(self, key: str):
-        """``key``'s value, checked by its rule in ``_KEY_RULES``."""
+        """``key``'s value, checked by its rule in ``_KEY_RULES``: one value,
+        or for a key whose default is a tuple, a list of them as a tuple."""
         type_, ok, rule = _KEY_RULES[type(self.defaults)][key]
+        default = getattr(self.defaults, key)
         value = self.raw.get(key)
         if value is None:
-            return getattr(self.defaults, key)
+            return default
+        listed = isinstance(default, tuple)
+        items = value if isinstance(value, list) else [value]
         accepted = (int, float) if type_ is float else type_
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            problem = f"expected {_TYPE_NAMES[type_]}, got {value!r}"
-        elif type_ is float and not abs(value) <= sys.float_info.max:
+        if listed != isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, accepted) for v in items
+        ):
+            problem = f"expected {_EXPECTED[type_][listed]}, got {value!r}"
+        elif type_ is float and not all(abs(v) <= sys.float_info.max for v in items):
             # NaN fails every comparison; an int past the float range has no finite float.
-            problem = f"expected a finite number, got {value!r}"
-        elif ok is None or ok(type_(value)):
-            return type_(value)
+            problem = f"expected {_EXPECTED['finite'][listed]}, got {value!r}"
         else:
-            problem = f"{rule}, got {type_(value)!r}"
+            value = tuple(map(type_, items)) if listed else type_(value)
+            if ok is None or ok(value):
+                return value
+            problem = f"{rule}, got {value!r}"
         self.errors.reject(f"{self.where}.{key}", problem)
-        return getattr(self.defaults, key)
+        return default
 
     def read_all(self) -> dict:
         """The block's ``kind`` (if it has one), then every other key written
@@ -291,7 +320,8 @@ class _Reader:
         if value is not None and not isinstance(value, dict):
             self.errors.reject(f"{self.where}.{key}", f"expected a mapping, got {value!r}")
             value = None
-        return _Reader(value, key, self.errors, defaults or getattr(self.defaults, key))
+        where = f"{self.where}.{key}".removeprefix("top level.")
+        return _Reader(value, where, self.errors, defaults or getattr(self.defaults, key))
 
 
 def _parse_dataset(reader: _Reader, errors: _Violations) -> DatasetConfig:
@@ -307,40 +337,24 @@ def _parse_dataset(reader: _Reader, errors: _Violations) -> DatasetConfig:
     return DatasetConfig(**values)
 
 
-def _parse_trigger(raw, num_features: int, target_class: int, errors: _Violations):
-    reader = _Reader(raw, "attack.trigger", errors, allowed=_WRITTEN_KEYS[TriggerPattern])
-    positions = reader.raw.get("positions")
-    values = reader.raw.get("values")
-    if not isinstance(positions, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in positions
-    ):
-        errors.reject("attack.trigger.positions", "expected a list of integers")
+def _parse_trigger(reader: _Reader, num_features: int, errors: _Violations):
+    """The trigger that ``reader``'s block gives, or None if it is rejected.
+    The block's rules check each value; this checks them against each other."""
+    trigger = reader.read_all()
+    positions, where = trigger["positions"], reader.where
+    if not errors.valid(where):
         return None
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        errors.reject("attack.trigger.values", "expected a list of numbers")
-        return None
-    if len(positions) != len(values):
-        errors.reject("attack.trigger", f"{len(positions)} positions but {len(values)} values")
-        return None
-    if not positions:
-        errors.reject("attack.trigger.positions", "expected at least one position")
-        return None
-    if errors.valid("dataset.kind", "dataset.features") and any(
-        p < 0 or p >= num_features for p in positions
-    ):
-        errors.reject(
-            "attack.trigger.positions", f"every position must lie in [0, {num_features})"
-        )
-        return None
-    if len(set(positions)) != len(positions):
-        errors.reject("attack.trigger.positions", "positions must be distinct")
-        return None
-    if any(not 0.0 <= float(v) <= 1.0 for v in values):
-        errors.reject("attack.trigger.values", "values must lie in [0, 1]")
-        return None
-    return TriggerPattern(tuple(positions), tuple(float(v) for v in values), target_class)
+    if len(positions) != len(trigger["values"]):
+        errors.reject(where, f"{len(positions)} positions but {len(trigger['values'])} values")
+    elif not positions:
+        errors.reject(f"{where}.positions", "expected at least one position")
+    elif errors.valid("dataset.kind", "dataset.features") and max(positions) >= num_features:
+        errors.reject(f"{where}.positions", f"every position must lie in [0, {num_features})")
+    elif len(set(positions)) != len(positions):
+        errors.reject(f"{where}.positions", "positions must be distinct")
+    else:
+        return replace(reader.defaults, **trigger)
+    return None
 
 
 def _parse_attack(
@@ -362,13 +376,9 @@ def _parse_attack(
     if "trigger" not in _written_keys(AttackSpec, kind):
         return AttackSpec(**values)
 
-    target = values["target_class"]
-    trigger = None
-    if reader.raw.get("trigger") is not None:
-        trigger = _parse_trigger(reader.raw["trigger"], features, target, errors)
-    if trigger is None:
-        side = _MNIST_SIDE if mnist else None
-        trigger = make_default_trigger(features, target, image_side=side)
+    side = _MNIST_SIDE if mnist else None
+    default = make_default_trigger(features, values["target_class"], image_side=side)
+    trigger = _parse_trigger(reader.block("trigger", default), features, errors) or default
     if kind == "dba":
         fragments = values["dba_fragments"]
         explicit = fragments is not None
@@ -391,23 +401,6 @@ def _parse_attack(
             fragments = len(trigger.positions)
         values["dba_fragments"] = fragments
     return AttackSpec(**values, trigger=trigger)
-
-
-def _parse_architecture(reader: _Reader, errors: _Violations) -> ArchitectureConfig:
-    hidden = reader.defaults.hidden
-    hidden_raw = reader.raw.get("hidden")
-    if hidden_raw is not None:
-        if (
-            not isinstance(hidden_raw, list)
-            or not hidden_raw
-            or not all(
-                isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden_raw
-            )
-        ):
-            errors.append("architecture.hidden: expected a nonempty list of positive integers")
-        else:
-            hidden = tuple(int(h) for h in hidden_raw)
-    return ArchitectureConfig(hidden=hidden, **reader.read_all())
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -433,47 +426,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"{clients} clients"
         )
     malicious_fraction = top.read("malicious_fraction")
-    if not 0.0 <= malicious_fraction < 0.5:
+    attackers = _malicious_count(malicious_fraction, clients)
+    if attackers * 2 >= clients and errors.valid("clients"):
+        # malicious_count's epsilon can round a fraction just under 0.5 up to half.
         errors.reject(
-            "malicious_fraction",
-            "must lie in [0, 0.5) so honest clients hold a strict majority, "
-            f"got {malicious_fraction}",
+            "top level.malicious_fraction",
+            f"{malicious_fraction} of {clients} clients gives "
+            f"{attackers} malicious, which leaves no strict honest majority",
         )
-        attackers = 0
-    else:
-        attackers = _malicious_count(malicious_fraction, clients)
-        if attackers * 2 >= clients and errors.valid("clients"):
-            # malicious_count's epsilon can round a fraction just under 0.5 up to half.
-            errors.reject(
-                "malicious_fraction",
-                f"{malicious_fraction} of {clients} clients gives "
-                f"{attackers} malicious, which leaves no strict honest majority",
-            )
     attack = _parse_attack(top.block("attack"), dataset, attackers, errors)
     aggregator = AggregatorConfig(**top.block("aggregator").read_all())
     rounds = top.read("rounds")
     local_epochs = top.read("local_epochs")
 
-    participation = top.defaults.participation
-    participation_raw = raw.get("participation")
-    if participation_raw is not None:
-        if (
-            not isinstance(participation_raw, list)
-            or len(participation_raw) != 2
-            or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in participation_raw
-            )
-        ):
-            errors.reject("participation", "expected [low, high] with two numbers")
-        else:
-            bounds = (float(participation_raw[0]), float(participation_raw[1]))
-            if 0.0 < bounds[0] <= bounds[1] <= 1.0:
-                participation = bounds
-            else:
-                errors.reject(
-                    "participation", f"bounds must satisfy 0 < low <= high <= 1, got {bounds}"
-                )
+    participation = top.read("participation")
 
     if "krum_f" in _written_keys(AggregatorConfig, aggregator.kind):
         # Smallest round that sample_participants can draw: the low bound's count.
@@ -486,7 +452,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"{clients} clients at participation {participation[0]} can have {fewest}"
             )
 
-    architecture = _parse_architecture(top.block("architecture"), errors)
+    architecture = ArchitectureConfig(**top.block("architecture").read_all())
     training_defaults = _DEFAULTS.training
     if dataset.kind == "mnist_idx":
         training_defaults = replace(training_defaults, learning_rate=_MNIST_LEARNING_RATE)
@@ -536,12 +502,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a YAML experiment config from ``path``. A key
     repeated within one mapping is a violation."""
-    loader = _UniqueKeyLoader(Path(path).read_text())
     try:
+        # YAML decodes the bytes itself (UTF-8 or UTF-16), whatever the locale.
+        loader = _UniqueKeyLoader(Path(path).read_bytes())
         raw = loader.get_single_data()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        problem = getattr(exc, "problem", None) or str(exc)
+        # A decoding error has no problem text; its message spans two lines.
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
         if mark is not None:
             raise ConfigError([f"syntax error at line {mark.line + 1}: {problem}"]) from exc
         raise ConfigError([f"syntax error: {problem}"]) from exc

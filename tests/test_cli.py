@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from celtibero import cli
@@ -77,6 +78,15 @@ class TestRunCommand:
         assert "  - attack.trigger.positions: expected at least one position" in stderr
         assert stderr.count("  - ") == 2
 
+    @pytest.mark.parametrize("text", [b"rounds: 3\nseed: \xff\xfe\n", b"rounds: 3\nseed: \x01\n"])
+    def test_undecodable_config_exits_1_as_a_syntax_error(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.yaml"
+        config.write_bytes(text)
+        assert cli.main(["run", str(config)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"config error: {config}\n  - syntax error: ")
+        assert stderr.count("\n") == 2
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.yaml")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -137,6 +147,21 @@ class TestModuleEntryPoint:
         assert done.stderr.startswith(f"config error: {config}")
         assert "  - top level.clients: must be >= 2, got 1" in done.stderr
         assert "rounds" in done.stderr
+        assert done.stderr.count("  - ") == 2
+
+    def test_bad_trigger_position_exits_1_without_a_traceback(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            dataset={"kind": "synthetic", "features": "wide"},
+            malicious_fraction=0.2,
+            attack={"kind": "mra", "trigger": {"positions": [-1], "values": [1.0]}},
+        )
+        done = self.run_module(str(config), cwd=tmp_path)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"config error: {config}")
+        assert "  - dataset.features: expected an integer, got 'wide'" in done.stderr
+        assert "  - attack.trigger.positions: positions must be >= 0, got (-1,)" in done.stderr
         assert done.stderr.count("  - ") == 2
 
 

@@ -1,5 +1,7 @@
 """Config schema: defaults, strictness, violation batching, and round trips."""
 
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from celtibero import (
@@ -8,9 +10,11 @@ from celtibero import (
     BACKDOOR_KINDS,
     REFERENCE_KINDS,
     AggregatorConfig,
+    ArchitectureConfig,
     AttackSpec,
     ConfigError,
-    TriggerPattern,
+    ExperimentConfig,
+    TrainingConfig,
     config_from_dict,
     config_to_dict,
     malicious_count,
@@ -106,8 +110,8 @@ class TestViolationBatching:
     def test_honest_majority_message(self):
         violations = violations_of({"malicious_fraction": 0.5})
         assert violations == [
-            "malicious_fraction: must lie in [0, 0.5) so honest clients hold a "
-            "strict majority, got 0.5"
+            "top level.malicious_fraction: must lie in [0, 0.5) so honest clients "
+            "hold a strict majority, got 0.5"
         ]
 
 
@@ -220,7 +224,10 @@ class TestValueViolations:
             ),
             (
                 {"clients": 5, "participation": [0.0, 1.0], "aggregator": {"kind": "krum"}},
-                ["participation: bounds must satisfy 0 < low <= high <= 1, got (0.0, 1.0)"],
+                [
+                    "top level.participation: bounds must satisfy 0 < low <= high <= 1, "
+                    "got (0.0, 1.0)"
+                ],
             ),
             (
                 {"aggregator": {"kind": "krum", "krum_f": -1}, "clients": 5},
@@ -243,8 +250,8 @@ class TestValueViolations:
             (
                 {"malicious_fraction": 0.7, "attack": {"kind": "dba"}},
                 [
-                    "malicious_fraction: must lie in [0, 0.5) so honest clients hold a "
-                    "strict majority, got 0.7"
+                    "top level.malicious_fraction: must lie in [0, 0.5) so honest clients "
+                    "hold a strict majority, got 0.7"
                 ],
             ),
             (
@@ -300,6 +307,48 @@ class TestParserOwnsEveryCheck:
             "top level.clients: must be >= 2, got -3",
             "attack.trigger.positions: expected at least one position",
         ]
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (
+                {"participation": [0.5, 10**400]},
+                [
+                    "top level.participation: expected a list of finite numbers, "
+                    f"got {[0.5, 10**400]!r}"
+                ],
+            ),
+            (
+                {
+                    "attack": {"kind": "mra", "trigger": {"positions": [0], "values": [10**400]}},
+                    "malicious_fraction": 0.2,
+                },
+                [f"attack.trigger.values: expected a list of finite numbers, got {[10**400]!r}"],
+            ),
+            (
+                {
+                    "dataset": {"features": "wide"},
+                    "attack": {"kind": "mra", "trigger": {"positions": [-1], "values": [1.0]}},
+                    "malicious_fraction": 0.2,
+                },
+                [
+                    "dataset.features: expected an integer, got 'wide'",
+                    "attack.trigger.positions: positions must be >= 0, got (-1,)",
+                ],
+            ),
+            (
+                {"architecture": {"hidden": [8, True]}, "participation": 0.5},
+                [
+                    "top level.participation: expected a list of numbers, got 0.5",
+                    "architecture.hidden: expected a list of integers, got [8, True]",
+                ],
+            ),
+        ],
+    )
+    def test_list_values_are_read_like_scalars(self, raw, expected):
+        """A list key's items are type- and finite-checked like a scalar, and
+        a bad item is listed with the other violations, never raised."""
+        assert violations_of(raw) == expected
 
     def test_one_sample_per_client_is_enough(self):
         assert config_from_dict({"dataset": {"samples": 20}, "clients": 20}).clients == 20
@@ -432,11 +481,13 @@ class TestKeyTables:
         assert set(_WRITTEN_KEYS[AttackSpec]) <= set(ATTACK_KINDS)
 
     def test_every_written_key_has_a_rule(self):
-        for block, keys in _WRITTEN_KEYS.items():
-            if block is TriggerPattern:
-                continue  # parsed by hand
-            for kind_keys in keys.values():
-                missing = set(kind_keys) - {"kind", "trigger"} - set(_KEY_RULES[block])
+        unlisted = (ExperimentConfig, ArchitectureConfig, TrainingConfig)
+        tables = {**_WRITTEN_KEYS, **{b: tuple(f.name for f in fields(b)) for b in unlisted}}
+        defaults = ExperimentConfig()
+        nested = {f.name for f in fields(defaults) if is_dataclass(getattr(defaults, f.name))}
+        for block, keys in tables.items():
+            for kind_keys in keys.values() if isinstance(keys, dict) else [keys]:
+                missing = set(kind_keys) - {"kind", "trigger"} - nested - set(_KEY_RULES[block])
                 assert not missing, (block.__name__, missing)
 
     def test_attack_kind_sets_agree(self):

@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 60 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 62 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -21,10 +21,12 @@ The set: the README quick-start config; the three benchmark workloads of
 (fedavg, coord_median, krum and median_krum with f 2, celtibero with each
 linkage) against each attack kind (none, ulfa, tlfa 1->0, mra, dba with an
 8-feature trigger, neurotoxin with mask ratio 0.5); and that 8-round config
-with one hidden unit, and with tanh hidden units (the only configs of the
-set that run tanh), each under fedavg and celtibero; and that 8-round config
-on Dirichlet (alpha 0.5) shares under ulfa with celtibero and tlfa with
-median_krum, whose reference federations run on ragged clean shares; and
+with one hidden unit, with tanh hidden units (the only configs of the set
+that run tanh), and with two hidden layers of 8 and 4 units (the only
+6-layer models of the set), each under fedavg and celtibero; and that
+8-round config on Dirichlet (alpha 0.5) shares under ulfa with celtibero and
+tlfa with median_krum, whose reference federations run on ragged clean
+shares; and
 that 8-round config at 0 rounds under celtibero against mra, ulfa and tlfa,
 whose summaries score the initial model; and that 8-round config under
 celtibero against mra on ``mnist_idx`` data (the only config of the set that
@@ -177,7 +179,11 @@ def configs() -> dict[str, dict]:
             out[f"r8/{agg_name}/{attack_name}"] = dict(
                 short, aggregator=aggregator, attack=attack
             )
-    for variant, architecture in (("hidden1", {"hidden": [1]}), ("tanh", {"activation": "tanh"})):
+    for variant, architecture in (
+        ("hidden1", {"hidden": [1]}),
+        ("tanh", {"activation": "tanh"}),
+        ("hidden8-4", {"hidden": [8, 4]}),
+    ):
         for agg_name in ("fedavg", "celtibero-average"):
             out[f"r8-{variant}/{agg_name}"] = dict(
                 short, aggregator=AGGREGATORS[agg_name], architecture=architecture
