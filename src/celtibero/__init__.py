@@ -9,87 +9,30 @@ backdoors), IDX and synthetic data handling, a self-contained dense-network
 trainer, and a config-driven experiment loop with per-round metrics.
 """
 
-from .aggregators import (
-    AGGREGATOR_NAMES,
-    aggregate,
-    celtibero_aggregate,
-    coordinate_median,
-    fedavg,
-    krum,
-    median_krum,
-)
-from .attacks import (
-    ATTACK_KINDS,
-    BACKDOOR_KINDS,
-    REFERENCE_KINDS,
-    AttackSpec,
-    TriggerPattern,
-    boost_update,
-    embed_trigger,
-    flip_labels_targeted,
-    flip_labels_untargeted,
-    make_default_trigger,
-    neurotoxin_mask,
-    split_trigger,
-)
-from .clustering import (
-    LINKAGES,
-    ClusterAssignment,
-    ClusterVerdict,
-    DistanceMatrix,
-    agglomerative_two_clusters,
-    label_clusters,
-    pairwise_cosine_matrix,
-)
-from .config import (
-    AggregatorConfig,
-    ArchitectureConfig,
-    DatasetConfig,
-    ExperimentConfig,
-    PartitionConfig,
-    TrainingConfig,
-    config_from_dict,
-    config_to_dict,
-    malicious_count,
-    parse_config,
-)
-from .data import (
-    LabeledDataset,
-    Partition,
-    gen_synthetic,
-    load_idx,
-    partition_dirichlet,
-    partition_iid,
-)
-from .errors import ConfigError, IdxFormatError, RoundError, ShapeMismatchError
-from .model import (
-    LayerShape,
-    ModelWeights,
-    add_update,
-    diff,
-)
-from .orchestrator import (
-    ClientSpec,
-    Experiment,
-    ExperimentResult,
-    FederationState,
-    RoundReport,
-    backdoor_success_rate,
-    derive_rng,
-    derive_seed,
-    run_experiment,
-    sample_participants,
-)
-from .reports import CSV_HEADER, emit_reports
-from .training import (
-    ACTIVATIONS,
-    EvalResult,
-    NetworkArchitecture,
-    TrainConfig,
-    evaluate,
-    init_model,
-    predict,
-    train_local,
+# Each module declares its public names once, in its ``__all__``; the package
+# re-exports them (``cli`` is a command, not API).
+from .aggregators import *
+from .attacks import *
+from .clustering import *
+from .config import *
+from .data import *
+from .errors import *
+from .model import *
+from .orchestrator import *
+from .reports import *
+from .training import *
+
+__all__ = (
+    aggregators.__all__
+    + attacks.__all__
+    + clustering.__all__
+    + config.__all__
+    + data.__all__
+    + errors.__all__
+    + model.__all__
+    + orchestrator.__all__
+    + reports.__all__
+    + training.__all__
 )
 
 __version__ = "0.1.0"

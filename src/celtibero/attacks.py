@@ -23,7 +23,6 @@ from .model import ModelWeights, add_update, check_shapes, diff
 
 __all__ = [
     "ATTACK_KINDS",
-    "BACKDOOR_KINDS",
     "REFERENCE_KINDS",
     "TriggerPattern",
     "AttackSpec",
@@ -74,7 +73,6 @@ _DECAYS = {
     "tlfa": lambda accuracy, per_class, spec: per_class.get(spec.source_class, 0.0),
 }
 ATTACK_KINDS = tuple(_SHARE_RULES)
-BACKDOOR_KINDS = ("mra", "dba", "neurotoxin")
 REFERENCE_KINDS = tuple(_DECAYS)
 
 
@@ -112,7 +110,10 @@ class AttackSpec:
 
     ``boost_factor=None`` means "use the number of clients selected in the
     round"; ``dba_fragments=None`` means "min(4, attacker count)", capped at
-    the trigger's size. Values are checked where a config is parsed
+    the trigger's size. A backdoor is an attack with a ``trigger``: parsing
+    gives one exactly to the kinds whose ``config._WRITTEN_KEYS`` entry
+    lists ``trigger`` (the default trigger if none is given) and ``None`` to
+    every other kind. Values are checked where a config is parsed
     (``config_from_dict``, and ``Experiment`` for a hand-built config), not
     here.
     """

@@ -5,7 +5,7 @@ declare each block's keys and defaults; the parser here makes every check on
 their values. One table, ``_WRITTEN_KEYS``, names the keys that apply to each
 block kind, for the parser and ``config_to_dict`` alike, and ``_KEY_RULES``
 gives each key's type (a list key's item type) and accepted range; numbers
-must be finite.
+must be finite, and integers at most 2**63 - 1.
 ``parse_config`` refuses unknown keys, reports *every* violation it finds in
 one shot, and materializes the defaults into the returned config so an
 emitted report fully describes the run. Keys that do not apply to the
@@ -185,7 +185,10 @@ _EXPECTED = {
     float: ("a number", "a list of numbers"),
     str: ("a string", "a list of strings"),
     "finite": ("a finite number", "a list of finite numbers"),
+    "int64": ("an integer <= 2**63 - 1", "a list of integers <= 2**63 - 1"),
 }
+# The largest int a key accepts: every size, count and seed fits in 64 bits.
+_INT_MAX = 2**63 - 1
 
 # How ``_Reader.read`` reads each key: (type, test of an accepted value or
 # None, the rule a rejected value broke). A key whose default is a tuple
@@ -295,6 +298,8 @@ class _Reader:
         elif type_ is float and not all(abs(v) <= sys.float_info.max for v in items):
             # NaN fails every comparison; an int past the float range has no finite float.
             problem = f"expected {_EXPECTED['finite'][listed]}, got {value!r}"
+        elif type_ is int and not all(v <= _INT_MAX for v in items):
+            problem = f"expected {_EXPECTED['int64'][listed]}, got {value!r}"
         else:
             value = tuple(map(type_, items)) if listed else type_(value)
             if ok is None or ok(value):
@@ -522,7 +527,8 @@ def parse_config(path) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Resolved config as a plain mapping; parsing it back gives ``cfg``, or
-    for a backdoor attack without a trigger, ``cfg`` with the default one."""
+    for an attack kind that reads a trigger but has none, ``cfg`` with the
+    default one (and for a kind that reads none, ``cfg`` without it)."""
     return _plain(cfg)
 
 

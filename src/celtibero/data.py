@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,6 @@ from .errors import IdxFormatError
 
 __all__ = [
     "LabeledDataset",
-    "Partition",
     "load_idx",
     "gen_synthetic",
     "partition_iid",
@@ -86,27 +84,6 @@ class LabeledDataset:
 
     def __repr__(self) -> str:
         return f"LabeledDataset(n={self.n}, d={self.d}, classes={self.num_classes})"
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Nonempty, disjoint client index sets covering a dataset exactly once."""
-
-    assignments: tuple[np.ndarray, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        cleaned = []
-        for k, a in enumerate(self.assignments):
-            arr = np.array(a, dtype=np.int64, copy=True)
-            if arr.size == 0:
-                raise ValueError(f"client {k} has an empty share")
-            arr.flags.writeable = False
-            cleaned.append(arr)
-        object.__setattr__(self, "assignments", tuple(cleaned))
-        joined = np.sort(np.concatenate(cleaned))
-        if not np.array_equal(joined, np.arange(self.total)):
-            raise ValueError("assignments must cover every index exactly once")
 
 
 def _read_idx_header(data: bytes, path, magic: int, header_len: int, what: str) -> tuple[int, ...]:
@@ -196,8 +173,11 @@ def gen_synthetic(
     return LabeledDataset._owning(features, labels, num_classes)
 
 
-def partition_iid(data: LabeledDataset, num_clients: int, rng: np.random.Generator) -> Partition:
-    """Shuffle each class and deal round-robin across clients.
+def partition_iid(
+    data: LabeledDataset, num_clients: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Shuffle each class and deal round-robin across clients; client ``k``'s
+    share is the ``k``-th sorted index array of the returned tuple.
 
     The shuffled classes are dealt as one sequence, client ``k`` taking every
     ``num_clients``-th sample from position ``k``, so client sizes stay
@@ -214,8 +194,7 @@ def partition_iid(data: LabeledDataset, num_clients: int, rng: np.random.Generat
         rng.shuffle(idx)
         shuffled.append(idx)
     dealt = np.concatenate(shuffled)
-    assignments = tuple(np.sort(dealt[k::num_clients]) for k in range(num_clients))
-    return Partition(assignments, data.n)
+    return tuple(np.sort(dealt[k::num_clients]) for k in range(num_clients))
 
 
 def partition_dirichlet(
@@ -223,8 +202,9 @@ def partition_dirichlet(
     num_clients: int,
     alpha: float,
     rng: np.random.Generator,
-) -> Partition:
-    """Class-wise Dirichlet(alpha) shares across clients.
+) -> tuple[np.ndarray, ...]:
+    """Class-wise Dirichlet(alpha) shares across clients, as one sorted index
+    array per client.
 
     For each class a proportion vector is drawn from a symmetric
     Dirichlet(alpha) and the shuffled class indices are split at the
@@ -255,5 +235,4 @@ def partition_dirichlet(
         buckets[empty].append(buckets[donor].pop())
         sizes[donor] -= 1
         sizes[empty] += 1
-    assignments = tuple(np.sort(np.array(b, dtype=np.int64)) for b in buckets)
-    return Partition(assignments, data.n)
+    return tuple(np.sort(np.array(b, dtype=np.int64)) for b in buckets)

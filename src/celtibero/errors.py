@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ShapeMismatchError", "IdxFormatError", "ConfigError", "RoundError"]
+
 
 class ShapeMismatchError(ValueError):
     """Structural mismatch: models with differing layer shapes, a flat vector

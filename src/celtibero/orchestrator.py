@@ -20,7 +20,7 @@ import numpy as np
 
 from .aggregators import aggregate
 from .attacks import (
-    _DECAYS, _MODEL_RULES, _SHARE_RULES, BACKDOOR_KINDS, REFERENCE_KINDS, AttackSpec, TriggerPattern
+    _DECAYS, _MODEL_RULES, _SHARE_RULES, REFERENCE_KINDS, AttackSpec, TriggerPattern
 )
 from .clustering import ClusterVerdict
 from .config import (
@@ -44,13 +44,14 @@ from .training import (
 )
 
 __all__ = [
-    "ClientSpec",
     "FederationState",
     "RoundReport",
     "ExperimentResult",
     "Experiment",
     "sample_participants",
     "backdoor_success_rate",
+    "derive_rng",
+    "derive_seed",
     "run_experiment",
 ]
 
@@ -71,15 +72,6 @@ def derive_rng(master_seed: int, *path) -> np.random.Generator:
 def derive_seed(master_seed: int, *path) -> int:
     """Single integer seed derived the same way as :func:`derive_rng`."""
     return int(_derive_seed_sequence(master_seed, *path).generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class ClientSpec:
-    """One roster entry: the client's (possibly poisoned) local data."""
-
-    index: int
-    malicious: bool
-    data: LabeledDataset
 
 
 @dataclass(frozen=True)
@@ -198,10 +190,12 @@ class Experiment:
 
     Building an Experiment validates the config exactly as the parser does
     (a hand-built config gets every violation listed and its defaults
-    materialized), loads/generates the data, partitions it across the roster,
-    poisons the malicious clients' shares, and initializes the global model.
-    Only the shares are kept, not the full training set. ``run`` then
-    executes the configured number of rounds.
+    materialized), loads/generates the data, partitions it across the
+    clients, poisons the malicious clients' shares, and initializes the
+    global model. The roster is two values: ``shares``, one dataset per
+    client (poisoned where the client is malicious), and ``malicious``, the
+    set of malicious client indices. Only the shares are kept, not the full
+    training set. ``run`` then executes the configured number of rounds.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -215,44 +209,42 @@ class Experiment:
             partition = partition_dirichlet(
                 train, cfg.clients, cfg.partition.alpha, derive_rng(master, "partition")
             )
-        attackers = malicious_count(cfg)
         roster_order = derive_rng(master, "roster").permutation(cfg.clients)
-        malicious_ids = set(int(i) for i in roster_order[:attackers])
+        self.malicious = frozenset(int(i) for i in roster_order[: malicious_count(cfg)])
         poison = _SHARE_RULES[cfg.attack.kind]
-        clients = []
         # The malicious clients' unpoisoned shares, for the clean reference run.
         self._clean_shares: dict[int, LabeledDataset] = {}
-        rank = 0
-        for k in range(cfg.clients):
-            share = train.subset(partition.assignments[k])
-            malicious = k in malicious_ids
-            if malicious:
+        shares, rank = [], 0
+        # Each share is cut and poisoned in turn: an attacker's clean share is
+        # released (or kept for the reference run) before the next is cut.
+        for k, indices in enumerate(partition):
+            share = train.subset(indices)
+            if k in self.malicious:
                 if cfg.attack.kind in REFERENCE_KINDS:
                     self._clean_shares[k] = share
                 share = poison(share, cfg.attack, rank, derive_rng(master, "attack", k))
                 rank += 1
-            clients.append(ClientSpec(index=k, malicious=malicious, data=share))
-        self.clients = tuple(clients)
-        self.architecture = NetworkArchitecture(
+            shares.append(share)
+        self.shares = tuple(shares)
+        architecture = NetworkArchitecture(
             layer_sizes=(train.d, *cfg.architecture.hidden, train.num_classes),
-            activation=cfg.architecture.activation,
             seed=derive_seed(master, "init"),
         )
         del train  # released before the stamped test rows are built
-        self.initial_model = init_model(self.architecture)
+        self.initial_model = init_model(architecture)
         self._stamped = None
-        if cfg.attack.kind in BACKDOOR_KINDS:
+        if cfg.attack.trigger is not None:
             self._stamped = _stamped_rows(self.test_data, cfg.attack.trigger)
 
     def _clean_reference(self) -> Experiment:
         """The no-attack federation of a reference-kind experiment, on this
-        experiment's own test set, roster, architecture and initial model,
-        with each client's clean share (a benign client's is its ``data``).
+        experiment's own test set, roster and initial model, with each
+        client's clean share (a benign client's is the share it holds here).
         Nothing is regenerated, repartitioned or re-cut."""
         reference = copy.copy(self)
         reference.cfg = replace(self.cfg, attack=AttackSpec(kind="none"))
-        reference.clients = tuple(
-            replace(c, data=self._clean_shares.get(c.index, c.data)) for c in self.clients
+        reference.shares = tuple(
+            self._clean_shares.get(k, share) for k, share in enumerate(self.shares)
         )
         return reference
 
@@ -267,7 +259,7 @@ class Experiment:
         warning; every other case, a missing reference included, scores 0."""
         attack, activation = self.cfg.attack, self.cfg.architecture.activation
         metrics = evaluate(model, self.test_data, activation)
-        if attack.kind in BACKDOOR_KINDS:
+        if attack.trigger is not None:
             return metrics, backdoor_success_rate(
                 model, self.test_data, attack.trigger, activation, stamped=self._stamped
             )
@@ -310,23 +302,23 @@ class Experiment:
         model_rule = _MODEL_RULES.get(cfg.attack.kind)
         local_models = []
         for i in participants:
-            client = self.clients[int(i)]
+            k = int(i)
             train_cfg = TrainConfig(
                 learning_rate=cfg.training.learning_rate,
                 batch_size=cfg.training.batch_size,
                 epochs=cfg.local_epochs,
-                seed=derive_seed(cfg.seed, "train", t, client.index),
+                seed=derive_seed(cfg.seed, "train", t, k),
             )
             try:
                 local = train_local(
-                    state.global_model, client.data, train_cfg, cfg.architecture.activation
+                    state.global_model, self.shares[k], train_cfg, cfg.architecture.activation
                 )
-                if client.malicious and model_rule is not None:
+                if k in self.malicious and model_rule is not None:
                     local = model_rule(
                         local, state.global_model, state.last_update, cfg.attack, len(participants)
                     )
             except ValueError as exc:
-                raise RoundError(f"round {t}: client {client.index} failed: {exc}") from exc
+                raise RoundError(f"round {t}: client {k} failed: {exc}") from exc
             local_models.append(local)
         try:
             new_global, verdicts = aggregate(cfg.aggregator, state.global_model, local_models)
@@ -380,12 +372,12 @@ def _summarize(
         "initial_mta": initial_metrics.accuracy,
         "final_mta": final_mta,
         "final_asr": final_asr,
-        "malicious_clients": sorted(c.index for c in experiment.clients if c.malicious),
+        "malicious_clients": sorted(experiment.malicious),
         "mta_series": [r.mta for r in reports],
         "asr_series": [r.asr for r in reports],
         "participants": [list(r.participants) for r in reports],
     }
-    if cfg.attack.kind in BACKDOOR_KINDS:
+    if cfg.attack.trigger is not None:
         summary["trigger"] = asdict(cfg.attack.trigger)
     if cfg.aggregator.kind == "celtibero":
         summary["verdict_history"] = [
@@ -406,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Kinds in ``REFERENCE_KINDS`` automatically execute the paired no-attack
     reference run first (same master seed, same roster, attack disabled) so
     per-round success rates compare matched rounds. The reference shares the
-    experiment's data: its test set, architecture and initial model, and
+    experiment's data: its test set and initial model, and
     each client's clean share; no data is built twice.
     """
     experiment = Experiment(cfg)

@@ -36,10 +36,11 @@ _EVAL_CHUNK = 8192
 
 @dataclass(frozen=True)
 class NetworkArchitecture:
-    """Dense layer sizes from input to output, e.g. ``(20, 16, 4)``."""
+    """Dense layer sizes from input to output, e.g. ``(20, 16, 4)``, and the
+    seed of their initialization. The hidden activation is not part of it:
+    each call that runs the network takes its own."""
 
     layer_sizes: tuple[int, ...]
-    activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,8 +50,6 @@ class NetworkArchitecture:
             raise ValueError("architecture needs input, at least one hidden, and output sizes")
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,22 @@ class TestModuleEntryPoint:
         assert "  - attack.trigger.positions: positions must be >= 0, got (-1,)" in done.stderr
         assert done.stderr.count("  - ") == 2
 
+    def test_sizes_past_64_bits_exit_1_without_a_traceback(self, tmp_path):
+        big = 10**400
+        config = write_config(
+            tmp_path,
+            dataset={"kind": "synthetic", "features": big, "samples": big, "test_samples": big},
+            architecture={"hidden": [big]},
+        )
+        done = self.run_module(str(config), cwd=tmp_path)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"config error: {config}")
+        for key in ("samples", "features", "test_samples"):
+            assert f"  - dataset.{key}: expected an integer <= 2**63 - 1, got {big}" in done.stderr
+        assert "  - architecture.hidden: expected a list of integers <= 2**63 - 1" in done.stderr
+        assert done.stderr.count("  - ") == 4
+
 
 class TestOutputDirPrecedence:
     def test_flag_beats_config_and_env(self, tmp_path, monkeypatch):

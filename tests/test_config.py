@@ -1,22 +1,23 @@
 """Config schema: defaults, strictness, violation batching, and round trips."""
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from celtibero import (
     AGGREGATOR_NAMES,
     ATTACK_KINDS,
-    BACKDOOR_KINDS,
     REFERENCE_KINDS,
     AggregatorConfig,
     ArchitectureConfig,
     AttackSpec,
     ConfigError,
+    Experiment,
     ExperimentConfig,
     TrainingConfig,
     config_from_dict,
     config_to_dict,
+    make_default_trigger,
     malicious_count,
     parse_config,
     run_experiment,
@@ -176,6 +177,7 @@ class TestValueViolations:
                 "training.learning_rate: expected a finite number, got -inf",
             ),
             ({"training": {"learning_rate": 10**400}}, "learning_rate: expected a finite number"),
+            ({"seed": 2**63}, "top level.seed: expected an integer <= 2**63 - 1"),
             (
                 {"attack": {"kind": "mra", "boost_factor": INF}},
                 "attack.boost_factor: expected a finite number, got inf",
@@ -350,6 +352,22 @@ class TestParserOwnsEveryCheck:
         a bad item is listed with the other violations, never raised."""
         assert violations_of(raw) == expected
 
+    def test_ints_past_64_bits_are_violations(self):
+        """A size past 64 bits can never be allocated; before this check each
+        of these passed the parser and failed in set-up."""
+        big = 10**400
+        raw = {
+            "architecture": {"hidden": [big]},
+            "dataset": {"features": big, "samples": big, "test_samples": big},
+        }
+        assert violations_of(raw) == [
+            f"dataset.samples: expected an integer <= 2**63 - 1, got {big!r}",
+            f"dataset.features: expected an integer <= 2**63 - 1, got {big!r}",
+            f"dataset.test_samples: expected an integer <= 2**63 - 1, got {big!r}",
+            f"architecture.hidden: expected a list of integers <= 2**63 - 1, got {[big]!r}",
+        ]
+        assert config_from_dict({"seed": 2**63 - 1}).seed == 2**63 - 1
+
     def test_one_sample_per_client_is_enough(self):
         assert config_from_dict({"dataset": {"samples": 20}, "clients": 20}).clients == 20
         raw = {"dataset": {"kind": "mnist_idx", **MNIST_PATHS, "train_subset": 20}}
@@ -491,12 +509,24 @@ class TestKeyTables:
                 assert not missing, (block.__name__, missing)
 
     def test_attack_kind_sets_agree(self):
-        # A backdoor is scored by its trigger, so exactly the backdoors read one.
+        # A backdoor is an attack with a trigger: the orchestrator stamps and
+        # scores by it, so a parsed config, or a hand-built one that
+        # ``Experiment`` re-parses, has one exactly for the kinds that read one.
         reads_trigger = {k for k, keys in _WRITTEN_KEYS[AttackSpec].items() if "trigger" in keys}
-        assert set(BACKDOOR_KINDS) == reads_trigger
+        base = config_from_dict({
+            "dataset": {"samples": 40, "features": 6, "test_samples": 20},
+            "clients": 4, "malicious_fraction": 0.25, "rounds": 0,
+        })
+        trigger = make_default_trigger(6, 0)
+        for kind in ATTACK_KINDS:
+            parsed = config_from_dict({**config_to_dict(base), "attack": {"kind": kind}}).attack
+            built = Experiment(replace(base, attack=AttackSpec(kind))).cfg.attack
+            given = Experiment(replace(base, attack=AttackSpec(kind, trigger=trigger))).cfg.attack
+            for attack in (parsed, built, given):
+                assert (attack.trigger is not None) == (kind in reads_trigger), (kind, attack)
         assert set(REFERENCE_KINDS) <= set(ATTACK_KINDS)
         assert set(_MODEL_RULES) <= set(ATTACK_KINDS)
-        assert not set(REFERENCE_KINDS) & set(BACKDOOR_KINDS)
+        assert not set(REFERENCE_KINDS) & reads_trigger
 
     def test_attack_kinds_keep_their_order(self):
         kinds = ("none", "ulfa", "tlfa", "mra", "dba", "neurotoxin")

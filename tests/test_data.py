@@ -9,7 +9,6 @@ import pytest
 from celtibero import (
     IdxFormatError,
     LabeledDataset,
-    Partition,
     gen_synthetic,
     load_idx,
     partition_dirichlet,
@@ -78,22 +77,6 @@ class TestLabeledDataset:
     def test_zero_width_features_are_accepted(self):
         data = LabeledDataset(np.empty((3, 0)), [0, 1, 0], 2)
         assert data.n == 3 and data.d == 0
-
-
-class TestPartition:
-    def test_rejects_empty_share(self):
-        with pytest.raises(ValueError, match="empty share"):
-            Partition((np.array([0, 1]), np.array([], dtype=np.int64)), 2)
-
-    def test_rejects_bad_cover(self):
-        with pytest.raises(ValueError):
-            Partition((np.array([0]), np.array([0])), 2)  # duplicated index
-        with pytest.raises(ValueError):
-            Partition((np.array([0]), np.array([2])), 3)  # missing index
-
-    def test_sizes(self):
-        p = Partition((np.array([0, 2]), np.array([1])), 3)
-        assert [a.size for a in p.assignments] == [2, 1]
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, image_magic=0x803,
@@ -220,26 +203,24 @@ class TestPartitionIid:
     def test_exact_cover_and_even_sizes(self):
         data = gen_synthetic(4, 1000, 8, 2.0, np.random.default_rng(3))
         part = partition_iid(data, 20, np.random.default_rng(4))
-        assert len(part.assignments) == 20
-        joined = np.sort(np.concatenate(part.assignments))
+        assert isinstance(part, tuple) and len(part) == 20
+        joined = np.sort(np.concatenate(part))
         assert np.array_equal(joined, np.arange(1000))
-        sizes = np.array([a.size for a in part.assignments])
-        assert sizes.max() - sizes.min() <= 1
+        sizes = np.array([a.size for a in part])
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
 
     def test_per_class_split_is_even(self):
         data = gen_synthetic(4, 1000, 8, 2.0, np.random.default_rng(5))
         part = partition_iid(data, 20, np.random.default_rng(6))
         for cls in range(4):
-            per_client = [
-                int(np.sum(data.labels[a] == cls)) for a in part.assignments
-            ]
+            per_client = [int(np.sum(data.labels[a] == cls)) for a in part]
             assert max(per_client) - min(per_client) <= 1
 
     def test_deterministic_given_seed(self):
         data = gen_synthetic(3, 300, 6, 2.0, np.random.default_rng(7))
         a = partition_iid(data, 7, np.random.default_rng(8))
         b = partition_iid(data, 7, np.random.default_rng(8))
-        assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_rejections(self):
         data = gen_synthetic(2, 5, 4, 2.0, np.random.default_rng(9))
@@ -264,8 +245,8 @@ class TestPartitionIid:
             want = dealt_partition_iid(
                 data.labels, num_classes, num_clients, np.random.default_rng(case)
             )
-            assert len(got.assignments) == len(want)
-            for a, b in zip(got.assignments, want):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
@@ -274,15 +255,16 @@ class TestPartitionDirichlet:
     def test_exact_cover_and_no_empty_clients(self):
         data = gen_synthetic(5, 800, 10, 2.0, np.random.default_rng(10))
         part = partition_dirichlet(data, 12, 0.5, np.random.default_rng(11))
-        joined = np.sort(np.concatenate(part.assignments))
+        assert isinstance(part, tuple) and len(part) == 12
+        joined = np.sort(np.concatenate(part))
         assert np.array_equal(joined, np.arange(800))
-        assert min(a.size for a in part.assignments) >= 1
+        assert min(a.size for a in part) >= 1
 
     def test_low_alpha_concentrates_classes(self):
         data = gen_synthetic(5, 500, 10, 2.0, np.random.default_rng(12))
         part = partition_dirichlet(data, 10, 0.1, np.random.default_rng(13))
         missing = 0
-        for a in part.assignments:
+        for a in part:
             counts = np.bincount(data.labels[a], minlength=5)
             missing += int(np.sum(counts == 0))
         assert missing > 0
@@ -290,20 +272,20 @@ class TestPartitionDirichlet:
     def test_high_alpha_approaches_iid(self):
         data = gen_synthetic(4, 4000, 8, 2.0, np.random.default_rng(14))
         part = partition_dirichlet(data, 10, 1000.0, np.random.default_rng(15))
-        for a in part.assignments:
+        for a in part:
             proportions = np.bincount(data.labels[a], minlength=4) / a.size
             assert np.all(np.abs(proportions - 0.25) <= 0.03)
 
     def test_empty_client_repair_with_scarce_samples(self):
         data = gen_synthetic(2, 10, 4, 2.0, np.random.default_rng(16))
         part = partition_dirichlet(data, 10, 0.05, np.random.default_rng(17))
-        assert [a.size for a in part.assignments] == [1] * 10
+        assert [a.size for a in part] == [1] * 10
 
     def test_deterministic_given_seed(self):
         data = gen_synthetic(3, 300, 6, 2.0, np.random.default_rng(18))
         a = partition_dirichlet(data, 6, 0.5, np.random.default_rng(19))
         b = partition_dirichlet(data, 6, 0.5, np.random.default_rng(19))
-        assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_rejections(self):
         data = gen_synthetic(2, 20, 4, 2.0, np.random.default_rng(20))

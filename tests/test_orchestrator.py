@@ -284,18 +284,20 @@ class TestExperiment:
     def test_poisoning_happens_at_construction(self):
         cfg = tiny_config(attack={"kind": "tlfa", "source_class": 1, "target_class": 0})
         experiment = Experiment(cfg)
-        malicious = [c for c in experiment.clients if c.malicious]
-        benign = [c for c in experiment.clients if not c.malicious]
+        assert isinstance(experiment.malicious, frozenset)
+        assert isinstance(experiment.shares, tuple) and len(experiment.shares) == 6
+        malicious = [s for k, s in enumerate(experiment.shares) if k in experiment.malicious]
+        benign = [s for k, s in enumerate(experiment.shares) if k not in experiment.malicious]
         assert len(malicious) == 2
-        for client in malicious:
-            assert int(np.sum(client.data.labels == 1)) == 0
-        assert any(int(np.sum(c.data.labels == 1)) > 0 for c in benign)
+        for share in malicious:
+            assert int(np.sum(share.labels == 1)) == 0
+        assert any(int(np.sum(share.labels == 1)) > 0 for share in benign)
 
     def test_roster_independent_of_aggregator(self):
         ids = []
         for kind in ("fedavg", "celtibero"):
             experiment = Experiment(tiny_config(aggregator={"kind": kind}))
-            ids.append([c.index for c in experiment.clients if c.malicious])
+            ids.append(sorted(experiment.malicious))
         assert ids[0] == ids[1]
 
     def test_participant_schedule_independent_of_aggregator(self):
@@ -436,7 +438,7 @@ class TestIdxExperiment:
         want = load_idx(test_images, test_labels).subset(np.sort(pick))
         assert np.array_equal(experiment.test_data.features, want.features)
         assert np.array_equal(experiment.test_data.labels, want.labels)
-        assert sum(c.data.n for c in experiment.clients) == 30
+        assert sum(share.n for share in experiment.shares) == 30
         first = run_experiment(cfg)
         assert first.summary["rounds_completed"] == 2
         assert run_experiment(cfg).summary == first.summary
@@ -483,16 +485,18 @@ class TestCleanReference:
         assert reference.cfg == scratch.cfg
         assert reference.test_data is experiment.test_data
         assert reference.initial_model is experiment.initial_model
+        assert reference.malicious == scratch.malicious == experiment.malicious
+        assert len(reference.shares) == len(scratch.shares) == len(experiment.shares)
         poisoned = 0
-        for attacked, ref, clean in zip(experiment.clients, reference.clients, scratch.clients):
-            assert (ref.index, ref.malicious) == (clean.index, clean.malicious)
-            assert ref.malicious == attacked.malicious
-            assert np.array_equal(ref.data.labels, clean.data.labels)
-            assert np.array_equal(ref.data.features, clean.data.features)
-            if attacked.malicious:
-                poisoned += not np.array_equal(attacked.data.labels, ref.data.labels)
+        for k, (attacked, ref, clean) in enumerate(
+            zip(experiment.shares, reference.shares, scratch.shares)
+        ):
+            assert np.array_equal(ref.labels, clean.labels)
+            assert np.array_equal(ref.features, clean.features)
+            if k in experiment.malicious:
+                poisoned += not np.array_equal(attacked.labels, ref.labels)
             else:
-                assert ref.data is attacked.data
+                assert ref is attacked
         assert poisoned == 3
 
     def test_label_flip_run_peaks_under_three_training_matrices(self):
@@ -507,6 +511,23 @@ class TestCleanReference:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (2000 * 100 * 8)
+
+    def test_backdoor_setup_peaks_under_two_and_a_sixth_training_matrices(self):
+        # Each share is cut and poisoned in turn (about 2.09 training matrices
+        # at the peak here); cutting every clean share before poisoning any
+        # holds the attackers' clean and poisoned copies at once (2.2 or more).
+        dataset = {"kind": "synthetic", "classes": 4, "samples": 2000, "features": 100,
+                   "separation": 3.0, "test_samples": 100}
+        cfg = tiny_config(dataset=dataset, clients=8, malicious_fraction=0.25, seed=1,
+                          attack={"kind": "mra", "poison_fraction": 1.0})
+        Experiment(cfg)  # first, so that modules it imports lazily are not counted
+        tracemalloc.start()
+        try:
+            Experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.16 * (2000 * 100 * 8)
 
 
 class TestRunExperiment:

@@ -34,7 +34,7 @@ def dense_model(*arrays):
 
 class TestNetworkArchitecture:
     def test_valid(self):
-        arch = NetworkArchitecture((20, 16, 4), activation="tanh", seed=3)
+        arch = NetworkArchitecture((20, 16, 4), seed=3)
         assert arch.layer_sizes == (20, 16, 4)
 
     def test_rejections(self):
@@ -42,8 +42,6 @@ class TestNetworkArchitecture:
             NetworkArchitecture((20, 4))
         with pytest.raises(ValueError):
             NetworkArchitecture((20, 0, 4))
-        with pytest.raises(ValueError):
-            NetworkArchitecture((20, 16, 4), activation="sigmoid")
 
 
 class TestTrainConfig:
@@ -134,10 +132,19 @@ class TestPredict:
         with pytest.raises(ShapeMismatchError):
             predict(model, np.zeros(3))
 
+    def test_rejects_unknown_activation(self):
+        # The activation is an argument of each call that runs the network.
+        model = init_model(NetworkArchitecture((3, 3, 2)))
+        data = LabeledDataset(np.zeros((2, 3)), [0, 1], 2)
+        with pytest.raises(ValueError, match="activation must be one of"):
+            predict(model, data.features, "sigmoid")
+        with pytest.raises(ValueError, match="activation must be one of"):
+            train_local(model, data, TrainConfig(learning_rate=0.1, batch_size=2), "sigmoid")
+
 
 class TestLossAndGrad:
     def test_gradients_match_central_differences(self):
-        arch = NetworkArchitecture((2, 3, 2), activation="tanh", seed=11)
+        arch = NetworkArchitecture((2, 3, 2), seed=11)
         model = init_model(arch)
         rng = np.random.default_rng(12)
         X = rng.uniform(size=(4, 2))
@@ -257,7 +264,7 @@ class TestPerLayerReference:
         if zero_features:
             features = np.zeros((n, width))
         data = LabeledDataset(features, rng.integers(0, classes, size=n), classes)
-        model = init_model(NetworkArchitecture((width, *hidden, classes), activation, seed))
+        model = init_model(NetworkArchitecture((width, *hidden, classes), seed))
         cfg = TrainConfig(lr, batch, epochs, seed)
         trained = train_local(model, data, cfg, activation)
         reference = per_layer_train_local(model, data, cfg, activation)
