@@ -190,6 +190,19 @@ _EXPECTED = {
 # The largest int a key accepts: every size, count and seed fits in 64 bits.
 _INT_MAX = 2**63 - 1
 
+
+def _shown(value) -> str:
+    """``repr(value)``; a value holding an int too long for ``repr`` (past
+    ``sys.get_int_max_str_digits()``) is described by its size instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} holding an integer too long to print"
+        digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one less
+        return f"an integer of {digits + (abs(value) >= 10**digits)} digits"
+
+
 # How ``_Reader.read`` reads each key: (type, test of an accepted value or
 # None, the rule a rejected value broke). A key whose default is a tuple
 # takes a list of that type, and the test sees it as a tuple. Every key but
@@ -266,19 +279,17 @@ class _Reader:
     kinds or one it does not list, every field.
     """
 
-    def __init__(self, raw, where: str, errors: _Violations, defaults):
-        self.raw = raw if isinstance(raw, dict) else {}
+    def __init__(self, raw: dict | None, where: str, errors: _Violations, defaults):
+        self.raw = raw or {}
         self.where = where
         self.errors = errors
         self.defaults = defaults
-        if raw is not None and not isinstance(raw, dict):
-            errors.reject(where, f"expected a mapping, got {type(raw).__name__}")
         allowed = _WRITTEN_KEYS.get(type(defaults))
         if not isinstance(allowed, tuple):
             allowed = {f.name for f in fields(defaults)}
         for key in self.raw:
             if key not in allowed:
-                errors.append(f"{where}: unknown key {key!r}")
+                errors.append(f"{where}: unknown key {_shown(key)}")
 
     def read(self, key: str):
         """``key``'s value, checked by its rule in ``_KEY_RULES``: one value,
@@ -294,17 +305,17 @@ class _Reader:
         if listed != isinstance(value, list) or any(
             isinstance(v, bool) or not isinstance(v, accepted) for v in items
         ):
-            problem = f"expected {_EXPECTED[type_][listed]}, got {value!r}"
+            problem = f"expected {_EXPECTED[type_][listed]}, got {_shown(value)}"
         elif type_ is float and not all(abs(v) <= sys.float_info.max for v in items):
             # NaN fails every comparison; an int past the float range has no finite float.
-            problem = f"expected {_EXPECTED['finite'][listed]}, got {value!r}"
+            problem = f"expected {_EXPECTED['finite'][listed]}, got {_shown(value)}"
         elif type_ is int and not all(v <= _INT_MAX for v in items):
-            problem = f"expected {_EXPECTED['int64'][listed]}, got {value!r}"
+            problem = f"expected {_EXPECTED['int64'][listed]}, got {_shown(value)}"
         else:
             value = tuple(map(type_, items)) if listed else type_(value)
             if ok is None or ok(value):
                 return value
-            problem = f"{rule}, got {value!r}"
+            problem = f"{rule}, got {_shown(value)}"
         self.errors.reject(f"{self.where}.{key}", problem)
         return default
 
@@ -323,7 +334,7 @@ class _Reader:
         if given, else this block's default for ``key``."""
         value = self.raw.get(key)
         if value is not None and not isinstance(value, dict):
-            self.errors.reject(f"{self.where}.{key}", f"expected a mapping, got {value!r}")
+            self.errors.reject(f"{self.where}.{key}", f"expected a mapping, got {_shown(value)}")
             value = None
         where = f"{self.where}.{key}".removeprefix("top level.")
         return _Reader(value, where, self.errors, defaults or getattr(self.defaults, key))
@@ -344,22 +355,20 @@ def _parse_dataset(reader: _Reader, errors: _Violations) -> DatasetConfig:
 
 def _parse_trigger(reader: _Reader, num_features: int, errors: _Violations):
     """The trigger that ``reader``'s block gives, or None if it is rejected.
-    The block's rules check each value; this checks them against each other."""
-    trigger = reader.read_all()
-    positions, where = trigger["positions"], reader.where
+    The block's rules check each value and ``TriggerPattern`` their shape;
+    this checks the positions against the feature count."""
+    trigger, where = reader.read_all(), reader.where
     if not errors.valid(where):
         return None
-    if len(positions) != len(trigger["values"]):
-        errors.reject(where, f"{len(positions)} positions but {len(trigger['values'])} values")
-    elif not positions:
-        errors.reject(f"{where}.positions", "expected at least one position")
-    elif errors.valid("dataset.kind", "dataset.features") and max(positions) >= num_features:
+    try:
+        pattern = replace(reader.defaults, **trigger)
+    except ValueError as exc:
+        errors.reject(where, str(exc))
+        return None
+    if errors.valid("dataset.kind", "dataset.features") and max(pattern.positions) >= num_features:
         errors.reject(f"{where}.positions", f"every position must lie in [0, {num_features})")
-    elif len(set(positions)) != len(positions):
-        errors.reject(f"{where}.positions", "positions must be distinct")
-    else:
-        return replace(reader.defaults, **trigger)
-    return None
+        return None
+    return pattern
 
 
 def _parse_attack(
@@ -417,10 +426,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"top level: expected a mapping, got {type(raw).__name__}"])
     top = _Reader(raw, "top level", errors, _DEFAULTS)
+    values = top.read_all()
+    clients, participation = values["clients"], values["participation"]
+    attackers = _malicious_count(values["malicious_fraction"], clients)
+    if attackers * 2 >= clients and errors.valid("clients"):
+        # malicious_count's epsilon can round a fraction just under 0.5 up to half.
+        errors.reject(
+            "top level.malicious_fraction",
+            f"{values['malicious_fraction']} of {clients} clients gives "
+            f"{attackers} malicious, which leaves no strict honest majority",
+        )
 
     dataset = _parse_dataset(top.block("dataset"), errors)
-    partition = PartitionConfig(**top.block("partition").read_all())
-    clients = top.read("clients")
     size_key = "samples" if dataset.kind == "synthetic" else "train_subset"
     size = getattr(dataset, size_key)
     read = ("dataset.kind", f"dataset.{size_key}", "clients")
@@ -430,22 +447,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             f"dataset.{size_key}: {size} training samples cannot be split across "
             f"{clients} clients"
         )
-    malicious_fraction = top.read("malicious_fraction")
-    attackers = _malicious_count(malicious_fraction, clients)
-    if attackers * 2 >= clients and errors.valid("clients"):
-        # malicious_count's epsilon can round a fraction just under 0.5 up to half.
-        errors.reject(
-            "top level.malicious_fraction",
-            f"{malicious_fraction} of {clients} clients gives "
-            f"{attackers} malicious, which leaves no strict honest majority",
-        )
+    partition = PartitionConfig(**top.block("partition").read_all())
     attack = _parse_attack(top.block("attack"), dataset, attackers, errors)
     aggregator = AggregatorConfig(**top.block("aggregator").read_all())
-    rounds = top.read("rounds")
-    local_epochs = top.read("local_epochs")
-
-    participation = top.read("participation")
-
     if "krum_f" in _written_keys(AggregatorConfig, aggregator.kind):
         # Smallest round that sample_participants can draw: the low bound's count.
         fewest = _participant_count(participation[0], clients)
@@ -456,31 +460,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f">= {needed} participants per round (2*krum_f + 3), but a round of "
                 f"{clients} clients at participation {participation[0]} can have {fewest}"
             )
-
     architecture = ArchitectureConfig(**top.block("architecture").read_all())
     training_defaults = _DEFAULTS.training
     if dataset.kind == "mnist_idx":
         training_defaults = replace(training_defaults, learning_rate=_MNIST_LEARNING_RATE)
     training = TrainingConfig(**top.block("training", training_defaults).read_all())
-    seed = top.read("seed")
-    output_dir = top.read("output_dir")
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
+        **values,
         dataset=dataset,
         partition=partition,
-        clients=clients,
-        malicious_fraction=malicious_fraction,
         attack=attack,
         aggregator=aggregator,
-        rounds=rounds,
-        local_epochs=local_epochs,
-        participation=participation,
         architecture=architecture,
         training=training,
-        seed=seed,
-        output_dir=output_dir,
     )
 
 
@@ -492,6 +487,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         super().__init__(stream)
         self.repeats: list[tuple[int, str]] = []
 
+    def construct_object(self, node, deep=False):
+        """A value the loader cannot build (a date 2024-13-45, an int past
+        ``sys.get_int_max_str_digits()``) is a syntax error at its node."""
+        try:
+            return super().construct_object(node, deep)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+
     def construct_mapping(self, node, deep=False):
         seen = set()
         for key_node, _ in node.value:
@@ -499,7 +502,7 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                 key = self.construct_object(key_node)
                 if key in seen:
                     line = key_node.start_mark.line + 1
-                    self.repeats.append((line, f"line {line}: duplicate key {key!r}"))
+                    self.repeats.append((line, f"line {line}: duplicate key {_shown(key)}"))
                 seen.add(key)
         return super().construct_mapping(node, deep)
 
@@ -525,16 +528,12 @@ def parse_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Resolved config as a plain mapping; parsing it back gives ``cfg``, or
-    for an attack kind that reads a trigger but has none, ``cfg`` with the
-    default one (and for a kind that reads none, ``cfg`` without it)."""
-    return _plain(cfg)
-
-
-def _plain(value):
+def config_to_dict(value):
     """``value`` as YAML-ready data: a config block as a mapping of its
-    ``_written_keys``, a tuple as a list, anything else unchanged."""
+    ``_written_keys``, a tuple as a list, anything else unchanged. Parsing
+    ``config_to_dict(cfg)`` gives ``cfg`` back, except that an attack kind
+    that reads a trigger but has none gets the default one, and any other
+    kind loses its trigger."""
     if isinstance(value, tuple):
         return list(value)
     if not is_dataclass(value):
@@ -543,5 +542,5 @@ def _plain(value):
     for key in _written_keys(type(value), getattr(value, "kind", None)):
         item = getattr(value, key)
         if item is not None or key != "trigger":
-            out[key] = _plain(item)
+            out[key] = config_to_dict(item)
     return out

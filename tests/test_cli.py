@@ -75,7 +75,7 @@ class TestRunCommand:
         stderr = capsys.readouterr().err
         assert stderr.startswith("config error")
         assert "  - top level.clients: must be >= 2, got -3" in stderr
-        assert "  - attack.trigger.positions: expected at least one position" in stderr
+        assert "  - attack.trigger: trigger needs at least one position" in stderr
         assert stderr.count("  - ") == 2
 
     @pytest.mark.parametrize("text", [b"rounds: 3\nseed: \xff\xfe\n", b"rounds: 3\nseed: \x01\n"])
@@ -179,6 +179,33 @@ class TestModuleEntryPoint:
             assert f"  - dataset.{key}: expected an integer <= 2**63 - 1, got {big}" in done.stderr
         assert "  - architecture.hidden: expected a list of integers <= 2**63 - 1" in done.stderr
         assert done.stderr.count("  - ") == 4
+
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            (f"rounds: 1\nseed: {'9' * 5000}\n", "syntax error at line 2: Exceeds the limit"),
+            (
+                f"rounds: 1\narchitecture: {{hidden: [{'9' * 5000}]}}\n",
+                "syntax error at line 2: Exceeds the limit",
+            ),
+            ("rounds: 1\noutput_dir: 2024-13-45\n", "syntax error at line 2: month must be in"),
+            (
+                f"rounds: 1\nseed: 0x{'f' * 4000}\n",
+                "top level.seed: expected an integer <= 2**63 - 1, got an integer of 4817 digits",
+            ),
+        ],
+        ids=["seed-5000-digits", "hidden-5000-digits", "date-month-13", "hex-seed-4000-digits"],
+    )
+    def test_values_yaml_cannot_print_or_build_exit_1_without_a_traceback(
+        self, tmp_path, text, violation
+    ):
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        done = self.run_module(str(config), cwd=tmp_path)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"config error: {config}\n  - {violation}")
+        assert done.stderr.count("  - ") == 1
 
 
 class TestOutputDirPrecedence:

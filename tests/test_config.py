@@ -108,6 +108,20 @@ class TestViolationBatching:
         for key in ("clients", "rounds", "local_epochs", "seed"):
             assert key in joined
 
+    def test_top_level_violations_come_before_block_violations(self):
+        raw = {
+            "dataset": {"classes": 1, "features": 3},
+            "training": {"batch_size": 0},
+            "output_dir": 5,
+            "rounds": -1,
+        }
+        assert violations_of(raw) == [
+            "top level.rounds: must be >= 0, got -1",
+            "top level.output_dir: expected a string, got 5",
+            "dataset.classes: must be >= 2, got 1",
+            "training.batch_size: must be >= 1, got 0",
+        ]
+
     def test_honest_majority_message(self):
         violations = violations_of({"malicious_fraction": 0.5})
         assert violations == [
@@ -269,7 +283,7 @@ class TestValueViolations:
                         "trigger": {"positions": [0, 1, 2, 3, 4, 5], "values": [1.0]},
                     },
                 },
-                ["attack.trigger: 6 positions but 1 values"],
+                ["attack.trigger: trigger has 6 positions but 1 values"],
             ),
             (
                 {"dataset": {"kind": "mnist_idx", **MNIST_PATHS, "train_images": 5}},
@@ -307,7 +321,7 @@ class TestParserOwnsEveryCheck:
         }
         assert violations_of(raw) == [
             "top level.clients: must be >= 2, got -3",
-            "attack.trigger.positions: expected at least one position",
+            "attack.trigger: trigger needs at least one position",
         ]
 
     @pytest.mark.parametrize(
@@ -367,6 +381,29 @@ class TestParserOwnsEveryCheck:
             f"architecture.hidden: expected a list of integers <= 2**63 - 1, got {[big]!r}",
         ]
         assert config_from_dict({"seed": 2**63 - 1}).seed == 2**63 - 1
+
+    def test_ints_too_long_to_print_are_violations(self):
+        """An int past ``sys.get_int_max_str_digits()`` has no ``repr``; its
+        violation gives its number of digits instead."""
+        raw = {
+            "seed": 10**5000,
+            "clients": 1,
+            "rounds": -(10**5000),
+            "dataset": {"samples": 10**5000 - 1},
+            "architecture": {"hidden": [10**5000]},
+            "partition": 10**5000,
+            10**5000: 1,
+        }
+        assert violations_of(raw) == [
+            "top level: unknown key an integer of 5001 digits",
+            "top level.clients: must be >= 2, got 1",
+            "top level.rounds: must be >= 0, got an integer of 5001 digits",
+            "top level.seed: expected an integer <= 2**63 - 1, got an integer of 5001 digits",
+            "dataset.samples: expected an integer <= 2**63 - 1, got an integer of 5000 digits",
+            "top level.partition: expected a mapping, got an integer of 5001 digits",
+            "architecture.hidden: expected a list of integers <= 2**63 - 1, "
+            "got a list holding an integer too long to print",
+        ]
 
     def test_one_sample_per_client_is_enough(self):
         assert config_from_dict({"dataset": {"samples": 20}, "clients": 20}).clients == 20
@@ -593,6 +630,15 @@ class TestRoundTrip:
                 "dataset": {"kind": "mnist_idx", **MNIST_PATHS, "train_subset": 2000},
                 "output_dir": "results/run1",
                 "seed": 11,
+            },
+            {
+                "clients": 12,
+                "malicious_fraction": 0.25,
+                "rounds": 7,
+                "local_epochs": 2,
+                "participation": [0.5, 1.0],
+                "seed": 5,
+                "output_dir": "results/run2",
             },
         ],
     )
