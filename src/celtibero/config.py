@@ -480,15 +480,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """The safe loader, noting each key repeated within one mapping (plain
-    loading keeps its last value) as a (line, violation) pair."""
+    """The safe loader, building only the plain types and noting each key
+    repeated within one mapping (plain loading keeps its last value) as a
+    (line, violation) pair."""
+
+    # Any other tag, explicit or a timestamp's implicit one, reaches the
+    # undefined-tag constructor (key None), a syntax error at its node.
+    yaml_constructors = {
+        tag: yaml.SafeLoader.yaml_constructors[tag]
+        for tag in [None] + [
+            f"tag:yaml.org,2002:{kind}"
+            for kind in ("str", "int", "float", "bool", "null", "seq", "map")
+        ]
+    }
 
     def __init__(self, stream):
         super().__init__(stream)
         self.repeats: list[tuple[int, str]] = []
 
     def construct_object(self, node, deep=False):
-        """A value the loader cannot build (a date 2024-13-45, an int past
+        """A value the loader cannot build (an int past
         ``sys.get_int_max_str_digits()``) is a syntax error at its node."""
         try:
             return super().construct_object(node, deep)

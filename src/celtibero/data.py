@@ -62,7 +62,10 @@ class LabeledDataset:
         if labs.min() < 0 or labs.max() >= num_classes:
             raise ValueError(f"labels must lie in [0, {num_classes})")
         # One reduction per bound; min and max propagate NaN, which fails both.
-        if not (np.min(feats, initial=np.inf) >= 0.0 and np.max(feats, initial=-np.inf) <= 1.0):
+        # The ufuncs' own reduce skips the wrapper of np.min and np.max.
+        low = np.minimum.reduce(feats, axis=None, initial=np.inf)
+        high = np.maximum.reduce(feats, axis=None, initial=-np.inf)
+        if not (low >= 0.0 and high <= 1.0):
             raise ValueError("feature values must lie in [0, 1]")
         feats.flags.writeable = False
         labs.flags.writeable = False
@@ -118,11 +121,68 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     if count != label_count:
         raise IdxFormatError(f"image/label count mismatch: {count} images vs {label_count} labels")
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0  # in place: one float matrix at the peak
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"{labels_path}: labels must lie in 0-9, found {labels.max()}")
     return LabeledDataset._owning(features, labels, 10)
+
+
+# The most bytes of rows `_reorder_rows` copies at once. A matrix this small
+# or smaller moves in one gather.
+_REORDER_BYTES = 1 << 20
+
+
+def _reorder_rows(matrix: np.ndarray, order: np.ndarray) -> None:
+    """``matrix[:] = matrix[order]`` in place, for a C-contiguous ``matrix``
+    with at least one column and a permutation ``order`` of its rows,
+    holding at most ``_REORDER_BYTES`` of rows besides the matrix.
+
+    Every cycle of ``order`` shifts its rows one step: laid end to end, the
+    cycles give ``slots``, the rows in cycle order, and row ``slots[t]``
+    takes row ``slots[t + 1]`` (the last of a cycle takes its first). The
+    slots move a block at a time, each block gathered before it is written.
+    A cycle that began in an earlier block closes on a row already
+    overwritten, so its first row is copied aside before it is.
+    """
+    n = order.size
+    # Pointer doubling: after the round with span 2^k, each row's key holds
+    # the least row among its first 2^(k+1) steps along ``order`` (above bit
+    # ``shift``) and the steps to its first visit (below); once the span
+    # reaches n, that is the least row of the row's whole cycle.
+    shift = (2 * n).bit_length()
+    step, key, span = order, np.arange(n, dtype=np.int64) << shift, 1
+    while span < n:
+        np.minimum(key, key[step] + span, out=key)
+        step = step[step]
+        span *= 2
+    least = key >> shift
+    key &= (1 << shift) - 1
+    sizes = np.bincount(least, minlength=n)
+    ends = np.cumsum(sizes)
+    # A cycle's slots end with its least row's.
+    slots = np.empty(n, dtype=np.int64)
+    slots[ends[least] - 1 - key] = np.arange(n)
+    found = sizes > 0
+    ends = ends[found]
+    starts = ends - sizes[found]
+    del step, key, least, sizes, found
+    # Each row as one item, so that a gather or a scatter moves whole rows.
+    rows = matrix.view(np.dtype((np.void, matrix.strides[0]))).reshape(n)
+    per_block = max(1, _REORDER_BYTES // matrix.strides[0])
+    first = None  # the first row of the cycle that runs on past the block
+    for a in range(0, n, per_block):
+        b = min(a + per_block, n)
+        block = rows[order[slots[a:b]]]
+        c = np.searchsorted(starts, a, "right") - 1  # the cycle at slot a
+        if starts[c] < a and ends[c] <= b:  # began before the block, ends in it
+            block[ends[c] - 1 - a] = first
+        c = np.searchsorted(starts, b - 1, "right") - 1  # the cycle at slot b - 1
+        if starts[c] >= a and ends[c] > b:  # begins in the block, runs past it
+            first = rows[slots[starts[c]]].copy()
+        rows[slots[a:b]] = block
+        del block  # before the next block is gathered
 
 
 _BLOB_LOW = 0.2

@@ -30,7 +30,14 @@ from .config import (
     config_to_dict,
     malicious_count,
 )
-from .data import LabeledDataset, gen_synthetic, load_idx, partition_dirichlet, partition_iid
+from .data import (
+    LabeledDataset,
+    _reorder_rows,
+    gen_synthetic,
+    load_idx,
+    partition_dirichlet,
+    partition_iid,
+)
 from .errors import RoundError
 from .model import ModelWeights, diff
 from .training import (
@@ -194,8 +201,11 @@ class Experiment:
     clients, poisons the malicious clients' shares, and initializes the
     global model. The roster is two values: ``shares``, one dataset per
     client (poisoned where the client is malicious), and ``malicious``, the
-    set of malicious client indices. Only the shares are kept, not the full
-    training set. ``run`` then executes the configured number of rounds.
+    set of malicious client indices. The training matrix is kept once, in
+    client order, as the shares' common read-only base: each share views
+    its client's block of rows, and a backdoor attacker's poisoned rows are
+    stamped into its block. ``run`` then executes the configured number of
+    rounds.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -211,26 +221,43 @@ class Experiment:
             )
         roster_order = derive_rng(master, "roster").permutation(cfg.clients)
         self.malicious = frozenset(int(i) for i in roster_order[: malicious_count(cfg)])
-        poison = _SHARE_RULES[cfg.attack.kind]
-        # The malicious clients' unpoisoned shares, for the clean reference run.
-        self._clean_shares: dict[int, LabeledDataset] = {}
-        shares, rank = [], 0
-        # Each share is cut and poisoned in turn: an attacker's clean share is
-        # released (or kept for the reference run) before the next is cut.
-        for k, indices in enumerate(partition):
-            share = train.subset(indices)
-            if k in self.malicious:
-                if cfg.attack.kind in REFERENCE_KINDS:
-                    self._clean_shares[k] = share
-                share = poison(share, cfg.attack, rank, derive_rng(master, "attack", k))
-                rank += 1
-            shares.append(share)
-        self.shares = tuple(shares)
         architecture = NetworkArchitecture(
             layer_sizes=(train.d, *cfg.architecture.hidden, train.num_classes),
             seed=derive_seed(master, "init"),
         )
-        del train  # released before the stamped test rows are built
+        # The training matrix is laid out in client order, in place, and share
+        # k views its client's block of rows, bounds[k]:bounds[k + 1]. Once
+        # ``train`` is gone nothing else holds the matrix, and it stays
+        # writable until the stamped rows are in.
+        order = np.concatenate(partition)
+        bounds = np.cumsum([0, *(indices.size for indices in partition)])
+        features, labels, classes = train.features, train.labels[order], train.num_classes
+        del train
+        features.flags.writeable = True
+        _reorder_rows(features, order)
+        poison = _SHARE_RULES[cfg.attack.kind]
+        # The malicious clients' unpoisoned shares, for the clean reference
+        # run: views of their blocks, which stay clean because a reference
+        # kind's share rule never changes features.
+        self._clean_shares: dict[int, LabeledDataset] = {}
+        shares, rank = [], 0
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            share = LabeledDataset._owning(features[a:b], labels[a:b], classes)
+            if k in self.malicious:
+                if cfg.attack.kind in REFERENCE_KINDS:
+                    self._clean_shares[k] = share
+                poisoned = poison(share, cfg.attack, rank, derive_rng(master, "attack", k))
+                rank += 1
+                if poisoned.features is not share.features:
+                    # The stamped copy goes into the block, and the poisoned
+                    # share views the block, the very rows it was checked with.
+                    features[a:b] = poisoned.features
+                    poisoned.features = features[a:b]
+                    poisoned.features.flags.writeable = False
+                share = poisoned
+            shares.append(share)
+        features.flags.writeable = labels.flags.writeable = False
+        self.shares = tuple(shares)
         self.initial_model = init_model(architecture)
         self._stamped = None
         if cfg.attack.trigger is not None:

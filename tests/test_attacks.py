@@ -28,6 +28,7 @@ from celtibero import (
     neurotoxin_mask,
     split_trigger,
 )
+from celtibero.attacks import _SHARE_RULES, REFERENCE_KINDS
 from .conftest import make_weights
 from .oracles import argsort_neurotoxin_mask, top_mask_indices
 
@@ -249,6 +250,16 @@ class TestPoisoningOwnership:
             assert not flipped.features.flags.writeable
             assert not np.shares_memory(flipped.labels, data.labels)
             assert not flipped.labels.flags.writeable
+
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS)
+    def test_reference_kinds_keep_the_input_features(self, kind):
+        # An Experiment keeps a reference kind's clean and poisoned share as
+        # one view of the training matrix, so these rows must not copy it.
+        data = make_dataset(n=30, d=6, seed=4)
+        spec = AttackSpec(kind=kind, flip_fraction=0.5)
+        poisoned = _SHARE_RULES[kind](data, spec, 0, np.random.default_rng(5))
+        assert poisoned.features is data.features
+        assert not np.array_equal(poisoned.labels, data.labels)
 
     def test_trigger_stamps_its_own_copy(self):
         data = make_dataset(n=12, d=6, seed=6)

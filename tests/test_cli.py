@@ -11,6 +11,9 @@ import yaml
 
 from celtibero import cli
 
+# The loader builds only plain types, so a date or timestamp has no constructor.
+NO_TIMESTAMP = "could not determine a constructor for the tag 'tag:yaml.org,2002:timestamp'"
+
 
 def write_config(tmp_path, name="config.yaml", **overrides):
     raw = {
@@ -188,13 +191,34 @@ class TestModuleEntryPoint:
                 f"rounds: 1\narchitecture: {{hidden: [{'9' * 5000}]}}\n",
                 "syntax error at line 2: Exceeds the limit",
             ),
-            ("rounds: 1\noutput_dir: 2024-13-45\n", "syntax error at line 2: month must be in"),
+            ("rounds: 1\noutput_dir: 2024-13-45\n", f"syntax error at line 2: {NO_TIMESTAMP}"),
+            ("rounds: 1\noutput_dir: 2024-01-01\n", f"syntax error at line 2: {NO_TIMESTAMP}"),
+            ("rounds: 1\noutput_dir: !!timestamp abc\n", f"syntax error at line 2: {NO_TIMESTAMP}"),
+            (
+                "rounds: 1\noutput_dir: !!binary aGVsbG8=\n",
+                "syntax error at line 2: could not determine a constructor for the tag "
+                "'tag:yaml.org,2002:binary'",
+            ),
+            (
+                "rounds: 1\nparticipation: !!python/tuple [0.5, 1.0]\n",
+                "syntax error at line 2: could not determine a constructor for the tag "
+                "'tag:yaml.org,2002:python/tuple'",
+            ),
             (
                 f"rounds: 1\nseed: 0x{'f' * 4000}\n",
                 "top level.seed: expected an integer <= 2**63 - 1, got an integer of 4817 digits",
             ),
         ],
-        ids=["seed-5000-digits", "hidden-5000-digits", "date-month-13", "hex-seed-4000-digits"],
+        ids=[
+            "seed-5000-digits",
+            "hidden-5000-digits",
+            "date-month-13",
+            "date",
+            "explicit-timestamp",
+            "binary",
+            "python-tuple",
+            "hex-seed-4000-digits",
+        ],
     )
     def test_values_yaml_cannot_print_or_build_exit_1_without_a_traceback(
         self, tmp_path, text, violation

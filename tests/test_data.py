@@ -2,9 +2,12 @@
 
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celtibero import (
     IdxFormatError,
@@ -14,6 +17,8 @@ from celtibero import (
     partition_dirichlet,
     partition_iid,
 )
+from celtibero import data as data_module
+from celtibero.data import _reorder_rows
 
 from .oracles import dealt_partition_iid, gathered_synthetic
 
@@ -138,6 +143,89 @@ class TestLoadIdx:
         paths = write_idx_pair(tmp_path, [0] * 4, [10])
         with pytest.raises(IdxFormatError, match="labels must lie in 0-9"):
             load_idx(*paths)
+
+    def test_scaling_in_place_keeps_every_bit(self, tmp_path):
+        pixels = np.tile(np.arange(256, dtype=np.uint8), 8)
+        data = load_idx(*write_idx_pair(tmp_path, pixels, [3] * 8, rows=16, cols=16))
+        former = pixels.reshape(8, 256).astype(np.float64) / 255.0
+        assert data.features.tobytes() == former.tobytes()
+
+    def test_load_peaks_at_one_float_matrix(self, tmp_path):
+        # A second float matrix for the scaled pixels would peak at about 2.1.
+        count = 400
+        pixels = np.random.default_rng(0).integers(0, 256, count * 784, dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, pixels, [5] * count, rows=28, cols=28)
+        tracemalloc.start()
+        try:
+            data = load_idx(*paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.features.nbytes
+
+
+def permutation_of_shape(shape, n, rng):
+    """A permutation of ``range(n)`` of one of the shapes the reorder must
+    handle."""
+    if shape == "random":
+        return rng.permutation(n)
+    if shape == "sorted-chunks":  # a partition's sorted index arrays, end to end
+        owner = rng.integers(0, 1 + n // 4, size=n)
+        return np.concatenate([np.flatnonzero(owner == k) for k in range(1 + n // 4)])
+    if shape == "identity":
+        return np.arange(n)
+    visit = rng.permutation(n)
+    order = np.arange(n)
+    if shape == "one-cycle":
+        order[visit] = np.roll(visit, -1)
+    else:  # "two-cycles": disjoint swaps, with a fixed point when n is odd
+        pairs = visit[: n // 2 * 2].reshape(-1, 2)
+        order[pairs[:, 0]], order[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    return order
+
+
+class TestReorderRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        width=st.integers(1, 50),
+        shape=st.sampled_from(["random", "sorted-chunks", "identity", "one-cycle", "two-cycles"]),
+        block_rows=st.integers(1, 301),
+        cap_slack=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_gather(self, n, width, shape, block_rows, cap_slack, seed):
+        rng = np.random.default_rng(seed)
+        order = permutation_of_shape(shape, n, rng)
+        matrix = rng.random((n, width))
+        want = matrix[order]
+        # A cap a few bytes past a whole number of rows moves that many rows.
+        with mock.patch.object(data_module, "_REORDER_BYTES", block_rows * width * 8 + cap_slack):
+            _reorder_rows(matrix, order)
+        assert matrix.tobytes() == want.tobytes()
+
+    def test_a_cap_below_one_row_moves_a_row_at_a_time(self):
+        rng = np.random.default_rng(1)
+        matrix, order = rng.random((40, 3)), rng.permutation(40)
+        want = matrix[order]
+        with mock.patch.object(data_module, "_REORDER_BYTES", 1):
+            _reorder_rows(matrix, order)
+        assert matrix.tobytes() == want.tobytes()
+
+    def test_peak_stays_under_the_cap(self):
+        rng = np.random.default_rng(2)
+        matrix = rng.random((4000, 100))
+        order = permutation_of_shape("sorted-chunks", 4000, rng)
+        cap = matrix.nbytes // 8
+        with mock.patch.object(data_module, "_REORDER_BYTES", cap):
+            tracemalloc.start()
+            try:
+                _reorder_rows(matrix, order)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # The block plus a few index arrays of one int64 per row.
+        assert peak < cap + 4 * order.nbytes
 
 
 class TestGenSynthetic:

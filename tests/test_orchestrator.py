@@ -25,11 +25,14 @@ from celtibero import (
     evaluate,
     load_idx,
     make_default_trigger,
+    partition_dirichlet,
+    partition_iid,
     run_experiment,
     sample_participants,
     TriggerPattern,
 )
 from celtibero import attacks, orchestrator
+from celtibero.data import _REORDER_BYTES
 from celtibero.orchestrator import _stamped_rows
 from .test_data import write_idx_pair
 from .test_training import dense_model
@@ -444,6 +447,79 @@ class TestIdxExperiment:
         assert run_experiment(cfg).summary == first.summary
 
 
+LAYOUT_PARTITIONS = {"iid": {"kind": "iid"}, "dirichlet": {"kind": "dirichlet", "alpha": 0.5}}
+LAYOUT_ATTACKS = {
+    "none": {"kind": "none"},
+    "ulfa": {"kind": "ulfa", "flip_fraction": 0.5},
+    "mra": {"kind": "mra"},
+    "dba": {"kind": "dba", "poison_fraction": 1.0},
+}
+
+
+def layout_config(partition, attack):
+    dataset = {"kind": "synthetic", "classes": 3, "samples": 300, "features": 12,
+               "separation": 3.0, "test_samples": 60}
+    return tiny_config(dataset=dataset, clients=10, malicious_fraction=0.3,
+                       partition=LAYOUT_PARTITIONS[partition], attack=LAYOUT_ATTACKS[attack])
+
+
+def cut_shares(cfg, malicious):
+    """Each client's share as ``train.subset(partition[k])`` of a freshly
+    built training set, poisoned in client order by the attack kind's
+    ``_SHARE_RULES`` row where the client is in ``malicious``: the per-client
+    cut that the shared client-ordered matrix replaced."""
+    train, _ = orchestrator._load_datasets(cfg)
+    rng = derive_rng(cfg.seed, "partition")
+    if cfg.partition.kind == "iid":
+        partition = partition_iid(train, cfg.clients, rng)
+    else:
+        partition = partition_dirichlet(train, cfg.clients, cfg.partition.alpha, rng)
+    shares, rank = [], 0
+    for k, indices in enumerate(partition):
+        share = train.subset(indices)
+        if k in malicious:
+            poison = attacks._SHARE_RULES[cfg.attack.kind]
+            share = poison(share, cfg.attack, rank, derive_rng(cfg.seed, "attack", k))
+            rank += 1
+        shares.append(share)
+    return shares
+
+
+@pytest.mark.parametrize("attack", list(LAYOUT_ATTACKS))
+@pytest.mark.parametrize("partition", list(LAYOUT_PARTITIONS))
+class TestShareLayout:
+    def test_shares_tile_one_read_only_matrix(self, partition, attack):
+        cfg = layout_config(partition, attack)
+        experiment = Experiment(cfg)
+        base = experiment.shares[0].features.base
+        assert base.shape == (cfg.dataset.samples, cfg.dataset.features)
+        assert not base.flags.writeable
+        start = base.__array_interface__["data"][0]
+        row = 0
+        for share in experiment.shares:
+            assert share.features.base is base
+            assert share.features.__array_interface__["data"][0] == start + row * base.strides[0]
+            row += share.n
+        assert row == cfg.dataset.samples
+        for k, clean in experiment._clean_shares.items():
+            assert clean.features is experiment.shares[k].features
+
+    def test_shares_equal_the_per_client_cut(self, partition, attack):
+        cfg = layout_config(partition, attack)
+        experiment = Experiment(cfg)
+        cut = cut_shares(cfg, experiment.malicious)
+        assert len(cut) == len(experiment.shares)
+        poisoned = 0
+        for share, want, clean in zip(experiment.shares, cut, cut_shares(cfg, ())):
+            assert share.features.tobytes() == want.features.tobytes()
+            assert share.labels.tobytes() == want.labels.tobytes()
+            poisoned += not (
+                np.array_equal(share.features, clean.features)
+                and np.array_equal(share.labels, clean.labels)
+            )
+        assert poisoned == (0 if attack == "none" else len(experiment.malicious))
+
+
 LABEL_FLIP_CONFIGS = {
     "ulfa-iid": {"attack": {"kind": "ulfa", "flip_fraction": 1.0}},
     "tlfa-iid": {
@@ -528,6 +604,26 @@ class TestCleanReference:
         finally:
             tracemalloc.stop()
         assert peak < 2.16 * (2000 * 100 * 8)
+
+    def test_backdoor_setup_peaks_under_one_and_a_quarter_training_matrices(self):
+        # The matrix is laid out in client order in place, at most
+        # _REORDER_BYTES of rows at a time, and each attacker's stamped copy
+        # of its share goes back into its block (about 1.16 matrices at the
+        # peak here); cutting each share out of the matrix peaked at about 2.03.
+        samples, features = 6000, 200
+        assert samples * features * 8 >= 8 * _REORDER_BYTES
+        dataset = {"kind": "synthetic", "classes": 4, "samples": samples, "features": features,
+                   "separation": 3.0, "test_samples": 100}
+        cfg = tiny_config(dataset=dataset, clients=8, malicious_fraction=0.25, seed=1,
+                          attack={"kind": "mra", "poison_fraction": 1.0})
+        Experiment(cfg)  # first, so that modules it imports lazily are not counted
+        tracemalloc.start()
+        try:
+            Experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (samples * features * 8)
 
 
 class TestRunExperiment:

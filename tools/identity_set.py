@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 62 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 64 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -26,9 +26,10 @@ that run tanh), and with two hidden layers of 8 and 4 units (the only
 6-layer models of the set), each under fedavg and celtibero; and that
 8-round config on Dirichlet (alpha 0.5) shares under ulfa with celtibero and
 tlfa with median_krum, whose reference federations run on ragged clean
-shares; and
-that 8-round config at 0 rounds under celtibero against mra, ulfa and tlfa,
-whose summaries score the initial model; and that 8-round config under
+shares, and under dba and mra with celtibero, whose stamped rows go back
+into ragged blocks of the training matrix; and that 8-round config at 0
+rounds under celtibero against mra, ulfa and tlfa, whose summaries score
+the initial model; and that 8-round config under
 celtibero against mra on ``mnist_idx`` data (the only config of the set that
 reads IDX files): tiny 28 x 28 image and label files drawn from a fixed seed
 into the run's scratch directory, both splits cut to a random subset; and
@@ -192,6 +193,8 @@ def configs() -> dict[str, dict]:
     for name, attack, aggregator in (
         ("ulfa-celtibero", ATTACKS["ulfa"], {"kind": "celtibero"}),
         ("tlfa-median_krum", ATTACKS["tlfa"], AGGREGATORS["median_krum"]),
+        ("dba-celtibero", ATTACKS["dba"], {"kind": "celtibero"}),
+        ("mra-celtibero", ATTACKS["mra"], {"kind": "celtibero"}),
     ):
         out[f"r8-dirichlet/{name}"] = dict(dirichlet, aggregator=aggregator, attack=attack)
     for attack_name in ("mra", "ulfa", "tlfa"):
