@@ -6,11 +6,13 @@ group scored as coordinated manipulation, and advances the global layer by
 the coordinate-wise median of the surviving updates. The remaining
 strategies (``fedavg``, ``coordinate_median``, ``krum``, ``median_krum``)
 serve as baselines under the same interface. Local models, updates and the
-result are all :class:`~celtibero.model.ModelWeights`. Each strategy stacks
-rows into ``(rows, parameters)`` matrices (``model.stack``): celtibero its
-updates, median-Krum all models and then the kept ones. It works on their
-columns, a layer at a time where the rule is per layer
-(``ModelWeights.slices``). ``aggregate`` picks the strategy for a parsed
+result are all :class:`~celtibero.model.ModelWeights`. Each strategy lines
+rows up in ``(rows, parameters)`` matrices and works on their columns, a
+layer at a time where the rule is per layer (``ModelWeights.slices``):
+celtibero fills one update matrix and lets the cosine kernel scale each
+layer's columns in place, then rebuilds the kept rows for the median from
+the local models; median-Krum stacks all models (``model.stack``) and then
+the kept ones. ``aggregate`` picks the strategy for a parsed
 :class:`~celtibero.config.AggregatorConfig` from ``_RULES``, the kind table.
 """
 
@@ -51,6 +53,9 @@ _RULES = {
     "median_krum": lambda g, models, cfg: (median_krum(models, cfg.krum_f), None),
 }
 AGGREGATOR_NAMES = tuple(_RULES)
+# The most bytes of kept update rows that celtibero's median rebuilds at
+# once: a block of a layer's columns.
+_MEDIAN_BYTES = 1 << 17
 # Krum pairs whose squared distance from the Gram matrix is at most this
 # share of ``G_ii + G_jj`` are recomputed from the difference of the two
 # models: there ``G_ii + G_jj - 2 G_ij`` cancels too many bits, and
@@ -69,23 +74,36 @@ def celtibero_aggregate(
     global model, cluster the update directions into two groups by cosine
     distance, label the lower-scoring group poisoned, and add the
     coordinate-wise median of the surviving updates onto the global layer.
-    A client may be kept in one layer and discarded in another.
+    A client may be kept in one layer and discarded in another. Besides its
+    inputs the round holds one update matrix, ``len(local_models)`` rows of
+    the model's size.
 
     Returns the new global model together with one verdict per layer for
     auditing which clients were kept where.
     """
     if len(local_models) < 2:
         raise ValueError("celtibero requires at least 2 local models")
-    updates = stack([diff(w, global_model) for w in local_models])
-    step = np.empty(updates.shape[1])
+    base = global_model.flat
+    updates = np.empty((len(local_models), base.size))
+    for row, local in zip(updates, local_models):
+        row[:] = diff(local, global_model).flat
+    new = np.empty_like(base)
     verdicts = []
     for sl in global_model.slices():
-        layer = updates[:, sl]
-        matrix = pairwise_cosine_matrix(layer)
+        matrix = pairwise_cosine_matrix(updates[:, sl], overwrite_input=True)
         verdict = label_clusters(matrix, agglomerative_two_clusters(matrix, linkage))
-        step[sl] = _median_rows(layer[list(verdict.benign)])
+        # The kernel scaled these columns of ``updates`` in place, so the
+        # kept rows are rebuilt from the local models (the bits of ``diff``),
+        # a block of columns at a time.
+        kept = [local_models[i].flat for i in verdict.benign]
+        cols = max(1, _MEDIAN_BYTES // (updates.itemsize * len(kept)))
+        for c in range(sl.start, sl.stop, cols):
+            e = min(c + cols, sl.stop)
+            block = np.array([flat[c:e] for flat in kept])
+            block -= base[c:e]
+            np.add(base[c:e], _median_rows(block), out=new[c:e])
         verdicts.append(verdict)
-    return ModelWeights._owning(global_model, global_model.flat + step), tuple(verdicts)
+    return ModelWeights._owning(global_model, new), tuple(verdicts)
 
 
 def fedavg(local_models: list[ModelWeights]) -> ModelWeights:

@@ -3,13 +3,13 @@ clustering, and the size x density score that discards one cluster.
 
 Each client's per-layer update is characterized by its direction only. The
 cosine kernel, ``pairwise_cosine_matrix``, fills the pairwise distance
-matrix a row at a time, taking each norm once. Bottom-up merges on n x n
-NumPy arrays, updated in the merged row and column only by the
-Lance-Williams rule (Lance & Williams 1967), run until exactly two clusters
-remain, and the cluster with the smaller ``size * mean pairwise distance``
-score is labeled poisoned: a small, tightly packed group of updates is
-treated as coordinated manipulation, while the larger or more naturally
-dispersed group is kept.
+matrix 16 rows at a time, taking each norm once, and may scale its input
+in place. Bottom-up merges on n x n NumPy arrays, updated in the merged
+row and column only by the Lance-Williams rule (Lance & Williams 1967),
+run until exactly two clusters remain, and the cluster with the smaller
+``size * mean pairwise distance`` score is labeled poisoned: a small,
+tightly packed group of updates is treated as coordinated manipulation,
+while the larger or more naturally dispersed group is kept.
 """
 
 from __future__ import annotations
@@ -117,6 +117,10 @@ class ClusterVerdict:
             raise ValueError("benign and poisoned sets must partition 0..n-1")
 
 
+# Rows of the distance matrix that one batched ``_dots`` call fills.
+_BLOCK_ROWS = 16
+
+
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.dot(a[k], b[k])`` for every row k (a 1-D ``a`` or ``b`` stands for
     itself in every row), bit for bit: one batched ``np.matmul`` of C-contiguous
@@ -124,7 +128,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def pairwise_cosine_matrix(updates) -> DistanceMatrix:
+def pairwise_cosine_matrix(updates, *, overwrite_input: bool = False) -> DistanceMatrix:
     """The cosine kernel: ``1 - cos`` between every pair of at least two
     equal-length flat vectors, clamped to [0, 2].
 
@@ -132,31 +136,57 @@ def pairwise_cosine_matrix(updates) -> DistanceMatrix:
     into [0.5, 1): exact, so normal-range cosines are unchanged, while huge
     norms no longer overflow. NaN or Inf input raises ``ValueError``, checked
     before a length mismatch (``ShapeMismatchError``), and fewer than two
-    vectors raise ``ValueError``. Row ``i`` is filled against rows
-    ``i+1:`` by one ``_dots`` call, bit for bit the per-pair ``np.dot``.
-    Zero-norm convention: 1.0 when exactly one vector is all-zero (a zero
-    vector carries no direction, so it sits at the neutral distance), 0.0
-    when both are.
+    vectors raise ``ValueError``. The matrix is filled ``_BLOCK_ROWS`` rows
+    at a time, each block of rows against every later row by one ``_dots``
+    call, bit for bit the per-pair ``np.dot``. Zero-norm convention: 1.0
+    when exactly one vector is all-zero (a zero vector carries no direction,
+    so it sits at the neutral distance), 0.0 when both are.
+
+    As in ``np.median``, ``overwrite_input=True`` permits, and does not
+    require, the kernel to work in its input: a writable float64 2-D array
+    whose rows are contiguous is scaled in place and holds the scaled rows
+    afterwards (unless the input is rejected, which leaves it untouched).
+    Any other input is copied.
     """
-    rows = [np.asarray(vec, dtype=np.float64).reshape(-1) for vec in updates]
-    width = rows[0].size if rows else 0
-    n = next((k for k, row in enumerate(rows) if row.size != width), len(rows))
-    scaled = np.array(rows[:n]).reshape(n, width)
-    peak = np.max(np.abs(scaled), axis=1, initial=0.0)
+    if (
+        overwrite_input
+        and isinstance(updates, np.ndarray)
+        and updates.ndim == 2
+        and updates.dtype == np.float64
+        and updates.flags.writeable
+        and updates.strides[1] == updates.itemsize
+    ):
+        scaled = rows = updates  # one length: no mismatch to report
+        n, width = updates.shape
+    else:
+        rows = [np.asarray(vec, dtype=np.float64).reshape(-1) for vec in updates]
+        width = rows[0].size if rows else 0
+        n = next((k for k, row in enumerate(rows) if row.size != width), len(rows))
+        scaled = np.array(rows[:n]).reshape(n, width)
+    # max |x| per row, without an |x| temporary.
+    peak = np.maximum(
+        np.maximum.reduce(scaled, axis=1, initial=0.0),
+        -np.minimum.reduce(scaled, axis=1, initial=0.0),
+    )
     if not np.isfinite(peak).all():
         raise ValueError(f"vector {int(np.argmin(np.isfinite(peak)))} contains NaN or Inf")
     if n < len(rows):
         raise ShapeMismatchError(f"vector {n}: length {rows[n].size} vs {width}")
     if n < 2:
         raise ValueError("need at least 2 update vectors")
-    scaled = np.ldexp(scaled, -np.frexp(peak)[1][:, None])
+    np.ldexp(scaled, -np.frexp(peak)[1][:, None], out=scaled)
     norms = np.sqrt(_dots(scaled, scaled))
     zero = norms == 0.0
     norms[zero] = 1.0  # a zero row's cosines are then 0, its distances 1
+    # Rows i0:i1 against rows i0+1:, of which ``np.triu`` keeps each row's
+    # pairs with the rows after it; ``out += out.T`` mirrors them.
     out = np.zeros((n, n))
-    for i in range(n - 1):
-        cos = _dots(scaled[i], scaled[i + 1:]) / (norms[i] * norms[i + 1:])
-        out[i, i + 1:] = out[i + 1:, i] = np.clip(1.0 - cos, 0.0, 2.0)
+    for i0 in range(0, n - 1, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, n - 1)
+        cos = _dots(scaled[i0:i1, None, :], scaled[None, i0 + 1 :, :])
+        cos /= norms[i0:i1, None] * norms[i0 + 1 :]
+        out[i0:i1, i0 + 1 :] = np.triu(np.clip(1.0 - cos, 0.0, 2.0))
+    out += out.T
     out[np.ix_(zero, zero)] = 0.0
     return DistanceMatrix(out)
 

@@ -35,19 +35,28 @@ class LabeledDataset:
         )
 
     @classmethod
-    def _owning(cls, features: np.ndarray, labels: np.ndarray, num_classes: int):
+    def _owning(
+        cls, features: np.ndarray, labels: np.ndarray, num_classes: int, *, scanned: bool = False
+    ):
         """A dataset that keeps ``features`` and ``labels`` themselves instead
         of copies: arrays its caller has just built and hands over, or another
         dataset's read-only arrays that it shares (a label flip keeps its
-        input's features). The checks are those of ``__init__``. Saves one
-        ``n x d`` matrix at the peak."""
+        input's features). The checks are those of ``__init__``, except that
+        ``scanned=True`` skips the [0, 1] and NaN scan of features that are
+        rows of a matrix which already passed it. Saves one ``n x d`` matrix
+        at the peak."""
         data = cls.__new__(cls)
         data._adopt(
-            np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64), num_classes
+            np.asarray(features, dtype=np.float64),
+            np.asarray(labels, dtype=np.int64),
+            num_classes,
+            scanned,
         )
         return data
 
-    def _adopt(self, feats: np.ndarray, labs: np.ndarray, num_classes: int) -> None:
+    def _adopt(
+        self, feats: np.ndarray, labs: np.ndarray, num_classes: int, scanned: bool = False
+    ) -> None:
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         if labs.ndim != 1 or labs.size != feats.shape[0]:
@@ -61,12 +70,13 @@ class LabeledDataset:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         if labs.min() < 0 or labs.max() >= num_classes:
             raise ValueError(f"labels must lie in [0, {num_classes})")
-        # One reduction per bound; min and max propagate NaN, which fails both.
-        # The ufuncs' own reduce skips the wrapper of np.min and np.max.
-        low = np.minimum.reduce(feats, axis=None, initial=np.inf)
-        high = np.maximum.reduce(feats, axis=None, initial=-np.inf)
-        if not (low >= 0.0 and high <= 1.0):
-            raise ValueError("feature values must lie in [0, 1]")
+        if not scanned:
+            # One reduction per bound; min and max propagate NaN, which fails
+            # both. The ufuncs' own reduce skips the wrapper of np.min and np.max.
+            low = np.minimum.reduce(feats, axis=None, initial=np.inf)
+            high = np.maximum.reduce(feats, axis=None, initial=-np.inf)
+            if not (low >= 0.0 and high <= 1.0):
+                raise ValueError("feature values must lie in [0, 1]")
         feats.flags.writeable = False
         labs.flags.writeable = False
         self.features = feats

@@ -228,7 +228,9 @@ class Experiment:
         # The training matrix is laid out in client order, in place, and share
         # k views its client's block of rows, bounds[k]:bounds[k + 1]. Once
         # ``train`` is gone nothing else holds the matrix, and it stays
-        # writable until the stamped rows are in.
+        # writable until the stamped rows are in. The shares skip the [0, 1]
+        # scan: the matrix passed it when it was generated or loaded, and a
+        # stamped copy passes it before it goes into its block.
         order = np.concatenate(partition)
         bounds = np.cumsum([0, *(indices.size for indices in partition)])
         features, labels, classes = train.features, train.labels[order], train.num_classes
@@ -242,7 +244,7 @@ class Experiment:
         self._clean_shares: dict[int, LabeledDataset] = {}
         shares, rank = [], 0
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            share = LabeledDataset._owning(features[a:b], labels[a:b], classes)
+            share = LabeledDataset._owning(features[a:b], labels[a:b], classes, scanned=True)
             if k in self.malicious:
                 if cfg.attack.kind in REFERENCE_KINDS:
                     self._clean_shares[k] = share

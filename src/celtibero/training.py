@@ -32,6 +32,9 @@ __all__ = [
 ACTIVATIONS = ("relu", "tanh")
 
 _EVAL_CHUNK = 8192
+# The most bytes of shuffled feature and target rows ``train_local`` gathers
+# at once.
+_GATHER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,11 @@ def train_local(
     Every epoch reshuffles the sample order from a stream derived from
     ``cfg.seed``, so identical inputs always produce identical outputs. The
     batch size is clamped to the local dataset size and the final short
-    batch of each epoch is used as-is. The labels are made one-hot once,
-    and each step gathers its batch's feature and target rows,
-    backpropagates into one flat gradient buffer and updates the model's
-    flat vector at once.
+    batch of each epoch is used as-is. Each epoch gathers its shuffled
+    feature rows and one-hot targets a block of whole batches at a time, at
+    most ``_GATHER_BYTES`` of them unless one batch is larger; each step
+    backpropagates a slice of the block into one flat gradient buffer and
+    updates the model's flat vector at once.
     """
     flat = model.flat.copy()
     pairs = _dense_pairs(model, flat)
@@ -228,14 +232,21 @@ def train_local(
     grads = _dense_pairs(model, grad)
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, data.n)
-    features, lr = data.features, cfg.learning_rate
-    targets = np.eye(pairs[-1][1].size)[data.labels]
+    features, labels, lr = data.features, data.labels, cfg.learning_rate
+    eye = np.eye(pairs[-1][1].size)
+    row_bytes = flat.itemsize * (data.d + eye.shape[0])
+    per_block = max(1, _GATHER_BYTES // (row_bytes * batch)) * batch
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n)
-        for start in range(0, data.n, batch):
-            take = order[start : start + batch]
-            _batch_grads(pairs, grads, features[take], targets[take], activation)
-            flat -= lr * grad
+        for start in range(0, data.n, per_block):
+            take = order[start : start + per_block]
+            X, targets = features[take], eye[labels[take]]
+            for step in range(0, take.size, batch):
+                _batch_grads(
+                    pairs, grads, X[step : step + batch], targets[step : step + batch], activation
+                )
+                grad *= lr  # the bits of ``flat -= lr * grad``, without its temporary
+                flat -= grad
     return ModelWeights._owning(model, flat)
 
 

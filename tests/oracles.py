@@ -8,11 +8,12 @@ functions are the exception: they keep the aggregators' former layout, one
 the aggregators that now slice the columns of one stacked matrix. Their
 models are sequences of per-layer flat vectors. ``per_pair_cosine_distances``
 is likewise the former cosine kernel, one ``np.dot`` per pair, kept as the
-bit-for-bit reference for ``pairwise_cosine_matrix``, which fills a row at
-a time, and
+bit-for-bit reference for ``pairwise_cosine_matrix``, which fills a block
+of 16 rows at a time, copying its input or scaling it in place, and
 ``per_layer_loss_and_grad``/``per_layer_train_local`` are the former
 trainer: a second copy of the forward pass, separate per-layer gradient
-arrays and one SGD update per layer, the reference for the trainer that
+arrays, each step's own gather of its batch and one SGD update per layer,
+the reference for the trainer that gathers blocks of batches,
 backpropagates into one flat gradient and updates the flat vector at once.
 ``full_recompute_two_clusters`` is the former agglomeration loop, which
 divides the whole statistic matrix by the size products at every merge,

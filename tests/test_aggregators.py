@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from celtibero import (
     AggregatorConfig,
     LayerShape,
     ModelWeights,
+    NetworkArchitecture,
     ShapeMismatchError,
     aggregate,
     celtibero_aggregate,
     coordinate_median,
     fedavg,
+    init_model,
     krum,
     median_krum,
 )
@@ -146,6 +150,31 @@ class TestCeltiberoAggregate:
         _, verdicts = celtibero_aggregate(global_model, locals_)
         for verdict in verdicts:
             assert 5 in verdict.poisoned
+
+    def test_round_holds_one_update_matrix(self):
+        # Besides its inputs a round holds one m x P update matrix and
+        # blocks of at most _MEDIAN_BYTES (about 1.16 m x P here); a list of
+        # updates and their stack, plus the kernel's copy of layer 0, held
+        # about 2.9.
+        m = 24
+        global_model = init_model(NetworkArchitecture((200, 64, 10), seed=0))
+        rng = np.random.default_rng(24)
+        shift = rng.normal(size=global_model.flat.size)
+        local_models = [
+            ModelWeights._owning(
+                global_model,
+                global_model.flat + rng.normal(size=shift.size) + (3.0 * shift if k < 8 else 0.0),
+            )
+            for k in range(m)
+        ]
+        celtibero_aggregate(global_model, local_models)  # lazy imports first
+        tracemalloc.start()
+        try:
+            celtibero_aggregate(global_model, local_models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m * global_model.flat.nbytes
 
     def test_requires_two_locals(self):
         global_model, locals_ = detection_scenario()
@@ -392,10 +421,15 @@ class TestPerLayerReference:
                 assert all(np.array_equal(g, w) for g, w in zip(got.vectors(), want))
 
             linkage = ("average", "single", "complete")[draw % 3]
-            out, verdicts = celtibero_aggregate(as_model(widths, global_layers), models, linkage)
             want, want_verdicts = per_layer_celtibero(global_layers, layers, linkage)
-            assert verdicts == want_verdicts
-            assert all(np.array_equal(g, w) for g, w in zip(out.vectors(), want))
+            # The kept rows' median a block of columns at a time, down to one.
+            for median_bytes in (aggregators._MEDIAN_BYTES, 1, 200):
+                with mock.patch.object(aggregators, "_MEDIAN_BYTES", median_bytes):
+                    out, verdicts = celtibero_aggregate(
+                        as_model(widths, global_layers), models, linkage
+                    )
+                assert verdicts == want_verdicts
+                assert all(np.array_equal(g, w) for g, w in zip(out.vectors(), want))
 
             if m >= 3:
                 for f in sorted({0, (m - 3) // 2}):

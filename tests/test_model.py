@@ -283,8 +283,9 @@ def cosine_inputs(rng, n, width):
 
 
 class TestPerPairReference:
-    """The row-at-a-time kernel gives bit for bit what one ``np.dot`` per
-    pair gave (``oracles.per_pair_cosine_distances``)."""
+    """The blocked kernel gives bit for bit what one ``np.dot`` per pair
+    gave (``oracles.per_pair_cosine_distances``), whether it copies its
+    input or scales it in place."""
 
     def test_bit_identical_to_per_pair_kernel(self):
         rng = np.random.default_rng(42)
@@ -301,3 +302,67 @@ class TestPerPairReference:
             for i, j in rng.integers(n, size=(5, 2)):
                 pair = per_pair_cosine_distances([rows[i], rows[j]])[0, 1]
                 assert np.array_equal(cosine_distance(rows[i], rows[j]), pair)
+
+    # Around the kernel's 16-row blocks, and a 200-client layer.
+    @pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 200])
+    def test_in_place_on_layer_views_matches_copy_and_per_pair(self, n):
+        rng = np.random.default_rng(700 + n)
+        width = 37
+        # Half the rows at 1e150, whose squared norms overflow unscaled,
+        # every seventh row zero, and the last row a copy of the second.
+        rows = rng.normal(size=(n, width)) * np.where(rng.random((n, 1)) < 0.5, 1e150, 1.0)
+        rows[::7] = 0.0
+        if n > 2:
+            rows[-1] = rows[1]
+        want = per_pair_cosine_distances(list(rows))
+        # The rows as the layer columns of a wider update matrix, as the
+        # aggregator passes them.
+        updates = np.hstack([rng.normal(size=(n, 3)), rows, rng.normal(size=(n, 2))])
+        outside = np.hstack([updates[:, :3], updates[:, -2:]])
+        layer = updates[:, 3 : 3 + width]
+        assert not layer.flags.c_contiguous
+        assert np.array_equal(pairwise_cosine_matrix(layer).entries, want)
+        assert np.array_equal(layer, rows)
+        got = pairwise_cosine_matrix(layer, overwrite_input=True).entries
+        assert np.array_equal(got, want)
+        # The layer now holds each row scaled by the power of two that brings
+        # its peak into [0.5, 1); the other columns are untouched.
+        peaks = np.abs(rows).max(axis=1)
+        assert np.array_equal(layer, np.ldexp(rows, -np.frexp(peaks)[1][:, None]))
+        assert np.array_equal(np.hstack([updates[:, :3], updates[:, -2:]]), outside)
+
+    def test_input_is_untouched_unless_overwrite_is_permitted(self):
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(20, 9)) * 1e150
+        rows[4] = 0.0
+        before = rows.tobytes()
+        want = per_pair_cosine_distances(list(rows))
+        assert np.array_equal(pairwise_cosine_matrix(rows).entries, want)
+        assert np.array_equal(pairwise_cosine_matrix(rows[:, 2:7]).entries,
+                              per_pair_cosine_distances(list(rows[:, 2:7])))
+        assert rows.tobytes() == before
+        # A rejected input is left as it was, even with the permission.
+        rows[5, 3] = np.nan
+        before = rows.tobytes()
+        with pytest.raises(ValueError, match="vector 5 contains NaN or Inf"):
+            pairwise_cosine_matrix(rows, overwrite_input=True)
+        assert rows.tobytes() == before
+
+    def test_inputs_it_cannot_scale_in_place_are_copied(self):
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(18, 8)) * 1e150
+        read_only = rows.copy()
+        read_only.flags.writeable = False
+        for given_rows in (
+            list(rows),  # a list of vectors
+            (rows * 1e-150).astype(np.float32),  # other dtypes
+            (rows * 1e-149).round().astype(np.int64),
+            read_only,
+            np.asfortranarray(rows),  # rows that are not contiguous
+            np.repeat(rows, 2, axis=1)[:, ::2],
+        ):
+            before = [np.asarray(row).tobytes() for row in given_rows]
+            want = per_pair_cosine_distances(list(given_rows))
+            got = pairwise_cosine_matrix(given_rows, overwrite_input=True).entries
+            assert np.array_equal(got, want)
+            assert [np.asarray(row).tobytes() for row in given_rows] == before

@@ -349,6 +349,22 @@ class TestExperiment:
             experiment.run_round(experiment.initial_state())
         assert calls
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_training_matrix_outside_unit_range_fails_at_construction(self, bad, monkeypatch):
+        # The shares skip the [0, 1] scan: the training matrix gets it once,
+        # when it is made, as the last step of gen_synthetic or load_idx.
+        generate = orchestrator.gen_synthetic
+
+        def corrupted(num_classes, num_samples, num_features, separation, rng):
+            data = generate(num_classes, num_samples, num_features, separation, rng)
+            features = data.features.copy()
+            features[num_samples // 2, 1] = bad
+            return LabeledDataset._owning(features, data.labels, num_classes)
+
+        monkeypatch.setattr(orchestrator, "gen_synthetic", corrupted)
+        with pytest.raises(ValueError, match=r"feature values must lie in \[0, 1\]"):
+            Experiment(tiny_config())
+
     def test_hand_built_config_gets_the_parse_time_check(self):
         cfg = tiny_config()
         for changes in ({"malicious_fraction": 0.6}, {"rounds": -1}):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from celtibero import (
     train_local,
 )
 
+from celtibero import training
 from .oracles import forward, loss_and_grad, per_layer_loss_and_grad, per_layer_train_local
 
 
@@ -230,10 +232,11 @@ class TestTrainLocal:
 
 
 class TestPerLayerReference:
-    """The flat trainer against the former per-layer one, bit for bit."""
+    """The flat trainer against the former per-layer one, which gathers each
+    step's batch on its own, bit for bit."""
 
     @given(
-        n=st.integers(1, 200),
+        n=st.integers(1, 400),
         batch=st.integers(1, 64),
         width=st.integers(1, 784),
         hidden=st.lists(st.integers(1, 16), min_size=1, max_size=2),
@@ -243,21 +246,36 @@ class TestPerLayerReference:
         epochs=st.integers(1, 2),
         seed=st.integers(0, 2**32 - 1),
         zero_features=st.booleans(),
+        rows_around=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        gather_bytes=st.sampled_from([None, 1, 5000]),
     )
     @example(n=1, batch=64, width=784, hidden=[16, 16], classes=10, activation="relu",
-             lr=0.0, epochs=2, seed=0, zero_features=False)
+             lr=0.0, epochs=2, seed=0, zero_features=False, rows_around=(0, 0),
+             gather_bytes=None)
     @example(n=200, batch=1, width=1, hidden=[1], classes=2, activation="tanh",
-             lr=0.5, epochs=1, seed=1, zero_features=False)
+             lr=0.5, epochs=1, seed=1, zero_features=False, rows_around=(0, 0),
+             gather_bytes=None)
     # Every first relu input is exactly 0.0 (zero features, zero initial
     # biases), so the relu derivative meets signed zeros at every step.
     @example(n=37, batch=16, width=6, hidden=[8, 4], classes=3, activation="relu",
-             lr=0.1, epochs=2, seed=2, zero_features=True)
+             lr=0.1, epochs=2, seed=2, zero_features=True, rows_around=(0, 0),
+             gather_bytes=None)
     # A ragged last batch: 37 = 2 x 16 + 5.
     @example(n=37, batch=16, width=12, hidden=[8], classes=4, activation="tanh",
-             lr=0.1, epochs=2, seed=3, zero_features=False)
+             lr=0.1, epochs=2, seed=3, zero_features=False, rows_around=(0, 0),
+             gather_bytes=None)
+    # MNIST width: 1 MiB blocks of 128 rows, then a last block of 16.
+    @example(n=400, batch=64, width=784, hidden=[16], classes=10, activation="relu",
+             lr=0.1, epochs=1, seed=4, zero_features=False, rows_around=(3, 2),
+             gather_bytes=None)
+    # One-row steps in blocks of 165 rows, the last of 69.
+    @example(n=399, batch=1, width=784, hidden=[4], classes=10, activation="tanh",
+             lr=0.1, epochs=1, seed=5, zero_features=False, rows_around=(1, 0),
+             gather_bytes=None)
     @settings(max_examples=60, deadline=None)
     def test_train_local_and_loss_and_grad_match_bitwise(
-        self, n, batch, width, hidden, classes, activation, lr, epochs, seed, zero_features
+        self, n, batch, width, hidden, classes, activation, lr, epochs, seed, zero_features,
+        rows_around, gather_bytes,
     ):
         rng = np.random.default_rng(seed)
         features = rng.uniform(size=(n, width))  # drawn either way: the labels keep their draws
@@ -266,7 +284,15 @@ class TestPerLayerReference:
         data = LabeledDataset(features, rng.integers(0, classes, size=n), classes)
         model = init_model(NetworkArchitecture((width, *hidden, classes), seed))
         cfg = TrainConfig(lr, batch, epochs, seed)
-        trained = train_local(model, data, cfg, activation)
+        # The share as an experiment holds it: a block of rows of a larger
+        # training matrix.
+        before, after = rows_around
+        matrix = np.vstack([np.full((before, width), 0.5), data.features, np.zeros((after, width))])
+        share = LabeledDataset._owning(matrix[before : before + n], data.labels, classes)
+        if gather_bytes is None:
+            gather_bytes = training._GATHER_BYTES
+        with mock.patch.object(training, "_GATHER_BYTES", gather_bytes):
+            trained = train_local(model, share, cfg, activation)
         reference = per_layer_train_local(model, data, cfg, activation)
         assert trained.flat.tobytes() == reference.flat.tobytes()
         if lr == 0.0:

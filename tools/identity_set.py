@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 64 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 65 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -37,7 +37,10 @@ that 8-round config under celtibero against mra with no boost factor (the
 boost is each round's participant count) and poison fraction 0.5, against
 neurotoxin and dba with the default trigger (dba's fragment count derived
 from the attackers), and under median_krum against ulfa at flip fraction
-0.5. Every config runs from that scratch directory, and the IDX config
+0.5; and the README config at 37 clients with a boost factor of 1e150,
+whose 37 participants are no multiple of the cosine kernel's 16-row blocks
+and whose boosted rows, about 1e150 times an honest update, the kernel
+scales in place. Every config runs from that scratch directory, and the IDX config
 names its files by relative paths, so the ``config`` in ``summary.json`` is
 the same for every tree.
 Standard library and NumPy only; it runs the configs one after another in
@@ -216,6 +219,9 @@ def configs() -> dict[str, dict]:
         short,
         aggregator=AGGREGATORS["median_krum"],
         attack=dict(ATTACKS["ulfa"], flip_fraction=0.5),
+    )
+    out["readme-n37/mra-1e150"] = dict(
+        README_CONFIG, clients=37, attack=dict(ATTACKS["mra"], boost_factor=1e150)
     )
     return out
 
