@@ -1,4 +1,11 @@
-"""Dataset container, IDX ingestion, synthetic blobs, and client partitioning."""
+"""Dataset container, IDX ingestion, synthetic blobs, and client partitioning.
+
+The synthetic blobs' stream contract: the generator draws every sample's
+noise row by row (row-major, in the class-sorted order the samples are made
+in), then one Fisher-Yates permutation, which labels and rows share. The
+matrix is made in row blocks of at most ``_REORDER_BYTES``, and the block
+size never changes a bit of the result.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +27,16 @@ __all__ = [
 
 _IMAGES_MAGIC = 0x00000803
 _LABELS_MAGIC = 0x00000801
+
+
+def _check_unit_range(features: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of ``features`` lies in [0, 1]."""
+    # One reduction per bound; min and max propagate NaN, which fails both.
+    # The ufuncs' own reduce skips the wrapper of np.min and np.max.
+    low = np.minimum.reduce(features, axis=None, initial=np.inf)
+    high = np.maximum.reduce(features, axis=None, initial=-np.inf)
+    if not (low >= 0.0 and high <= 1.0):
+        raise ValueError("feature values must lie in [0, 1]")
 
 
 class LabeledDataset:
@@ -71,12 +88,7 @@ class LabeledDataset:
         if labs.min() < 0 or labs.max() >= num_classes:
             raise ValueError(f"labels must lie in [0, {num_classes})")
         if not scanned:
-            # One reduction per bound; min and max propagate NaN, which fails
-            # both. The ufuncs' own reduce skips the wrapper of np.min and np.max.
-            low = np.minimum.reduce(feats, axis=None, initial=np.inf)
-            high = np.maximum.reduce(feats, axis=None, initial=-np.inf)
-            if not (low >= 0.0 and high <= 1.0):
-                raise ValueError("feature values must lie in [0, 1]")
+            _check_unit_range(feats)
         feats.flags.writeable = False
         labs.flags.writeable = False
         self.features = feats
@@ -139,8 +151,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset._owning(features, labels, 10)
 
 
-# The most bytes of rows `_reorder_rows` copies at once. A matrix this small
-# or smaller moves in one gather.
+# The most bytes of rows `_reorder_rows` copies, or `_draw_synthetic` makes,
+# at once. A matrix this small or smaller moves in one gather.
 _REORDER_BYTES = 1 << 20
 
 
@@ -199,19 +211,21 @@ _BLOB_LOW = 0.2
 _BLOB_HIGH = 0.8
 
 
-def gen_synthetic(
+def _draw_synthetic(
     num_classes: int,
     num_samples: int,
     num_features: int,
     separation: float,
     rng: np.random.Generator,
 ) -> LabeledDataset:
-    """Axis-aligned Gaussian blobs, one per class, clamped to [0, 1].
+    """``gen_synthetic``'s blobs in the order they are drawn, labels sorted by
+    class, before the shuffle: the rows of ``gen_synthetic``'s result are
+    these rows permuted by the ``rng.permutation(num_samples)`` drawn next.
 
-    Class ``c`` peaks feature ``c`` at 0.8 over a 0.2 baseline; the noise
-    scale is ``(0.8 - 0.2) / separation``, so larger separation gives cleaner
-    blobs. Class counts are balanced to within one sample and sample order is
-    shuffled.
+    The matrix is made one block of at most ``_REORDER_BYTES`` of rows at a
+    time: the block's noise (``standard_normal`` into it, then scaled, the
+    bits of one ``rng.normal(0, sigma, shape)`` call), its centroids, the
+    clip to [0, 1], and the [0, 1] and NaN check while the block is in cache.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
@@ -227,40 +241,83 @@ def gen_synthetic(
     counts = [base + (1 if c < remainder else 0) for c in range(num_classes)]
     labels = np.repeat(np.arange(num_classes), counts)
     sigma = (_BLOB_HIGH - _BLOB_LOW) / separation
-    features = rng.normal(0.0, sigma, (num_samples, num_features))
-    # Every sample's centroid, added in place: the baseline everywhere, the
-    # peak on its class's axis (each sum is the noise plus one of the two).
-    rows = np.arange(num_samples)
-    peaks = features[rows, labels] + _BLOB_HIGH
-    features += _BLOB_LOW
-    features[rows, labels] = peaks
-    np.clip(features, 0.0, 1.0, out=features)
+    features = np.empty((num_samples, num_features))
+    per_block = max(1, _REORDER_BYTES // features.strides[0])
+    for a in range(0, num_samples, per_block):
+        block = features[a : a + per_block]
+        rng.standard_normal(out=block)
+        block *= sigma
+        # Each sample's centroid, added in place: the baseline everywhere, the
+        # peak on its class's axis (each sum is the noise plus one of the two).
+        rows, axes = np.arange(block.shape[0]), labels[a : a + per_block]
+        peaks = block[rows, axes] + _BLOB_HIGH
+        block += _BLOB_LOW
+        block[rows, axes] = peaks
+        np.clip(block, 0.0, 1.0, out=block)
+        _check_unit_range(block)
+    return LabeledDataset._owning(features, labels, num_classes, scanned=True)
+
+
+def gen_synthetic(
+    num_classes: int,
+    num_samples: int,
+    num_features: int,
+    separation: float,
+    rng: np.random.Generator,
+) -> LabeledDataset:
+    """Axis-aligned Gaussian blobs, one per class, clamped to [0, 1].
+
+    Class ``c`` peaks feature ``c`` at 0.8 over a 0.2 baseline; the noise
+    scale is ``(0.8 - 0.2) / separation``, so larger separation gives cleaner
+    blobs. Class counts are balanced to within one sample and sample order is
+    shuffled.
+
+    From ``rng`` it draws the noise of every sample, row-major, the samples
+    in class order, and then one Fisher-Yates permutation (the draws of
+    ``rng.permutation(num_samples)``), which orders labels and rows alike.
+    The rows are made in blocks of bounded size, and the block size never
+    changes a bit of the result.
+    """
+    drawn = _draw_synthetic(num_classes, num_samples, num_features, separation, rng)
+    features, labels = drawn.features, drawn.labels
+    del drawn
+    features.flags.writeable = labels.flags.writeable = True
     # Shuffle the samples in place: the rows as one 1-D array of row-sized
     # items, which takes the Fisher-Yates swaps of ``rng.permutation``, and
     # the labels by the same swaps from a copy of the generator.
     copy.deepcopy(rng).shuffle(labels)
     rng.shuffle(features.view(np.dtype((np.void, features.strides[0]))).reshape(num_samples))
-    return LabeledDataset._owning(features, labels, num_classes)
+    return LabeledDataset._owning(features, labels, num_classes, scanned=True)
+
+
+def _check_partition(labels: np.ndarray, num_classes: int, num_clients: int) -> None:
+    if num_clients < 1:
+        raise ValueError(f"need at least 1 client, got {num_clients}")
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.size < num_clients:
+        raise ValueError(f"cannot split {labels.size} samples across {num_clients} clients")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
 def partition_iid(
-    data: LabeledDataset, num_clients: int, rng: np.random.Generator
+    labels, num_classes: int, num_clients: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, ...]:
-    """Shuffle each class and deal round-robin across clients; client ``k``'s
-    share is the ``k``-th sorted index array of the returned tuple.
+    """Shuffle each class of ``labels`` and deal round-robin across clients;
+    client ``k``'s share is the ``k``-th sorted index array (indices into
+    ``labels``) of the returned tuple.
 
     The shuffled classes are dealt as one sequence, client ``k`` taking every
     ``num_clients``-th sample from position ``k``, so client sizes stay
     within one sample of each other and nobody ends up empty as long as
-    ``data.n >= num_clients``.
+    there are at least ``num_clients`` labels.
     """
-    if num_clients < 1:
-        raise ValueError(f"need at least 1 client, got {num_clients}")
-    if data.n < num_clients:
-        raise ValueError(f"cannot split {data.n} samples across {num_clients} clients")
+    labels = np.asarray(labels)
+    _check_partition(labels, num_classes, num_clients)
     shuffled = []
-    for cls in range(data.num_classes):
-        idx = np.flatnonzero(data.labels == cls)
+    for cls in range(num_classes):
+        idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         shuffled.append(idx)
     dealt = np.concatenate(shuffled)
@@ -268,41 +325,42 @@ def partition_iid(
 
 
 def partition_dirichlet(
-    data: LabeledDataset,
+    labels,
+    num_classes: int,
     num_clients: int,
     alpha: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, ...]:
-    """Class-wise Dirichlet(alpha) shares across clients, as one sorted index
-    array per client.
+    """Class-wise Dirichlet(alpha) shares of ``labels`` across clients, as one
+    sorted index array (indices into ``labels``) per client.
 
     For each class a proportion vector is drawn from a symmetric
     Dirichlet(alpha) and the shuffled class indices are split at the
     cumulative shares. Small alpha concentrates classes on few clients; any
     client left empty is repaired by taking one sample from the currently
-    largest client.
+    largest client: the last of its indices in class order.
     """
-    if num_clients < 1:
-        raise ValueError(f"need at least 1 client, got {num_clients}")
-    if data.n < num_clients:
-        raise ValueError(f"cannot split {data.n} samples across {num_clients} clients")
+    labels = np.asarray(labels)
+    _check_partition(labels, num_classes, num_clients)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    buckets: list[list[int]] = [[] for _ in range(num_clients)]
-    for cls in range(data.num_classes):
-        idx = np.flatnonzero(data.labels == cls)
+    chunks: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    for cls in range(num_classes):
+        idx = np.flatnonzero(labels == cls)
         if idx.size == 0:
             continue
         rng.shuffle(idx)
         proportions = rng.dirichlet(np.full(num_clients, float(alpha)))
         bounds = np.floor(np.cumsum(proportions) * idx.size).astype(np.int64)[:-1]
         for client, chunk in enumerate(np.split(idx, bounds)):
-            buckets[client].extend(int(s) for s in chunk)
-    sizes = [len(b) for b in buckets]
-    while min(sizes) == 0:
-        donor = int(np.argmax(sizes))
-        empty = sizes.index(0)
-        buckets[empty].append(buckets[donor].pop())
+            chunks[client].append(chunk)
+    buckets = [np.concatenate(parts) for parts in chunks]
+    sizes = np.array([bucket.size for bucket in buckets])
+    # While a client is empty the largest holds at least two samples, so a
+    # donor never gives away the one sample a repair handed it.
+    while not sizes.all():
+        donor, empty = int(np.argmax(sizes)), int(np.argmin(sizes))
+        buckets[empty], buckets[donor] = buckets[donor][-1:], buckets[donor][:-1]
         sizes[donor] -= 1
-        sizes[empty] += 1
-    return tuple(np.sort(np.array(b, dtype=np.int64)) for b in buckets)
+        sizes[empty] = 1
+    return tuple(np.sort(bucket) for bucket in buckets)

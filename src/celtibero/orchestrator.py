@@ -32,6 +32,7 @@ from .config import (
 )
 from .data import (
     LabeledDataset,
+    _draw_synthetic,
     _reorder_rows,
     gen_synthetic,
     load_idx,
@@ -164,32 +165,40 @@ def backdoor_success_rate(
     return float((preds == trigger.target_class).mean())
 
 
-def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
+def _load_idx_split(cfg: ExperimentConfig, split: str, subset: int | None) -> LabeledDataset:
+    dataset = cfg.dataset
+    data = load_idx(getattr(dataset, f"{split}_images"), getattr(dataset, f"{split}_labels"))
+    if subset is not None and subset < data.n:
+        pick = derive_rng(cfg.seed, "data", f"{split}_subset").choice(
+            data.n, size=subset, replace=False
+        )
+        data = data.subset(np.sort(pick))
+    return data
+
+
+def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, np.ndarray, LabeledDataset]:
+    """The training split as made, the permutation of its rows that puts them
+    in sample order, and the test split.
+
+    A synthetic training split comes in the order ``_draw_synthetic`` draws
+    it, with the permutation ``gen_synthetic`` would shuffle it by, drawn
+    from the same generator at the same point, so that ``Experiment`` moves
+    each row once, for the shuffle and the client order together. IDX rows
+    are loaded in sample order: their permutation is the identity.
+    """
     dataset, master = cfg.dataset, cfg.seed
-    splits = []
-    for split, samples, subset in (
-        ("train", dataset.samples, dataset.train_subset),
-        ("test", dataset.test_samples, dataset.test_subset),
-    ):
-        if dataset.kind == "synthetic":
-            data = gen_synthetic(
-                dataset.classes,
-                samples,
-                dataset.features,
-                dataset.separation,
-                derive_rng(master, "data", split),
-            )
-        else:
-            data = load_idx(
-                getattr(dataset, f"{split}_images"), getattr(dataset, f"{split}_labels")
-            )
-            if subset is not None and subset < data.n:
-                pick = derive_rng(master, "data", f"{split}_subset").choice(
-                    data.n, size=subset, replace=False
-                )
-                data = data.subset(np.sort(pick))
-        splits.append(data)
-    return splits[0], splits[1]
+    if dataset.kind == "synthetic":
+        classes, features, separation = dataset.classes, dataset.features, dataset.separation
+        rng = derive_rng(master, "data", "train")
+        train = _draw_synthetic(classes, dataset.samples, features, separation, rng)
+        shuffle = rng.permutation(train.n)
+        test = gen_synthetic(
+            classes, dataset.test_samples, features, separation, derive_rng(master, "data", "test")
+        )
+        return train, shuffle, test
+    train = _load_idx_split(cfg, "train", dataset.train_subset)
+    test = _load_idx_split(cfg, "test", dataset.test_subset)
+    return train, np.arange(train.n), test
 
 
 class Experiment:
@@ -212,29 +221,33 @@ class Experiment:
         cfg = config_from_dict(config_to_dict(cfg))
         self.cfg = cfg
         master = cfg.seed
-        train, self.test_data = _load_datasets(cfg)
+        train, shuffle, self.test_data = _load_datasets(cfg)
+        classes, rng = train.num_classes, derive_rng(master, "partition")
+        # The partition indexes the samples in sample order: the shuffled labels.
+        sample_labels = train.labels[shuffle]
         if cfg.partition.kind == "iid":
-            partition = partition_iid(train, cfg.clients, derive_rng(master, "partition"))
+            partition = partition_iid(sample_labels, classes, cfg.clients, rng)
         else:
-            partition = partition_dirichlet(
-                train, cfg.clients, cfg.partition.alpha, derive_rng(master, "partition")
-            )
+            alpha = cfg.partition.alpha
+            partition = partition_dirichlet(sample_labels, classes, cfg.clients, alpha, rng)
         roster_order = derive_rng(master, "roster").permutation(cfg.clients)
         self.malicious = frozenset(int(i) for i in roster_order[: malicious_count(cfg)])
         architecture = NetworkArchitecture(
-            layer_sizes=(train.d, *cfg.architecture.hidden, train.num_classes),
+            layer_sizes=(train.d, *cfg.architecture.hidden, classes),
             seed=derive_seed(master, "init"),
         )
         # The training matrix is laid out in client order, in place, and share
-        # k views its client's block of rows, bounds[k]:bounds[k + 1]. Once
-        # ``train`` is gone nothing else holds the matrix, and it stays
-        # writable until the stamped rows are in. The shares skip the [0, 1]
-        # scan: the matrix passed it when it was generated or loaded, and a
-        # stamped copy passes it before it goes into its block.
-        order = np.concatenate(partition)
+        # k views its client's block of rows, bounds[k]:bounds[k + 1]. One
+        # reorder moves each row from where it was made straight to its
+        # client's block: the sample order's permutation composed with the
+        # partition's. Once ``train`` is gone nothing else holds the matrix,
+        # and it stays writable until the stamped rows are in. The shares
+        # skip the [0, 1] scan: the matrix passed it when it was generated or
+        # loaded, and a stamped copy passes it before it goes into its block.
+        order = shuffle[np.concatenate(partition)]
         bounds = np.cumsum([0, *(indices.size for indices in partition)])
-        features, labels, classes = train.features, train.labels[order], train.num_classes
-        del train
+        features, labels = train.features, train.labels[order]
+        del train, shuffle
         features.flags.writeable = True
         _reorder_rows(features, order)
         poison = _SHARE_RULES[cfg.attack.kind]

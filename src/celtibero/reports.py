@@ -4,11 +4,14 @@ The CSV column set is fixed (``round,participants,mta,asr,benign_count,
 poisoned_count,wall_ms``) and numbers are serialized at full precision, so
 re-running with the same config reproduces the file byte for byte apart from
 the wall-clock column. Files are staged to a temporary sibling and renamed
-into place, so an unwritable target never leaves a partial summary behind.
+into place, both before either is replaced, so a failed write or an
+unserializable summary leaves a reused directory's old pair untouched and no
+staging file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -31,12 +34,6 @@ def _mean_verdict_counts(report) -> tuple[float, float]:
     benign = sum(len(v.benign) for v in report.verdicts) / len(report.verdicts)
     poisoned = sum(len(v.poisoned) for v in report.verdicts) / len(report.verdicts)
     return float(benign), float(poisoned)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    staging = path.with_name(path.name + ".tmp")
-    staging.write_text(text)
-    os.replace(staging, path)
 
 
 def emit_reports(reports, summary: dict, out_dir) -> tuple[Path, Path]:
@@ -66,9 +63,21 @@ def emit_reports(reports, summary: dict, out_dir) -> tuple[Path, Path]:
                 float(report.wall_ms),
             ]
         )
-    csv_path = out / "rounds.csv"
-    _write_atomic(csv_path, buffer.getvalue())
-
-    summary_path = out / "summary.json"
-    _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
+    csv_path, summary_path = out / "rounds.csv", out / "summary.json"
+    texts = {csv_path: buffer.getvalue(), summary_path: json.dumps(summary, indent=2) + "\n"}
+    # Both files are staged before either replaces its target, so a failure
+    # leaves the targets as they were and removes what it staged.
+    staged = []
+    try:
+        for path, text in texts.items():
+            staging = path.with_name(path.name + ".tmp")
+            staged.append(staging)
+            staging.write_text(text)
+    except BaseException:
+        for staging in staged:
+            with contextlib.suppress(OSError):  # the write's own error is the one to raise
+                staging.unlink()
+        raise
+    for staging, path in zip(staged, texts):
+        os.replace(staging, path)
     return csv_path, summary_path

@@ -19,9 +19,13 @@ backpropagates into one flat gradient and updates the flat vector at once.
 divides the whole statistic matrix by the size products at every merge,
 kept as the bit-for-bit reference for the loop that recomputes only the
 merged row and column of the average linkage. ``gathered_synthetic`` is
-the former synthetic-blob generator, which adds a per-sample centroid
-matrix and shuffles by a gather into a second matrix, kept as the
-bit-for-bit reference for the generator that does both in place.
+the former synthetic-blob generator, which draws the whole noise matrix in
+one call, adds a per-sample centroid matrix and shuffles by a gather into a
+second matrix, kept as the bit-for-bit reference for the generator that
+makes the matrix in row blocks and shuffles it in place.
+``appended_partition_dirichlet`` is the former Dirichlet partitioner, which
+appends one Python ``int`` per sample to each client's list, kept as the
+bit-for-bit reference for the partitioner that joins NumPy chunks.
 ``argsort_neurotoxin_mask`` is the former Neurotoxin mask, one stable
 ``np.argsort`` of each layer's negated magnitudes, kept as the bit-for-bit
 reference for the mask that cuts each layer with one ``np.partition``.
@@ -400,3 +404,35 @@ def gathered_synthetic(num_classes, num_samples, num_features, separation, rng):
     np.clip(features, 0.0, 1.0, out=features)
     order = rng.permutation(num_samples)
     return features[order], labels[order]
+
+
+def dirichlet_buckets(labels, num_classes, num_clients, alpha, rng):
+    """Each client's indices before ``partition_dirichlet``'s repair, one
+    Python ``int`` appended at a time, classes in order."""
+    buckets = [[] for _ in range(num_clients)]
+    for cls in range(num_classes):
+        idx = np.flatnonzero(labels == cls)
+        if idx.size == 0:
+            continue
+        rng.shuffle(idx)
+        proportions = rng.dirichlet(np.full(num_clients, float(alpha)))
+        bounds = np.floor(np.cumsum(proportions) * idx.size).astype(np.int64)[:-1]
+        for client, chunk in enumerate(np.split(idx, bounds)):
+            buckets[client].extend(int(s) for s in chunk)
+    return buckets
+
+
+def appended_partition_dirichlet(labels, num_classes, num_clients, alpha, rng):
+    """Former ``partition_dirichlet`` body, which builds Python lists one
+    sample at a time and repairs each empty client (the first empty one)
+    by popping the last entry of the first largest list. Returns each
+    client's sorted sample indices."""
+    buckets = dirichlet_buckets(labels, num_classes, num_clients, alpha, rng)
+    sizes = [len(b) for b in buckets]
+    while min(sizes) == 0:
+        donor = int(np.argmax(sizes))
+        empty = sizes.index(0)
+        buckets[empty].append(buckets[donor].pop())
+        sizes[donor] -= 1
+        sizes[empty] += 1
+    return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]

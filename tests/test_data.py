@@ -20,7 +20,12 @@ from celtibero import (
 from celtibero import data as data_module
 from celtibero.data import _reorder_rows
 
-from .oracles import dealt_partition_iid, gathered_synthetic
+from .oracles import (
+    appended_partition_dirichlet,
+    dealt_partition_iid,
+    dirichlet_buckets,
+    gathered_synthetic,
+)
 
 
 class TestLabeledDataset:
@@ -251,6 +256,30 @@ class TestGenSynthetic:
         assert data.features.tobytes() == want_features.tobytes()
         assert np.array_equal(data.labels, want_labels)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        classes=st.integers(2, 6),
+        samples=st.integers(1, 120),
+        extra_features=st.integers(0, 54),
+        separation=st.floats(1e-3, 50.0),
+        block=st.sampled_from(["byte", "row", "whole"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_size_never_changes_a_bit(
+        self, classes, samples, extra_features, separation, block, seed
+    ):
+        features = classes + extra_features  # widths 2-60
+        cap = {"byte": 1, "row": 8 * features, "whole": 8 * features * samples + 1}[block]
+        with mock.patch.object(data_module, "_REORDER_BYTES", cap):
+            data = gen_synthetic(
+                classes, samples, features, separation, np.random.default_rng(seed)
+            )
+        want_features, want_labels = gathered_synthetic(
+            classes, samples, features, separation, np.random.default_rng(seed)
+        )
+        assert data.features.tobytes() == want_features.tobytes()
+        assert np.array_equal(data.labels, want_labels)
+
     def test_peak_memory_stays_near_one_dataset(self):
         tracemalloc.start()
         try:
@@ -290,7 +319,7 @@ class TestGenSynthetic:
 class TestPartitionIid:
     def test_exact_cover_and_even_sizes(self):
         data = gen_synthetic(4, 1000, 8, 2.0, np.random.default_rng(3))
-        part = partition_iid(data, 20, np.random.default_rng(4))
+        part = partition_iid(data.labels, data.num_classes, 20, np.random.default_rng(4))
         assert isinstance(part, tuple) and len(part) == 20
         joined = np.sort(np.concatenate(part))
         assert np.array_equal(joined, np.arange(1000))
@@ -299,23 +328,30 @@ class TestPartitionIid:
 
     def test_per_class_split_is_even(self):
         data = gen_synthetic(4, 1000, 8, 2.0, np.random.default_rng(5))
-        part = partition_iid(data, 20, np.random.default_rng(6))
+        part = partition_iid(data.labels, data.num_classes, 20, np.random.default_rng(6))
         for cls in range(4):
             per_client = [int(np.sum(data.labels[a] == cls)) for a in part]
             assert max(per_client) - min(per_client) <= 1
 
     def test_deterministic_given_seed(self):
         data = gen_synthetic(3, 300, 6, 2.0, np.random.default_rng(7))
-        a = partition_iid(data, 7, np.random.default_rng(8))
-        b = partition_iid(data, 7, np.random.default_rng(8))
+        a = partition_iid(data.labels, data.num_classes, 7, np.random.default_rng(8))
+        b = partition_iid(data.labels, data.num_classes, 7, np.random.default_rng(8))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_rejections(self):
         data = gen_synthetic(2, 5, 4, 2.0, np.random.default_rng(9))
         with pytest.raises(ValueError):
-            partition_iid(data, 0, np.random.default_rng(0))
+            partition_iid(data.labels, data.num_classes, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            partition_iid(data, 6, np.random.default_rng(0))
+            partition_iid(data.labels, data.num_classes, 6, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="1-D"):
+            partition_iid(data.labels.reshape(5, 1), 2, 2, np.random.default_rng(0))
+        for labels in ([0, 1, 2], [0, -1, 1]):  # a label outside [0, 2)
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+                partition_iid(labels, 2, 2, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+                partition_dirichlet(labels, 2, 2, 0.5, np.random.default_rng(0))
 
     def test_matches_one_at_a_time_dealing(self):
         draw = np.random.default_rng(10)
@@ -326,12 +362,10 @@ class TestPartitionIid:
             labels[0] = 0
             if case % 4 == 0:
                 labels[labels == num_classes - 1] = 0
-            n = labels.size
-            data = LabeledDataset(np.zeros((n, 1)), labels, num_classes)
-            num_clients = int(draw.integers(1, n + 1))
-            got = partition_iid(data, num_clients, np.random.default_rng(case))
+            num_clients = int(draw.integers(1, labels.size + 1))
+            got = partition_iid(labels, num_classes, num_clients, np.random.default_rng(case))
             want = dealt_partition_iid(
-                data.labels, num_classes, num_clients, np.random.default_rng(case)
+                labels, num_classes, num_clients, np.random.default_rng(case)
             )
             assert len(got) == len(want)
             for a, b in zip(got, want):
@@ -342,7 +376,7 @@ class TestPartitionIid:
 class TestPartitionDirichlet:
     def test_exact_cover_and_no_empty_clients(self):
         data = gen_synthetic(5, 800, 10, 2.0, np.random.default_rng(10))
-        part = partition_dirichlet(data, 12, 0.5, np.random.default_rng(11))
+        part = partition_dirichlet(data.labels, 5, 12, 0.5, np.random.default_rng(11))
         assert isinstance(part, tuple) and len(part) == 12
         joined = np.sort(np.concatenate(part))
         assert np.array_equal(joined, np.arange(800))
@@ -350,7 +384,7 @@ class TestPartitionDirichlet:
 
     def test_low_alpha_concentrates_classes(self):
         data = gen_synthetic(5, 500, 10, 2.0, np.random.default_rng(12))
-        part = partition_dirichlet(data, 10, 0.1, np.random.default_rng(13))
+        part = partition_dirichlet(data.labels, 5, 10, 0.1, np.random.default_rng(13))
         missing = 0
         for a in part:
             counts = np.bincount(data.labels[a], minlength=5)
@@ -359,25 +393,59 @@ class TestPartitionDirichlet:
 
     def test_high_alpha_approaches_iid(self):
         data = gen_synthetic(4, 4000, 8, 2.0, np.random.default_rng(14))
-        part = partition_dirichlet(data, 10, 1000.0, np.random.default_rng(15))
+        part = partition_dirichlet(data.labels, 4, 10, 1000.0, np.random.default_rng(15))
         for a in part:
             proportions = np.bincount(data.labels[a], minlength=4) / a.size
             assert np.all(np.abs(proportions - 0.25) <= 0.03)
 
     def test_empty_client_repair_with_scarce_samples(self):
         data = gen_synthetic(2, 10, 4, 2.0, np.random.default_rng(16))
-        part = partition_dirichlet(data, 10, 0.05, np.random.default_rng(17))
+        part = partition_dirichlet(data.labels, 2, 10, 0.05, np.random.default_rng(17))
         assert [a.size for a in part] == [1] * 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        samples=st.integers(1, 60),
+        clients=st.integers(1, 40),
+        alpha=st.sampled_from([0.01, 0.03, 0.1, 0.5, 2.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_sample_at_a_time_buckets(
+        self, num_classes, samples, clients, alpha, seed
+    ):
+        # Few samples per class across many clients at small alpha leave
+        # clients empty, so the repair runs.
+        labels = np.random.default_rng(seed).integers(0, num_classes, size=max(samples, clients))
+        got = partition_dirichlet(labels, num_classes, clients, alpha, np.random.default_rng(seed))
+        want = appended_partition_dirichlet(
+            labels, num_classes, clients, alpha, np.random.default_rng(seed)
+        )
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_repair_takes_the_largest_clients_last_sample(self):
+        # 8 clients for 5 + 5 samples at alpha 0.01: the shares concentrate,
+        # clients start empty and the repair fills them one by one.
+        labels = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
+        before = dirichlet_buckets(labels, 2, 8, 0.01, np.random.default_rng(3))
+        assert sum(not bucket for bucket in before) >= 2
+        got = partition_dirichlet(labels, 2, 8, 0.01, np.random.default_rng(3))
+        want = appended_partition_dirichlet(labels, 2, 8, 0.01, np.random.default_rng(3))
+        assert [a.tolist() for a in got] == [b.tolist() for b in want]
+        assert min(a.size for a in got) == 1
 
     def test_deterministic_given_seed(self):
         data = gen_synthetic(3, 300, 6, 2.0, np.random.default_rng(18))
-        a = partition_dirichlet(data, 6, 0.5, np.random.default_rng(19))
-        b = partition_dirichlet(data, 6, 0.5, np.random.default_rng(19))
+        a = partition_dirichlet(data.labels, data.num_classes, 6, 0.5, np.random.default_rng(19))
+        b = partition_dirichlet(data.labels, data.num_classes, 6, 0.5, np.random.default_rng(19))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_rejections(self):
         data = gen_synthetic(2, 20, 4, 2.0, np.random.default_rng(20))
         with pytest.raises(ValueError):
-            partition_dirichlet(data, 5, 0.0, np.random.default_rng(0))
+            partition_dirichlet(data.labels, data.num_classes, 5, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            partition_dirichlet(data, 21, 0.5, np.random.default_rng(0))
+            partition_dirichlet(data.labels, data.num_classes, 21, 0.5, np.random.default_rng(0))

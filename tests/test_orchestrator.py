@@ -23,6 +23,7 @@ from celtibero import (
     derive_seed,
     diff,
     evaluate,
+    gen_synthetic,
     load_idx,
     make_default_trigger,
     partition_dirichlet,
@@ -32,6 +33,7 @@ from celtibero import (
     TriggerPattern,
 )
 from celtibero import attacks, orchestrator
+from celtibero import data as data_module
 from celtibero.data import _REORDER_BYTES
 from celtibero.orchestrator import _stamped_rows
 from .test_data import write_idx_pair
@@ -352,8 +354,8 @@ class TestExperiment:
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
     def test_training_matrix_outside_unit_range_fails_at_construction(self, bad, monkeypatch):
         # The shares skip the [0, 1] scan: the training matrix gets it once,
-        # when it is made, as the last step of gen_synthetic or load_idx.
-        generate = orchestrator.gen_synthetic
+        # when it is made, block by block in _draw_synthetic or in load_idx.
+        generate = orchestrator._draw_synthetic
 
         def corrupted(num_classes, num_samples, num_features, separation, rng):
             data = generate(num_classes, num_samples, num_features, separation, rng)
@@ -361,9 +363,43 @@ class TestExperiment:
             features[num_samples // 2, 1] = bad
             return LabeledDataset._owning(features, data.labels, num_classes)
 
-        monkeypatch.setattr(orchestrator, "gen_synthetic", corrupted)
+        monkeypatch.setattr(orchestrator, "_draw_synthetic", corrupted)
         with pytest.raises(ValueError, match=r"feature values must lie in \[0, 1\]"):
             Experiment(tiny_config())
+
+    @pytest.mark.parametrize("poisoned_block", [None, 0, 3])
+    def test_nan_drawn_into_one_block_fails_at_construction(self, poisoned_block, monkeypatch):
+        # A NaN in the training split's noise survives the clip, and only the
+        # block's own check can reject it: the shares skip the scan.
+        derive = orchestrator.derive_rng
+
+        class NaNDraw:
+            def __init__(self, rng):
+                self.rng, self.blocks = rng, 0
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                if self.blocks == poisoned_block:
+                    out[-1, 0] = np.nan
+                self.blocks += 1
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        def derive_with_nan(master, *path):
+            rng = derive(master, *path)
+            return NaNDraw(rng) if path == ("data", "train") else rng
+
+        monkeypatch.setattr(orchestrator, "derive_rng", derive_with_nan)
+        cfg = tiny_config()
+        # Blocks of 10 rows, so that the training split is made in several.
+        monkeypatch.setattr(data_module, "_REORDER_BYTES", 10 * cfg.dataset.features * 8)
+        assert cfg.dataset.samples > 40
+        if poisoned_block is None:
+            Experiment(cfg)
+            return
+        with pytest.raises(ValueError, match=r"feature values must lie in \[0, 1\]"):
+            Experiment(cfg)
 
     def test_hand_built_config_gets_the_parse_time_check(self):
         cfg = tiny_config()
@@ -480,16 +516,21 @@ def layout_config(partition, attack):
 
 
 def cut_shares(cfg, malicious):
-    """Each client's share as ``train.subset(partition[k])`` of a freshly
-    built training set, poisoned in client order by the attack kind's
-    ``_SHARE_RULES`` row where the client is in ``malicious``: the per-client
-    cut that the shared client-ordered matrix replaced."""
-    train, _ = orchestrator._load_datasets(cfg)
+    """Each client's share as ``train.subset(partition[k])`` of a training set
+    built by the public ``gen_synthetic``, poisoned in client order by the
+    attack kind's ``_SHARE_RULES`` row where the client is in ``malicious``:
+    the per-client cut of the shuffled training set that the one reorder of
+    the drawn matrix into client order replaced."""
+    dataset = cfg.dataset
+    train = gen_synthetic(dataset.classes, dataset.samples, dataset.features,
+                          dataset.separation, derive_rng(cfg.seed, "data", "train"))
     rng = derive_rng(cfg.seed, "partition")
     if cfg.partition.kind == "iid":
-        partition = partition_iid(train, cfg.clients, rng)
+        partition = partition_iid(train.labels, train.num_classes, cfg.clients, rng)
     else:
-        partition = partition_dirichlet(train, cfg.clients, cfg.partition.alpha, rng)
+        partition = partition_dirichlet(
+            train.labels, train.num_classes, cfg.clients, cfg.partition.alpha, rng
+        )
     shares, rank = [], 0
     for k, indices in enumerate(partition):
         share = train.subset(indices)

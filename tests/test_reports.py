@@ -1,6 +1,8 @@
 """Round CSV and summary JSON emission."""
 
+import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,29 @@ class TestEmitReports:
         emit_reports([plain_report()], {"k": 1}, tmp_path)
         assert list(tmp_path.glob("*.tmp")) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rounds.csv", "summary.json"]
+
+    def test_unserializable_summary_keeps_the_old_pair(self, tmp_path):
+        emit_reports([plain_report()], {"run": 1}, tmp_path)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(TypeError):
+            emit_reports([plain_report(), verdict_report()], {"run": object()}, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+    def test_failed_staging_write_keeps_the_old_pair(self, tmp_path, monkeypatch):
+        emit_reports([plain_report()], {"run": 1}, tmp_path)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        write_text = Path.write_text
+
+        def disk_full_on_summary(path, text):
+            if path.name != "summary.json.tmp":
+                return write_text(path, text)
+            write_text(path, text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full_on_summary)
+        with pytest.raises(OSError, match="No space left"):
+            emit_reports([plain_report(), verdict_report()], {"run": 2}, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
     def test_unusable_output_path_raises_oserror(self, tmp_path):
         blocker = tmp_path / "blocker.txt"

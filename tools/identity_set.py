@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 65 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 67 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -27,7 +27,11 @@ that run tanh), and with two hidden layers of 8 and 4 units (the only
 8-round config on Dirichlet (alpha 0.5) shares under ulfa with celtibero and
 tlfa with median_krum, whose reference federations run on ragged clean
 shares, and under dba and mra with celtibero, whose stamped rows go back
-into ragged blocks of the training matrix; and that 8-round config at 0
+into ragged blocks of the training matrix; and that 8-round config under
+celtibero against mra on Dirichlet (alpha 0.01) shares, where 11 of the 20
+clients start empty and the partitioner's repair hands each one sample, and
+at separation 0.25, where the clip to [0, 1] sets about 84 % of the training
+matrix's entries; and that 8-round config at 0
 rounds under celtibero against mra, ulfa and tlfa, whose summaries score
 the initial model; and that 8-round config under
 celtibero against mra on ``mnist_idx`` data (the only config of the set that
@@ -200,6 +204,12 @@ def configs() -> dict[str, dict]:
         ("mra-celtibero", ATTACKS["mra"], {"kind": "celtibero"}),
     ):
         out[f"r8-dirichlet/{name}"] = dict(dirichlet, aggregator=aggregator, attack=attack)
+    out["r8-dirichlet-repair/mra-celtibero"] = dict(
+        short, partition={"kind": "dirichlet", "alpha": 0.01}, aggregator={"kind": "celtibero"}
+    )
+    out["r8-clip/mra-celtibero"] = dict(
+        short, dataset=dict(short["dataset"], separation=0.25), aggregator={"kind": "celtibero"}
+    )
     for attack_name in ("mra", "ulfa", "tlfa"):
         out[f"r0/{attack_name}"] = dict(
             short, rounds=0, aggregator={"kind": "celtibero"}, attack=ATTACKS[attack_name]
