@@ -217,6 +217,8 @@ def embed_trigger(
         raise ValueError(
             f"trigger target class {trigger.target_class} outside [0, {data.num_classes})"
         )
+    if not all(0.0 <= value <= 1.0 for value in trigger.values):
+        raise ValueError("trigger values must lie in [0, 1]")
     count = _round_half_up(fraction, data.n)
     if count == 0:
         return data

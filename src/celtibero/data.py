@@ -2,14 +2,19 @@
 
 The synthetic blobs' stream contract: the generator draws every sample's
 noise row by row (row-major, in the class-sorted order the samples are made
-in), then one Fisher-Yates permutation, which labels and rows share. The
+in), then ``rng.permutation(n)``, which orders labels and rows alike. The
 matrix is made in row blocks of at most ``_REORDER_BYTES``, and the block
 size never changes a bit of the result.
+
+Rows are range-checked where they enter the program: ``LabeledDataset``'s
+constructor checks rows from outside, and the synthetic draw checks each
+block as it makes it. Every other dataset the package builds adopts rows
+that passed one of those checks (perhaps with trigger values stamped in,
+which ``embed_trigger`` checks), or IDX bytes scaled into [0, 1].
 """
 
 from __future__ import annotations
 
-import copy
 import struct
 from pathlib import Path
 
@@ -50,30 +55,27 @@ class LabeledDataset:
             np.array(labels, dtype=np.int64, copy=True),
             num_classes,
         )
+        _check_unit_range(self.features)
 
     @classmethod
-    def _owning(
-        cls, features: np.ndarray, labels: np.ndarray, num_classes: int, *, scanned: bool = False
-    ):
+    def _owning(cls, features: np.ndarray, labels: np.ndarray, num_classes: int):
         """A dataset that keeps ``features`` and ``labels`` themselves instead
         of copies: arrays its caller has just built and hands over, or another
         dataset's read-only arrays that it shares (a label flip keeps its
-        input's features). The checks are those of ``__init__``, except that
-        ``scanned=True`` skips the [0, 1] and NaN scan of features that are
-        rows of a matrix which already passed it. Saves one ``n x d`` matrix
-        at the peak."""
+        input's features). Saves one ``n x d`` matrix at the peak. The checks
+        are those of ``__init__`` but the [0, 1] and NaN scan, which runs
+        where rows enter the program (``__init__`` and the synthetic draw's
+        blocks): the features handed over are rows that passed it, or values
+        their maker keeps in [0, 1]."""
         data = cls.__new__(cls)
         data._adopt(
             np.asarray(features, dtype=np.float64),
             np.asarray(labels, dtype=np.int64),
             num_classes,
-            scanned,
         )
         return data
 
-    def _adopt(
-        self, feats: np.ndarray, labs: np.ndarray, num_classes: int, scanned: bool = False
-    ) -> None:
+    def _adopt(self, feats: np.ndarray, labs: np.ndarray, num_classes: int) -> None:
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         if labs.ndim != 1 or labs.size != feats.shape[0]:
@@ -87,8 +89,6 @@ class LabeledDataset:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         if labs.min() < 0 or labs.max() >= num_classes:
             raise ValueError(f"labels must lie in [0, {num_classes})")
-        if not scanned:
-            _check_unit_range(feats)
         feats.flags.writeable = False
         labs.flags.writeable = False
         self.features = feats
@@ -219,8 +219,8 @@ def _draw_synthetic(
     rng: np.random.Generator,
 ) -> LabeledDataset:
     """``gen_synthetic``'s blobs in the order they are drawn, labels sorted by
-    class, before the shuffle: the rows of ``gen_synthetic``'s result are
-    these rows permuted by the ``rng.permutation(num_samples)`` drawn next.
+    class: the rows of ``gen_synthetic``'s result are these rows permuted by
+    the ``rng.permutation(num_samples)`` drawn next.
 
     The matrix is made one block of at most ``_REORDER_BYTES`` of rows at a
     time: the block's noise (``standard_normal`` into it, then scaled, the
@@ -255,7 +255,7 @@ def _draw_synthetic(
         block[rows, axes] = peaks
         np.clip(block, 0.0, 1.0, out=block)
         _check_unit_range(block)
-    return LabeledDataset._owning(features, labels, num_classes, scanned=True)
+    return LabeledDataset._owning(features, labels, num_classes)
 
 
 def gen_synthetic(
@@ -272,22 +272,16 @@ def gen_synthetic(
     blobs. Class counts are balanced to within one sample and sample order is
     shuffled.
 
-    From ``rng`` it draws the noise of every sample, row-major, the samples
-    in class order, and then one Fisher-Yates permutation (the draws of
-    ``rng.permutation(num_samples)``), which orders labels and rows alike.
-    The rows are made in blocks of bounded size, and the block size never
-    changes a bit of the result.
+    From ``rng`` it draws the noise, row-major, the samples in class order,
+    then ``rng.permutation(num_samples)``, which orders labels and rows
+    alike. The rows are made in blocks of bounded size, and the block size
+    never changes a bit of the result.
     """
     drawn = _draw_synthetic(num_classes, num_samples, num_features, separation, rng)
-    features, labels = drawn.features, drawn.labels
-    del drawn
-    features.flags.writeable = labels.flags.writeable = True
-    # Shuffle the samples in place: the rows as one 1-D array of row-sized
-    # items, which takes the Fisher-Yates swaps of ``rng.permutation``, and
-    # the labels by the same swaps from a copy of the generator.
-    copy.deepcopy(rng).shuffle(labels)
-    rng.shuffle(features.view(np.dtype((np.void, features.strides[0]))).reshape(num_samples))
-    return LabeledDataset._owning(features, labels, num_classes, scanned=True)
+    order = rng.permutation(num_samples)
+    drawn.features.flags.writeable = True
+    _reorder_rows(drawn.features, order)
+    return LabeledDataset._owning(drawn.features, drawn.labels[order], num_classes)
 
 
 def _check_partition(labels: np.ndarray, num_classes: int, num_clients: int) -> None:

@@ -107,10 +107,6 @@ class ModelWeights:
         """Each layer's range of entries in ``flat``, in layer order."""
         return self._slices
 
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        """Each layer as a read-only flat view into ``flat``."""
-        return tuple(self.flat[sl] for sl in self._slices)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelWeights):
             return NotImplemented

@@ -241,9 +241,8 @@ class Experiment:
         # reorder moves each row from where it was made straight to its
         # client's block: the sample order's permutation composed with the
         # partition's. Once ``train`` is gone nothing else holds the matrix,
-        # and it stays writable until the stamped rows are in. The shares
-        # skip the [0, 1] scan: the matrix passed it when it was generated or
-        # loaded, and a stamped copy passes it before it goes into its block.
+        # and it stays writable until the stamped rows are in. The matrix was
+        # range-checked where it was made, and trigger values are checked.
         order = shuffle[np.concatenate(partition)]
         bounds = np.cumsum([0, *(indices.size for indices in partition)])
         features, labels = train.features, train.labels[order]
@@ -257,18 +256,17 @@ class Experiment:
         self._clean_shares: dict[int, LabeledDataset] = {}
         shares, rank = [], 0
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            share = LabeledDataset._owning(features[a:b], labels[a:b], classes, scanned=True)
+            share = LabeledDataset._owning(features[a:b], labels[a:b], classes)
             if k in self.malicious:
                 if cfg.attack.kind in REFERENCE_KINDS:
                     self._clean_shares[k] = share
                 poisoned = poison(share, cfg.attack, rank, derive_rng(master, "attack", k))
                 rank += 1
                 if poisoned.features is not share.features:
-                    # The stamped copy goes into the block, and the poisoned
-                    # share views the block, the very rows it was checked with.
+                    # The stamped copy goes into the block, which the poisoned
+                    # share views.
                     features[a:b] = poisoned.features
-                    poisoned.features = features[a:b]
-                    poisoned.features.flags.writeable = False
+                    poisoned = LabeledDataset._owning(features[a:b], poisoned.labels, classes)
                 share = poisoned
             shares.append(share)
         features.flags.writeable = labels.flags.writeable = False

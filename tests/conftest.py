@@ -40,6 +40,11 @@ def make_weights(*layer_values) -> ModelWeights:
     return ModelWeights([LayerShape((v.size,)) for v in vectors], np.concatenate(vectors))
 
 
+def layers_of(model: ModelWeights) -> tuple[np.ndarray, ...]:
+    """Each layer of ``model`` as its read-only view into ``model.flat``."""
+    return tuple(model.flat[sl] for sl in model.slices())
+
+
 @pytest.fixture
 def mw():
     return make_weights

@@ -338,7 +338,8 @@ def _per_layer_grads(weights, biases, X, y, activation):
 
 def _per_layer_params(model):
     """Writable copies of a dense model's weight matrices and biases."""
-    layers = [v.reshape(s.dims).copy() for v, s in zip(model.vectors(), model.shapes())]
+    pairs = zip(model.slices(), model.shapes())
+    layers = [model.flat[sl].reshape(shape.dims).copy() for sl, shape in pairs]
     return layers[0::2], layers[1::2]
 
 

@@ -27,7 +27,7 @@ from celtibero import (
     init_model,
     run_experiment,
 )
-from .conftest import make_weights, record_criterion, ulfa_config
+from .conftest import layers_of, make_weights, record_criterion, ulfa_config
 from .oracles import loss_and_grad, replay_two_clusters
 
 
@@ -68,7 +68,7 @@ def test_criterion_02_hand_computed_detection_scenario():
     locals_ = [make_weights(global_vec + np.asarray(d)) for d in benign_deltas]
     locals_ += [make_weights(global_vec + np.array([-1.0, -1.0, -1.0])) for _ in range(3)]
     out, (verdict,) = celtibero_aggregate(make_weights(global_vec), locals_)
-    err = float(np.max(np.abs(out.vectors()[0] - np.array([1.505, 0.75, 2.005]))))
+    err = float(np.max(np.abs(layers_of(out)[0] - np.array([1.505, 0.75, 2.005]))))
     ok = (
         err <= 1e-9
         and verdict.benign == (0, 1, 2, 3, 4, 5)
@@ -86,7 +86,7 @@ def test_criterion_02_hand_computed_detection_scenario():
 
 def _loss_with_bump(model, layer, coord, delta, X, y, activation):
     vectors = []
-    for k, vec in enumerate(model.vectors()):
+    for k, vec in enumerate(layers_of(model)):
         if k == layer:
             bumped = vec.copy()
             bumped[coord] += delta
@@ -110,12 +110,12 @@ def test_criterion_03_analytic_gradients_match_central_differences():
         X = rng.uniform(size=(4, sizes[0]))
         y = rng.integers(0, sizes[-1], size=4)
         _, grad = loss_and_grad(model, X, y, activation)
-        for k, vec in enumerate(model.vectors()):
+        for k, vec in enumerate(layers_of(model)):
             for c in range(vec.size):
                 up = _loss_with_bump(model, k, c, h, X, y, activation)
                 down = _loss_with_bump(model, k, c, -h, X, y, activation)
                 numeric = (up - down) / (2 * h)
-                analytic = float(grad.vectors()[k][c])
+                analytic = float(layers_of(grad)[k][c])
                 err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
                 worst = max(worst, err)
     ok = worst <= 1e-4
@@ -185,7 +185,7 @@ def test_criterion_07_median_breakdown_resistance():
         for signs in itertools.product((-1.0, 1.0), repeat=adversaries):
             models = [make_weights(benign[:, k]) for k in range(honest)]
             models += [make_weights(np.full(len(benign), s * 1e9)) for s in signs]
-            out = coordinate_median(models).vectors()[0]
+            out = layers_of(coordinate_median(models))[0]
             outside = (out < benign.min(axis=1)) | (out > benign.max(axis=1))
             violations += int(np.sum(outside))
             exhaustive_cases += len(benign)
@@ -199,7 +199,7 @@ def test_criterion_07_median_breakdown_resistance():
         signs = rng.choice((-1.0, 1.0), size=(width, adversaries))
         models = [make_weights(benign[:, k]) for k in range(honest)]
         models += [make_weights(signs[:, k] * 1e9) for k in range(adversaries)]
-        out = coordinate_median(models).vectors()[0]
+        out = layers_of(coordinate_median(models))[0]
         outside = (out < benign.min(axis=1)) | (out > benign.max(axis=1))
         violations += int(np.sum(outside))
         random_cases += width

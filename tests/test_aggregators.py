@@ -26,7 +26,7 @@ from celtibero import (
     krum,
     median_krum,
 )
-from .conftest import make_weights
+from .conftest import layers_of, make_weights
 from celtibero import aggregators
 from celtibero.aggregators import _krum_scores, _median_rows
 from .oracles import (
@@ -66,7 +66,7 @@ class TestCeltiberoAggregate:
         out, verdicts = celtibero_aggregate(global_model, locals_)
         # per-coordinate medians of the six benign deltas are 1.005, 1.0, 1.005
         expected = np.array([1.505, 0.75, 2.005])
-        assert np.max(np.abs(out.vectors()[0] - expected)) <= 1e-9
+        assert np.max(np.abs(layers_of(out)[0] - expected)) <= 1e-9
         (verdict,) = verdicts
         assert verdict.benign == (0, 1, 2, 3, 4, 5)
         assert verdict.poisoned == (6, 7, 8)
@@ -89,8 +89,8 @@ class TestCeltiberoAggregate:
         medians1 = [
             sorted_median([layer1[i][c] for i in range(3, 9)]) for c in range(3)
         ]
-        assert np.allclose(out.vectors()[0], expected0, atol=1e-9)
-        assert np.allclose(out.vectors()[1], GLOBAL_VEC + np.asarray(medians1), atol=1e-9)
+        assert np.allclose(layers_of(out)[0], expected0, atol=1e-9)
+        assert np.allclose(layers_of(out)[1], GLOBAL_VEC + np.asarray(medians1), atol=1e-9)
 
     def test_permutation_invariance(self):
         global_model, locals_ = detection_scenario()
@@ -105,27 +105,27 @@ class TestCeltiberoAggregate:
         global_model, locals_ = detection_scenario()
         _, verdicts = celtibero_aggregate(global_model, locals_)
         scaled = [
-            make_weights(GLOBAL_VEC + 7.5 * (m.vectors()[0] - GLOBAL_VEC))
+            make_weights(GLOBAL_VEC + 7.5 * (layers_of(m)[0] - GLOBAL_VEC))
             for m in locals_
         ]
         out_scaled, verdicts_scaled = celtibero_aggregate(global_model, scaled)
         assert [v.poisoned for v in verdicts] == [v.poisoned for v in verdicts_scaled]
         expected = GLOBAL_VEC + 7.5 * (np.array([1.505, 0.75, 2.005]) - GLOBAL_VEC)
-        assert np.allclose(out_scaled.vectors()[0], expected, atol=1e-9)
+        assert np.allclose(layers_of(out_scaled)[0], expected, atol=1e-9)
 
     def test_output_within_benign_envelope(self):
         rng = np.random.default_rng(13)
         global_model = make_weights(rng.normal(size=4), rng.normal(size=2))
         locals_ = [
             make_weights(
-                global_model.vectors()[0] + rng.normal(size=4),
-                global_model.vectors()[1] + rng.normal(size=2),
+                layers_of(global_model)[0] + rng.normal(size=4),
+                layers_of(global_model)[1] + rng.normal(size=2),
             )
             for _ in range(7)
         ]
         out, verdicts = celtibero_aggregate(global_model, locals_)
-        for k, vec in enumerate(out.vectors()):
-            kept = [locals_[i].vectors()[k] for i in verdicts[k].benign]
+        for k, vec in enumerate(layers_of(out)):
+            kept = [layers_of(locals_[i])[k] for i in verdicts[k].benign]
             assert np.all(vec >= np.min(kept, axis=0) - 1e-12)
             assert np.all(vec <= np.max(kept, axis=0) + 1e-12)
 
@@ -138,13 +138,13 @@ class TestCeltiberoAggregate:
             noise = rng.normal(scale=1e-3, size=4)
             locals_.append(
                 make_weights(
-                    global_model.vectors()[0] + delta + noise,
-                    global_model.vectors()[1] + delta[:3] + noise[:3],
+                    layers_of(global_model)[0] + delta + noise,
+                    layers_of(global_model)[1] + delta[:3] + noise[:3],
                 )
             )
         adversary = make_weights(
-            global_model.vectors()[0] - delta,
-            global_model.vectors()[1] - delta[:3],
+            layers_of(global_model)[0] - delta,
+            layers_of(global_model)[1] - delta[:3],
         )
         locals_.append(adversary)
         _, verdicts = celtibero_aggregate(global_model, locals_)
@@ -185,7 +185,7 @@ class TestCeltiberoAggregate:
 class TestFedavg:
     def test_two_point_mean(self):
         out = fedavg([make_weights([0.0]), make_weights([2.0])])
-        assert np.array_equal(out.vectors()[0], [1.0])
+        assert np.array_equal(layers_of(out)[0], [1.0])
 
     def test_identical_inputs_identity(self):
         m = make_weights([1.0, -2.0], [0.5])
@@ -196,10 +196,10 @@ class TestFedavg:
         locals_ = [make_weights(rng.normal(size=5), rng.normal(size=3)) for _ in range(9)]
         out = fedavg(locals_)
         for k in range(2):
-            vecs = [m.vectors()[k] for m in locals_]
+            vecs = [layers_of(m)[k] for m in locals_]
             for c in range(vecs[0].size):
                 expected = math.fsum(v[c] for v in vecs) / len(vecs)
-                assert abs(out.vectors()[k][c] - expected) <= 1e-12
+                assert abs(layers_of(out)[k][c] - expected) <= 1e-12
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -209,11 +209,11 @@ class TestFedavg:
 class TestCoordinateMedian:
     def test_odd_count(self):
         out = coordinate_median([make_weights([1.0]), make_weights([9.0]), make_weights([2.0])])
-        assert out.vectors()[0][0] == 2.0
+        assert layers_of(out)[0][0] == 2.0
 
     def test_even_count_midpoint(self):
         out = coordinate_median([make_weights([1.0]), make_weights([3.0])])
-        assert out.vectors()[0][0] == 2.0
+        assert layers_of(out)[0][0] == 2.0
 
     def test_matches_sort_oracle_exhaustively(self):
         grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -222,7 +222,7 @@ class TestCoordinateMedian:
             for _ in range(40):
                 values = rng.choice(grid, size=n)
                 out = coordinate_median([make_weights([v]) for v in values])
-                assert out.vectors()[0][0] == sorted_median(values.tolist())
+                assert layers_of(out)[0][0] == sorted_median(values.tolist())
 
     def test_breakdown_envelope_by_construction(self):
         rng = np.random.default_rng(43)
@@ -231,9 +231,9 @@ class TestCoordinateMedian:
             benign = [make_weights(rng.normal(size=4)) for _ in range(n - adversaries)]
             hostile = [make_weights(np.full(4, 1e9 * (-1) ** i)) for i in range(adversaries)]
             out = coordinate_median(benign + hostile)
-            stack = np.array([m.vectors()[0] for m in benign])
-            assert np.all(out.vectors()[0] >= stack.min(axis=0))
-            assert np.all(out.vectors()[0] <= stack.max(axis=0))
+            stack = np.array([layers_of(m)[0] for m in benign])
+            assert np.all(layers_of(out)[0] >= stack.min(axis=0))
+            assert np.all(layers_of(out)[0] <= stack.max(axis=0))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -290,9 +290,9 @@ class TestMedianKrum:
         clustered = [make_weights(rng.normal(scale=0.01, size=3) + 2.0) for _ in range(5)]
         outlier = make_weights(np.full(3, -100.0))
         out = median_krum(clustered + [outlier], f=1)
-        stack = np.array([m.vectors()[0] for m in clustered])
-        assert np.all(out.vectors()[0] >= stack.min(axis=0))
-        assert np.all(out.vectors()[0] <= stack.max(axis=0))
+        stack = np.array([layers_of(m)[0] for m in clustered])
+        assert np.all(layers_of(out)[0] >= stack.min(axis=0))
+        assert np.all(layers_of(out)[0] <= stack.max(axis=0))
 
     def test_matches_score_sorted_median_oracle(self):
         rng = np.random.default_rng(71)
@@ -304,8 +304,8 @@ class TestMedianKrum:
             scores = krum_scores([m.flat.tolist() for m in locals_], f)
             order = sorted(range(n), key=lambda i: (scores[i], i))[: n - f]
             for c in range(4):
-                expected = sorted_median([locals_[i].vectors()[0][c] for i in order])
-                assert out.vectors()[0][c] == pytest.approx(expected, abs=1e-12)
+                expected = sorted_median([layers_of(locals_[i])[0][c] for i in order])
+                assert layers_of(out)[0][c] == pytest.approx(expected, abs=1e-12)
 
 
 # The module-level rule each aggregator kind calls.
@@ -418,7 +418,7 @@ class TestPerLayerReference:
                 (fedavg(models), per_layer_fedavg(layers)),
                 (coordinate_median(models), per_layer_coordinate_median(layers)),
             ):
-                assert all(np.array_equal(g, w) for g, w in zip(got.vectors(), want))
+                assert all(np.array_equal(g, w) for g, w in zip(layers_of(got), want))
 
             linkage = ("average", "single", "complete")[draw % 3]
             want, want_verdicts = per_layer_celtibero(global_layers, layers, linkage)
@@ -429,7 +429,7 @@ class TestPerLayerReference:
                         as_model(widths, global_layers), models, linkage
                     )
                 assert verdicts == want_verdicts
-                assert all(np.array_equal(g, w) for g, w in zip(out.vectors(), want))
+                assert all(np.array_equal(g, w) for g, w in zip(layers_of(out), want))
 
             if m >= 3:
                 for f in sorted({0, (m - 3) // 2}):
@@ -440,7 +440,7 @@ class TestPerLayerReference:
                     assert krum(models, f) is models[int(np.argmin(scores))]
                     chosen = np.argsort(scores, kind="stable")[: m - f]
                     want = per_layer_coordinate_median([layers[i] for i in chosen])
-                    got = median_krum(models, f).vectors()
+                    got = layers_of(median_krum(models, f))
                     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 

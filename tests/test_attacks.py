@@ -29,7 +29,7 @@ from celtibero import (
     split_trigger,
 )
 from celtibero.attacks import _SHARE_RULES, REFERENCE_KINDS
-from .conftest import make_weights
+from .conftest import layers_of, make_weights
 from .oracles import argsort_neurotoxin_mask, top_mask_indices
 
 
@@ -226,6 +226,14 @@ class TestEmbedTrigger:
         with pytest.raises(ValueError):
             embed_trigger(make_dataset(num_classes=3), bad_target, 1.0)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_trigger_values_outside_unit_range_raise(self, bad, fraction):
+        # The stamped rows are not rescanned, so the values are checked up front.
+        trigger = TriggerPattern((1, 4), (0.9, bad), 2)
+        with pytest.raises(ValueError, match=r"trigger values must lie in \[0, 1\]"):
+            embed_trigger(make_dataset(n=12, d=6), trigger, fraction, np.random.default_rng(0))
+
 
 def unchecked_dataset(features, labels, num_classes):
     """A dataset built around ``LabeledDataset``'s checks, to see that a
@@ -332,7 +340,7 @@ class TestBoostUpdate:
         global_model = make_weights([0.0, 0.0])
         local = make_weights([1.0, 1.0])
         boosted = boost_update(local, global_model, 2.0)
-        assert np.array_equal(boosted.vectors()[0], [2.0, 2.0])
+        assert np.array_equal(layers_of(boosted)[0], [2.0, 2.0])
 
     def test_composes_multiplicatively(self):
         rng = np.random.default_rng(73)
@@ -340,7 +348,7 @@ class TestBoostUpdate:
         local = make_weights(rng.normal(size=5))
         twice = boost_update(boost_update(local, global_model, 2.0), global_model, 3.0)
         once = boost_update(local, global_model, 6.0)
-        assert np.allclose(twice.vectors()[0], once.vectors()[0], atol=1e-12)
+        assert np.allclose(layers_of(twice)[0], layers_of(once)[0], atol=1e-12)
 
     def test_boost_by_cohort_size_survives_averaging(self):
         # boosting by the cohort size makes the attacker's delta enter the
@@ -348,13 +356,13 @@ class TestBoostUpdate:
         global_model = make_weights([1.0, -1.0])
         benign_delta = np.array([0.2, 0.4])
         mal_delta = np.array([-3.0, 5.0])
-        benign = [make_weights(global_model.vectors()[0] + benign_delta) for _ in range(3)]
+        benign = [make_weights(layers_of(global_model)[0] + benign_delta) for _ in range(3)]
         attacker = boost_update(
-            make_weights(global_model.vectors()[0] + mal_delta), global_model, 4.0
+            make_weights(layers_of(global_model)[0] + mal_delta), global_model, 4.0
         )
         merged = fedavg(benign + [attacker])
-        expected = global_model.vectors()[0] + mal_delta + 0.75 * benign_delta
-        assert np.allclose(merged.vectors()[0], expected, atol=1e-12)
+        expected = layers_of(global_model)[0] + mal_delta + 0.75 * benign_delta
+        assert np.allclose(layers_of(merged)[0], expected, atol=1e-12)
 
     def test_rejections(self):
         m = make_weights([1.0])
@@ -378,22 +386,22 @@ class TestNeurotoxinMask:
             expected_zero = top_mask_indices(ref.tolist(), ratio)
             for i in range(size):
                 if i in expected_zero:
-                    assert masked.vectors()[0][i] == 0.0
+                    assert layers_of(masked)[0][i] == 0.0
                 else:
-                    assert masked.vectors()[0][i] == vec[i]
+                    assert layers_of(masked)[0][i] == vec[i]
 
     def test_zero_reference_masks_lowest_indices(self):
         vec = np.arange(1.0, 9.0)
         masked = neurotoxin_mask(make_weights(vec), make_weights(np.zeros(8)), 0.25)
-        assert np.array_equal(masked.vectors()[0], [0.0, 0.0] + list(vec[2:]))
+        assert np.array_equal(layers_of(masked)[0], [0.0, 0.0] + list(vec[2:]))
 
     def test_exact_zero_count_per_layer(self):
         rng = np.random.default_rng(83)
         vecs = [rng.uniform(0.5, 1.0, size=s) for s in (10, 7)]
         refs = [rng.normal(size=s) for s in (10, 7)]
         masked = neurotoxin_mask(make_weights(*vecs), make_weights(*refs), 0.3)
-        assert int(np.sum(masked.vectors()[0] == 0.0)) == 3  # ceil(0.3 * 10)
-        assert int(np.sum(masked.vectors()[1] == 0.0)) == 3  # ceil(0.3 * 7)
+        assert int(np.sum(layers_of(masked)[0] == 0.0)) == 3  # ceil(0.3 * 10)
+        assert int(np.sum(layers_of(masked)[1] == 0.0)) == 3  # ceil(0.3 * 7)
 
     def test_layerwise_independence(self):
         vec = np.ones(4)
@@ -403,8 +411,8 @@ class TestNeurotoxinMask:
             make_weights(ref_hot_last, ref_hot_last[::-1].copy()),
             0.25,
         )
-        assert np.array_equal(masked.vectors()[0], [1.0, 1.0, 1.0, 0.0])
-        assert np.array_equal(masked.vectors()[1], [0.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(layers_of(masked)[0], [1.0, 1.0, 1.0, 0.0])
+        assert np.array_equal(layers_of(masked)[1], [0.0, 1.0, 1.0, 1.0])
 
     @given(
         width=st.integers(1, 1000),
@@ -439,7 +447,7 @@ class TestNeurotoxinMask:
             update, make_weights(refs[:2], refs[2:-3], refs[-3:]), ratio
         )
         assert masked.flat.tobytes() == expected.tobytes()
-        zeroed = {i for i in range(width) if masked.vectors()[1][i] == 0.0}
+        zeroed = {i for i in range(width) if layers_of(masked)[1][i] == 0.0}
         assert zeroed == top_mask_indices(ref.tolist(), ratio)
 
     def test_matches_argsort_kernel_on_a_wide_layer(self):

@@ -25,7 +25,7 @@ from celtibero import (
     pairwise_cosine_matrix,
     train_local,
 )
-from .conftest import make_weights
+from .conftest import layers_of, make_weights
 from .oracles import cosine_distance, loss_and_grad, per_pair_cosine_distances
 
 
@@ -43,7 +43,7 @@ class TestLayerShape:
 class TestModelWeights:
     def test_vectors_are_flat_float64_and_read_only(self):
         m = make_weights([[1, 2], [3, 4]], [5, 6])
-        for vec in m.vectors():
+        for vec in layers_of(m):
             assert vec.dtype == np.float64
             assert vec.ndim == 1
             with pytest.raises(ValueError):
@@ -155,8 +155,8 @@ class TestDiffAddUpdate:
         local = make_weights([3.0, 1.0], [2.0])
         base = make_weights([1.0, 1.0], [5.0])
         update = diff(local, base)
-        assert np.array_equal(update.vectors()[0], [2.0, 0.0])
-        assert np.array_equal(update.vectors()[1], [-3.0])
+        assert np.array_equal(layers_of(update)[0], [2.0, 0.0])
+        assert np.array_equal(layers_of(update)[1], [-3.0])
 
     def test_add_update_round_trip(self):
         local = make_weights([0.25, -1.5], [4.0, 0.0, 1.0])

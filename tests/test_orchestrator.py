@@ -351,26 +351,13 @@ class TestExperiment:
             experiment.run_round(experiment.initial_state())
         assert calls
 
-    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
-    def test_training_matrix_outside_unit_range_fails_at_construction(self, bad, monkeypatch):
-        # The shares skip the [0, 1] scan: the training matrix gets it once,
-        # when it is made, block by block in _draw_synthetic or in load_idx.
-        generate = orchestrator._draw_synthetic
-
-        def corrupted(num_classes, num_samples, num_features, separation, rng):
-            data = generate(num_classes, num_samples, num_features, separation, rng)
-            features = data.features.copy()
-            features[num_samples // 2, 1] = bad
-            return LabeledDataset._owning(features, data.labels, num_classes)
-
-        monkeypatch.setattr(orchestrator, "_draw_synthetic", corrupted)
-        with pytest.raises(ValueError, match=r"feature values must lie in \[0, 1\]"):
-            Experiment(tiny_config())
-
+    @pytest.mark.parametrize("split", [("data", "train"), ("data", "test")], ids=["train", "test"])
     @pytest.mark.parametrize("poisoned_block", [None, 0, 3])
-    def test_nan_drawn_into_one_block_fails_at_construction(self, poisoned_block, monkeypatch):
-        # A NaN in the training split's noise survives the clip, and only the
-        # block's own check can reject it: the shares skip the scan.
+    def test_nan_drawn_into_one_block_fails_at_construction(
+        self, poisoned_block, split, monkeypatch
+    ):
+        # A NaN in a split's noise survives the clip, and only the block's own
+        # check can reject it: the datasets built from those rows skip the scan.
         derive = orchestrator.derive_rng
 
         class NaNDraw:
@@ -388,13 +375,13 @@ class TestExperiment:
 
         def derive_with_nan(master, *path):
             rng = derive(master, *path)
-            return NaNDraw(rng) if path == ("data", "train") else rng
+            return NaNDraw(rng) if path == split else rng
 
         monkeypatch.setattr(orchestrator, "derive_rng", derive_with_nan)
         cfg = tiny_config()
-        # Blocks of 10 rows, so that the training split is made in several.
+        # Blocks of 10 rows, so that each split is made in several.
         monkeypatch.setattr(data_module, "_REORDER_BYTES", 10 * cfg.dataset.features * 8)
-        assert cfg.dataset.samples > 40
+        assert min(cfg.dataset.samples, cfg.dataset.test_samples) > 40
         if poisoned_block is None:
             Experiment(cfg)
             return
@@ -608,6 +595,33 @@ class TestCleanReference:
         assert [replace(r, wall_ms=0.0) for r in shared] == [
             replace(r, wall_ms=0.0) for r in scratch
         ]
+
+    @pytest.mark.parametrize("aggregator", ["celtibero", "median_krum"])
+    @pytest.mark.parametrize(
+        "partition", [{"kind": "iid"}, {"kind": "dirichlet", "alpha": 0.5}], ids=["iid", "dir"]
+    )
+    def test_reports_equal_the_no_attack_run_at_each_malicious_fraction(
+        self, partition, aggregator
+    ):
+        # One ``attack: none`` run serves as the reference of the ulfa and tlfa
+        # runs of the same seed, partition and aggregator at every malicious
+        # fraction, so a grid of runs need not repeat it.
+        dataset = {"kind": "synthetic", "classes": 3, "samples": 300, "features": 6,
+                   "separation": 3.0, "test_samples": 60}
+
+        def reports(attack, fraction, reference):
+            cfg = tiny_config(dataset=dataset, clients=10, malicious_fraction=fraction, rounds=4,
+                              participation=[0.6, 0.9], partition=partition,
+                              aggregator={"kind": aggregator}, attack=attack)
+            run = run_experiment(cfg)
+            got = run.reference_reports if reference else run.reports
+            return [replace(r, wall_ms=0.0) for r in got]
+
+        none = reports({"kind": "none"}, 0.2, reference=False)
+        assert len(none) == 4
+        for fraction in (0.2, 0.4):
+            for attack in (ULFA, TLFA):
+                assert reports(attack, fraction, reference=True) == none, (attack, fraction)
 
     @pytest.mark.parametrize("name", list(LABEL_FLIP_CONFIGS))
     def test_clients_hold_the_clean_shares(self, name):

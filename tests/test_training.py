@@ -25,6 +25,7 @@ from celtibero import (
 )
 
 from celtibero import training
+from .conftest import layers_of
 from .oracles import forward, loss_and_grad, per_layer_loss_and_grad, per_layer_train_local
 
 
@@ -67,13 +68,13 @@ class TestInitModel:
 
     def test_biases_start_at_zero(self):
         model = init_model(NetworkArchitecture((5, 4, 3)))
-        assert np.all(model.vectors()[1] == 0.0)
-        assert np.all(model.vectors()[3] == 0.0)
+        assert np.all(layers_of(model)[1] == 0.0)
+        assert np.all(layers_of(model)[3] == 0.0)
 
     def test_weights_within_fan_in_bound(self):
         model = init_model(NetworkArchitecture((4, 3, 2), seed=9))
-        assert np.all(np.abs(model.vectors()[0]) <= 1.0 / math.sqrt(4))
-        assert np.all(np.abs(model.vectors()[2]) <= 1.0 / math.sqrt(3))
+        assert np.all(np.abs(layers_of(model)[0]) <= 1.0 / math.sqrt(4))
+        assert np.all(np.abs(layers_of(model)[2]) <= 1.0 / math.sqrt(3))
 
     def test_deterministic_and_seed_sensitive(self):
         arch = NetworkArchitecture((4, 3, 2), seed=5)
@@ -153,18 +154,18 @@ class TestLossAndGrad:
         y = rng.integers(0, 2, size=4)
         _, grad = loss_and_grad(model, X, y, "tanh")
         h = 1e-6
-        for k, vec in enumerate(model.vectors()):
+        for k, vec in enumerate(layers_of(model)):
             for c in range(vec.size):
                 def perturbed(delta):
                     vectors = [
                         v.copy() if j != k else _bump(v, c, delta)
-                        for j, v in enumerate(model.vectors())
+                        for j, v in enumerate(layers_of(model))
                     ]
                     return ModelWeights(model.shapes(), np.concatenate(vectors))
                 up, _ = loss_and_grad(perturbed(h), X, y, "tanh")
                 down, _ = loss_and_grad(perturbed(-h), X, y, "tanh")
                 numeric = (up - down) / (2 * h)
-                assert grad.vectors()[k][c] == pytest.approx(numeric, abs=1e-5)
+                assert layers_of(grad)[k][c] == pytest.approx(numeric, abs=1e-5)
 
     def test_uniform_prediction_loss_is_log_classes(self):
         model = dense_model(np.zeros((4, 3)), np.zeros(3))
@@ -221,9 +222,9 @@ class TestTrainLocal:
 
     def test_input_model_not_mutated(self):
         model = init_model(NetworkArchitecture((6, 5, 3), seed=22))
-        snapshot = [v.copy() for v in model.vectors()]
+        snapshot = [v.copy() for v in layers_of(model)]
         train_local(model, self.make_data(4), TrainConfig(0.1, 16))
-        assert all(np.array_equal(v, s) for v, s in zip(model.vectors(), snapshot))
+        assert all(np.array_equal(v, s) for v, s in zip(layers_of(model), snapshot))
 
     def test_rejects_width_mismatch(self):
         model = init_model(NetworkArchitecture((5, 4, 3)))
