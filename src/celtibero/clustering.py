@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-
 __all__ = [
     "LINKAGES",
     "DistanceMatrix",
@@ -129,24 +127,32 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_cosine_matrix(updates, *, overwrite_input: bool = False) -> DistanceMatrix:
-    """The cosine kernel: ``1 - cos`` between every pair of at least two
-    equal-length flat vectors, clamped to [0, 2].
+    """The cosine kernel: ``1 - cos`` between every pair of rows of an
+    ``(n, w)`` matrix of update vectors, clamped to [0, 2].
 
-    Each row is scaled by the power of two that brings its largest magnitude
-    into [0.5, 1): exact, so normal-range cosines are unchanged, while huge
-    norms no longer overflow. NaN or Inf input raises ``ValueError``, checked
-    before a length mismatch (``ShapeMismatchError``), and fewer than two
-    vectors raise ``ValueError``. The matrix is filled ``_BLOCK_ROWS`` rows
-    at a time, each block of rows against every later row by one ``_dots``
-    call, bit for bit the per-pair ``np.dot``. Zero-norm convention: 1.0
-    when exactly one vector is all-zero (a zero vector carries no direction,
-    so it sits at the neutral distance), 0.0 when both are.
+    ``updates`` is a 2-D array or a sequence of equal-length 1-D vectors.
+    Ragged rows fail in ``np.array`` with ``ValueError`` (a generator with
+    ``TypeError``); then any other shape, NaN or Inf (naming the first such
+    row), and fewer than two rows raise ``ValueError``. Each row is scaled
+    by the power of two that brings its largest magnitude into [0.5, 1):
+    exact, so normal-range cosines are unchanged, while huge norms no longer
+    overflow. The matrix is filled ``_BLOCK_ROWS`` rows at a time, each
+    block of rows against every later row by one ``_dots`` call. Zero-norm
+    convention: 1.0 when exactly one vector is all-zero (a zero vector
+    carries no direction, so it sits at the neutral distance), 0.0 when
+    both are.
+
+    Every distance is bit for bit the per-pair ``np.dot``, so permuted rows
+    give the permuted matrix and identical rows identical distance rows,
+    exactly: rounding never scores colluding clients apart. One Gram product
+    ``scaled @ scaled.T`` is faster but kept these for only 1,622 of 1,946
+    identical rows and 133 of 300 row sets.
 
     As in ``np.median``, ``overwrite_input=True`` permits, and does not
     require, the kernel to work in its input: a writable float64 2-D array
     whose rows are contiguous is scaled in place and holds the scaled rows
     afterwards (unless the input is rejected, which leaves it untouched).
-    Any other input is copied.
+    Any other input is copied, in C order: ``_dots`` needs contiguous rows.
     """
     if (
         overwrite_input
@@ -156,13 +162,13 @@ def pairwise_cosine_matrix(updates, *, overwrite_input: bool = False) -> Distanc
         and updates.flags.writeable
         and updates.strides[1] == updates.itemsize
     ):
-        scaled = rows = updates  # one length: no mismatch to report
-        n, width = updates.shape
+        scaled = updates
     else:
-        rows = [np.asarray(vec, dtype=np.float64).reshape(-1) for vec in updates]
-        width = rows[0].size if rows else 0
-        n = next((k for k, row in enumerate(rows) if row.size != width), len(rows))
-        scaled = np.array(rows[:n]).reshape(n, width)
+        # ndmin: an empty list or one 1-D vector becomes one row.
+        scaled = np.array(updates, dtype=np.float64, order="C", ndmin=2)
+        if scaled.ndim != 2:
+            raise ValueError(f"updates must be an (n, w) matrix, got shape {scaled.shape}")
+    n = scaled.shape[0]
     # max |x| per row, without an |x| temporary.
     peak = np.maximum(
         np.maximum.reduce(scaled, axis=1, initial=0.0),
@@ -170,8 +176,6 @@ def pairwise_cosine_matrix(updates, *, overwrite_input: bool = False) -> Distanc
     )
     if not np.isfinite(peak).all():
         raise ValueError(f"vector {int(np.argmin(np.isfinite(peak)))} contains NaN or Inf")
-    if n < len(rows):
-        raise ShapeMismatchError(f"vector {n}: length {rows[n].size} vs {width}")
     if n < 2:
         raise ValueError("need at least 2 update vectors")
     np.ldexp(scaled, -np.frexp(peak)[1][:, None], out=scaled)

@@ -217,10 +217,10 @@ def _draw_synthetic(
     num_features: int,
     separation: float,
     rng: np.random.Generator,
-) -> LabeledDataset:
+) -> tuple[LabeledDataset, np.ndarray]:
     """``gen_synthetic``'s blobs in the order they are drawn, labels sorted by
-    class: the rows of ``gen_synthetic``'s result are these rows permuted by
-    the ``rng.permutation(num_samples)`` drawn next.
+    class, and ``order``, the ``rng.permutation(num_samples)`` drawn next:
+    row ``order[i]`` is sample ``i`` of ``gen_synthetic``'s result.
 
     The matrix is made one block of at most ``_REORDER_BYTES`` of rows at a
     time: the block's noise (``standard_normal`` into it, then scaled, the
@@ -255,7 +255,7 @@ def _draw_synthetic(
         block[rows, axes] = peaks
         np.clip(block, 0.0, 1.0, out=block)
         _check_unit_range(block)
-    return LabeledDataset._owning(features, labels, num_classes)
+    return LabeledDataset._owning(features, labels, num_classes), rng.permutation(num_samples)
 
 
 def gen_synthetic(
@@ -270,15 +270,9 @@ def gen_synthetic(
     Class ``c`` peaks feature ``c`` at 0.8 over a 0.2 baseline; the noise
     scale is ``(0.8 - 0.2) / separation``, so larger separation gives cleaner
     blobs. Class counts are balanced to within one sample and sample order is
-    shuffled.
-
-    From ``rng`` it draws the noise, row-major, the samples in class order,
-    then ``rng.permutation(num_samples)``, which orders labels and rows
-    alike. The rows are made in blocks of bounded size, and the block size
-    never changes a bit of the result.
+    shuffled. It draws from ``rng`` by the stream contract of this module.
     """
-    drawn = _draw_synthetic(num_classes, num_samples, num_features, separation, rng)
-    order = rng.permutation(num_samples)
+    drawn, order = _draw_synthetic(num_classes, num_samples, num_features, separation, rng)
     drawn.features.flags.writeable = True
     _reorder_rows(drawn.features, order)
     return LabeledDataset._owning(drawn.features, drawn.labels[order], num_classes)

@@ -24,6 +24,7 @@ from .attacks import (
 )
 from .clustering import ClusterVerdict
 from .config import (
+    _MNIST_FEATURES,
     ExperimentConfig,
     _participant_count,
     config_from_dict,
@@ -39,7 +40,7 @@ from .data import (
     partition_dirichlet,
     partition_iid,
 )
-from .errors import RoundError
+from .errors import IdxFormatError, RoundError
 from .model import ModelWeights, diff
 from .training import (
     EvalResult,
@@ -167,7 +168,10 @@ def backdoor_success_rate(
 
 def _load_idx_split(cfg: ExperimentConfig, split: str, subset: int | None) -> LabeledDataset:
     dataset = cfg.dataset
-    data = load_idx(getattr(dataset, f"{split}_images"), getattr(dataset, f"{split}_labels"))
+    images = getattr(dataset, f"{split}_images")
+    data = load_idx(images, getattr(dataset, f"{split}_labels"))
+    if data.d != _MNIST_FEATURES:  # 28 x 28, which the model and default trigger assume
+        raise IdxFormatError(f"{images}: feature width {data.d}, mnist_idx needs {_MNIST_FEATURES}")
     if subset is not None and subset < data.n:
         pick = derive_rng(cfg.seed, "data", f"{split}_subset").choice(
             data.n, size=subset, replace=False
@@ -180,18 +184,15 @@ def _load_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, np.ndarray, L
     """The training split as made, the permutation of its rows that puts them
     in sample order, and the test split.
 
-    A synthetic training split comes in the order ``_draw_synthetic`` draws
-    it, with the permutation ``gen_synthetic`` would shuffle it by, drawn
-    from the same generator at the same point, so that ``Experiment`` moves
-    each row once, for the shuffle and the client order together. IDX rows
-    are loaded in sample order: their permutation is the identity.
+    A synthetic training split comes in draw order, with the sample order
+    ``_draw_synthetic`` draws, for ``Experiment`` to move each row once. IDX
+    rows are loaded in sample order: their permutation is the identity.
     """
     dataset, master = cfg.dataset, cfg.seed
     if dataset.kind == "synthetic":
         classes, features, separation = dataset.classes, dataset.features, dataset.separation
         rng = derive_rng(master, "data", "train")
-        train = _draw_synthetic(classes, dataset.samples, features, separation, rng)
-        shuffle = rng.permutation(train.n)
+        train, shuffle = _draw_synthetic(classes, dataset.samples, features, separation, rng)
         test = gen_synthetic(
             classes, dataset.test_samples, features, separation, derive_rng(master, "data", "test")
         )

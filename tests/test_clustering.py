@@ -9,7 +9,6 @@ from celtibero import (
     LINKAGES,
     ClusterAssignment,
     DistanceMatrix,
-    ShapeMismatchError,
     agglomerative_two_clusters,
     label_clusters,
     pairwise_cosine_matrix,
@@ -113,12 +112,83 @@ class TestPairwiseCosineMatrix:
         with pytest.raises(ValueError, match="vector 0 contains NaN or Inf"):
             pairwise_cosine_matrix([np.array([np.nan, 1.0])])
 
-    def test_length_mismatch_names_index(self):
-        with pytest.raises(ShapeMismatchError, match="1"):
-            pairwise_cosine_matrix([np.ones(3), np.ones(4)])
-        # A non-finite vector before the first mismatch is named first.
-        with pytest.raises(ValueError, match="vector 1 contains NaN or Inf"):
-            pairwise_cosine_matrix([np.ones(3), np.array([np.inf, 0.0, 0.0]), np.ones(4)])
+    def test_input_that_is_no_matrix_is_rejected(self):
+        # Ragged rows fail in NumPy's conversion, before any NaN is looked for.
+        for ragged in (
+            [np.ones(3), np.ones(4)],
+            [np.ones(3), np.array([np.inf, 0.0, 0.0]), np.ones(4)],
+        ):
+            with pytest.raises(ValueError) as raised:
+                pairwise_cosine_matrix(ragged)
+            assert "NaN or Inf" not in str(raised.value)
+        # Vectors with more than one dimension are not flattened.
+        for stacked in (np.ones((3, 2, 2)), [np.ones((2, 2))] * 3):
+            with pytest.raises(ValueError, match=r"must be an \(n, w\) matrix"):
+                pairwise_cosine_matrix(stacked)
+        with pytest.raises(TypeError):
+            pairwise_cosine_matrix(np.ones(3) for _ in range(2))
+        # An empty list and a lone vector are fewer than two rows.
+        for short in ([], np.ones(3)):
+            with pytest.raises(ValueError, match="need at least 2 update vectors"):
+                pairwise_cosine_matrix(short)
+
+
+def colluding_rows(rng, n, width):
+    """``n`` rows of ``width`` at row scales 10^-150..10^150, with zero rows,
+    negated rows and at least one pair of identical rows."""
+    rows = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+    pick = rng.random(n)
+    rows[pick < 0.1] = 0.0
+    negated = pick > 0.85
+    rows[negated] = -rows[rng.integers(n, size=int(negated.sum()))]
+    copies = rng.integers(n, size=max(1, n // 4))
+    rows[rng.integers(n, size=copies.size)] = rows[copies]
+    rows[0] = rows[-1]
+    return rows
+
+
+class TestKernelExactness:
+    """The kernel's exactness contract, with exact equality, whether it copies
+    its input or scales a layer view of a wider matrix in place: permuting
+    the rows permutes the matrix, and identical rows get bit-identical
+    distances to every other row."""
+
+    @staticmethod
+    def kernels(rows):
+        yield pairwise_cosine_matrix(rows).entries
+        pad = np.ones((rows.shape[0], 3))
+        layer = np.hstack([pad, rows, pad])[:, 3:-3]
+        yield pairwise_cosine_matrix(layer, overwrite_input=True).entries
+
+    def check(self, rows, rng):
+        n = rows.shape[0]
+        perm = rng.permutation(n)
+        # Each row's first index among the rows bit-identical to it.
+        _, first, same = np.unique(
+            rows.view(np.dtype((np.void, rows.strides[0]))).reshape(n),
+            return_index=True,
+            return_inverse=True,
+        )
+        first = first[same.reshape(n)]
+        pairs = [(int(first[j]), j) for j in range(n) if first[j] != j]
+        assert pairs
+        for matrix, permuted in zip(self.kernels(rows), self.kernels(rows[perm])):
+            assert np.array_equal(permuted, matrix[np.ix_(perm, perm)])
+            for i, j in pairs:
+                others = np.ones(n, dtype=bool)
+                others[[i, j]] = False
+                assert np.array_equal(matrix[i, others], matrix[j, others])
+
+    def test_seeded_row_sets(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n, width = int(rng.integers(2, 71)), int(rng.integers(1, 901))
+            self.check(colluding_rows(rng, n, width), rng)
+
+    def test_mnist_width_layer(self):
+        # The 784 x 64 weight layer of a 20-client MNIST-width model.
+        rng = np.random.default_rng(784)
+        self.check(colluding_rows(rng, 20, 784 * 64), rng)
 
 
 class TestAgglomerativeTwoClusters:

@@ -1,6 +1,7 @@
 """Round loop, participant sampling, attack metrics, and experiment drivers."""
 
 import logging
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from celtibero import (
     ConfigError,
     Experiment,
     FederationState,
+    IdxFormatError,
     LabeledDataset,
     RoundError,
     RoundReport,
@@ -451,16 +453,34 @@ class TestExperiment:
             assert r.wall_ms >= 0.0
 
 
-def write_idx_split(directory, rng, count):
-    """``count`` random 28 x 28 images with digit labels, as an IDX pair in
-    ``directory``."""
+def write_idx_split(directory, rng, count, side=28):
+    """``count`` random ``side`` x ``side`` images with digit labels, as an
+    IDX pair in ``directory``."""
     directory.mkdir()
-    pixels = rng.integers(0, 256, size=count * 28 * 28).tolist()
+    pixels = rng.integers(0, 256, size=count * side * side).tolist()
     labels = rng.integers(0, 10, size=count).tolist()
-    return write_idx_pair(directory, pixels, labels, rows=28, cols=28)
+    return write_idx_pair(directory, pixels, labels, rows=side, cols=side)
 
 
 class TestIdxExperiment:
+    @pytest.mark.parametrize("train_side, test_side", [(28, 20), (32, 32)])
+    def test_images_other_than_28_by_28_fail_at_set_up(self, tmp_path, train_side, test_side):
+        rng = np.random.default_rng(1)
+        train_images, train_labels = write_idx_split(tmp_path / "train", rng, 12, train_side)
+        test_images, test_labels = write_idx_split(tmp_path / "test", rng, 6, test_side)
+        dataset = {
+            "kind": "mnist_idx",
+            "train_images": str(train_images),
+            "train_labels": str(train_labels),
+            "test_images": str(test_images),
+            "test_labels": str(test_labels),
+        }
+        cfg = tiny_config(dataset=dataset, clients=3, aggregator={"kind": "celtibero"})
+        # The first split that is not 28 x 28 is named, with its width.
+        bad, side = (train_images, train_side) if train_side != 28 else (test_images, test_side)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{bad}: feature width {side * side},")):
+            Experiment(cfg)
+
     def test_subsets_shares_and_rerun(self, tmp_path):
         rng = np.random.default_rng(0)
         train_images, train_labels = write_idx_split(tmp_path / "train", rng, 40)

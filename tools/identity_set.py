@@ -12,8 +12,10 @@ trees that print the same lines produce the same outputs on the set, so
 every bit.
 
 With ``--compare OTHER_SRC`` it fingerprints both trees at once, each in a
-child process of its own, prints the names of the configs whose lines
-differ, and exits 1 if any do (0 if none) or if either child fails.
+child process of its own, prints each config whose lines differ with the
+files that differ (``summary.json``, ``rounds.csv``), ends with the count
+of differing configs and of each file, and exits 1 if any config differs
+(0 if none) or if either child fails.
 
 The set: the README quick-start config; the three benchmark workloads of
 ``perfbench/workloads.py`` at their default seeds; the README config cut to
@@ -302,10 +304,17 @@ def _compare(src: Path, other: Path) -> int:
         print("error: a fingerprint run failed", file=sys.stderr)
         return 1
     names = list(configs())
-    differ = [name for name in names if ours.get(name) != theirs.get(name)]
-    for name in differ:
-        print(name)
-    print(f"{len(differ)} of {len(names)} configs differ", file=sys.stderr)
+    files = ("summary.json", "rounds.csv")
+    differ = {}
+    for name in names:
+        # Each line is "NAME summary=HASH rounds=HASH".
+        pairs = zip(files, ours[name].split()[1:], theirs[name].split()[1:])
+        changed = [f for f, a, b in pairs if a != b]
+        if changed:
+            differ[name] = changed
+            print(f"{name}: {', '.join(changed)}")
+    per_file = ", ".join(f"{sum(f in c for c in differ.values())} in {f}" for f in files)
+    print(f"{len(differ)} of {len(names)} configs differ ({per_file})", file=sys.stderr)
     return 1 if differ else 0
 
 
