@@ -1,0 +1,244 @@
+"""Run every aggregation rule against every attack on the README config and
+tabulate the final MTA and ASR.
+
+    python3 experiments/grid.py
+
+The grid is ``tools/identity_set.py``'s ``README_CONFIG`` (4 classes, 20
+clients, 30 rounds, full participation, iid shares, 40 % attackers) under
+five rules (``fedavg``, ``coord_median``, ``krum`` and ``median_krum`` with
+f set to the attacker count, and ``celtibero``) against four attacks from
+its ``ATTACKS`` table (``none``, ``ulfa``, ``dba``, and ``mra`` at boost
+1e150), at seeds 1-3: 60 runs. A cell is one rule against one attack; its
+seeds see the same data and roster under every rule, so rules are compared
+seed by seed.
+
+Each run goes through ``config_from_dict`` -> ``run_experiment`` and writes
+one JSON file under ``experiments/runs/``; a run whose file exists is not
+run again, so a stopped grid resumes where it stopped. The runs go to a
+pool of at most 2 worker processes. Once every run is in, the script writes
+``experiments/grid.json`` (each cell's values) and ``experiments/GRID.md``
+(the tables).
+
+Standard library and NumPy only. BLAS runs on one thread, as in
+``tools/identity_set.py``: the wide dot products round differently with the
+thread count.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import importlib.util
+import json
+import multiprocessing
+import statistics
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+REPO = HERE.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from celtibero import config_from_dict, malicious_count, run_experiment  # noqa: E402
+
+
+def _identity_set():
+    """``tools/identity_set.py``, loaded from its file."""
+    path = REPO / "tools" / "identity_set.py"
+    spec = importlib.util.spec_from_file_location("grid_identity_set", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_IDENTITY_SET = _identity_set()
+# Each run adds its rule, attack and seed.
+BASE = {
+    **{
+        key: value
+        for key, value in _IDENTITY_SET.README_CONFIG.items()
+        if key not in ("aggregator", "attack", "seed")
+    },
+    "partition": {"kind": "iid"},
+    "malicious_fraction": 0.4,
+}
+_KRUM_F = malicious_count(config_from_dict(BASE))
+RULES = {
+    "fedavg": _IDENTITY_SET.AGGREGATORS["fedavg"],
+    "coord_median": _IDENTITY_SET.AGGREGATORS["coord_median"],
+    "krum": dict(_IDENTITY_SET.AGGREGATORS["krum"], krum_f=_KRUM_F),
+    "median_krum": dict(_IDENTITY_SET.AGGREGATORS["median_krum"], krum_f=_KRUM_F),
+    "celtibero": _IDENTITY_SET.AGGREGATORS["celtibero-average"],
+}
+ATTACKS = {
+    "none": _IDENTITY_SET.ATTACKS["none"],
+    "ulfa": _IDENTITY_SET.ATTACKS["ulfa"],
+    "dba": _IDENTITY_SET.ATTACKS["dba"],
+    "mra-1e150": dict(_IDENTITY_SET.ATTACKS["mra"], boost_factor=1e150),
+}
+SEEDS = (1, 2, 3)
+# The rule every other rule is compared with, seed by seed.
+PAPER_RULE = "celtibero"
+
+CELL_COLUMNS = ("rule", "attack", "MTA median", "MTA worst", "ASR median", "ASR worst")
+WIN_COLUMNS = ("rule", "attack", "MTA W-T-L", "ASR W-T-L")
+
+
+def runs(rules=RULES, attacks=ATTACKS, seeds=SEEDS, rounds=None) -> dict[str, dict]:
+    """Each run's config by name, ``RULE/ATTACK/seedN``; ``rounds``, if
+    given, replaces the config's round count."""
+    out = {}
+    for rule, aggregator in rules.items():
+        for attack, spec in attacks.items():
+            for seed in seeds:
+                raw = dict(BASE, aggregator=aggregator, attack=spec, seed=seed)
+                if rounds is not None:
+                    raw["rounds"] = rounds
+                out[f"{rule}/{attack}/seed{seed}"] = raw
+    return out
+
+
+def _run_one(job: tuple[str, dict, str]) -> str:
+    """Run one config and write its final metrics to ``path``, through a
+    temporary file so that a stopped run leaves no file behind."""
+    name, raw, path = job
+    summary = run_experiment(config_from_dict(raw)).summary
+    record = {
+        "run": name,
+        "final_mta": summary["final_mta"],
+        "final_asr": summary["final_asr"],
+        "rounds_completed": summary["rounds_completed"],
+    }
+    partial = Path(path + ".tmp")
+    partial.write_text(json.dumps(record, indent=1) + "\n")
+    partial.replace(path)
+    return name
+
+
+def run_all(configs: dict[str, dict], run_dir: Path, workers: int = 2) -> dict[str, dict]:
+    """Every run's record by name, running only those without a file in
+    ``run_dir``: in this process with one worker, else in a pool of two."""
+    if workers not in (1, 2):
+        raise ValueError(f"workers must be 1 or 2, got {workers}")
+    paths = {name: run_dir / f"{name.replace('/', '__')}.json" for name in configs}
+    jobs = [
+        (name, raw, str(paths[name])) for name, raw in configs.items() if not paths[name].exists()
+    ]
+    run_dir.mkdir(parents=True, exist_ok=True)
+    if workers == 1:
+        for job in jobs:
+            _run_one(job)
+    else:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            for name in pool.imap_unordered(_run_one, jobs):
+                print(f"ran {name}", flush=True)
+    return {name: json.loads(path.read_text()) for name, path in paths.items()}
+
+
+def _wins(ours: list[float], theirs: list[float], higher_is_better: bool) -> str:
+    """``W-T-L`` of ``ours`` against ``theirs``, paired by seed."""
+    sign = 1 if higher_is_better else -1
+    diffs = [sign * (a - b) for a, b in zip(ours, theirs, strict=True)]
+    return f"{sum(d > 0 for d in diffs)}-{sum(d == 0 for d in diffs)}-{sum(d < 0 for d in diffs)}"
+
+
+def cells(records: dict[str, dict], rules, attacks, seeds) -> dict:
+    """Each cell's per-seed values, median and worst seed, and each other
+    rule's per-seed wins against ``PAPER_RULE`` (which ``rules`` must hold)."""
+    table = []
+    by_cell = {}
+    for rule in rules:
+        for attack in attacks:
+            found = [records[f"{rule}/{attack}/seed{seed}"] for seed in seeds]
+            mta = [r["final_mta"] for r in found]
+            asr = [r["final_asr"] for r in found]
+            by_cell[rule, attack] = (mta, asr)
+            table.append({
+                "rule": rule,
+                "attack": attack,
+                "mta_by_seed": mta,
+                "asr_by_seed": asr,
+                "mta_median": statistics.median(mta),
+                "mta_worst": min(mta),
+                "asr_median": statistics.median(asr),
+                "asr_worst": max(asr),
+            })
+    wins = [
+        {
+            "rule": rule,
+            "attack": attack,
+            "mta": _wins(by_cell[rule, attack][0], by_cell[PAPER_RULE, attack][0], True),
+            "asr": _wins(by_cell[rule, attack][1], by_cell[PAPER_RULE, attack][1], False),
+        }
+        for rule in rules
+        if rule != PAPER_RULE
+        for attack in attacks
+    ]
+    return {
+        "seeds": list(seeds),
+        "rules": rules,
+        "attacks": attacks,
+        "cells": table,
+        "wins": wins,
+    }
+
+
+def _row(values) -> str:
+    return "| " + " | ".join(values) + " |"
+
+
+def render(grid: dict) -> str:
+    """GRID.md: the cell table, then the per-seed wins table. An attack
+    with no success rate (``none``, whose runs report 0) shows its ASR and
+    ASR wins as dashes."""
+    seeds = ", ".join(str(s) for s in grid["seeds"])
+    unscored = {name for name, spec in grid["attacks"].items() if spec["kind"] == "none"}
+    lines = [
+        "# Rules against attacks on the README config",
+        "",
+        "Written by `python3 experiments/grid.py`; the values are in `grid.json`.",
+        f"README config (`tools/identity_set.py`), iid shares, 40 % attackers, seeds {seeds}.",
+        "Final-round MTA and ASR: the median over seeds and the worst seed",
+        "(lowest MTA, highest ASR).",
+        "",
+        _row(CELL_COLUMNS),
+        _row(["---"] * len(CELL_COLUMNS)),
+    ]
+    for cell in grid["cells"]:
+        values = [cell[k] for k in ("mta_median", "mta_worst", "asr_median", "asr_worst")]
+        text = [f"{v:.3f}" for v in values]
+        if cell["attack"] in unscored:
+            text[2:] = ["—", "—"]
+        lines.append(_row([cell["rule"], cell["attack"], *text]))
+    lines += [
+        "",
+        f"Per-seed wins, ties and losses against `{PAPER_RULE}` at the same seed",
+        "(higher MTA wins; lower ASR wins).",
+        "",
+        _row(WIN_COLUMNS),
+        _row(["---"] * len(WIN_COLUMNS)),
+    ]
+    for w in grid["wins"]:
+        asr = "—" if w["attack"] in unscored else w["asr"]
+        lines.append(_row([w["rule"], w["attack"], w["mta"], asr]))
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.parse_args(argv)
+    records = run_all(runs(), HERE / "runs")
+    grid = {"base_config": BASE, **cells(records, RULES, ATTACKS, SEEDS)}
+    (HERE / "grid.json").write_text(json.dumps(grid, indent=1) + "\n")
+    (HERE / "GRID.md").write_text(render(grid))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -194,6 +194,19 @@ def flip_labels_targeted(data: LabeledDataset, source: int, target: int) -> Labe
     return LabeledDataset._owning(data.features, labels, data.num_classes)
 
 
+def _check_fits(trigger: TriggerPattern, data: LabeledDataset) -> None:
+    """Reject a trigger that ``data`` cannot take: a position outside its
+    feature width, or a target class outside its classes."""
+    if max(trigger.positions) >= data.d:
+        raise ShapeMismatchError(
+            f"trigger position {max(trigger.positions)} outside feature dimension {data.d}"
+        )
+    if not 0 <= trigger.target_class < data.num_classes:
+        raise ValueError(
+            f"trigger target class {trigger.target_class} outside [0, {data.num_classes})"
+        )
+
+
 def embed_trigger(
     data: LabeledDataset,
     trigger: TriggerPattern,
@@ -209,14 +222,7 @@ def embed_trigger(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    if max(trigger.positions) >= data.d:
-        raise ShapeMismatchError(
-            f"trigger position {max(trigger.positions)} outside feature dimension {data.d}"
-        )
-    if not 0 <= trigger.target_class < data.num_classes:
-        raise ValueError(
-            f"trigger target class {trigger.target_class} outside [0, {data.num_classes})"
-        )
+    _check_fits(trigger, data)
     if not all(0.0 <= value <= 1.0 for value in trigger.values):
         raise ValueError("trigger values must lie in [0, 1]")
     count = _round_half_up(fraction, data.n)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .aggregators import aggregate
 from .attacks import (
-    _DECAYS, _MODEL_RULES, _SHARE_RULES, REFERENCE_KINDS, AttackSpec, TriggerPattern
+    _DECAYS, _MODEL_RULES, _SHARE_RULES, REFERENCE_KINDS, AttackSpec, TriggerPattern, _check_fits
 )
 from .clustering import ClusterVerdict
 from .config import (
@@ -43,6 +43,7 @@ from .data import (
 from .errors import IdxFormatError, RoundError
 from .model import ModelWeights, diff
 from .training import (
+    _GATHER_BYTES,
     EvalResult,
     NetworkArchitecture,
     TrainConfig,
@@ -134,36 +135,37 @@ def sample_participants(
     return np.sort(rng.choice(num_clients, size=count, replace=False))
 
 
-def _stamped_rows(data: LabeledDataset, trigger: TriggerPattern) -> np.ndarray:
-    """The rows of ``data`` whose class is not the trigger's target, with the
-    full trigger stamped in: one read-only copy, possibly with no rows."""
-    features = data.features[data.labels != trigger.target_class]
-    features[:, np.array(trigger.positions)] = np.array(trigger.values)
-    features.flags.writeable = False
-    return features
-
-
 def backdoor_success_rate(
     model: ModelWeights,
     data: LabeledDataset,
     trigger: TriggerPattern,
     activation: str = "relu",
-    *,
-    stamped: np.ndarray | None = None,
 ) -> float:
     """Fraction of test samples, excluding those whose true class is already
     the target, classified as the target once the full trigger is stamped in.
 
-    ``stamped``, the rows ``_stamped_rows(data, trigger)`` builds, saves
-    rebuilding them; an ``Experiment`` builds them once for all its rounds.
+    The rows are scored a block of at most ``_GATHER_BYTES`` of features at
+    a time: each block's non-target rows are gathered, stamped and predicted,
+    so no stamped copy of the whole split is held. A trigger position outside
+    the feature width or a target class outside the data's classes is
+    rejected before any block is scored.
     """
-    if stamped is None:
-        stamped = _stamped_rows(data, trigger)
-    if not len(stamped):
+    _check_fits(trigger, data)
+    target = trigger.target_class
+    positions, values = np.array(trigger.positions), np.array(trigger.values)
+    per_block = max(1, _GATHER_BYTES // (data.features.itemsize * data.d))
+    hits = scored = 0
+    for start in range(0, data.n, per_block):
+        block = slice(start, start + per_block)
+        # A boolean-mask gather copies, so the stamp leaves ``data`` as it is.
+        rows = data.features[block][data.labels[block] != target]
+        rows[:, positions] = values
+        hits += int(np.count_nonzero(predict(model, rows, activation) == target))
+        scored += rows.shape[0]
+    if not scored:
         logger.warning("every test sample belongs to the target class; backdoor rate is 0")
         return 0.0
-    preds = predict(model, stamped, activation)
-    return float((preds == trigger.target_class).mean())
+    return hits / scored
 
 
 def _load_idx_split(cfg: ExperimentConfig, split: str, subset: int | None) -> LabeledDataset:
@@ -273,9 +275,6 @@ class Experiment:
         features.flags.writeable = labels.flags.writeable = False
         self.shares = tuple(shares)
         self.initial_model = init_model(architecture)
-        self._stamped = None
-        if cfg.attack.trigger is not None:
-            self._stamped = _stamped_rows(self.test_data, cfg.attack.trigger)
 
     def _clean_reference(self) -> Experiment:
         """The no-attack federation of a reference-kind experiment, on this
@@ -301,9 +300,8 @@ class Experiment:
         attack, activation = self.cfg.attack, self.cfg.architecture.activation
         metrics = evaluate(model, self.test_data, activation)
         if attack.trigger is not None:
-            return metrics, backdoor_success_rate(
-                model, self.test_data, attack.trigger, activation, stamped=self._stamped
-            )
+            rate = backdoor_success_rate(model, self.test_data, attack.trigger, activation)
+            return metrics, rate
         decay = _DECAYS.get(attack.kind)
         if decay is None or reference is None:
             return metrics, 0.0

@@ -29,7 +29,10 @@ bit-for-bit reference for the partitioner that joins NumPy chunks.
 ``argsort_neurotoxin_mask`` is the former Neurotoxin mask, one stable
 ``np.argsort`` of each layer's negated magnitudes, kept as the bit-for-bit
 reference for the mask that cuts each layer with one ``np.partition``.
-``cosine_distance`` is ``pairwise_cosine_matrix`` on one pair of vectors
+``stamped_backdoor_rate`` is the former backdoor scorer, which stamps every
+non-target test row at once and predicts them in one call, kept as the
+bit-for-bit reference for the scorer that stamps one block of rows at a
+time. ``cosine_distance`` is ``pairwise_cosine_matrix`` on one pair of vectors
 ``forward`` the trainer's forward pass on one feature row, and
 ``loss_and_grad`` its backward pass on one batch, which only the tests call.
 """
@@ -47,7 +50,7 @@ from celtibero import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from celtibero.training import _batch_grads, _dense_pairs, _forward_probs
+from celtibero.training import _batch_grads, _dense_pairs, _forward_probs, predict
 
 
 def cosine_distance(u, v) -> float:
@@ -437,3 +440,12 @@ def appended_partition_dirichlet(labels, num_classes, num_clients, alpha, rng):
         sizes[donor] -= 1
         sizes[empty] += 1
     return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
+
+
+def stamped_backdoor_rate(model, data, trigger, activation="relu"):
+    """The share of ``data``'s non-target rows predicted as the target once
+    the trigger is stamped in, from one stamped copy of all of them."""
+    stamped = data.features[data.labels != trigger.target_class]
+    stamped[:, list(trigger.positions)] = trigger.values
+    preds = predict(model, stamped, activation)
+    return float((preds == trigger.target_class).mean())

@@ -16,8 +16,10 @@ from celtibero import (
     FederationState,
     IdxFormatError,
     LabeledDataset,
+    NetworkArchitecture,
     RoundError,
     RoundReport,
+    ShapeMismatchError,
     backdoor_success_rate,
     config_from_dict,
     config_to_dict,
@@ -26,6 +28,7 @@ from celtibero import (
     diff,
     evaluate,
     gen_synthetic,
+    init_model,
     load_idx,
     make_default_trigger,
     partition_dirichlet,
@@ -37,7 +40,7 @@ from celtibero import (
 from celtibero import attacks, orchestrator
 from celtibero import data as data_module
 from celtibero.data import _REORDER_BYTES
-from celtibero.orchestrator import _stamped_rows
+from .oracles import stamped_backdoor_rate
 from .test_data import write_idx_pair
 from .test_training import dense_model
 
@@ -251,32 +254,57 @@ class TestBackdoorSuccessRate:
             rate = backdoor_success_rate(model, target_only, self.trigger)
         assert rate == 0.0
         assert "target class" in caplog.text
-        caplog.clear()
-        stamped = _stamped_rows(target_only, self.trigger)
-        assert stamped.shape == (0, 3)
-        with caplog.at_level(logging.WARNING, logger="celtibero.orchestrator"):
-            rate = backdoor_success_rate(model, target_only, self.trigger, stamped=stamped)
-        assert rate == 0.0
-        assert "target class" in caplog.text
 
-    def test_prepared_rows_give_the_same_rate(self):
-        stamped = _stamped_rows(self.data, self.trigger)
-        assert np.array_equal(stamped, [[0.0, 0.5, 1.0], [1.0, 0.5, 1.0], [0.0, 0.2, 1.0]])
-        assert not stamped.flags.writeable
-        assert not np.shares_memory(stamped, self.data.features)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            model = dense_model(rng.normal(size=(3, 3)), rng.normal(size=3))
-            assert backdoor_success_rate(
-                model, self.data, self.trigger, stamped=stamped
-            ) == backdoor_success_rate(model, self.data, self.trigger)
+    def test_trigger_position_outside_the_features_is_rejected(self):
+        # Even when no row would be stamped: every row is of the target class.
+        model = dense_model(np.zeros((3, 3)), np.zeros(3))
+        target_only = LabeledDataset([[0.1, 0.2, 0.3]], [0], 3)
+        trigger = TriggerPattern((1, 5), (1.0, 1.0), 0)
+        with pytest.raises(ShapeMismatchError, match="position 5 outside feature dimension 3"):
+            backdoor_success_rate(model, target_only, trigger)
 
-    def test_experiment_stamps_its_test_rows_once(self):
-        cfg = tiny_config(attack={"kind": "mra", "target_class": 0, "poison_fraction": 1.0})
-        experiment = Experiment(cfg)
-        expected = _stamped_rows(experiment.test_data, experiment.cfg.attack.trigger)
-        assert np.array_equal(experiment._stamped, expected)
-        assert Experiment(tiny_config())._stamped is None
+    def test_target_class_outside_the_classes_is_rejected(self):
+        model = dense_model(np.zeros((3, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape("trigger target class 3 outside [0, 3)")):
+            backdoor_success_rate(model, self.data, TriggerPattern((2,), (1.0,), 3))
+
+    @pytest.mark.parametrize("budget", [1, 4 * 3 * 8, 4 * 3 * 8 + 20, 10**6])
+    def test_blocks_give_the_one_shot_rate(self, monkeypatch, budget):
+        # 11 rows of 24 bytes: a budget below one row scores a row at a time;
+        # 96 and 116 bytes make blocks of 4, 4 and 3 rows, whose second block
+        # holds only target-class rows; a large budget makes one block.
+        monkeypatch.setattr(orchestrator, "_GATHER_BYTES", budget)
+        rng = np.random.default_rng(9)
+        labels = [1, 2, 0, 1, 0, 0, 0, 0, 2, 1, 2]
+        data = LabeledDataset(rng.uniform(size=(11, 3)), labels, 3)
+        trigger = TriggerPattern((2, 0), (1.0, 0.25), 0)
+        for activation in ("relu", "tanh"):
+            for _ in range(8):
+                model = dense_model(
+                    rng.normal(size=(3, 5)), rng.normal(size=5),
+                    rng.normal(size=(5, 3)), rng.normal(size=3),
+                )
+                rate = backdoor_success_rate(model, data, trigger, activation)
+                assert rate == stamped_backdoor_rate(model, data, trigger, activation)
+
+    def test_scoring_holds_one_block_of_stamped_rows(self):
+        # 1 400 x 784 float64 features (8.8 MB); a stamped copy of the
+        # non-target rows alone would be about 6.6 MB.
+        rng = np.random.default_rng(3)
+        data = LabeledDataset._owning(
+            rng.uniform(size=(1400, 784)), rng.integers(0, 4, size=1400), 4
+        )
+        assert data.features.nbytes >= 8_000_000
+        model = init_model(NetworkArchitecture((784, 16, 4), seed=1))
+        trigger = TriggerPattern((780, 781, 782, 783), (1.0, 1.0, 1.0, 1.0), 0)
+        backdoor_success_rate(model, data, trigger)  # first, so lazy imports are not counted
+        tracemalloc.start()
+        try:
+            backdoor_success_rate(model, data, trigger)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestStateAndReportValidation:
