@@ -150,7 +150,16 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
         raise ValueError(f"krum requires n >= 2f + 3, got n={n}, f={f}")
     # Squared distances ||a||^2 + ||b||^2 - 2<a, b> from one Gram matrix of
     # the rows centred on their mean, which keeps the norms near the distances.
+    # The rows are first scaled by the power of two that brings their largest
+    # magnitude into [0.5, 1), as the cosine kernel scales each row: exact on
+    # normal-range models, while huge ones score inf instead of NaN.
     centred = stack(local_models)
+    peak = max(
+        np.maximum.reduce(centred, axis=None, initial=0.0),
+        -np.minimum.reduce(centred, axis=None, initial=0.0),
+    )
+    shift = int(np.frexp(peak)[1])
+    np.ldexp(centred, -shift, out=centred)
     centred -= centred.mean(axis=0)
     gram = centred @ centred.T
     norm2 = np.diag(gram)
@@ -158,11 +167,14 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
     squared = np.maximum(bound - 2.0 * gram, 0.0)
     bound *= _EXACT_SHARE
     for i, j in zip(*np.nonzero(np.triu(squared <= bound, 1))):
-        d = local_models[i].flat - local_models[j].flat
+        d = np.ldexp(local_models[i].flat, -shift)
+        d -= np.ldexp(local_models[j].flat, -shift)
         squared[i, j] = squared[j, i] = np.dot(d, d)
     # An inf diagonal sorts last, so no row counts a model against itself.
     np.fill_diagonal(squared, np.inf)
-    return np.sort(squared, axis=1)[:, : n - f - 2].sum(axis=1)
+    scores = np.sort(squared, axis=1)[:, : n - f - 2].sum(axis=1)
+    with np.errstate(over="ignore"):  # a score past the float range reads inf
+        return np.ldexp(scores, 2 * shift)
 
 
 def krum(local_models: list[ModelWeights], f: int) -> ModelWeights:

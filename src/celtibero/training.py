@@ -31,7 +31,6 @@ __all__ = [
 
 ACTIVATIONS = ("relu", "tanh")
 
-_EVAL_CHUNK = 8192
 # The most bytes of shuffled feature and target rows ``train_local`` gathers
 # at once.
 _GATHER_BYTES = 1 << 20
@@ -145,17 +144,9 @@ def _forward(pairs, X: np.ndarray, activation: str):
     return post, logits
 
 
-def _forward_probs(pairs, features: np.ndarray, activation: str) -> np.ndarray:
-    logits = _forward(pairs, features, activation)[1]
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=1, keepdims=True)
-    return logits
-
-
 def predict(model: ModelWeights, features, activation: str = "relu") -> np.ndarray:
-    """Argmax class indices for a batch of feature rows; exact probability
-    ties resolve to the lower class index."""
+    """Argmax class indices for a batch of feature rows, taken on the
+    logits; exact logit ties resolve to the lower class index."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D feature batch, got shape {X.shape}")
@@ -164,13 +155,7 @@ def predict(model: ModelWeights, features, activation: str = "relu") -> np.ndarr
         raise ShapeMismatchError(
             f"feature width {X.shape[1]}, model expects {pairs[0][0].shape[0]}"
         )
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for start in range(0, X.shape[0], _EVAL_CHUNK):
-        chunk = X[start : start + _EVAL_CHUNK]
-        out[start : start + chunk.shape[0]] = np.argmax(
-            _forward_probs(pairs, chunk, activation), axis=1
-        )
-    return out
+    return np.argmax(_forward(pairs, X, activation)[1], axis=1)
 
 
 def _batch_grads(pairs, grads, X, targets, activation) -> np.ndarray:

@@ -32,8 +32,8 @@ reference for the mask that cuts each layer with one ``np.partition``.
 ``stamped_backdoor_rate`` is the former backdoor scorer, which stamps every
 non-target test row at once and predicts them in one call, kept as the
 bit-for-bit reference for the scorer that stamps one block of rows at a
-time. ``cosine_distance`` is ``pairwise_cosine_matrix`` on one pair of vectors
-``forward`` the trainer's forward pass on one feature row, and
+time. ``cosine_distance`` is ``pairwise_cosine_matrix`` on one pair of vectors,
+``forward`` the softmax of the trainer's forward pass on one feature row, and
 ``loss_and_grad`` its backward pass on one batch, which only the tests call.
 """
 
@@ -50,7 +50,7 @@ from celtibero import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from celtibero.training import _batch_grads, _dense_pairs, _forward_probs, predict
+from celtibero.training import _batch_grads, _dense_pairs, _forward, predict
 
 
 def cosine_distance(u, v) -> float:
@@ -60,8 +60,9 @@ def cosine_distance(u, v) -> float:
 
 
 def forward(model, features, activation="relu"):
-    """Class probabilities for a single feature vector, through the trainer's
-    own forward pass: the row-at-a-time reference for batched ``predict``.
+    """Class probabilities for a single feature vector, the softmax of the
+    trainer's own forward pass: the row-at-a-time reference for batched
+    ``predict``, which takes the argmax of the logits themselves.
 
     Softmax is computed with max-subtraction, so finite inputs always give a
     finite probability vector summing to 1.
@@ -71,7 +72,9 @@ def forward(model, features, activation="relu"):
     expected = pairs[0][0].shape[0]
     if x.size != expected:
         raise ShapeMismatchError(f"feature vector length {x.size}, model expects {expected}")
-    return _forward_probs(pairs, x[np.newaxis, :], activation)[0]
+    logits = _forward(pairs, x[np.newaxis, :], activation)[1][0]
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
 
 
 def loss_and_grad(model, features, labels, activation="relu"):

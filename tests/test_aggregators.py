@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -481,6 +482,22 @@ class TestKrumGramMatrix:
                 scores = _krum_scores([as_model([width], ls) for ls in layers], f)
                 want = per_layer_krum_scores(layers, f)
                 assert scores[:close].tobytes() == want[:close].tobytes()
+
+    @pytest.mark.parametrize("boost", [1e155, 1e200, 1e300])
+    def test_huge_attackers_neither_overflow_nor_win(self, boost):
+        # Squared norms of these rows pass the float range: unscaled, every
+        # score would be NaN or inf, and Krum would fall back to index order.
+        rng = np.random.default_rng(101)
+        honest = rng.normal(size=(7, 50))
+        attackers = boost * rng.normal(size=(2, 50))
+        models = [make_weights(row) for row in np.vstack([attackers, honest])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chosen = krum(models, f=2)
+            merged = median_krum(models, f=2)
+        assert any(chosen is m for m in models[2:])
+        assert np.all(merged.flat >= honest.min(axis=0))
+        assert np.all(merged.flat <= honest.max(axis=0))
 
     def test_scores_do_not_depend_on_the_blas_thread_count(self):
         script = (

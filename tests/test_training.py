@@ -120,11 +120,13 @@ class TestForward:
 class TestPredict:
     def test_matches_rowwise_forward(self):
         model = init_model(NetworkArchitecture((5, 4, 3), seed=7))
-        X = np.random.default_rng(8).uniform(size=(20, 5))
-        for activation in ("relu", "tanh"):
-            batch = predict(model, X, activation)
-            rowwise = [int(np.argmax(forward(model, row, activation))) for row in X]
-            assert np.array_equal(batch, rowwise)
+        # 9000 rows run past the 8192-row blocks prediction was once split into.
+        for rows in (20, 9000):
+            X = np.random.default_rng(8).uniform(size=(rows, 5))
+            for activation in ("relu", "tanh"):
+                batch = predict(model, X, activation)
+                rowwise = [int(np.argmax(forward(model, row, activation))) for row in X]
+                assert np.array_equal(batch, rowwise)
 
     def test_exact_ties_pick_lowest_class(self):
         model = dense_model(np.zeros((3, 4)), np.zeros(4))
@@ -172,6 +174,13 @@ class TestLossAndGrad:
         X = np.random.default_rng(13).uniform(size=(6, 4))
         loss, _ = loss_and_grad(model, X, [0, 1, 2, 0, 1, 2])
         assert loss == pytest.approx(math.log(3), abs=1e-12)
+
+    def test_extreme_logits_stay_finite(self):
+        # Logits (1000, -1000): the log-softmax is (0, -2000), exactly.
+        model = dense_model([[1000.0, -1000.0]], [0.0, 0.0])
+        loss, grad = loss_and_grad(model, [[1.0]], [1])
+        assert loss == 2000.0
+        assert np.isfinite(grad.flat).all()
 
     def test_gradient_update_matches_model_layout(self):
         model = init_model(NetworkArchitecture((3, 4, 2), seed=14))

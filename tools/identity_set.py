@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 67 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 68 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -33,7 +33,8 @@ into ragged blocks of the training matrix; and that 8-round config under
 celtibero against mra on Dirichlet (alpha 0.01) shares, where 11 of the 20
 clients start empty and the partitioner's repair hands each one sample, and
 at separation 0.25, where the clip to [0, 1] sets about 84 % of the training
-matrix's entries; and that 8-round config at 0
+matrix's entries, and with 9000 test samples, the longest test split of
+the set; and that 8-round config at 0
 rounds under celtibero against mra, ulfa and tlfa, whose summaries score
 the initial model; and that 8-round config under
 celtibero against mra on ``mnist_idx`` data (the only config of the set that
@@ -211,6 +212,9 @@ def configs() -> dict[str, dict]:
     )
     out["r8-clip/mra-celtibero"] = dict(
         short, dataset=dict(short["dataset"], separation=0.25), aggregator={"kind": "celtibero"}
+    )
+    out["r8-test9000/mra-celtibero"] = dict(
+        short, dataset=dict(short["dataset"], test_samples=9000), aggregator={"kind": "celtibero"}
     )
     for attack_name in ("mra", "ulfa", "tlfa"):
         out[f"r0/{attack_name}"] = dict(
