@@ -6,14 +6,16 @@ group scored as coordinated manipulation, and advances the global layer by
 the coordinate-wise median of the surviving updates. The remaining
 strategies (``fedavg``, ``coordinate_median``, ``krum``, ``median_krum``)
 serve as baselines under the same interface. Local models, updates and the
-result are all :class:`~celtibero.model.ModelWeights`. Each strategy lines
-rows up in ``(rows, parameters)`` matrices and works on their columns, a
-layer at a time where the rule is per layer (``ModelWeights.slices``):
-celtibero fills one update matrix and lets the cosine kernel scale each
-layer's columns in place, then rebuilds the kept rows for the median from
-the local models; median-Krum stacks all models (``model.stack``) and then
-the kept ones. ``aggregate`` picks the strategy for a parsed
-:class:`~celtibero.config.AggregatorConfig` from ``_RULES``, the kind table.
+result are all :class:`~celtibero.model.ModelWeights`. Each strategy reads
+the models' flat vectors a block of columns at a time, a layer at a time
+where the rule is per layer (``ModelWeights.slices``): ``_column_blocks``
+gathers the rows' columns into one reused buffer of at most a byte budget
+(``_BLOCK_BYTES`` for the baselines), so no rule copies the whole round.
+Celtibero alone also fills one update matrix, whose layer columns the cosine
+kernel scales in place; its median then regathers the kept rows from the
+local models in smaller blocks (``_MEDIAN_BYTES``). ``aggregate`` picks the
+strategy for a parsed :class:`~celtibero.config.AggregatorConfig` from
+``_RULES``, the kind table.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .clustering import (
     label_clusters,
     pairwise_cosine_matrix,
 )
-from .model import ModelWeights, diff, stack
+from .model import ModelWeights, check_shapes, diff
 
 if TYPE_CHECKING:
     from .config import AggregatorConfig
@@ -53,8 +55,11 @@ _RULES = {
     "median_krum": lambda g, models, cfg: (median_krum(models, cfg.krum_f), None),
 }
 AGGREGATOR_NAMES = tuple(_RULES)
-# The most bytes of kept update rows that celtibero's median rebuilds at
-# once: a block of a layer's columns.
+# The most bytes of model columns that a baseline rule gathers at once
+# (``_column_blocks``); narrower blocks make Krum's Gram products slower.
+_BLOCK_BYTES = 1 << 21
+# The same for celtibero's kept-row median, whose blocks sit beside its
+# update matrix.
 _MEDIAN_BYTES = 1 << 17
 # Krum pairs whose squared distance from the Gram matrix is at most this
 # share of ``G_ii + G_jj`` are recomputed from the difference of the two
@@ -93,13 +98,9 @@ def celtibero_aggregate(
         matrix = pairwise_cosine_matrix(updates[:, sl], overwrite_input=True)
         verdict = label_clusters(matrix, agglomerative_two_clusters(matrix, linkage))
         # The kernel scaled these columns of ``updates`` in place, so the
-        # kept rows are rebuilt from the local models (the bits of ``diff``),
-        # a block of columns at a time.
+        # kept rows are rebuilt from the local models (the bits of ``diff``).
         kept = [local_models[i].flat for i in verdict.benign]
-        cols = max(1, _MEDIAN_BYTES // (updates.itemsize * len(kept)))
-        for c in range(sl.start, sl.stop, cols):
-            e = min(c + cols, sl.stop)
-            block = np.array([flat[c:e] for flat in kept])
+        for c, e, block in _column_blocks(kept, sl, _MEDIAN_BYTES):
             block -= base[c:e]
             np.add(base[c:e], _median_rows(block), out=new[c:e])
         verdicts.append(verdict)
@@ -107,15 +108,18 @@ def celtibero_aggregate(
 
 
 def fedavg(local_models: list[ModelWeights]) -> ModelWeights:
-    """Unweighted per-coordinate mean of the local models, taken one layer's
-    columns at a time: NumPy sums a one-column block pairwise but a wider one
-    row by row, so a whole-matrix mean would change width-1 layers' bits."""
+    """Unweighted per-coordinate mean of the local models, taken within one
+    layer's columns at a time: NumPy sums a one-column block pairwise but a
+    wider one row by row, so a block across layers would change width-1
+    layers' bits."""
     if len(local_models) < 1:
         raise ValueError("fedavg requires at least 1 local model")
-    stacked = stack(local_models)
-    mean = np.empty(stacked.shape[1])
+    check_shapes(local_models)
+    flats = [m.flat for m in local_models]
+    mean = np.empty(flats[0].size)
     for sl in local_models[0].slices():
-        mean[sl] = stacked[:, sl].mean(axis=0)
+        for c, e, block in _column_blocks(flats, sl, _BLOCK_BYTES):
+            block.mean(axis=0, out=mean[c:e])
     return ModelWeights._owning(local_models[0], mean)
 
 
@@ -126,20 +130,45 @@ def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
     """
     if len(local_models) < 1:
         raise ValueError("coordinate median requires at least 1 local model")
-    return ModelWeights._owning(local_models[0], _median_rows(stack(local_models)))
+    check_shapes(local_models)
+    flats = [m.flat for m in local_models]
+    median = np.empty(flats[0].size)
+    for c, e, block in _column_blocks(flats, slice(0, median.size), _BLOCK_BYTES):
+        median[c:e] = _median_rows(block)
+    return ModelWeights._owning(local_models[0], median)
+
+
+def _column_blocks(rows: list[np.ndarray], cols: slice, budget: int):
+    """Yield ``(c, e, block)`` for consecutive ranges ``[c, e)`` covering
+    ``cols``, ``block`` holding ``row[c:e]`` of every row: a C-ordered view
+    of one buffer, reused for the next block, so the caller may overwrite
+    it. A block holds at most ``budget`` bytes (but at least two columns),
+    and the last one a column more where that spares a one-column block:
+    a range of two or more columns is never cut into a one-column block,
+    which NumPy would sum pairwise instead of row by row."""
+    n, stop = len(rows), cols.stop
+    width = max(2, budget // (8 * n))
+    buf = np.empty(n * min(width + 1, stop - cols.start))
+    c = cols.start
+    while c < stop:
+        e = c + width if stop - c - width >= 2 else stop
+        block = np.concatenate([row[c:e] for row in rows], out=buf[: n * (e - c)])
+        yield c, e, block.reshape(n, e - c)
+        c = e
 
 
 def _median_rows(rows: np.ndarray) -> np.ndarray:
     """``np.median(rows, axis=0)`` bit for bit on finite rows, from one
-    partition: ``np.median`` also partitions at the last row, only to move
+    partition of ``rows`` in place, which reorders each column: ``np.median``
+    partitions a copy the same way, and also at the last row, only to move
     NaN to the end. The ``np.add.reduce`` and the division repeat
-    ``np.mean`` of the central rows, which a bare ``part[k]`` or ``(a + b)
+    ``np.mean`` of the central rows, which a bare ``rows[k]`` or ``(a + b)
     / 2`` does not on signed zeros."""
     k = rows.shape[0] // 2
-    part = np.partition(rows, k, axis=0)
+    rows.partition(k, axis=0)
     if rows.shape[0] % 2:
-        return np.add.reduce(part[k : k + 1], axis=0) / 1.0
-    return np.add.reduce(np.stack([part[:k].max(axis=0), part[k]]), axis=0) / 2.0
+        return np.add.reduce(rows[k : k + 1], axis=0) / 1.0
+    return np.add.reduce(np.stack([rows[:k].max(axis=0), rows[k]]), axis=0) / 2.0
 
 
 def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
@@ -149,19 +178,23 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
     if n < 2 * f + 3:
         raise ValueError(f"krum requires n >= 2f + 3, got n={n}, f={f}")
     # Squared distances ||a||^2 + ||b||^2 - 2<a, b> from one Gram matrix of
-    # the rows centred on their mean, which keeps the norms near the distances.
-    # The rows are first scaled by the power of two that brings their largest
-    # magnitude into [0.5, 1), as the cosine kernel scales each row: exact on
-    # normal-range models, while huge ones score inf instead of NaN.
-    centred = stack(local_models)
+    # the rows centred on their mean, which keeps the norms near the distances,
+    # summed over blocks of columns. The rows are first scaled by the power
+    # of two that brings their largest magnitude into [0.5, 1), as the cosine
+    # kernel scales each row: exact on normal-range models, while huge ones
+    # score inf instead of NaN.
+    check_shapes(local_models)
+    flats = [m.flat for m in local_models]
     peak = max(
-        np.maximum.reduce(centred, axis=None, initial=0.0),
-        -np.minimum.reduce(centred, axis=None, initial=0.0),
+        max(np.maximum.reduce(flat, initial=0.0), -np.minimum.reduce(flat, initial=0.0))
+        for flat in flats
     )
     shift = int(np.frexp(peak)[1])
-    np.ldexp(centred, -shift, out=centred)
-    centred -= centred.mean(axis=0)
-    gram = centred @ centred.T
+    gram = np.zeros((n, n))
+    for _, _, block in _column_blocks(flats, slice(0, flats[0].size), _BLOCK_BYTES):
+        np.ldexp(block, -shift, out=block)
+        block -= block.mean(axis=0)
+        gram += block @ block.T
     norm2 = np.diag(gram)
     bound = norm2[:, None] + norm2
     squared = np.maximum(bound - 2.0 * gram, 0.0)

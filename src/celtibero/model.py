@@ -3,12 +3,13 @@
 A model is one flat read-only float64 vector plus the ordered
 :class:`LayerShape` of its layers (each weight matrix and each bias vector
 is its own layer), every layer a fixed range of the vector. Only this module
-computes those ranges: ``ModelWeights.slices()`` hands them out, and
-``stack`` lines models up as the rows of one matrix whose columns the
-aggregators slice per layer. Updates (a local model minus the global model
-it started from), gradients and attack masks use the same container.
-Every operation here is pure: inputs are never mutated and containers are
-immutable, so they are safe to share between concurrently training clients.
+computes those ranges: ``ModelWeights.slices()`` hands them out, and the
+aggregators read them from many models' vectors a block of columns at a
+time, without stacking the models into one matrix. Updates (a local model
+minus the global model it started from), gradients and attack masks use the
+same container. Every operation here is pure: inputs are never mutated and
+containers are immutable, so they are safe to share between concurrently
+training clients.
 """
 
 from __future__ import annotations
@@ -128,14 +129,6 @@ def check_shapes(models: Sequence[ModelWeights]) -> None:
             for k, (a, b) in enumerate(itertools.zip_longest(first, model.shapes())):
                 if a != b:
                     raise ShapeMismatchError(f"layer {k}: {a} vs {b}")
-
-
-def stack(models: Sequence[ModelWeights]) -> np.ndarray:
-    """The flat vectors of equally shaped models as the rows of one
-    ``(len(models), size)`` matrix; ``slices()`` of any of them picks a
-    layer's columns."""
-    check_shapes(models)
-    return np.stack([m.flat for m in models])
 
 
 def diff(local: ModelWeights, global_model: ModelWeights) -> ModelWeights:

@@ -397,9 +397,10 @@ def as_model(widths, layers):
 
 
 class TestPerLayerReference:
-    """The matrix aggregators give bit for bit what one ``np.stack`` per
-    layer gave (``oracles.per_layer_*``), width-1 layers included; Krum's
-    scores, from a Gram matrix, only to within their last bits."""
+    """The aggregators give bit for bit what one ``np.stack`` per layer gave
+    (``oracles.per_layer_*``), width-1 layers included, at every block
+    budget; Krum's scores, from a Gram matrix summed over column blocks,
+    only to within their last bits."""
 
     @pytest.mark.parametrize("m", [2, 7, 8, 9, 40])
     def test_bit_identical_to_per_layer_stacks(self, m):
@@ -414,35 +415,76 @@ class TestPerLayerReference:
                 layers[1::2] = [layers[0]] * len(layers[1::2])
             global_layers = random_layers(rng, widths, scale, dyadic)
             models = [as_model(widths, ls) for ls in layers]
-
-            for got, want in (
-                (fedavg(models), per_layer_fedavg(layers)),
-                (coordinate_median(models), per_layer_coordinate_median(layers)),
-            ):
-                assert all(np.array_equal(g, w) for g, w in zip(layers_of(got), want))
-
             linkage = ("average", "single", "complete")[draw % 3]
-            want, want_verdicts = per_layer_celtibero(global_layers, layers, linkage)
-            # The kept rows' median a block of columns at a time, down to one.
-            for median_bytes in (aggregators._MEDIAN_BYTES, 1, 200):
-                with mock.patch.object(aggregators, "_MEDIAN_BYTES", median_bytes):
+            want_celtibero = per_layer_celtibero(global_layers, layers, linkage)
+            krum_fs = sorted({0, (m - 3) // 2}) if m >= 3 else []
+            want_scores = {f: per_layer_krum_scores(layers, f) for f in krum_fs}
+            # Every rule reads the models a block of columns at a time: at
+            # the default budgets, in blocks of two or three columns, and in
+            # blocks that cut the layers unevenly.
+            for budget in (None, 1, 200):
+                with mock.patch.multiple(
+                    aggregators,
+                    _BLOCK_BYTES=budget or aggregators._BLOCK_BYTES,
+                    _MEDIAN_BYTES=budget or aggregators._MEDIAN_BYTES,
+                ):
+                    fedavg_out = fedavg(models)
+                    median_out = coordinate_median(models)
                     out, verdicts = celtibero_aggregate(
                         as_model(widths, global_layers), models, linkage
                     )
+                    krum_outs = {
+                        f: (_krum_scores(models, f), krum(models, f), median_krum(models, f))
+                        for f in want_scores
+                    }
+                for got, want in (
+                    (fedavg_out, per_layer_fedavg(layers)),
+                    (median_out, per_layer_coordinate_median(layers)),
+                ):
+                    assert all(g.tobytes() == w.tobytes() for g, w in zip(layers_of(got), want))
+                want, want_verdicts = want_celtibero
                 assert verdicts == want_verdicts
                 assert all(np.array_equal(g, w) for g, w in zip(layers_of(out), want))
-
-            if m >= 3:
-                for f in sorted({0, (m - 3) // 2}):
+                for f, (scores, chosen_model, merged) in krum_outs.items():
                     # Krum's scores come from a Gram matrix, so only their
                     # last bits may differ from the per-pair differences'.
-                    scores = per_layer_krum_scores(layers, f)
-                    np.testing.assert_allclose(_krum_scores(models, f), scores, rtol=1e-12, atol=0)
-                    assert krum(models, f) is models[int(np.argmin(scores))]
-                    chosen = np.argsort(scores, kind="stable")[: m - f]
+                    want_f = want_scores[f]
+                    np.testing.assert_allclose(scores, want_f, rtol=1e-12, atol=0)
+                    assert chosen_model is models[int(np.argmin(want_f))]
+                    chosen = np.argsort(want_f, kind="stable")[: m - f]
                     want = per_layer_coordinate_median([layers[i] for i in chosen])
-                    got = layers_of(median_krum(models, f))
-                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+                    assert all(
+                        g.tobytes() == w.tobytes() for g, w in zip(layers_of(merged), want)
+                    )
+
+
+class TestBaselineMemory:
+    """The baselines read the local models a block of columns at a time:
+    besides their inputs and result they hold one block of at most
+    ``_BLOCK_BYTES`` (2 MiB), never a copy of the round."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [fedavg, coordinate_median, lambda ms: krum(ms, 25), lambda ms: median_krum(ms, 25)],
+        ids=["fedavg", "coordinate_median", "krum", "median_krum"],
+    )
+    def test_holds_a_few_mib_beside_a_9_mib_round(self, rule):
+        # 90 models of the ulfa-mkrum-n100 architecture, 13 124 parameters
+        # each: one stack of them alone is 9.4 MB.
+        global_model = init_model(NetworkArchitecture((200, 64, 4), seed=0))
+        rng = np.random.default_rng(90)
+        models = [
+            ModelWeights._owning(global_model, global_model.flat + rng.normal(size=13124))
+            for _ in range(90)
+        ]
+        rule(models)  # lazy imports first
+        tracemalloc.start()
+        try:
+            rule(models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20
 
 
 class TestKrumGramMatrix:
@@ -543,7 +585,8 @@ class TestMedianRows:
                     rng.choice(specials, size=(m, width)),
                 ):
                     with np.errstate(over="ignore"):
-                        got, want = _median_rows(rows), np.median(rows, axis=0)
+                        want = np.median(rows, axis=0)
+                        got = _median_rows(rows)
                     assert got.tobytes() == want.tobytes(), (m, width)
                     cases += 1
         assert cases == 80 * 8 * 5
