@@ -6,16 +6,15 @@ group scored as coordinated manipulation, and advances the global layer by
 the coordinate-wise median of the surviving updates. The remaining
 strategies (``fedavg``, ``coordinate_median``, ``krum``, ``median_krum``)
 serve as baselines under the same interface. Local models, updates and the
-result are all :class:`~celtibero.model.ModelWeights`. Each strategy reads
+result are all :class:`~celtibero.model.ModelWeights`. The baselines read
 the models' flat vectors a block of columns at a time, a layer at a time
 where the rule is per layer (``ModelWeights.slices``): ``_column_blocks``
-gathers the rows' columns into one reused buffer of at most a byte budget
-(``_BLOCK_BYTES`` for the baselines), so no rule copies the whole round.
-Celtibero alone also fills one update matrix, whose layer columns the cosine
-kernel scales in place; its median then regathers the kept rows from the
-local models in smaller blocks (``_MEDIAN_BYTES``). ``aggregate`` picks the
-strategy for a parsed :class:`~celtibero.config.AggregatorConfig` from
-``_RULES``, the kind table.
+gathers the rows' columns into one reused buffer of at most
+``_BLOCK_BYTES``, so no baseline copies the whole round. Celtibero works in
+its one update matrix: the cosine kernel scales a layer's columns in place,
+and the median reads the kept updates written back over their first rows.
+``aggregate`` picks the strategy for a parsed
+:class:`~celtibero.config.AggregatorConfig` from ``_RULES``, the kind table.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ AGGREGATOR_NAMES = tuple(_RULES)
 # The most bytes of model columns that a baseline rule gathers at once
 # (``_column_blocks``); narrower blocks make Krum's Gram products slower.
 _BLOCK_BYTES = 1 << 21
-# The same for celtibero's kept-row median, whose blocks sit beside its
-# update matrix.
-_MEDIAN_BYTES = 1 << 17
 # Krum pairs whose squared distance from the Gram matrix is at most this
 # share of ``G_ii + G_jj`` are recomputed from the difference of the two
 # models: there ``G_ii + G_jj - 2 G_ij`` cancels too many bits, and
@@ -98,11 +94,12 @@ def celtibero_aggregate(
         matrix = pairwise_cosine_matrix(updates[:, sl], overwrite_input=True)
         verdict = label_clusters(matrix, agglomerative_two_clusters(matrix, linkage))
         # The kernel scaled these columns of ``updates`` in place, so the
-        # kept rows are rebuilt from the local models (the bits of ``diff``).
-        kept = [local_models[i].flat for i in verdict.benign]
-        for c, e, block in _column_blocks(kept, sl, _MEDIAN_BYTES):
-            block -= base[c:e]
-            np.add(base[c:e], _median_rows(block), out=new[c:e])
+        # kept updates are written over their first rows (the bits of ``diff``).
+        kept = updates[: len(verdict.benign), sl]
+        np.concatenate([local_models[i].flat[None, sl] for i in verdict.benign], out=kept)
+        kept -= base[sl]
+        _median_rows(kept, out=new[sl])
+        new[sl] += base[sl]
         verdicts.append(verdict)
     return ModelWeights._owning(global_model, new), tuple(verdicts)
 
@@ -134,7 +131,7 @@ def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
     flats = [m.flat for m in local_models]
     median = np.empty(flats[0].size)
     for c, e, block in _column_blocks(flats, slice(0, median.size), _BLOCK_BYTES):
-        median[c:e] = _median_rows(block)
+        _median_rows(block, out=median[c:e])
     return ModelWeights._owning(local_models[0], median)
 
 
@@ -157,18 +154,22 @@ def _column_blocks(rows: list[np.ndarray], cols: slice, budget: int):
         c = e
 
 
-def _median_rows(rows: np.ndarray) -> np.ndarray:
-    """``np.median(rows, axis=0)`` bit for bit on finite rows, from one
-    partition of ``rows`` in place, which reorders each column: ``np.median``
-    partitions a copy the same way, and also at the last row, only to move
-    NaN to the end. The ``np.add.reduce`` and the division repeat
-    ``np.mean`` of the central rows, which a bare ``rows[k]`` or ``(a + b)
-    / 2`` does not on signed zeros."""
+def _median_rows(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write ``np.median(rows, axis=0)`` into ``out`` bit for bit on finite
+    rows, from one partition of ``rows`` in place, which reorders each
+    column: ``np.median`` partitions a copy the same way, and also at the
+    last row, only to move NaN to the end. Like ``np.mean`` of the central
+    rows, the sum starts from +0.0, which a bare ``rows[k]`` or ``(a + b) /
+    2`` does not on signed zeros."""
     k = rows.shape[0] // 2
     rows.partition(k, axis=0)
     if rows.shape[0] % 2:
-        return np.add.reduce(rows[k : k + 1], axis=0) / 1.0
-    return np.add.reduce(np.stack([rows[:k].max(axis=0), rows[k]]), axis=0) / 2.0
+        np.add(rows[k], 0.0, out=out)
+        return
+    np.maximum.reduce(rows[:k], axis=0, out=out)
+    out += 0.0
+    out += rows[k]
+    out /= 2.0
 
 
 def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
@@ -181,8 +182,10 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
     # the rows centred on their mean, which keeps the norms near the distances,
     # summed over blocks of columns. The rows are first scaled by the power
     # of two that brings their largest magnitude into [0.5, 1), as the cosine
-    # kernel scales each row: exact on normal-range models, while huge ones
-    # score inf instead of NaN.
+    # kernel scales each row, and the distances scaled back: exact on
+    # normal-range models, while huge ones score inf instead of NaN. Near
+    # pairs are recomputed unscaled, where honest models beside huge
+    # attackers would underflow to 0.
     check_shapes(local_models)
     flats = [m.flat for m in local_models]
     peak = max(
@@ -198,16 +201,15 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
     norm2 = np.diag(gram)
     bound = norm2[:, None] + norm2
     squared = np.maximum(bound - 2.0 * gram, 0.0)
-    bound *= _EXACT_SHARE
-    for i, j in zip(*np.nonzero(np.triu(squared <= bound, 1))):
-        d = np.ldexp(local_models[i].flat, -shift)
-        d -= np.ldexp(local_models[j].flat, -shift)
-        squared[i, j] = squared[j, i] = np.dot(d, d)
-    # An inf diagonal sorts last, so no row counts a model against itself.
-    np.fill_diagonal(squared, np.inf)
-    scores = np.sort(squared, axis=1)[:, : n - f - 2].sum(axis=1)
-    with np.errstate(over="ignore"):  # a score past the float range reads inf
-        return np.ldexp(scores, 2 * shift)
+    near = np.nonzero(np.triu(squared <= _EXACT_SHARE * bound, 1))
+    with np.errstate(over="ignore"):  # a distance past the float range reads inf
+        squared = np.ldexp(squared, 2 * shift)
+        for i, j in zip(*near):
+            d = local_models[i].flat - local_models[j].flat
+            squared[i, j] = squared[j, i] = np.dot(d, d)
+        # An inf diagonal sorts last, so no row counts a model against itself.
+        np.fill_diagonal(squared, np.inf)
+        return np.sort(squared, axis=1)[:, : n - f - 2].sum(axis=1)
 
 
 def krum(local_models: list[ModelWeights], f: int) -> ModelWeights:

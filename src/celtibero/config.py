@@ -25,8 +25,9 @@ from pathlib import Path
 import yaml
 
 from .aggregators import AGGREGATOR_NAMES
-from .attacks import ATTACK_KINDS, AttackSpec, TriggerPattern, make_default_trigger
+from .attacks import ATTACK_KINDS, AttackSpec, TriggerPattern, _round_half_up, make_default_trigger
 from .clustering import LINKAGES
+from .data import _MNIST_CLASSES, _MNIST_FEATURES, _MNIST_SIDE
 from .errors import ConfigError
 from .training import ACTIVATIONS
 
@@ -43,9 +44,6 @@ __all__ = [
     "malicious_count",
 ]
 
-_MNIST_SIDE = 28
-_MNIST_FEATURES = _MNIST_SIDE * _MNIST_SIDE
-_MNIST_CLASSES = 10
 _MNIST_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
@@ -120,7 +118,7 @@ def _malicious_count(fraction: float, clients: int) -> int:
 def _participant_count(fraction: float, clients: int) -> int:
     """Participants in a round drawn at ``fraction``: rounded half up, at
     least 2, at most all clients."""
-    return max(2, min(clients, int(math.floor(fraction * clients + 0.5))))
+    return max(2, min(clients, _round_half_up(fraction, clients)))
 
 
 # The default instance: every key the parser reads falls back to its value here.

@@ -3,7 +3,7 @@
 The synthetic blobs' stream contract: the generator draws every sample's
 noise row by row (row-major, in the class-sorted order the samples are made
 in), then ``rng.permutation(n)``, which orders labels and rows alike. The
-matrix is made in row blocks of at most ``_REORDER_BYTES``, and the block
+matrix is made in row blocks of at most ``_ROW_BYTES``, and the block
 size never changes a bit of the result.
 
 Rows are range-checked where they enter the program: ``LabeledDataset``'s
@@ -32,6 +32,12 @@ __all__ = [
 
 _IMAGES_MAGIC = 0x00000803
 _LABELS_MAGIC = 0x00000801
+_MNIST_SIDE = 28
+_MNIST_FEATURES = _MNIST_SIDE * _MNIST_SIDE
+_MNIST_CLASSES = 10
+# The most bytes of rows gathered or made at once: here, in ``train_local``
+# and in ``backdoor_success_rate``. A matrix no larger moves in one block.
+_ROW_BYTES = 1 << 20
 
 
 def _check_unit_range(features: np.ndarray) -> None:
@@ -146,20 +152,17 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     features /= 255.0  # in place: one float matrix at the peak
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    if labels.size and labels.max() > 9:
-        raise IdxFormatError(f"{labels_path}: labels must lie in 0-9, found {labels.max()}")
-    return LabeledDataset._owning(features, labels, 10)
-
-
-# The most bytes of rows `_reorder_rows` copies, or `_draw_synthetic` makes,
-# at once. A matrix this small or smaller moves in one gather.
-_REORDER_BYTES = 1 << 20
+    if labels.size and labels.max() >= _MNIST_CLASSES:
+        raise IdxFormatError(
+            f"{labels_path}: labels must lie in 0-{_MNIST_CLASSES - 1}, found {labels.max()}"
+        )
+    return LabeledDataset._owning(features, labels, _MNIST_CLASSES)
 
 
 def _reorder_rows(matrix: np.ndarray, order: np.ndarray) -> None:
     """``matrix[:] = matrix[order]`` in place, for a C-contiguous ``matrix``
     with at least one column and a permutation ``order`` of its rows,
-    holding at most ``_REORDER_BYTES`` of rows besides the matrix.
+    holding at most ``_ROW_BYTES`` of rows besides the matrix.
 
     Every cycle of ``order`` shifts its rows one step: laid end to end, the
     cycles give ``slots``, the rows in cycle order, and row ``slots[t]``
@@ -192,7 +195,7 @@ def _reorder_rows(matrix: np.ndarray, order: np.ndarray) -> None:
     del step, key, least, sizes, found
     # Each row as one item, so that a gather or a scatter moves whole rows.
     rows = matrix.view(np.dtype((np.void, matrix.strides[0]))).reshape(n)
-    per_block = max(1, _REORDER_BYTES // matrix.strides[0])
+    per_block = max(1, _ROW_BYTES // matrix.strides[0])
     first = None  # the first row of the cycle that runs on past the block
     for a in range(0, n, per_block):
         b = min(a + per_block, n)
@@ -222,7 +225,7 @@ def _draw_synthetic(
     class, and ``order``, the ``rng.permutation(num_samples)`` drawn next:
     row ``order[i]`` is sample ``i`` of ``gen_synthetic``'s result.
 
-    The matrix is made one block of at most ``_REORDER_BYTES`` of rows at a
+    The matrix is made one block of at most ``_ROW_BYTES`` of rows at a
     time: the block's noise (``standard_normal`` into it, then scaled, the
     bits of one ``rng.normal(0, sigma, shape)`` call), its centroids, the
     clip to [0, 1], and the [0, 1] and NaN check while the block is in cache.
@@ -242,7 +245,7 @@ def _draw_synthetic(
     labels = np.repeat(np.arange(num_classes), counts)
     sigma = (_BLOB_HIGH - _BLOB_LOW) / separation
     features = np.empty((num_samples, num_features))
-    per_block = max(1, _REORDER_BYTES // features.strides[0])
+    per_block = max(1, _ROW_BYTES // features.strides[0])
     for a in range(0, num_samples, per_block):
         block = features[a : a + per_block]
         rng.standard_normal(out=block)

@@ -24,7 +24,6 @@ from .attacks import (
 )
 from .clustering import ClusterVerdict
 from .config import (
-    _MNIST_FEATURES,
     ExperimentConfig,
     _participant_count,
     config_from_dict,
@@ -32,6 +31,8 @@ from .config import (
     malicious_count,
 )
 from .data import (
+    _MNIST_FEATURES,
+    _ROW_BYTES,
     LabeledDataset,
     _draw_synthetic,
     _reorder_rows,
@@ -43,7 +44,6 @@ from .data import (
 from .errors import IdxFormatError, RoundError
 from .model import ModelWeights, diff
 from .training import (
-    _GATHER_BYTES,
     EvalResult,
     NetworkArchitecture,
     TrainConfig,
@@ -144,7 +144,7 @@ def backdoor_success_rate(
     """Fraction of test samples, excluding those whose true class is already
     the target, classified as the target once the full trigger is stamped in.
 
-    The rows are scored a block of at most ``_GATHER_BYTES`` of features at
+    The rows are scored a block of at most ``_ROW_BYTES`` of features at
     a time: each block's non-target rows are gathered, stamped and predicted,
     so no stamped copy of the whole split is held. A trigger position outside
     the feature width or a target class outside the data's classes is
@@ -153,7 +153,7 @@ def backdoor_success_rate(
     _check_fits(trigger, data)
     target = trigger.target_class
     positions, values = np.array(trigger.positions), np.array(trigger.values)
-    per_block = max(1, _GATHER_BYTES // (data.features.itemsize * data.d))
+    per_block = max(1, _ROW_BYTES // (data.features.itemsize * data.d))
     hits = scored = 0
     for start in range(0, data.n, per_block):
         block = slice(start, start + per_block)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import _ROW_BYTES, LabeledDataset
 from .errors import ShapeMismatchError
 from .model import LayerShape, ModelWeights
 
@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "tanh")
-
-# The most bytes of shuffled feature and target rows ``train_local`` gathers
-# at once.
-_GATHER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,7 @@ def train_local(
     batch size is clamped to the local dataset size and the final short
     batch of each epoch is used as-is. Each epoch gathers its shuffled
     feature rows and one-hot targets a block of whole batches at a time, at
-    most ``_GATHER_BYTES`` of them unless one batch is larger; each step
+    most ``_ROW_BYTES`` of them unless one batch is larger; each step
     backpropagates a slice of the block into one flat gradient buffer and
     updates the model's flat vector at once.
     """
@@ -220,7 +216,7 @@ def train_local(
     features, labels, lr = data.features, data.labels, cfg.learning_rate
     eye = np.eye(pairs[-1][1].size)
     row_bytes = flat.itemsize * (data.d + eye.shape[0])
-    per_block = max(1, _GATHER_BYTES // (row_bytes * batch)) * batch
+    per_block = max(1, _ROW_BYTES // (row_bytes * batch)) * batch
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n)
         for start in range(0, data.n, per_block):

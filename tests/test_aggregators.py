@@ -152,22 +152,23 @@ class TestCeltiberoAggregate:
         for verdict in verdicts:
             assert 5 in verdict.poisoned
 
-    def test_round_holds_one_update_matrix(self):
-        # Besides its inputs a round holds one m x P update matrix and
-        # blocks of at most _MEDIAN_BYTES (about 1.16 m x P here); a list of
-        # updates and their stack, plus the kernel's copy of layer 0, held
-        # about 2.9.
-        m = 24
-        global_model = init_model(NetworkArchitecture((200, 64, 10), seed=0))
-        rng = np.random.default_rng(24)
+    @pytest.mark.parametrize(
+        "m, sizes", [(24, (200, 64, 10)), (9, (784, 64, 10))], ids=["m24", "m9-mnist-width"]
+    )
+    def test_round_holds_one_update_matrix(self, m, sizes):
+        # Besides its inputs a round holds one m x P update matrix, in which
+        # the median also works; a list of updates and their stack, plus the
+        # kernel's copy of layer 0, held about 2.9. At m = 9 a median that
+        # made layer-wide temporaries would break the bound.
+        global_model = init_model(NetworkArchitecture(sizes, seed=0))
+        rng = np.random.default_rng(m)
         shift = rng.normal(size=global_model.flat.size)
-        local_models = [
-            ModelWeights._owning(
-                global_model,
-                global_model.flat + rng.normal(size=shift.size) + (3.0 * shift if k < 8 else 0.0),
-            )
-            for k in range(m)
-        ]
+        local_models = []
+        for k in range(m):
+            flat = global_model.flat + rng.normal(size=shift.size)
+            if k < m // 3:  # a third of the clients share one shift
+                flat += 3.0 * shift
+            local_models.append(ModelWeights._owning(global_model, flat))
         celtibero_aggregate(global_model, local_models)  # lazy imports first
         tracemalloc.start()
         try:
@@ -419,14 +420,12 @@ class TestPerLayerReference:
             want_celtibero = per_layer_celtibero(global_layers, layers, linkage)
             krum_fs = sorted({0, (m - 3) // 2}) if m >= 3 else []
             want_scores = {f: per_layer_krum_scores(layers, f) for f in krum_fs}
-            # Every rule reads the models a block of columns at a time: at
-            # the default budgets, in blocks of two or three columns, and in
+            # The baselines read the models a block of columns at a time: at
+            # the default budget, in blocks of two or three columns, and in
             # blocks that cut the layers unevenly.
             for budget in (None, 1, 200):
-                with mock.patch.multiple(
-                    aggregators,
-                    _BLOCK_BYTES=budget or aggregators._BLOCK_BYTES,
-                    _MEDIAN_BYTES=budget or aggregators._MEDIAN_BYTES,
+                with mock.patch.object(
+                    aggregators, "_BLOCK_BYTES", budget or aggregators._BLOCK_BYTES
                 ):
                     fedavg_out = fedavg(models)
                     median_out = coordinate_median(models)
@@ -529,6 +528,9 @@ class TestKrumGramMatrix:
     def test_huge_attackers_neither_overflow_nor_win(self, boost):
         # Squared norms of these rows pass the float range: unscaled, every
         # score would be NaN or inf, and Krum would fall back to index order.
+        # Scaled by one common power of two, the honest distances would
+        # underflow to 0 beside the attackers, and the honest models would
+        # rank by index instead of by their distances.
         rng = np.random.default_rng(101)
         honest = rng.normal(size=(7, 50))
         attackers = boost * rng.normal(size=(2, 50))
@@ -537,9 +539,10 @@ class TestKrumGramMatrix:
             warnings.simplefilter("error")
             chosen = krum(models, f=2)
             merged = median_krum(models, f=2)
-        assert any(chosen is m for m in models[2:])
-        assert np.all(merged.flat >= honest.min(axis=0))
-        assert np.all(merged.flat <= honest.max(axis=0))
+        # Each honest model's n - f - 2 = 5 nearest peers are the other honest ones.
+        assert chosen is models[2 + int(np.argmin(krum_scores(honest, 0)))]
+        want = coordinate_median([make_weights(row) for row in honest])
+        assert merged.flat.tobytes() == want.flat.tobytes()
 
     def test_scores_do_not_depend_on_the_blas_thread_count(self):
         script = (
@@ -565,8 +568,10 @@ class TestKrumGramMatrix:
 
 
 class TestMedianRows:
-    """``_median_rows`` is ``np.median(rows, axis=0)`` byte for byte on
-    finite rows, signed zeros included."""
+    """``_median_rows`` writes ``np.median(rows, axis=0)`` byte for byte on
+    finite rows, signed zeros included, both on a matrix of its own and on
+    the first rows of some columns of a wider one, the view of the update
+    matrix that celtibero passes."""
 
     def test_byte_equal_to_np_median(self):
         rng = np.random.default_rng(101)
@@ -584,9 +589,13 @@ class TestMedianRows:
                     rng.permutation(signed_copies),
                     rng.choice(specials, size=(m, width)),
                 ):
+                    wider = np.full((m + 3, width + 5), 7.0)
+                    wider[:m, 2 : 2 + width] = rows
                     with np.errstate(over="ignore"):
                         want = np.median(rows, axis=0)
-                        got = _median_rows(rows)
-                    assert got.tobytes() == want.tobytes(), (m, width)
+                        for view in (rows, wider[:m, 2 : 2 + width]):
+                            got = np.full(width, np.nan)
+                            _median_rows(view, out=got)
+                            assert got.tobytes() == want.tobytes(), (m, width)
                     cases += 1
         assert cases == 80 * 8 * 5

@@ -203,7 +203,7 @@ class TestReorderRows:
         matrix = rng.random((n, width))
         want = matrix[order]
         # A cap a few bytes past a whole number of rows moves that many rows.
-        with mock.patch.object(data_module, "_REORDER_BYTES", block_rows * width * 8 + cap_slack):
+        with mock.patch.object(data_module, "_ROW_BYTES", block_rows * width * 8 + cap_slack):
             _reorder_rows(matrix, order)
         assert matrix.tobytes() == want.tobytes()
 
@@ -211,7 +211,7 @@ class TestReorderRows:
         rng = np.random.default_rng(1)
         matrix, order = rng.random((40, 3)), rng.permutation(40)
         want = matrix[order]
-        with mock.patch.object(data_module, "_REORDER_BYTES", 1):
+        with mock.patch.object(data_module, "_ROW_BYTES", 1):
             _reorder_rows(matrix, order)
         assert matrix.tobytes() == want.tobytes()
 
@@ -220,7 +220,7 @@ class TestReorderRows:
         matrix = rng.random((4000, 100))
         order = permutation_of_shape("sorted-chunks", 4000, rng)
         cap = matrix.nbytes // 8
-        with mock.patch.object(data_module, "_REORDER_BYTES", cap):
+        with mock.patch.object(data_module, "_ROW_BYTES", cap):
             tracemalloc.start()
             try:
                 _reorder_rows(matrix, order)
@@ -268,7 +268,7 @@ class TestGenSynthetic:
     ):
         features = classes + extra_features  # widths 2-60
         cap = {"byte": 1, "row": 8 * features, "whole": 8 * features * samples + 1}[block]
-        with mock.patch.object(data_module, "_REORDER_BYTES", cap):
+        with mock.patch.object(data_module, "_ROW_BYTES", cap):
             data = gen_synthetic(
                 classes, samples, features, separation, np.random.default_rng(seed)
             )

@@ -2,6 +2,7 @@
 
 import logging
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from celtibero import (
     derive_rng,
     derive_seed,
     diff,
+    emit_reports,
     evaluate,
     gen_synthetic,
     init_model,
@@ -39,7 +41,7 @@ from celtibero import (
 )
 from celtibero import attacks, orchestrator
 from celtibero import data as data_module
-from celtibero.data import _REORDER_BYTES
+from celtibero.data import _ROW_BYTES
 from .oracles import stamped_backdoor_rate
 from .test_data import write_idx_pair
 from .test_training import dense_model
@@ -273,7 +275,7 @@ class TestBackdoorSuccessRate:
         # 11 rows of 24 bytes: a budget below one row scores a row at a time;
         # 96 and 116 bytes make blocks of 4, 4 and 3 rows, whose second block
         # holds only target-class rows; a large budget makes one block.
-        monkeypatch.setattr(orchestrator, "_GATHER_BYTES", budget)
+        monkeypatch.setattr(orchestrator, "_ROW_BYTES", budget)
         rng = np.random.default_rng(9)
         labels = [1, 2, 0, 1, 0, 0, 0, 0, 2, 1, 2]
         data = LabeledDataset(rng.uniform(size=(11, 3)), labels, 3)
@@ -410,7 +412,7 @@ class TestExperiment:
         monkeypatch.setattr(orchestrator, "derive_rng", derive_with_nan)
         cfg = tiny_config()
         # Blocks of 10 rows, so that each split is made in several.
-        monkeypatch.setattr(data_module, "_REORDER_BYTES", 10 * cfg.dataset.features * 8)
+        monkeypatch.setattr(data_module, "_ROW_BYTES", 10 * cfg.dataset.features * 8)
         assert min(cfg.dataset.samples, cfg.dataset.test_samples) > 40
         if poisoned_block is None:
             Experiment(cfg)
@@ -726,11 +728,11 @@ class TestCleanReference:
 
     def test_backdoor_setup_peaks_under_one_and_a_quarter_training_matrices(self):
         # The matrix is laid out in client order in place, at most
-        # _REORDER_BYTES of rows at a time, and each attacker's stamped copy
+        # _ROW_BYTES of rows at a time, and each attacker's stamped copy
         # of its share goes back into its block (about 1.16 matrices at the
         # peak here); cutting each share out of the matrix peaked at about 2.03.
         samples, features = 6000, 200
-        assert samples * features * 8 >= 8 * _REORDER_BYTES
+        assert samples * features * 8 >= 8 * _ROW_BYTES
         dataset = {"kind": "synthetic", "classes": 4, "samples": samples, "features": features,
                    "separation": 3.0, "test_samples": 100}
         cfg = tiny_config(dataset=dataset, clients=8, malicious_fraction=0.25, seed=1,
@@ -799,6 +801,33 @@ class TestRunExperiment:
                 assert len(r.verdicts) == 4  # the 1-wide bias is layer 1
                 assert all(v.benign for v in r.verdicts)
         assert run_experiment(cfg).summary == result.summary
+
+    def test_row_budget_never_changes_the_summary(self, monkeypatch, tmp_path):
+        # About 10 rows a block at every binding of the one row budget: the
+        # synthetic draw and reorder, the training gathers (a batch a block)
+        # and the backdoor scoring all run in several blocks at once.
+        cfg = tiny_config(
+            partition={"kind": "dirichlet", "alpha": 0.5},
+            attack=BACKDOORS[1],
+            aggregator={"kind": "celtibero"},
+            rounds=3,
+        )
+        bindings = [
+            module
+            for name, module in sys.modules.items()
+            if name.startswith("celtibero.") and hasattr(module, "_ROW_BYTES")
+        ]
+        assert sorted(m.__name__ for m in bindings) == [
+            "celtibero.data", "celtibero.orchestrator", "celtibero.training"
+        ]
+        written = []
+        for budget in (None, 10 * cfg.dataset.features * 8):
+            for module in bindings if budget else ():
+                monkeypatch.setattr(module, "_ROW_BYTES", budget)
+            result = run_experiment(cfg)
+            _, path = emit_reports(result.reports, result.summary, tmp_path / str(budget))
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
     def test_summary_core_fields(self):
         cfg = tiny_config(rounds=2)

@@ -300,8 +300,8 @@ class TestPerLayerReference:
         matrix = np.vstack([np.full((before, width), 0.5), data.features, np.zeros((after, width))])
         share = LabeledDataset._owning(matrix[before : before + n], data.labels, classes)
         if gather_bytes is None:
-            gather_bytes = training._GATHER_BYTES
-        with mock.patch.object(training, "_GATHER_BYTES", gather_bytes):
+            gather_bytes = training._ROW_BYTES
+        with mock.patch.object(training, "_ROW_BYTES", gather_bytes):
             trained = train_local(model, share, cfg, activation)
         reference = per_layer_train_local(model, data, cfg, activation)
         assert trained.flat.tobytes() == reference.flat.tobytes()
