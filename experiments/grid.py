@@ -6,11 +6,11 @@ tabulate the final MTA and ASR.
 The grid is ``tools/identity_set.py``'s ``README_CONFIG`` (4 classes, 20
 clients, 30 rounds, full participation, iid shares, 40 % attackers) under
 five rules (``fedavg``, ``coord_median``, ``krum`` and ``median_krum`` with
-f set to the attacker count, and ``celtibero``) against four attacks from
-its ``ATTACKS`` table (``none``, ``ulfa``, ``dba``, and ``mra`` at boost
-1e150), at seeds 1-3: 60 runs. A cell is one rule against one attack; its
-seeds see the same data and roster under every rule, so rules are compared
-seed by seed.
+f set to the attacker count, and ``celtibero``) against six attacks from
+its ``ATTACKS`` table (``none``, ``ulfa``, ``dba``, ``mra`` at the README's
+boost 3 and at boost 1e150, and ``neurotoxin``), at seeds 1-3: 90 runs. A
+cell is one rule against one attack; its seeds see the same data and roster
+under every rule, so rules are compared seed by seed.
 
 Each run goes through ``config_from_dict`` -> ``run_experiment`` and writes
 one JSON file under ``experiments/runs/``; a run whose file exists is not
@@ -78,7 +78,9 @@ ATTACKS = {
     "none": _IDENTITY_SET.ATTACKS["none"],
     "ulfa": _IDENTITY_SET.ATTACKS["ulfa"],
     "dba": _IDENTITY_SET.ATTACKS["dba"],
+    "mra-3": _IDENTITY_SET.ATTACKS["mra"],
     "mra-1e150": dict(_IDENTITY_SET.ATTACKS["mra"], boost_factor=1e150),
+    "neurotoxin": _IDENTITY_SET.ATTACKS["neurotoxin"],
 }
 SEEDS = (1, 2, 3)
 # The rule every other rule is compared with, seed by seed.

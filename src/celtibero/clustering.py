@@ -222,7 +222,7 @@ def agglomerative_two_clusters(matrix: DistanceMatrix, linkage: str = "average")
     for _ in range(n - 2):
         # link is symmetric, so the first minimum in row-major order is the
         # lexicographically smallest (rep_a, rep_b) pair, and a < b.
-        a, b = divmod(int(np.argmin(link)), n)
+        a, b = divmod(int(link.argmin()), n)
         stat[a] = stat[:, a] = merge(stat[a], stat[b])
         stat[a, a] = stat[b] = stat[:, b] = np.inf
         size[a] += size[b]

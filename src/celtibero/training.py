@@ -128,14 +128,17 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 def _forward(pairs, X: np.ndarray, activation: str):
     """The activations of a batch (input first, then each hidden layer) and
     its logits. Each bias is added in place to its fresh product, the same
-    float ops as ``x @ W + b`` without a second array."""
+    float ops as ``x @ W + b`` without a second array. The products go
+    through ``np.dot``: on 2-D float64 operands it calls the BLAS routine
+    that ``@`` calls, so the bits are those of ``@``, and it costs less
+    dispatch on a training step's small batches."""
     post: list[np.ndarray] = [X]
     for weight, bias in pairs[:-1]:
-        z = post[-1] @ weight
+        z = np.dot(post[-1], weight)
         z += bias
         post.append(_activate(z, activation))
     weight, bias = pairs[-1]
-    logits = post[-1] @ weight
+    logits = np.dot(post[-1], weight)
     logits += bias
     return post, logits
 
@@ -167,7 +170,8 @@ def _batch_grads(pairs, grads, X, targets, activation) -> np.ndarray:
     their Python layer); and a relu derivative is the mask ``a > 0`` of its
     activation, which holds where the pre-activation is positive, and
     multiplying by that bool mask gives the bits, signed zeros included, of
-    multiplying by it as 1.0/0.0."""
+    multiplying by it as 1.0/0.0. The products go through ``np.dot``, as in
+    ``_forward``, with the bits of ``np.matmul``."""
     post, logits = _forward(pairs, X, activation)
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
@@ -175,10 +179,10 @@ def _batch_grads(pairs, grads, X, targets, activation) -> np.ndarray:
     upstream -= targets
     upstream /= X.shape[0]
     for k in range(len(pairs) - 1, -1, -1):
-        np.matmul(post[k].T, upstream, out=grads[k][0])
+        np.dot(post[k].T, upstream, out=grads[k][0])
         np.add.reduce(upstream, axis=0, out=grads[k][1])
         if k > 0:
-            upstream = upstream @ pairs[k][0].T
+            upstream = np.dot(upstream, pairs[k][0].T)
             if activation == "relu":
                 upstream *= post[k] > 0.0
             else:

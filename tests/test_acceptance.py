@@ -7,6 +7,7 @@ before asserting, so a full run always ends with the complete scoreboard.
 import itertools
 import math
 import os
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,26 @@ def test_criterion_06_untargeted_flip_trend(ulfa_runs):
         ok,
         f"untargeted flipping: fedavg asr {fedavg_asr:.3f} (>=0.05), "
         f"celtibero asr {celtibero_asr:.3f} (<=0.02)",
+    )
+    assert ok
+
+
+def test_criterion_06_untargeted_flip_over_seeds():
+    """Criterion 6's bound on the median over seeds 1-8, each seed's final
+    ASR and the worst seed recorded: one pinned seed can hide a bad one."""
+    asr = {
+        seed: run_experiment(config_from_dict(ulfa_config("celtibero", seed))).reports[-1].asr
+        for seed in range(1, 9)
+    }
+    median = statistics.median(asr.values())
+    worst = max(asr, key=asr.get)
+    ok = median <= 0.02
+    record_criterion(
+        6,
+        ok,
+        "untargeted flipping, seeds 1-8: celtibero asr "
+        + ", ".join(f"{value:.3f}" for value in asr.values())
+        + f"; median {median:.4f} (<=0.02), worst seed {worst} ({asr[worst]:.3f})",
     )
     assert ok
 

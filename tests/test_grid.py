@@ -33,7 +33,7 @@ def table_rows(text, header):
 
 def test_two_cells_fill_both_tables(tmp_path):
     grid = load_grid()
-    assert len(grid.runs()) == 60
+    assert len(grid.runs()) == 90
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-1e150": grid.ATTACKS["mra-1e150"]}
     configs = grid.runs(rules, attacks, seeds=(1, 2), rounds=3)
