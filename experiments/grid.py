@@ -6,18 +6,20 @@ tabulate the final MTA and ASR.
 The grid is ``tools/identity_set.py``'s ``README_CONFIG`` (4 classes, 20
 clients, 30 rounds, full participation, iid shares, 40 % attackers) under
 five rules (``fedavg``, ``coord_median``, ``krum`` and ``median_krum`` with
-f set to the attacker count, and ``celtibero``) against six attacks from
-its ``ATTACKS`` table (``none``, ``ulfa``, ``dba``, ``mra`` at the README's
-boost 3 and at boost 1e150, and ``neurotoxin``), at seeds 1-3: 90 runs. A
-cell is one rule against one attack; its seeds see the same data and roster
-under every rule, so rules are compared seed by seed.
+f set to the attacker count, and ``celtibero``) against nine attacks from
+its ``ATTACKS`` table (``none``, ``ulfa``, ``tlfa`` 1 -> 0, ``dba``, ``mra``
+at the README's boost 3, at boost 10, with no boost factor (the boost is
+then the 20 participants) and at boost 1e150, and ``neurotoxin``), at seeds
+1-3: 135 runs. A cell is one rule against one attack; its seeds see the
+same data and roster under every rule, so rules are compared seed by seed.
 
 Each run goes through ``config_from_dict`` -> ``run_experiment`` and writes
-one JSON file under ``experiments/runs/``; a run whose file exists is not
-run again, so a stopped grid resumes where it stopped. The runs go to a
-pool of at most 2 worker processes. Once every run is in, the script writes
-``experiments/grid.json`` (each cell's values) and ``experiments/GRID.md``
-(the tables).
+one JSON file under ``experiments/runs/``, which also lists the rounds whose
+clean reference accuracy (a label flip's ASR is its relative decay) was
+zero. A run whose file exists is not run again, so a stopped grid resumes
+where it stopped. The runs go to a pool of at most 2 worker processes.
+Once every run is in, the script writes ``experiments/grid.json`` (each
+cell's values) and ``experiments/GRID.md`` (the tables).
 
 Standard library and NumPy only. BLAS runs on one thread, as in
 ``tools/identity_set.py``: the wide dot products round differently with the
@@ -44,6 +46,7 @@ REPO = HERE.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from celtibero import config_from_dict, malicious_count, run_experiment  # noqa: E402
+from celtibero.attacks import _DECAYS  # noqa: E402
 
 
 def _identity_set():
@@ -66,7 +69,7 @@ BASE = {
     "partition": {"kind": "iid"},
     "malicious_fraction": 0.4,
 }
-_KRUM_F = malicious_count(config_from_dict(BASE))
+_KRUM_F = malicious_count(BASE["malicious_fraction"], BASE["clients"])
 RULES = {
     "fedavg": _IDENTITY_SET.AGGREGATORS["fedavg"],
     "coord_median": _IDENTITY_SET.AGGREGATORS["coord_median"],
@@ -74,12 +77,16 @@ RULES = {
     "median_krum": dict(_IDENTITY_SET.AGGREGATORS["median_krum"], krum_f=_KRUM_F),
     "celtibero": _IDENTITY_SET.AGGREGATORS["celtibero-average"],
 }
+_MRA = _IDENTITY_SET.ATTACKS["mra"]
 ATTACKS = {
     "none": _IDENTITY_SET.ATTACKS["none"],
     "ulfa": _IDENTITY_SET.ATTACKS["ulfa"],
+    "tlfa": _IDENTITY_SET.ATTACKS["tlfa"],
     "dba": _IDENTITY_SET.ATTACKS["dba"],
-    "mra-3": _IDENTITY_SET.ATTACKS["mra"],
-    "mra-1e150": dict(_IDENTITY_SET.ATTACKS["mra"], boost_factor=1e150),
+    "mra-3": _MRA,
+    "mra-10": dict(_MRA, boost_factor=10.0),
+    "mra-unset": {key: value for key, value in _MRA.items() if key != "boost_factor"},
+    "mra-1e150": dict(_MRA, boost_factor=1e150),
     "neurotoxin": _IDENTITY_SET.ATTACKS["neurotoxin"],
 }
 SEEDS = (1, 2, 3)
@@ -105,15 +112,23 @@ def runs(rules=RULES, attacks=ATTACKS, seeds=SEEDS, rounds=None) -> dict[str, di
 
 
 def _run_one(job: tuple[str, dict, str]) -> str:
-    """Run one config and write its final metrics to ``path``, through a
-    temporary file so that a stopped run leaves no file behind."""
+    """Run one config and write its final metrics and its zero-reference
+    rounds to ``path``, through a temporary file so that a stopped run leaves
+    no file behind."""
     name, raw, path = job
-    summary = run_experiment(config_from_dict(raw)).summary
+    cfg = config_from_dict(raw)
+    result = run_experiment(cfg)
+    decay = _DECAYS.get(cfg.attack.kind)  # only these kinds have a reference
     record = {
         "run": name,
-        "final_mta": summary["final_mta"],
-        "final_asr": summary["final_asr"],
-        "rounds_completed": summary["rounds_completed"],
+        "final_mta": result.summary["final_mta"],
+        "final_asr": result.summary["final_asr"],
+        "rounds_completed": result.summary["rounds_completed"],
+        "zero_reference_rounds": [
+            r.round_index
+            for r in result.reference_reports or ()
+            if decay(r.mta, r.per_class, cfg.attack) == 0.0
+        ],
     }
     partial = Path(path + ".tmp")
     partial.write_text(json.dumps(record, indent=1) + "\n")
@@ -141,8 +156,11 @@ def run_all(configs: dict[str, dict], run_dir: Path, workers: int = 2) -> dict[s
     return {name: json.loads(path.read_text()) for name, path in paths.items()}
 
 
-def _wins(ours: list[float], theirs: list[float], higher_is_better: bool) -> str:
-    """``W-T-L`` of ``ours`` against ``theirs``, paired by seed."""
+def _wins(ours: list[float] | None, theirs: list[float] | None, higher_is_better: bool):
+    """``W-T-L`` of ``ours`` against ``theirs``, paired by seed; None where
+    either is None, an undefined ASR."""
+    if ours is None or theirs is None:
+        return None
     sign = 1 if higher_is_better else -1
     diffs = [sign * (a - b) for a, b in zip(ours, theirs, strict=True)]
     return f"{sum(d > 0 for d in diffs)}-{sum(d == 0 for d in diffs)}-{sum(d < 0 for d in diffs)}"
@@ -150,7 +168,11 @@ def _wins(ours: list[float], theirs: list[float], higher_is_better: bool) -> str
 
 def cells(records: dict[str, dict], rules, attacks, seeds) -> dict:
     """Each cell's per-seed values, median and worst seed, and each other
-    rule's per-seed wins against ``PAPER_RULE`` (which ``rules`` must hold)."""
+    rule's per-seed wins against ``PAPER_RULE`` (which ``rules`` must hold).
+    A cell whose final-round reference accuracy was zero on any seed has an
+    undefined ASR: its ASR median and worst, and every ASR win count it
+    enters, are None, and ``zero_reference_rounds`` counts its seeds'
+    zero-reference rounds."""
     table = []
     by_cell = {}
     for rule in rules:
@@ -158,7 +180,10 @@ def cells(records: dict[str, dict], rules, attacks, seeds) -> dict:
             found = [records[f"{rule}/{attack}/seed{seed}"] for seed in seeds]
             mta = [r["final_mta"] for r in found]
             asr = [r["final_asr"] for r in found]
-            by_cell[rule, attack] = (mta, asr)
+            undefined = any(
+                r["rounds_completed"] - 1 in r["zero_reference_rounds"] for r in found
+            )
+            by_cell[rule, attack] = (mta, None if undefined else asr)
             table.append({
                 "rule": rule,
                 "attack": attack,
@@ -166,8 +191,9 @@ def cells(records: dict[str, dict], rules, attacks, seeds) -> dict:
                 "asr_by_seed": asr,
                 "mta_median": statistics.median(mta),
                 "mta_worst": min(mta),
-                "asr_median": statistics.median(asr),
-                "asr_worst": max(asr),
+                "asr_median": None if undefined else statistics.median(asr),
+                "asr_worst": None if undefined else max(asr),
+                "zero_reference_rounds": sum(len(r["zero_reference_rounds"]) for r in found),
             })
     wins = [
         {
@@ -196,7 +222,9 @@ def _row(values) -> str:
 def render(grid: dict) -> str:
     """GRID.md: the cell table, then the per-seed wins table. An attack
     with no success rate (``none``, whose runs report 0) shows its ASR and
-    ASR wins as dashes."""
+    ASR wins as dashes; a cell with an undefined ASR shows ``undefined (k
+    rounds)``, k its seeds' zero-reference rounds, and dashes for its ASR
+    worst and ASR wins."""
     seeds = ", ".join(str(s) for s in grid["seeds"])
     unscored = {name for name, spec in grid["attacks"].items() if spec["kind"] == "none"}
     lines = [
@@ -205,16 +233,22 @@ def render(grid: dict) -> str:
         "Written by `python3 experiments/grid.py`; the values are in `grid.json`.",
         f"README config (`tools/identity_set.py`), iid shares, 40 % attackers, seeds {seeds}.",
         "Final-round MTA and ASR: the median over seeds and the worst seed",
-        "(lowest MTA, highest ASR).",
+        "(lowest MTA, highest ASR). A label flip's ASR is the relative decay of an",
+        "accuracy of its clean reference run; where that accuracy was 0 in the",
+        "final round on any seed, the ASR is undefined and reads `undefined (k rounds)`,",
+        "k the rounds, over all seeds, whose reference accuracy was 0.",
         "",
         _row(CELL_COLUMNS),
         _row(["---"] * len(CELL_COLUMNS)),
     ]
     for cell in grid["cells"]:
-        values = [cell[k] for k in ("mta_median", "mta_worst", "asr_median", "asr_worst")]
-        text = [f"{v:.3f}" for v in values]
+        text = [f"{cell[k]:.3f}" for k in ("mta_median", "mta_worst")]
         if cell["attack"] in unscored:
-            text[2:] = ["—", "—"]
+            text += ["—", "—"]
+        elif cell["asr_median"] is None:
+            text += [f"undefined ({cell['zero_reference_rounds']} rounds)", "—"]
+        else:
+            text += [f"{cell[k]:.3f}" for k in ("asr_median", "asr_worst")]
         lines.append(_row([cell["rule"], cell["attack"], *text]))
     lines += [
         "",
@@ -225,7 +259,7 @@ def render(grid: dict) -> str:
         _row(["---"] * len(WIN_COLUMNS)),
     ]
     for w in grid["wins"]:
-        asr = "—" if w["attack"] in unscored else w["asr"]
+        asr = "—" if w["attack"] in unscored or w["asr"] is None else w["asr"]
         lines.append(_row([w["rule"], w["attack"], w["mta"], asr]))
     return "\n".join(lines) + "\n"
 

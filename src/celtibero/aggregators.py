@@ -6,10 +6,10 @@ group scored as coordinated manipulation, and advances the global layer by
 the coordinate-wise median of the surviving updates. The remaining
 strategies (``fedavg``, ``coordinate_median``, ``krum``, ``median_krum``)
 serve as baselines under the same interface. Local models, updates and the
-result are all :class:`~celtibero.model.ModelWeights`. The baselines read
-the models' flat vectors a block of columns at a time, a layer at a time
-where the rule is per layer (``ModelWeights.slices``): ``_column_blocks``
-gathers the rows' columns into one reused buffer of at most
+result are all :class:`~celtibero.model.ModelWeights`. Every baseline reads
+the models through one walker, ``_column_blocks``: it checks their shapes
+once, then walks each layer's columns (``ModelWeights.slices``) in turn,
+gathering every model's share of a block into one reused buffer of at most
 ``_BLOCK_BYTES``, so no baseline copies the whole round. Celtibero works in
 its one update matrix: the cosine kernel scales a layer's columns in place,
 and the median reads the kept updates written back over their first rows.
@@ -25,6 +25,7 @@ import numpy as np
 
 from .clustering import (
     ClusterVerdict,
+    _peak,
     agglomerative_two_clusters,
     label_clusters,
     pairwise_cosine_matrix,
@@ -105,18 +106,12 @@ def celtibero_aggregate(
 
 
 def fedavg(local_models: list[ModelWeights]) -> ModelWeights:
-    """Unweighted per-coordinate mean of the local models, taken within one
-    layer's columns at a time: NumPy sums a one-column block pairwise but a
-    wider one row by row, so a block across layers would change width-1
-    layers' bits."""
+    """Unweighted per-coordinate mean of the local models."""
     if len(local_models) < 1:
         raise ValueError("fedavg requires at least 1 local model")
-    check_shapes(local_models)
-    flats = [m.flat for m in local_models]
-    mean = np.empty(flats[0].size)
-    for sl in local_models[0].slices():
-        for c, e, block in _column_blocks(flats, sl, _BLOCK_BYTES):
-            block.mean(axis=0, out=mean[c:e])
+    mean = np.empty(local_models[0].flat.size)
+    for c, e, block in _column_blocks(local_models):
+        block.mean(axis=0, out=mean[c:e])
     return ModelWeights._owning(local_models[0], mean)
 
 
@@ -127,31 +122,34 @@ def coordinate_median(local_models: list[ModelWeights]) -> ModelWeights:
     """
     if len(local_models) < 1:
         raise ValueError("coordinate median requires at least 1 local model")
-    check_shapes(local_models)
-    flats = [m.flat for m in local_models]
-    median = np.empty(flats[0].size)
-    for c, e, block in _column_blocks(flats, slice(0, median.size), _BLOCK_BYTES):
+    median = np.empty(local_models[0].flat.size)
+    for c, e, block in _column_blocks(local_models):
         _median_rows(block, out=median[c:e])
     return ModelWeights._owning(local_models[0], median)
 
 
-def _column_blocks(rows: list[np.ndarray], cols: slice, budget: int):
-    """Yield ``(c, e, block)`` for consecutive ranges ``[c, e)`` covering
-    ``cols``, ``block`` holding ``row[c:e]`` of every row: a C-ordered view
-    of one buffer, reused for the next block, so the caller may overwrite
-    it. A block holds at most ``budget`` bytes (but at least two columns),
-    and the last one a column more where that spares a one-column block:
-    a range of two or more columns is never cut into a one-column block,
-    which NumPy would sum pairwise instead of row by row."""
-    n, stop = len(rows), cols.stop
-    width = max(2, budget // (8 * n))
-    buf = np.empty(n * min(width + 1, stop - cols.start))
-    c = cols.start
-    while c < stop:
-        e = c + width if stop - c - width >= 2 else stop
-        block = np.concatenate([row[c:e] for row in rows], out=buf[: n * (e - c)])
-        yield c, e, block.reshape(n, e - c)
-        c = e
+def _column_blocks(models: list[ModelWeights]):
+    """Check the models' shapes, then yield ``(c, e, block)`` for consecutive
+    ranges ``[c, e)`` covering each layer's columns in turn, ``block``
+    holding ``flat[c:e]`` of every model: a C-ordered view of one buffer,
+    reused for the next block, so the caller may overwrite it. A block holds
+    at most ``_BLOCK_BYTES`` (but at least two columns), and a layer's last
+    one a column more where that spares a one-column block. NumPy sums a
+    one-column block pairwise but a wider one row by row, so a layer of two
+    or more columns is never cut into a one-column block, and no block spans
+    two layers, which would change a width-1 layer's mean."""
+    check_shapes(models)
+    flats = [m.flat for m in models]
+    n = len(flats)
+    width = max(2, _BLOCK_BYTES // (8 * n))
+    buf = np.empty(n * min(width + 1, flats[0].size))
+    for layer in models[0].slices():
+        c, stop = layer.start, layer.stop
+        while c < stop:
+            e = c + width if stop - c - width >= 2 else stop
+            block = np.concatenate([flat[c:e] for flat in flats], out=buf[: n * (e - c)])
+            yield c, e, block.reshape(n, e - c)
+            c = e
 
 
 def _median_rows(rows: np.ndarray, out: np.ndarray) -> None:
@@ -180,21 +178,15 @@ def _krum_scores(local_models: list[ModelWeights], f: int) -> np.ndarray:
         raise ValueError(f"krum requires n >= 2f + 3, got n={n}, f={f}")
     # Squared distances ||a||^2 + ||b||^2 - 2<a, b> from one Gram matrix of
     # the rows centred on their mean, which keeps the norms near the distances,
-    # summed over blocks of columns. The rows are first scaled by the power
-    # of two that brings their largest magnitude into [0.5, 1), as the cosine
-    # kernel scales each row, and the distances scaled back: exact on
-    # normal-range models, while huge ones score inf instead of NaN. Near
+    # summed over each layer's blocks of columns. The rows are first scaled by
+    # the power of two that brings their largest magnitude into [0.5, 1), as
+    # the cosine kernel scales each row, and the distances scaled back: exact
+    # on normal-range models, while huge ones score inf instead of NaN. Near
     # pairs are recomputed unscaled, where honest models beside huge
     # attackers would underflow to 0.
-    check_shapes(local_models)
-    flats = [m.flat for m in local_models]
-    peak = max(
-        max(np.maximum.reduce(flat, initial=0.0), -np.minimum.reduce(flat, initial=0.0))
-        for flat in flats
-    )
-    shift = int(np.frexp(peak)[1])
+    shift = int(np.frexp(max(_peak(m.flat) for m in local_models))[1])
     gram = np.zeros((n, n))
-    for _, _, block in _column_blocks(flats, slice(0, flats[0].size), _BLOCK_BYTES):
+    for _, _, block in _column_blocks(local_models):
         np.ldexp(block, -shift, out=block)
         block -= block.mean(axis=0)
         gram += block @ block.T

@@ -126,6 +126,15 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _peak(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """``max |x|`` along ``axis`` (of every entry by default), 0 where empty,
+    without an ``|x|`` temporary: the magnitude whose power of two scales
+    rows for the cosine kernel and models for Krum."""
+    return np.maximum(
+        np.maximum.reduce(x, axis=axis, initial=0.0), -np.minimum.reduce(x, axis=axis, initial=0.0)
+    )
+
+
 def pairwise_cosine_matrix(updates, *, overwrite_input: bool = False) -> DistanceMatrix:
     """The cosine kernel: ``1 - cos`` between every pair of rows of an
     ``(n, w)`` matrix of update vectors, clamped to [0, 2].
@@ -169,11 +178,7 @@ def pairwise_cosine_matrix(updates, *, overwrite_input: bool = False) -> Distanc
         if scaled.ndim != 2:
             raise ValueError(f"updates must be an (n, w) matrix, got shape {scaled.shape}")
     n = scaled.shape[0]
-    # max |x| per row, without an |x| temporary.
-    peak = np.maximum(
-        np.maximum.reduce(scaled, axis=1, initial=0.0),
-        -np.minimum.reduce(scaled, axis=1, initial=0.0),
-    )
+    peak = _peak(scaled, axis=1)
     if not np.isfinite(peak).all():
         raise ValueError(f"vector {int(np.argmin(np.isfinite(peak)))} contains NaN or Inf")
     if n < 2:

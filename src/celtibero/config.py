@@ -105,13 +105,10 @@ class ExperimentConfig:
     output_dir: str | None = None
 
 
-def malicious_count(cfg: ExperimentConfig) -> int:
-    """Number of malicious clients: floor(malicious_fraction * clients), with
-    a small epsilon so exact products are not lost to float representation."""
-    return _malicious_count(cfg.malicious_fraction, cfg.clients)
-
-
-def _malicious_count(fraction: float, clients: int) -> int:
+def malicious_count(fraction: float, clients: int) -> int:
+    """Number of malicious clients among ``clients`` at ``fraction``:
+    floor(fraction * clients), with a small epsilon so exact products are
+    not lost to float representation."""
     return int(math.floor(fraction * clients + 1e-9))
 
 
@@ -426,7 +423,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     top = _Reader(raw, "top level", errors, _DEFAULTS)
     values = top.read_all()
     clients, participation = values["clients"], values["participation"]
-    attackers = _malicious_count(values["malicious_fraction"], clients)
+    attackers = malicious_count(values["malicious_fraction"], clients)
     if attackers * 2 >= clients and errors.valid("clients"):
         # malicious_count's epsilon can round a fraction just under 0.5 up to half.
         errors.reject(

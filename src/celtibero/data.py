@@ -40,6 +40,11 @@ _MNIST_CLASSES = 10
 _ROW_BYTES = 1 << 20
 
 
+def _rows_per_block(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` in one block of at most ``_ROW_BYTES``, at least one."""
+    return max(1, _ROW_BYTES // row_bytes)
+
+
 def _check_unit_range(features: np.ndarray) -> None:
     """Raise ``ValueError`` unless every entry of ``features`` lies in [0, 1]."""
     # One reduction per bound; min and max propagate NaN, which fails both.
@@ -195,7 +200,7 @@ def _reorder_rows(matrix: np.ndarray, order: np.ndarray) -> None:
     del step, key, least, sizes, found
     # Each row as one item, so that a gather or a scatter moves whole rows.
     rows = matrix.view(np.dtype((np.void, matrix.strides[0]))).reshape(n)
-    per_block = max(1, _ROW_BYTES // matrix.strides[0])
+    per_block = _rows_per_block(matrix.strides[0])
     first = None  # the first row of the cycle that runs on past the block
     for a in range(0, n, per_block):
         b = min(a + per_block, n)
@@ -245,7 +250,7 @@ def _draw_synthetic(
     labels = np.repeat(np.arange(num_classes), counts)
     sigma = (_BLOB_HIGH - _BLOB_LOW) / separation
     features = np.empty((num_samples, num_features))
-    per_block = max(1, _ROW_BYTES // features.strides[0])
+    per_block = _rows_per_block(features.strides[0])
     for a in range(0, num_samples, per_block):
         block = features[a : a + per_block]
         rng.standard_normal(out=block)

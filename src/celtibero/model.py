@@ -3,9 +3,9 @@
 A model is one flat read-only float64 vector plus the ordered
 :class:`LayerShape` of its layers (each weight matrix and each bias vector
 is its own layer), every layer a fixed range of the vector. Only this module
-computes those ranges: ``ModelWeights.slices()`` hands them out, and the
-aggregators read them from many models' vectors a block of columns at a
-time, without stacking the models into one matrix. Updates (a local model
+computes those ranges: ``ModelWeights.slices()`` hands them out, the
+baseline aggregators read them from many models' vectors a block of columns
+at a time, and celtibero from its one update matrix. Updates (a local model
 minus the global model it started from), gradients and attack masks use the
 same container. Every operation here is pure: inputs are never mutated and
 containers are immutable, so they are safe to share between concurrently

@@ -32,10 +32,10 @@ from .config import (
 )
 from .data import (
     _MNIST_FEATURES,
-    _ROW_BYTES,
     LabeledDataset,
     _draw_synthetic,
     _reorder_rows,
+    _rows_per_block,
     gen_synthetic,
     load_idx,
     partition_dirichlet,
@@ -153,7 +153,7 @@ def backdoor_success_rate(
     _check_fits(trigger, data)
     target = trigger.target_class
     positions, values = np.array(trigger.positions), np.array(trigger.values)
-    per_block = max(1, _ROW_BYTES // (data.features.itemsize * data.d))
+    per_block = _rows_per_block(data.features.itemsize * data.d)
     hits = scored = 0
     for start in range(0, data.n, per_block):
         block = slice(start, start + per_block)
@@ -234,7 +234,8 @@ class Experiment:
             alpha = cfg.partition.alpha
             partition = partition_dirichlet(sample_labels, classes, cfg.clients, alpha, rng)
         roster_order = derive_rng(master, "roster").permutation(cfg.clients)
-        self.malicious = frozenset(int(i) for i in roster_order[: malicious_count(cfg)])
+        attackers = malicious_count(cfg.malicious_fraction, cfg.clients)
+        self.malicious = frozenset(int(i) for i in roster_order[:attackers])
         architecture = NetworkArchitecture(
             layer_sizes=(train.d, *cfg.architecture.hidden, classes),
             seed=derive_seed(master, "init"),

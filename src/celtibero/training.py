@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _ROW_BYTES, LabeledDataset
+from .data import LabeledDataset, _rows_per_block
 from .errors import ShapeMismatchError
 from .model import LayerShape, ModelWeights
 
@@ -220,7 +220,7 @@ def train_local(
     features, labels, lr = data.features, data.labels, cfg.learning_rate
     eye = np.eye(pairs[-1][1].size)
     row_bytes = flat.itemsize * (data.d + eye.shape[0])
-    per_block = max(1, _ROW_BYTES // (row_bytes * batch)) * batch
+    per_block = _rows_per_block(row_bytes * batch) * batch
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n)
         for start in range(0, data.n, per_block):

@@ -5,8 +5,9 @@ deliberately avoiding the incremental bookkeeping tricks the real code uses,
 so that agreement between the two is meaningful. The ``per_layer_*``
 functions are the exception: they keep the aggregators' former layout, one
 ``np.stack`` of separate per-layer vectors, as the bit-for-bit reference for
-the aggregators that now slice the columns of one stacked matrix. Their
-models are sequences of per-layer flat vectors. ``per_pair_cosine_distances``
+the baselines that now gather each layer's columns a block at a time from
+the models' flat vectors, and for celtibero, which works in one update
+matrix. Their models are sequences of per-layer flat vectors. ``per_pair_cosine_distances``
 is likewise the former cosine kernel, one ``np.dot`` per pair, kept as the
 bit-for-bit reference for ``pairwise_cosine_matrix``, which fills a block
 of 16 rows at a time, copying its input or scaling it in place, and

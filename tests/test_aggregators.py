@@ -400,8 +400,8 @@ def as_model(widths, layers):
 class TestPerLayerReference:
     """The aggregators give bit for bit what one ``np.stack`` per layer gave
     (``oracles.per_layer_*``), width-1 layers included, at every block
-    budget; Krum's scores, from a Gram matrix summed over column blocks,
-    only to within their last bits."""
+    budget; Krum's scores, from a Gram matrix summed over each layer's
+    column blocks, only to within their last bits."""
 
     @pytest.mark.parametrize("m", [2, 7, 8, 9, 40])
     def test_bit_identical_to_per_layer_stacks(self, m):

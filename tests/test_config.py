@@ -649,14 +649,11 @@ class TestRoundTrip:
 
 class TestMaliciousCount:
     def test_floor_semantics(self):
-        cfg = config_from_dict({"malicious_fraction": 0.4, "clients": 20})
-        assert malicious_count(cfg) == 8
-        cfg = config_from_dict({"malicious_fraction": 0.49, "clients": 10})
-        assert malicious_count(cfg) == 4
+        assert malicious_count(0.4, 20) == 8
+        assert malicious_count(0.49, 10) == 4
 
     def test_exact_products_not_lost_to_float_representation(self):
-        cfg = config_from_dict({"malicious_fraction": 0.3, "clients": 10})
-        assert malicious_count(cfg) == 3
+        assert malicious_count(0.3, 10) == 3
 
 
 class TestParseConfig:

@@ -275,7 +275,7 @@ class TestBackdoorSuccessRate:
         # 11 rows of 24 bytes: a budget below one row scores a row at a time;
         # 96 and 116 bytes make blocks of 4, 4 and 3 rows, whose second block
         # holds only target-class rows; a large budget makes one block.
-        monkeypatch.setattr(orchestrator, "_ROW_BYTES", budget)
+        monkeypatch.setattr(data_module, "_ROW_BYTES", budget)
         rng = np.random.default_rng(9)
         labels = [1, 2, 0, 1, 0, 0, 0, 0, 2, 1, 2]
         data = LabeledDataset(rng.uniform(size=(11, 3)), labels, 3)
@@ -803,9 +803,9 @@ class TestRunExperiment:
         assert run_experiment(cfg).summary == result.summary
 
     def test_row_budget_never_changes_the_summary(self, monkeypatch, tmp_path):
-        # About 10 rows a block at every binding of the one row budget: the
-        # synthetic draw and reorder, the training gathers (a batch a block)
-        # and the backdoor scoring all run in several blocks at once.
+        # About 10 rows a block under the one row budget, which only the data
+        # module binds: the synthetic draw and reorder, the training gathers
+        # (a batch a block) and the backdoor scoring all run in several blocks.
         cfg = tiny_config(
             partition={"kind": "dirichlet", "alpha": 0.5},
             attack=BACKDOORS[1],
@@ -817,9 +817,7 @@ class TestRunExperiment:
             for name, module in sys.modules.items()
             if name.startswith("celtibero.") and hasattr(module, "_ROW_BYTES")
         ]
-        assert sorted(m.__name__ for m in bindings) == [
-            "celtibero.data", "celtibero.orchestrator", "celtibero.training"
-        ]
+        assert [m.__name__ for m in bindings] == ["celtibero.data"]
         written = []
         for budget in (None, 10 * cfg.dataset.features * 8):
             for module in bindings if budget else ():

@@ -24,7 +24,7 @@ from celtibero import (
     train_local,
 )
 
-from celtibero import training
+from celtibero import data as data_module
 from .conftest import layers_of
 from .oracles import forward, loss_and_grad, per_layer_loss_and_grad, per_layer_train_local
 
@@ -300,8 +300,8 @@ class TestPerLayerReference:
         matrix = np.vstack([np.full((before, width), 0.5), data.features, np.zeros((after, width))])
         share = LabeledDataset._owning(matrix[before : before + n], data.labels, classes)
         if gather_bytes is None:
-            gather_bytes = training._ROW_BYTES
-        with mock.patch.object(training, "_ROW_BYTES", gather_bytes):
+            gather_bytes = data_module._ROW_BYTES
+        with mock.patch.object(data_module, "_ROW_BYTES", gather_bytes):
             trained = train_local(model, share, cfg, activation)
         reference = per_layer_train_local(model, data, cfg, activation)
         assert trained.flat.tobytes() == reference.flat.tobytes()
