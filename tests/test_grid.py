@@ -1,18 +1,20 @@
-"""Tests of ``experiments/grid.py``: a smoke test of two cells cut to 3
-rounds, run in this process and tabulated; the zero-reference rounds a run
-records and the undefined cells they make; and the README config the grid
-and ``tools/identity_set.py`` share."""
+"""Tests of ``experiments/grid.py``: a smoke test of two cells in two
+settings cut to 3 rounds, run in this process and tabulated; the partition,
+attacker fraction and Krum f each run's name says; the zero-reference rounds
+a run records and the undefined cells they make; failure counts; and the
+README config the grid and ``tools/identity_set.py`` share."""
 
 import importlib.util
 import json
 import os
 import re
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import yaml
 
-from celtibero import config_from_dict, run_experiment
+from celtibero import config_from_dict, malicious_count, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
 GRID_PATH = REPO / "experiments" / "grid.py"
@@ -26,52 +28,97 @@ def load_grid():
     return module
 
 
-def table_rows(text, header):
-    """The rows of the markdown table whose header row is ``header``, split
-    into cells."""
+def tables(text, header):
+    """The rows below the header of every markdown table whose header row
+    is ``header``, split into cells, with the heading above each table."""
     lines = text.splitlines()
-    start = lines.index(header)
-    rows = []
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        rows.append([cell.strip() for cell in line.strip("|").split("|")])
-    return rows
+    found = []
+    for start, line in enumerate(lines):
+        if line != header:
+            continue
+        heading = next(h for h in reversed(lines[:start]) if h.startswith("#"))
+        rows = []
+        for row in lines[start + 2 :]:
+            if not row.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in row.strip("|").split("|")])
+        found.append((heading, rows))
+    return found
 
 
 def test_two_cells_fill_both_tables(tmp_path):
     grid = load_grid()
-    assert len(grid.runs()) == 135
+    assert len(grid.runs()) == 540
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-1e150": grid.ATTACKS["mra-1e150"]}
-    configs = grid.runs(rules, attacks, seeds=(1, 2), rounds=3)
-    assert len(configs) == 4
+    fractions = (0.2,)
+    configs = grid.runs(rules, attacks, seeds=(1, 2), rounds=3, fractions=fractions)
+    assert len(configs) == 8
     records = grid.run_all(configs, tmp_path, workers=1)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{name.replace('/', '__')}.json" for name in configs
     )
     assert all(r["rounds_completed"] == 3 for r in records.values())
     # A second call reads the files back instead of running again.
-    (tmp_path / "fedavg__mra-1e150__seed1.json").write_text(
-        json.dumps(dict(records["fedavg/mra-1e150/seed1"], final_mta=0.5))
+    name = "dirichlet0.5/0.2/fedavg/mra-1e150/seed1"
+    (tmp_path / "dirichlet0.5__0.2__fedavg__mra-1e150__seed1.json").write_text(
+        json.dumps(dict(records[name], final_mta=0.5))
     )
-    assert grid.run_all(configs, tmp_path, workers=1)["fedavg/mra-1e150/seed1"]["final_mta"] == 0.5
+    assert grid.run_all(configs, tmp_path, workers=1)[name]["final_mta"] == 0.5
 
-    cells = grid.cells(records, rules, attacks, (1, 2))
+    cells = grid.cells(records, rules, attacks, (1, 2), fractions=fractions)
     text = grid.render(cells)
-    rows = table_rows(text, grid._row(grid.CELL_COLUMNS))
-    assert rows[0] == list(grid.CELL_COLUMNS)
-    assert [row[:2] for row in rows[2:]] == [["fedavg", "mra-1e150"], ["celtibero", "mra-1e150"]]
-    for row, cell in zip(rows[2:], cells["cells"]):
-        mta = [records[f"{cell['rule']}/mra-1e150/seed{s}"]["final_mta"] for s in (1, 2)]
-        assert cell["mta_worst"] == min(mta)
-        assert all(0.0 <= float(value) <= 1.0 for value in row[2:])
-    wins = table_rows(text, grid._row(grid.WIN_COLUMNS))
-    assert wins[0] == list(grid.WIN_COLUMNS)
-    ((rule, attack, mta_wins, asr_wins),) = wins[2:]
-    assert (rule, attack) == ("fedavg", "mra-1e150")
-    for record in (mta_wins, asr_wins):
-        assert sum(int(count) for count in record.split("-")) == 2
+    cell_tables = tables(text, grid._row(grid.CELL_COLUMNS))
+    assert [heading for heading, _ in cell_tables] == [
+        "## iid shares, 20 % attackers",
+        "## Dirichlet alpha 0.5 shares, 20 % attackers",
+    ]
+    for (_, rows), setting in zip(cell_tables, cells["settings"]):
+        assert [row[:2] for row in rows] == [["fedavg", "mra-1e150"], ["celtibero", "mra-1e150"]]
+        for row, cell in zip(rows, setting["cells"]):
+            prefix = f"{setting['partition']}/0.2/{cell['rule']}/mra-1e150"
+            found = [records[f"{prefix}/seed{s}"] for s in (1, 2)]
+            assert cell["mta_worst"] == min(r["final_mta"] for r in found)
+            assert all(0.0 <= float(value) <= 1.0 for value in row[2:6])
+            failed = sum(r["final_mta"] <= 0.5 or r["final_asr"] >= 0.5 for r in found)
+            assert row[6] == f"{failed}/2"
+    win_tables = tables(text, grid._row(grid.WIN_COLUMNS))
+    assert len(win_tables) == 2
+    for _, wins in win_tables:
+        ((rule, attack, mta_wins, asr_wins),) = wins
+        assert (rule, attack) == ("fedavg", "mra-1e150")
+        for record in (mta_wins, asr_wins):
+            assert sum(int(count) for count in record.split("-")) == 2
+
+
+def test_each_setting_carries_the_partition_fraction_and_f_its_name_says():
+    grid = load_grid()
+    configs = grid.runs()
+    for name, raw in configs.items():
+        partition, fraction, rule, _, _ = name.split("/")
+        assert raw["partition"] == grid.PARTITIONS[partition]
+        assert raw["malicious_fraction"] == float(fraction)
+        assert raw["aggregator"]["kind"] == grid.RULES[rule]["kind"]
+        if rule in ("krum", "median_krum"):
+            assert raw["aggregator"]["krum_f"] == malicious_count(float(fraction), raw["clients"])
+            assert raw["aggregator"]["krum_f"] == {"0.2": 4, "0.4": 8}[fraction]
+        else:
+            assert "krum_f" not in raw["aggregator"]
+    assert Counter(tuple(name.split("/")[:2]) for name in configs) == {
+        (partition, fraction): 5 * 9 * 3
+        for partition in ("iid", "dirichlet0.5")
+        for fraction in ("0.2", "0.4")
+    }
+    # One config of each setting and rule parses as its name says.
+    for name in configs:
+        partition, fraction, rule, attack, seed = name.split("/")
+        if attack != "dba" or seed != "seed1":
+            continue
+        cfg = config_from_dict(configs[name])
+        assert cfg.partition.kind == grid.PARTITIONS[partition]["kind"]
+        assert cfg.malicious_fraction == float(fraction)
+        if rule in ("krum", "median_krum"):
+            assert cfg.aggregator.krum_f == malicious_count(float(fraction), cfg.clients)
 
 
 def test_a_run_records_its_zero_reference_rounds(tmp_path):
@@ -99,32 +146,70 @@ def test_undefined_label_flip_cells_show_no_number():
         }
 
     records = {
-        # Zero references before the final round leave the ASR defined.
-        "fedavg/ulfa/seed1": record(0.9, 0.1, [0, 1]),
-        "fedavg/ulfa/seed2": record(0.8, 0.2, []),
-        "celtibero/ulfa/seed1": record(0.7, 0.3, []),
-        "celtibero/ulfa/seed2": record(0.6, 0.4, [1]),
-        "fedavg/tlfa/seed1": record(0.9, 0.5, []),
-        "fedavg/tlfa/seed2": record(0.8, 0.2, [1]),
-        # A zero final-round reference on one seed: the ASR of 0 reads as nothing.
-        "celtibero/tlfa/seed1": record(0.25, 0.0, [0, 1, 2]),
-        "celtibero/tlfa/seed2": record(0.9, 0.1, []),
+        f"iid/0.4/{name}": value
+        for name, value in {
+            # Zero references before the final round leave the ASR defined.
+            "fedavg/ulfa/seed1": record(0.9, 0.1, [0, 1]),
+            "fedavg/ulfa/seed2": record(0.8, 0.2, []),
+            "celtibero/ulfa/seed1": record(0.7, 0.3, []),
+            "celtibero/ulfa/seed2": record(0.6, 0.4, [1]),
+            "fedavg/tlfa/seed1": record(0.9, 0.5, []),
+            "fedavg/tlfa/seed2": record(0.8, 0.2, [1]),
+            # A zero final-round reference on one seed: the ASR of 0 reads as nothing.
+            "celtibero/tlfa/seed1": record(0.25, 0.0, [0, 1, 2]),
+            "celtibero/tlfa/seed2": record(0.9, 0.1, []),
+        }.items()
     }
-    cells = grid.cells(records, rules, attacks, (1, 2))
-    by_cell = {(c["rule"], c["attack"]): c for c in cells["cells"]}
+    cells = grid.cells(records, rules, attacks, (1, 2), {"iid": grid.PARTITIONS["iid"]}, (0.4,))
+    by_cell = {(c["rule"], c["attack"]): c for c in cells["settings"][0]["cells"]}
     assert by_cell["celtibero", "tlfa"]["asr_median"] is None
     assert by_cell["celtibero", "tlfa"]["zero_reference_rounds"] == 3
     assert by_cell["fedavg", "tlfa"]["asr_worst"] == 0.5
     text = grid.render(cells)
-    rows = table_rows(text, grid._row(grid.CELL_COLUMNS))[2:]
+    ((heading, rows),) = tables(text, grid._row(grid.CELL_COLUMNS))
+    assert heading == "## iid shares, 40 % attackers"
     assert rows == [
-        ["fedavg", "ulfa", "0.850", "0.800", "0.150", "0.200"],
-        ["fedavg", "tlfa", "0.850", "0.800", "0.350", "0.500"],
-        ["celtibero", "ulfa", "0.650", "0.600", "0.350", "0.400"],
-        ["celtibero", "tlfa", "0.575", "0.250", "undefined (3 rounds)", "—"],
+        ["fedavg", "ulfa", "0.850", "0.800", "0.150", "0.200", "0/2"],
+        ["fedavg", "tlfa", "0.850", "0.800", "0.350", "0.500", "1/2"],
+        ["celtibero", "ulfa", "0.650", "0.600", "0.350", "0.400", "0/2"],
+        ["celtibero", "tlfa", "0.575", "0.250", "undefined (3 rounds)", "—", "1/2 MTA only"],
     ]
-    wins = table_rows(text, grid._row(grid.WIN_COLUMNS))[2:]
+    ((_, wins),) = tables(text, grid._row(grid.WIN_COLUMNS))
     assert wins == [["fedavg", "ulfa", "2-0-0", "2-0-0"], ["fedavg", "tlfa", "1-0-1", "—"]]
+
+
+def test_a_run_fails_at_either_threshold():
+    grid = load_grid()
+    assert (grid.FAIL_ASR, grid.FAIL_MTA) == (0.5, 0.5)
+    rules = {"celtibero": grid.RULES["celtibero"]}
+    attacks = {name: grid.ATTACKS[name] for name in ("none", "mra-3", "ulfa")}
+    seeds = (1, 2, 3, 4)
+
+    def record(mta, asr, zero_rounds=()):
+        return {
+            "final_mta": mta, "final_asr": asr, "rounds_completed": 3,
+            "zero_reference_rounds": list(zero_rounds),
+        }
+
+    by_attack = {
+        # No attack reports ASR 0: only an MTA at or below the threshold fails.
+        "none": [record(0.5, 0.0), record(0.501, 0.0), record(0.2, 0.0), record(0.99, 0.0)],
+        # An ASR at or above the threshold fails, and so does a low MTA.
+        "mra-3": [record(0.9, 0.5), record(0.9, 0.499), record(0.5, 0.0), record(0.4, 1.0)],
+        # An undefined ASR (seed 4's final reference accuracy was 0) counts
+        # failures on MTA alone, so ASRs of 1.0 fail nothing.
+        "ulfa": [record(0.9, 1.0), record(0.3, 1.0), record(0.9, 0.7), record(0.9, 0.0, [2])],
+    }
+    records = {
+        f"iid/0.2/celtibero/{attack}/seed{seed}": found[seed - 1]
+        for attack, found in by_attack.items()
+        for seed in seeds
+    }
+    cells = grid.cells(records, rules, attacks, seeds, {"iid": grid.PARTITIONS["iid"]}, (0.2,))
+    failures = {c["attack"]: c["failures"] for c in cells["settings"][0]["cells"]}
+    assert failures == {"none": 2, "mra-3": 3, "ulfa": 1}
+    ((_, rows),) = tables(grid.render(cells), grid._row(grid.CELL_COLUMNS))
+    assert [row[6] for row in rows] == ["2/4", "3/4", "1/4 MTA only"]
 
 
 def test_readme_quick_start_is_the_readme_config():
