@@ -3,18 +3,21 @@ tabulate the final MTA and ASR.
 
     python3 experiments/grid.py
 
-The grid is ``tools/identity_set.py``'s ``README_CONFIG`` (4 classes, 20
-clients, 30 rounds, full participation) in four settings, iid or Dirichlet
-alpha 0.5 shares with 20 % or 40 % attackers, under five rules
-(``fedavg``, ``coord_median``, ``krum`` and ``median_krum`` with f set to
-the setting's attacker count, and ``celtibero``) against nine attacks from
-its ``ATTACKS`` table (``none``, ``ulfa``, ``tlfa`` 1 -> 0, ``dba``, ``mra``
-at the README's boost 3, at boost 10, with no boost factor (the boost is
-then the 20 participants) and at boost 1e150, and ``neurotoxin``), at seeds
-1-3: 540 runs. A cell is one rule against one attack in one setting; its
-seeds see the same data and roster under every rule, so rules are compared
-seed by seed. A run fails when its final ASR is at least ``FAIL_ASR`` or its
-final MTA at most ``FAIL_MTA``, and each cell counts its failed seeds.
+The grid is ``tools/identity_set.py``'s ``README_CONFIG``, README's quick
+start (4 classes, 20 clients, 30 rounds, full participation), in four
+settings, iid or Dirichlet alpha 0.5 shares with 20 % or 40 % attackers,
+under five rules (``fedavg``, ``coord_median``, ``krum`` and
+``median_krum`` with f set to the setting's attacker count, and
+``celtibero``) against nine attacks from its ``ATTACKS`` table (``none``,
+``ulfa``, ``tlfa`` 1 -> 0, ``dba``, ``mra`` at the README's boost 3, at
+boost 10, with no boost factor (the boost is then the 20 participants) and
+at boost 1e150, and ``neurotoxin``), at seeds 1-10: 1800 runs. A cell is
+one rule against one attack in one setting; its seeds see the same data and
+roster under every rule, so rules are compared seed by seed. A run fails
+when its final ASR is at least ``FAIL_ASR`` or its final MTA at most
+``FAIL_MTA``, or when it diverges (``RoundError``: the global model left the
+finite floats); each cell counts its failed seeds and gives the Wilson 95 %
+score interval of its failure rate (``wilson``).
 
 Each run goes through ``config_from_dict`` -> ``run_experiment`` and writes
 one JSON file under ``experiments/runs/``, which also lists the rounds whose
@@ -24,7 +27,7 @@ where it stopped. The runs go to a pool of at most 2 worker processes.
 Once every run is in, the script writes ``experiments/grid.json`` (each
 cell's values) and ``experiments/GRID.md`` (the tables).
 
-Standard library and NumPy only. BLAS runs on one thread, as in
+Standard library, NumPy and PyYAML only. BLAS runs on one thread, as in
 ``tools/identity_set.py``: the wide dot products round differently with the
 thread count.
 """
@@ -39,6 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import importlib.util
 import json
+import math
 import multiprocessing
 import statistics
 import sys
@@ -48,7 +52,7 @@ HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from celtibero import config_from_dict, malicious_count, run_experiment  # noqa: E402
+from celtibero import RoundError, config_from_dict, malicious_count, run_experiment  # noqa: E402
 from celtibero.attacks import _DECAYS  # noqa: E402
 
 
@@ -91,7 +95,7 @@ ATTACKS = {
     "mra-1e150": dict(_MRA, boost_factor=1e150),
     "neurotoxin": _IDENTITY_SET.ATTACKS["neurotoxin"],
 }
-SEEDS = (1, 2, 3)
+SEEDS = tuple(range(1, 11))
 # The rule every other rule is compared with, seed by seed.
 PAPER_RULE = "celtibero"
 # A run fails when its final ASR is at least FAIL_ASR or its final MTA at
@@ -143,23 +147,27 @@ def runs(
 
 def _run_one(job: tuple[str, dict, str]) -> str:
     """Run one config and write its final metrics and its zero-reference
-    rounds to ``path``, through a temporary file so that a stopped run leaves
-    no file behind."""
+    rounds, or the ``RoundError`` of a run that diverged, to ``path``,
+    through a temporary file so that a stopped run leaves no file behind."""
     name, raw, path = job
     cfg = config_from_dict(raw)
-    result = run_experiment(cfg)
-    decay = _DECAYS.get(cfg.attack.kind)  # only these kinds have a reference
-    record = {
-        "run": name,
-        "final_mta": result.summary["final_mta"],
-        "final_asr": result.summary["final_asr"],
-        "rounds_completed": result.summary["rounds_completed"],
-        "zero_reference_rounds": [
-            r.round_index
-            for r in result.reference_reports or ()
-            if decay(r.mta, r.per_class, cfg.attack) == 0.0
-        ],
-    }
+    try:
+        result = run_experiment(cfg)
+    except RoundError as exc:  # the global model left the finite floats
+        record = {"run": name, "diverged": str(exc)}
+    else:
+        decay = _DECAYS.get(cfg.attack.kind)  # only these kinds have a reference
+        record = {
+            "run": name,
+            "final_mta": result.summary["final_mta"],
+            "final_asr": result.summary["final_asr"],
+            "rounds_completed": result.summary["rounds_completed"],
+            "zero_reference_rounds": [
+                r.round_index
+                for r in result.reference_reports or ()
+                if decay(r.mta, r.per_class, cfg.attack) == 0.0
+            ],
+        }
     partial = Path(path + ".tmp")
     partial.write_text(json.dumps(record, indent=1) + "\n")
     partial.replace(path)
@@ -188,30 +196,56 @@ def run_all(configs: dict[str, dict], run_dir: Path, workers: int = 2) -> dict[s
 
 def _wins(ours: list[float] | None, theirs: list[float] | None, higher_is_better: bool):
     """``W-T-L`` of ``ours`` against ``theirs``, paired by seed; None where
-    either is None, an undefined ASR."""
+    either is None, an undefined ASR. Two diverged runs tie."""
     if ours is None or theirs is None:
         return None
     sign = 1 if higher_is_better else -1
-    diffs = [sign * (a - b) for a, b in zip(ours, theirs, strict=True)]
+    diffs = [0.0 if a == b else sign * (a - b) for a, b in zip(ours, theirs, strict=True)]
     return f"{sum(d > 0 for d in diffs)}-{sum(d == 0 for d in diffs)}-{sum(d < 0 for d in diffs)}"
 
 
+def wilson(k: int, n: int) -> tuple[float, float]:
+    """The Wilson (1927) 95 % score interval of a rate of ``k`` in ``n``."""
+    z = 1.96
+    p = k / n
+    centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
 def _failed(record: dict, asr_defined: bool) -> bool:
-    """Whether a run failed: on its final MTA alone where its cell's ASR is
-    undefined."""
-    return record["final_mta"] <= FAIL_MTA or (asr_defined and record["final_asr"] >= FAIL_ASR)
+    """Whether a run failed: a diverged run always, else on its final MTA
+    alone where its cell's ASR is undefined."""
+    return (
+        "diverged" in record
+        or record["final_mta"] <= FAIL_MTA
+        or (asr_defined and record["final_asr"] >= FAIL_ASR)
+    )
+
+
+def _final(found: list[dict], key: str, diverged: float) -> list[float]:
+    """Each run's final ``key``, ``diverged`` (-inf for MTA, inf for ASR) for
+    a run that diverged, so that it ranks below every run that ended."""
+    return [diverged if "diverged" in r else r[key] for r in found]
+
+
+def _shown(value: float):
+    """``value`` as ``grid.json`` holds it: ``diverged`` for an infinity."""
+    return "diverged" if math.isinf(value) else value
 
 
 def cells(
     records: dict[str, dict], rules, attacks, seeds, partitions=PARTITIONS, fractions=FRACTIONS
 ) -> dict:
     """Each setting's cells and wins. A cell holds its per-seed values,
-    median, worst seed and failed seeds; a win count pairs another rule with
-    ``PAPER_RULE`` (which ``rules`` must hold) seed by seed. A cell whose
-    final-round reference accuracy was zero on any seed has an undefined ASR:
-    its ASR median and worst, and every ASR win count it enters, are None,
-    its failures are counted on MTA alone, and ``zero_reference_rounds``
-    counts its seeds' zero-reference rounds."""
+    median, worst seed, failed seeds and their Wilson interval; a win count
+    pairs another rule with ``PAPER_RULE`` (which ``rules`` must hold) seed by
+    seed. A cell whose final-round reference accuracy was zero on any seed
+    has an undefined ASR: its ASR median and worst, and every ASR win count
+    it enters, are None, its failures are counted on MTA alone, and
+    ``zero_reference_rounds`` counts its seeds' zero-reference rounds. A run
+    that diverged fails, ranks below every run that ended, and reads
+    ``diverged`` wherever it is the median or the worst seed."""
     out = []
     for partition, fraction in settings(partitions, fractions):
         table = []
@@ -221,23 +255,26 @@ def cells(
                 found = [
                     records[f"{partition}/{fraction}/{rule}/{attack}/seed{seed}"] for seed in seeds
                 ]
-                mta = [r["final_mta"] for r in found]
-                asr = [r["final_asr"] for r in found]
+                ended = [r for r in found if "diverged" not in r]
+                mta = _final(found, "final_mta", -math.inf)
+                asr = _final(found, "final_asr", math.inf)
                 undefined = any(
-                    r["rounds_completed"] - 1 in r["zero_reference_rounds"] for r in found
+                    r["rounds_completed"] - 1 in r["zero_reference_rounds"] for r in ended
                 )
+                failures = sum(_failed(r, not undefined) for r in found)
                 by_cell[rule, attack] = (mta, None if undefined else asr)
                 table.append({
                     "rule": rule,
                     "attack": attack,
-                    "mta_by_seed": mta,
-                    "asr_by_seed": asr,
-                    "mta_median": statistics.median(mta),
-                    "mta_worst": min(mta),
-                    "asr_median": None if undefined else statistics.median(asr),
-                    "asr_worst": None if undefined else max(asr),
-                    "failures": sum(_failed(r, not undefined) for r in found),
-                    "zero_reference_rounds": sum(len(r["zero_reference_rounds"]) for r in found),
+                    "mta_by_seed": [_shown(v) for v in mta],
+                    "asr_by_seed": [_shown(v) for v in asr],
+                    "mta_median": _shown(statistics.median(mta)),
+                    "mta_worst": _shown(min(mta)),
+                    "asr_median": None if undefined else _shown(statistics.median(asr)),
+                    "asr_worst": None if undefined else _shown(max(asr)),
+                    "failures": failures,
+                    "failure_interval": wilson(failures, len(found)),
+                    "zero_reference_rounds": sum(len(r["zero_reference_rounds"]) for r in ended),
                 })
         wins = [
             {
@@ -271,12 +308,18 @@ def _row(values) -> str:
     return "| " + " | ".join(values) + " |"
 
 
+def _number(value) -> str:
+    return value if isinstance(value, str) else f"{value:.3f}"
+
+
 def render(grid: dict) -> str:
     """GRID.md: for each setting, its cell table, then its per-seed wins
     table. An attack with no success rate (``none``, whose runs report 0)
     shows its ASR and ASR wins as dashes; a cell with an undefined ASR shows
     ``undefined (k rounds)``, k its seeds' zero-reference rounds, dashes for
-    its ASR worst and ASR wins, and ``MTA only`` beside its failures."""
+    its ASR worst and ASR wins, and ``MTA only`` beside its failures. Each
+    failure count reads ``k/n [low, high]``, its Wilson interval in brackets.
+    A median or worst seed that is a diverged run reads ``diverged``."""
     seeds = grid["seeds"]
     unscored = {name for name, spec in grid["attacks"].items() if spec["kind"] == "none"}
     lines = [
@@ -292,7 +335,10 @@ def render(grid: dict) -> str:
         "k the rounds, over all seeds, whose reference accuracy was 0.",
         f"A run fails when its final ASR is at least {grid['fail_asr']} or its final MTA is",
         f"at most {grid['fail_mta']}. `failed` counts a cell's failed seeds, on MTA alone",
-        "where its ASR is undefined (`MTA only`).",
+        "where its ASR is undefined (`MTA only`), with the Wilson 95 % score interval",
+        "of its failure rate in brackets. A run that raised `RoundError` (its global",
+        "model left the finite floats) fails and ranks below every run that ended;",
+        "a median or worst seed that is such a run reads `diverged`.",
     ]
     for setting in grid["settings"]:
         partition = grid["partitions"][setting["partition"]]
@@ -305,15 +351,16 @@ def render(grid: dict) -> str:
             _row(["---"] * len(CELL_COLUMNS)),
         ]
         for cell in setting["cells"]:
-            text = [f"{cell[k]:.3f}" for k in ("mta_median", "mta_worst")]
-            failed = f"{cell['failures']}/{len(seeds)}"
+            text = [_number(cell[k]) for k in ("mta_median", "mta_worst")]
+            low, high = cell["failure_interval"]
+            failed = f"{cell['failures']}/{len(seeds)} [{low:.3f}, {high:.3f}]"
             if cell["attack"] in unscored:
                 text += ["—", "—", failed]
             elif cell["asr_median"] is None:
                 rounds = cell["zero_reference_rounds"]
                 text += [f"undefined ({rounds} rounds)", "—", f"{failed} MTA only"]
             else:
-                text += [f"{cell[k]:.3f}" for k in ("asr_median", "asr_worst")] + [failed]
+                text += [_number(cell[k]) for k in ("asr_median", "asr_worst")] + [failed]
             lines.append(_row([cell["rule"], cell["attack"], *text]))
         lines += [
             "",

@@ -114,10 +114,6 @@ class LabeledDataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset._owning(self.features[idx], self.labels[idx], self.num_classes)
-
     def __repr__(self) -> str:
         return f"LabeledDataset(n={self.n}, d={self.d}, classes={self.num_classes})"
 

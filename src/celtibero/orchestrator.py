@@ -175,10 +175,10 @@ def _load_idx_split(cfg: ExperimentConfig, split: str, subset: int | None) -> La
     if data.d != _MNIST_FEATURES:  # 28 x 28, which the model and default trigger assume
         raise IdxFormatError(f"{images}: feature width {data.d}, mnist_idx needs {_MNIST_FEATURES}")
     if subset is not None and subset < data.n:
-        pick = derive_rng(cfg.seed, "data", f"{split}_subset").choice(
-            data.n, size=subset, replace=False
+        rows = np.sort(
+            derive_rng(cfg.seed, "data", f"{split}_subset").choice(data.n, size=subset, replace=False)
         )
-        data = data.subset(np.sort(pick))
+        data = LabeledDataset._owning(data.features[rows], data.labels[rows], data.num_classes)
     return data
 
 

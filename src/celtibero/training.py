@@ -171,7 +171,8 @@ def _batch_grads(pairs, grads, X, targets, activation) -> np.ndarray:
     activation, which holds where the pre-activation is positive, and
     multiplying by that bool mask gives the bits, signed zeros included, of
     multiplying by it as 1.0/0.0. The products go through ``np.dot``, as in
-    ``_forward``, with the bits of ``np.matmul``."""
+    ``_forward``, with the bits of ``np.matmul``, a 1 x 1 x 1 weight
+    gradient's zero sign included."""
     post, logits = _forward(pairs, X, activation)
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
@@ -187,6 +188,13 @@ def _batch_grads(pairs, grads, X, targets, activation) -> np.ndarray:
                 upstream *= post[k] > 0.0
             else:
                 upstream *= 1.0 - post[k] * post[k]
+    if X.shape[0] == 1:
+        # A one-row batch makes a 1 x 1 layer's weight gradient one product,
+        # which np.matmul adds to +0.0 and np.dot returns as it is: adding
+        # 0.0 turns a -0.0 into np.matmul's +0.0 and changes no other value.
+        for weight_grad, _ in grads:
+            if weight_grad.size == 1:
+                weight_grad += 0.0
     return logits
 
 

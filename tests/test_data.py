@@ -53,13 +53,6 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="labels must lie"):
             LabeledDataset._owning(np.array([[0.5]]), np.array([2]), 2)
 
-    def test_subset(self):
-        data = LabeledDataset([[0.0, 0.1], [0.2, 0.3], [0.4, 0.5]], [0, 1, 2], 3)
-        sub = data.subset([2, 0])
-        assert np.array_equal(sub.features, [[0.4, 0.5], [0.0, 0.1]])
-        assert np.array_equal(sub.labels, [2, 0])
-        assert sub.num_classes == 3
-
     def test_class_counts(self):
         # Classes absent from the labels still count toward num_classes.
         data = LabeledDataset([[0.0]] * 5, [0, 2, 0, 2, 2], 4)

@@ -1,18 +1,19 @@
 """Tests of ``experiments/grid.py``: a smoke test of two cells in two
 settings cut to 3 rounds, run in this process and tabulated; the partition,
 attacker fraction and Krum f each run's name says; the zero-reference rounds
-a run records and the undefined cells they make; failure counts; and the
-README config the grid and ``tools/identity_set.py`` share."""
+a run records and the undefined cells they make; failure counts and their
+Wilson intervals; runs that diverge; and that the committed ``grid.json``
+and ``GRID.md`` are those of the grid's current tables and README config."""
 
 import importlib.util
 import json
 import os
-import re
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
-import yaml
+import numpy as np
+import pytest
 
 from celtibero import config_from_dict, malicious_count, run_experiment
 
@@ -48,7 +49,7 @@ def tables(text, header):
 
 def test_two_cells_fill_both_tables(tmp_path):
     grid = load_grid()
-    assert len(grid.runs()) == 540
+    assert len(grid.runs()) == 1800
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-1e150": grid.ATTACKS["mra-1e150"]}
     fractions = (0.2,)
@@ -81,7 +82,8 @@ def test_two_cells_fill_both_tables(tmp_path):
             assert cell["mta_worst"] == min(r["final_mta"] for r in found)
             assert all(0.0 <= float(value) <= 1.0 for value in row[2:6])
             failed = sum(r["final_mta"] <= 0.5 or r["final_asr"] >= 0.5 for r in found)
-            assert row[6] == f"{failed}/2"
+            low, high = grid.wilson(failed, 2)
+            assert row[6] == f"{failed}/2 [{low:.3f}, {high:.3f}]"
     win_tables = tables(text, grid._row(grid.WIN_COLUMNS))
     assert len(win_tables) == 2
     for _, wins in win_tables:
@@ -105,7 +107,7 @@ def test_each_setting_carries_the_partition_fraction_and_f_its_name_says():
         else:
             assert "krum_f" not in raw["aggregator"]
     assert Counter(tuple(name.split("/")[:2]) for name in configs) == {
-        (partition, fraction): 5 * 9 * 3
+        (partition, fraction): 5 * 9 * 10
         for partition in ("iid", "dirichlet0.5")
         for fraction in ("0.2", "0.4")
     }
@@ -169,10 +171,13 @@ def test_undefined_label_flip_cells_show_no_number():
     ((heading, rows),) = tables(text, grid._row(grid.CELL_COLUMNS))
     assert heading == "## iid shares, 40 % attackers"
     assert rows == [
-        ["fedavg", "ulfa", "0.850", "0.800", "0.150", "0.200", "0/2"],
-        ["fedavg", "tlfa", "0.850", "0.800", "0.350", "0.500", "1/2"],
-        ["celtibero", "ulfa", "0.650", "0.600", "0.350", "0.400", "0/2"],
-        ["celtibero", "tlfa", "0.575", "0.250", "undefined (3 rounds)", "—", "1/2 MTA only"],
+        ["fedavg", "ulfa", "0.850", "0.800", "0.150", "0.200", "0/2 [0.000, 0.658]"],
+        ["fedavg", "tlfa", "0.850", "0.800", "0.350", "0.500", "1/2 [0.095, 0.905]"],
+        ["celtibero", "ulfa", "0.650", "0.600", "0.350", "0.400", "0/2 [0.000, 0.658]"],
+        [
+            "celtibero", "tlfa", "0.575", "0.250", "undefined (3 rounds)", "—",
+            "1/2 [0.095, 0.905] MTA only",
+        ],
     ]
     ((_, wins),) = tables(text, grid._row(grid.WIN_COLUMNS))
     assert wins == [["fedavg", "ulfa", "2-0-0", "2-0-0"], ["fedavg", "tlfa", "1-0-1", "—"]]
@@ -209,11 +214,86 @@ def test_a_run_fails_at_either_threshold():
     failures = {c["attack"]: c["failures"] for c in cells["settings"][0]["cells"]}
     assert failures == {"none": 2, "mra-3": 3, "ulfa": 1}
     ((_, rows),) = tables(grid.render(cells), grid._row(grid.CELL_COLUMNS))
-    assert [row[6] for row in rows] == ["2/4", "3/4", "1/4 MTA only"]
+    assert [row[6] for row in rows] == [
+        "2/4 [0.150, 0.850]", "3/4 [0.301, 0.954]", "1/4 [0.046, 0.699] MTA only",
+    ]
 
 
-def test_readme_quick_start_is_the_readme_config():
+def test_a_diverged_run_fails_and_ranks_below_every_run_that_ended(tmp_path):
     grid = load_grid()
-    readme = (REPO / "README.md").read_text()
-    quick_start = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
-    assert yaml.safe_load(quick_start) == grid._IDENTITY_SET.README_CONFIG
+    # A learning rate of 1e300 takes the first client's weights out of the
+    # finite floats in round 0, which the round raises as a RoundError.
+    raw = dict(
+        grid.runs()["iid/0.2/fedavg/mra-3/seed1"], rounds=2, training={"learning_rate": 1e300}
+    )
+    path = tmp_path / "run.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid._run_one(("run", raw, str(path)))
+    diverged = json.loads(path.read_text())
+    assert list(diverged) == ["run", "diverged"]
+    assert diverged["diverged"].startswith("round 0: client ")
+
+    def record(mta, asr):
+        return {
+            "final_mta": mta, "final_asr": asr, "rounds_completed": 3,
+            "zero_reference_rounds": [],
+        }
+
+    records = {
+        f"iid/0.2/{name}": value
+        for name, value in {
+            "fedavg/mra-3/seed1": diverged,
+            "fedavg/mra-3/seed2": record(0.9, 0.1),
+            "fedavg/mra-3/seed3": diverged,
+            "celtibero/mra-3/seed1": diverged,
+            "celtibero/mra-3/seed2": record(0.8, 0.2),
+            "celtibero/mra-3/seed3": record(0.9, 0.0),
+        }.items()
+    }
+    rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
+    attacks = {"mra-3": grid.ATTACKS["mra-3"]}
+    cells = grid.cells(records, rules, attacks, (1, 2, 3), {"iid": grid.PARTITIONS["iid"]}, (0.2,))
+    fedavg, celtibero = cells["settings"][0]["cells"]
+    assert fedavg["mta_by_seed"] == ["diverged", 0.9, "diverged"]
+    assert celtibero["asr_by_seed"] == ["diverged", 0.2, 0.0]
+    json.dumps(cells, allow_nan=False)  # no infinity reaches grid.json
+    text = grid.render(cells)
+    ((_, rows),) = tables(text, grid._row(grid.CELL_COLUMNS))
+    assert rows == [
+        ["fedavg", "mra-3", "diverged", "diverged", "diverged", "diverged", "2/3 [0.208, 0.939]"],
+        ["celtibero", "mra-3", "0.800", "diverged", "0.200", "diverged", "1/3 [0.061, 0.792]"],
+    ]
+    # Seed by seed: both diverged (a tie), fedavg ahead, fedavg diverged.
+    ((_, wins),) = tables(text, grid._row(grid.WIN_COLUMNS))
+    assert wins == [["fedavg", "mra-3", "1-1-1", "1-1-1"]]
+
+
+@pytest.mark.parametrize(
+    "k, want", [(0, (0.0, 0.278)), (2, (0.057, 0.510)), (5, (0.237, 0.763)), (10, (0.722, 1.0))]
+)
+def test_wilson_bounds_of_ten_seeds(k, want):
+    grid = load_grid()
+    low, high = grid.wilson(k, 10)
+    assert (low, high) == pytest.approx(want, abs=5e-4)
+    assert 0.0 <= low <= k / 10 <= high <= 1.0
+
+
+def test_committed_grid_is_current():
+    """``grid.json`` holds the grid's own README config, seeds, thresholds,
+    tables and settings, and ``GRID.md`` is its rendering: an edit to
+    README's config or to a grid table that reaches the runs, made without
+    a rerun of the grid, fails here. Starts no runs."""
+    grid = load_grid()
+    stored = json.loads((REPO / "experiments" / "grid.json").read_text())
+    ours = {
+        "base_config": grid.BASE,
+        "seeds": grid.SEEDS,
+        "fail_asr": grid.FAIL_ASR,
+        "fail_mta": grid.FAIL_MTA,
+        "partitions": grid.PARTITIONS,
+        "rules": grid.RULES,
+        "attacks": grid.ATTACKS,
+    }
+    assert {key: stored[key] for key in ours} == json.loads(json.dumps(ours))
+    assert [(s["partition"], s["malicious_fraction"]) for s in stored["settings"]] == grid.settings()
+    assert (REPO / "experiments" / "GRID.md").read_text() == grid.render(stored)

@@ -526,10 +526,10 @@ class TestIdxExperiment:
         }
         cfg = tiny_config(dataset=dataset, clients=3, aggregator={"kind": "celtibero"})
         experiment = Experiment(cfg)
-        pick = derive_rng(cfg.seed, "data", "test_subset").choice(20, 12, replace=False)
-        want = load_idx(test_images, test_labels).subset(np.sort(pick))
-        assert np.array_equal(experiment.test_data.features, want.features)
-        assert np.array_equal(experiment.test_data.labels, want.labels)
+        rows = np.sort(derive_rng(cfg.seed, "data", "test_subset").choice(20, 12, replace=False))
+        whole = load_idx(test_images, test_labels)
+        assert np.array_equal(experiment.test_data.features, whole.features[rows])
+        assert np.array_equal(experiment.test_data.labels, whole.labels[rows])
         assert sum(share.n for share in experiment.shares) == 30
         first = run_experiment(cfg)
         assert first.summary["rounds_completed"] == 2
@@ -553,7 +553,7 @@ def layout_config(partition, attack):
 
 
 def cut_shares(cfg, malicious):
-    """Each client's share as ``train.subset(partition[k])`` of a training set
+    """Each client's share as the rows ``partition[k]`` of a training set
     built by the public ``gen_synthetic``, poisoned in client order by the
     attack kind's ``_SHARE_RULES`` row where the client is in ``malicious``:
     the per-client cut of the shuffled training set that the one reorder of
@@ -570,7 +570,7 @@ def cut_shares(cfg, malicious):
         )
     shares, rank = [], 0
     for k, indices in enumerate(partition):
-        share = train.subset(indices)
+        share = LabeledDataset(train.features[indices], train.labels[indices], train.num_classes)
         if k in malicious:
             poison = attacks._SHARE_RULES[cfg.attack.kind]
             share = poison(share, cfg.attack, rank, derive_rng(cfg.seed, "attack", k))

@@ -282,6 +282,11 @@ class TestPerLayerReference:
     @example(n=399, batch=1, width=784, hidden=[4], classes=10, activation="tanh",
              lr=0.1, epochs=1, seed=5, zero_features=False, rows_around=(1, 0),
              gather_bytes=None)
+    # One-row steps through a 1 x 1 layer: np.matmul's gradient of that layer
+    # is a sum from +0.0, so a -0.0 product comes out as +0.0.
+    @example(n=1, batch=1, width=1, hidden=[1], classes=2, activation="relu",
+             lr=0.0, epochs=1, seed=126, zero_features=False, rows_around=(0, 0),
+             gather_bytes=None)
     @settings(max_examples=60, deadline=None)
     def test_train_local_and_loss_and_grad_match_bitwise(
         self, n, batch, width, hidden, classes, activation, lr, epochs, seed, zero_features,

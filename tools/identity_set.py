@@ -17,7 +17,8 @@ files that differ (``summary.json``, ``rounds.csv``), ends with the count
 of differing configs and of each file, and exits 1 if any config differs
 (0 if none) or if either child fails.
 
-The set: the README quick-start config; the three benchmark workloads of
+The set: the README quick-start config (README.md's first YAML block);
+the three benchmark workloads of
 ``perfbench/workloads.py`` at their default seeds; the README config cut to
 8 rounds with participation [0.6, 1.0] and seed 11 under each aggregator
 (fedavg, coord_median, krum and median_krum with f 2, celtibero with each
@@ -50,8 +51,8 @@ and whose boosted rows, about 1e150 times an honest update, the kernel
 scales in place. Every config runs from that scratch directory, and the IDX config
 names its files by relative paths, so the ``config`` in ``summary.json`` is
 the same for every tree.
-Standard library and NumPy only; it runs the configs one after another in
-this process.
+Standard library, NumPy and PyYAML only; it runs the configs one after
+another in this process.
 
 BLAS runs on one thread: ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` are set to 1 before NumPy loads, as in
@@ -72,39 +73,21 @@ import csv
 import hashlib
 import importlib.util
 import io
+import re
 import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 REPO = Path(__file__).resolve().parent.parent
 
-README_TRIGGER = {"positions": [16, 17, 18], "values": [1.0, 1.0, 1.0]}
-README_CONFIG = {
-    "dataset": {
-        "kind": "synthetic",
-        "classes": 4,
-        "features": 20,
-        "samples": 4000,
-        "test_samples": 1000,
-        "separation": 4.0,
-    },
-    "clients": 20,
-    "malicious_fraction": 0.4,
-    "rounds": 30,
-    "local_epochs": 3,
-    "participation": [1.0, 1.0],
-    "attack": {
-        "kind": "mra",
-        "target_class": 0,
-        "poison_fraction": 1.0,
-        "boost_factor": 3.0,
-        "trigger": README_TRIGGER,
-    },
-    "aggregator": {"kind": "celtibero"},
-    "seed": 5,
-}
+# README's quick-start config: the first YAML block of README.md.
+README_CONFIG = yaml.safe_load(
+    re.search(r"```yaml\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
+)
 
 AGGREGATORS = {
     "fedavg": {"kind": "fedavg"},
@@ -132,7 +115,7 @@ ATTACKS = {
         "target_class": 0,
         "poison_fraction": 1.0,
         "mask_ratio": 0.5,
-        "trigger": README_TRIGGER,
+        "trigger": README_CONFIG["attack"]["trigger"],
     },
 }
 
