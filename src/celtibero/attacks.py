@@ -6,8 +6,9 @@ instances without mutating their inputs, so the same clean dataset can back a
 poisoned run and its reference run. A label flip shares its input's
 read-only feature matrix; a trigger stamps a copy. Model-level attacks
 (boosting, masked updates) act on weight containers after local training.
-The tables below say once what each attack kind does; the orchestrator
-looks a kind up in them and names none itself.
+The tables below say once what each attack kind does, given its parsed
+:class:`~celtibero.config.AttackSpec`; the orchestrator looks a kind up in
+them and names none itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "ATTACK_KINDS",
     "REFERENCE_KINDS",
     "TriggerPattern",
-    "AttackSpec",
     "make_default_trigger",
     "flip_labels_untargeted",
     "flip_labels_targeted",
@@ -102,31 +102,6 @@ class TriggerPattern:
             raise ValueError("trigger positions must be nonnegative")
         if self.target_class < 0:
             raise ValueError(f"target class must be nonnegative, got {self.target_class}")
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Which attack a malicious client runs, with its parameters.
-
-    ``boost_factor=None`` means "use the number of clients selected in the
-    round"; ``dba_fragments=None`` means "min(4, attacker count)", capped at
-    the trigger's size. A backdoor is an attack with a ``trigger``: parsing
-    gives one exactly to the kinds whose ``config._WRITTEN_KEYS`` entry
-    lists ``trigger`` (the default trigger if none is given) and ``None`` to
-    every other kind. Values are checked where a config is parsed
-    (``config_from_dict``, and ``Experiment`` for a hand-built config), not
-    here.
-    """
-
-    kind: str
-    source_class: int = 1
-    target_class: int = 0
-    flip_fraction: float = 1.0
-    poison_fraction: float = 0.5
-    boost_factor: float | None = None
-    mask_ratio: float = 0.05
-    trigger: TriggerPattern | None = None
-    dba_fragments: int | None = None
 
 
 # The default trigger's square side (its length on plain vectors) and value.

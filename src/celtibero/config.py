@@ -1,11 +1,11 @@
 """Experiment configuration: a strict YAML schema with exhaustive validation.
 
-The frozen dataclasses below (with :class:`~celtibero.attacks.AttackSpec`)
-declare each block's keys and defaults; the parser here makes every check on
-their values. One table, ``_WRITTEN_KEYS``, names the keys that apply to each
-block kind, for the parser and ``config_to_dict`` alike, and ``_KEY_RULES``
-gives each key's type (a list key's item type) and accepted range; numbers
-must be finite, and integers at most 2**63 - 1.
+The frozen dataclasses below declare each block's keys, ``AttackSpec``'s
+among them. Each key's field, made by ``_key``, carries its default, its
+rule (its type, a list key's item type, and accepted range) and, in a block
+with a ``kind``, the kinds that read it; the parser and ``config_to_dict``
+read all three from the fields, and the parser makes every check on their
+values. Numbers must be finite, and integers at most 2**63 - 1.
 ``parse_config`` refuses unknown keys, reports *every* violation it finds in
 one shot, and materializes the defaults into the returned config so an
 emitted report fully describes the run. Keys that do not apply to the
@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import yaml
 
 from .aggregators import AGGREGATOR_NAMES
-from .attacks import ATTACK_KINDS, AttackSpec, TriggerPattern, _round_half_up, make_default_trigger
+from .attacks import ATTACK_KINDS, TriggerPattern, _round_half_up, make_default_trigger
 from .clustering import LINKAGES
 from .data import _MNIST_CLASSES, _MNIST_FEATURES, _MNIST_SIDE
 from .errors import ConfigError
@@ -34,6 +35,7 @@ from .training import ACTIVATIONS
 __all__ = [
     "DatasetConfig",
     "PartitionConfig",
+    "AttackSpec",
     "AggregatorConfig",
     "ArchitectureConfig",
     "TrainingConfig",
@@ -45,115 +47,17 @@ __all__ = [
 ]
 
 _MNIST_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
+# The attack kinds that read a trigger: the backdoors.
+_TRIGGER_KINDS = ("mra", "dba", "neurotoxin")
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
-    kind: str = "synthetic"
-    classes: int = 4
-    samples: int = 4000
-    features: int = 20
-    separation: float = 4.0
-    test_samples: int = 1000
-    train_images: str | None = None
-    train_labels: str | None = None
-    test_images: str | None = None
-    test_labels: str | None = None
-    train_subset: int | None = None
-    test_subset: int | None = None
-
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    kind: str = "iid"
-    alpha: float = 0.5
-
-
-@dataclass(frozen=True)
-class AggregatorConfig:
-    kind: str = "fedavg"
-    krum_f: int = 1
-    linkage: str = "average"
-
-
-@dataclass(frozen=True)
-class ArchitectureConfig:
-    hidden: tuple[int, ...] = (16,)
-    activation: str = "relu"
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    learning_rate: float = 0.05
-    batch_size: int = 32
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
-    clients: int = 20
-    malicious_fraction: float = 0.0
-    attack: AttackSpec = field(default_factory=lambda: AttackSpec(kind="none"))
-    aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
-    rounds: int = 50
-    local_epochs: int = 3
-    participation: tuple[float, float] = (0.6, 0.9)
-    architecture: ArchitectureConfig = field(default_factory=ArchitectureConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    seed: int = 0
-    output_dir: str | None = None
-
-
-def malicious_count(fraction: float, clients: int) -> int:
-    """Number of malicious clients among ``clients`` at ``fraction``:
-    floor(fraction * clients), with a small epsilon so exact products are
-    not lost to float representation."""
-    return int(math.floor(fraction * clients + 1e-9))
-
-
-def _participant_count(fraction: float, clients: int) -> int:
-    """Participants in a round drawn at ``fraction``: rounded half up, at
-    least 2, at most all clients."""
-    return max(2, min(clients, _round_half_up(fraction, clients)))
-
-
-# The default instance: every key the parser reads falls back to its value here.
-_DEFAULTS = ExperimentConfig()
-_MNIST_LEARNING_RATE = 0.1
-
-# Keys of a block, in order: ``config_to_dict`` writes them and the parser
-# reads them, both through ``_written_keys``. A block with a ``kind`` maps
-# each kind to its keys (a kind not listed, such as attack "none", has only
-# ``kind``); a block not listed has every field.
-_WRITTEN_KEYS = {
-    DatasetConfig: {
-        "synthetic": ("kind", "classes", "samples", "features", "separation", "test_samples"),
-        "mnist_idx": ("kind", *_MNIST_PATHS, "train_subset", "test_subset"),
-    },
-    PartitionConfig: {"dirichlet": ("kind", "alpha")},
-    AttackSpec: {
-        "ulfa": ("kind", "flip_fraction"),
-        "tlfa": ("kind", "source_class", "target_class"),
-        "mra": ("kind", "target_class", "poison_fraction", "trigger", "boost_factor"),
-        "dba": ("kind", "target_class", "poison_fraction", "trigger", "dba_fragments"),
-        "neurotoxin": ("kind", "target_class", "poison_fraction", "trigger", "mask_ratio"),
-    },
-    AggregatorConfig: {
-        "krum": ("kind", "krum_f"),
-        "median_krum": ("kind", "krum_f"),
-        "celtibero": ("kind", "linkage"),
-    },
-    # The trigger's target class is the attack's, so it is neither written nor read.
-    TriggerPattern: ("positions", "values"),
-}
-
-
-def _written_keys(block: type, kind: str | None) -> tuple[str, ...]:
-    keys = _WRITTEN_KEYS.get(block)
-    if keys is None:
-        return tuple(f.name for f in fields(block))
-    return keys.get(kind, ("kind",)) if isinstance(keys, dict) else keys
+def _key(default, rule, *kinds: str):
+    """A config field: its ``default`` (``MISSING`` for none), the ``rule``
+    ``_Reader.read`` checks it by, and in a block with a ``kind``, the
+    ``kinds`` that read and write it (none named: every kind). A rule is
+    (type, test of an accepted value or None, the rule a rejected value
+    broke); a tuple default takes a list of that type, tested as a tuple."""
+    return field(default=default, metadata={"key": (rule, kinds)})
 
 
 def _at_least(minimum: int):
@@ -174,6 +78,132 @@ def _within(interval: str, why: str = ""):
 
 _POSITIVE = (float, lambda v: v > 0, "must be positive")
 _STRING = (str, None, None)
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    kind: str = _key("synthetic", _one_of("synthetic", "mnist_idx"))
+    classes: int = _key(4, _at_least(2), "synthetic")
+    samples: int = _key(4000, _at_least(1), "synthetic")
+    features: int = _key(20, _at_least(1), "synthetic")
+    separation: float = _key(4.0, _POSITIVE, "synthetic")
+    test_samples: int = _key(1000, _at_least(1), "synthetic")
+    train_images: str | None = _key(None, _STRING, "mnist_idx")
+    train_labels: str | None = _key(None, _STRING, "mnist_idx")
+    test_images: str | None = _key(None, _STRING, "mnist_idx")
+    test_labels: str | None = _key(None, _STRING, "mnist_idx")
+    train_subset: int | None = _key(None, _at_least(1), "mnist_idx")
+    test_subset: int | None = _key(None, _at_least(1), "mnist_idx")
+
+
+@dataclass(frozen=True)
+class PartitionConfig:
+    kind: str = _key("iid", _one_of("iid", "dirichlet"))
+    alpha: float = _key(0.5, _POSITIVE, "dirichlet")
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    """Which attack a malicious client runs, with its parameters.
+
+    ``boost_factor=None`` means "use the number of clients selected in the
+    round"; ``dba_fragments=None`` means "min(4, attacker count)", capped at
+    the trigger's size. A backdoor is an attack with a ``trigger``: parsing
+    gives one exactly to the kinds in ``_TRIGGER_KINDS``, which read
+    ``trigger`` (the default trigger if none is given), and ``None`` to
+    every other kind. Values are checked where a config is parsed
+    (``config_from_dict``, and ``Experiment`` for a hand-built config), not
+    here; the attacks themselves live in ``celtibero.attacks``.
+    """
+
+    kind: str = _key(MISSING, _one_of(*ATTACK_KINDS))
+    source_class: int = _key(1, _at_least(0), "tlfa")
+    target_class: int = _key(0, _at_least(0), "tlfa", *_TRIGGER_KINDS)
+    flip_fraction: float = _key(1.0, _within("[0, 1]"), "ulfa")
+    poison_fraction: float = _key(0.5, _within("(0, 1]"), *_TRIGGER_KINDS)
+    trigger: TriggerPattern | None = _key(None, None, *_TRIGGER_KINDS)
+    boost_factor: float | None = _key(None, _POSITIVE, "mra")
+    mask_ratio: float = _key(0.05, _within("(0, 1)"), "neurotoxin")
+    dba_fragments: int | None = _key(None, _at_least(1), "dba")
+
+
+@dataclass(frozen=True)
+class AggregatorConfig:
+    kind: str = _key("fedavg", _one_of(*AGGREGATOR_NAMES))
+    krum_f: int = _key(1, _at_least(0), "krum", "median_krum")
+    linkage: str = _key("average", _one_of(*LINKAGES), "celtibero")
+
+
+@dataclass(frozen=True)
+class ArchitectureConfig:
+    hidden: tuple[int, ...] = _key(
+        (16,), (int, lambda v: min(v, default=0) >= 1, "must be a nonempty list of widths >= 1")
+    )
+    activation: str = _key("relu", _one_of(*ACTIVATIONS))
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    learning_rate: float = _key(0.05, _POSITIVE)
+    batch_size: int = _key(32, _at_least(1))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    partition: PartitionConfig = field(default_factory=PartitionConfig)
+    clients: int = _key(20, _at_least(2))
+    malicious_fraction: float = _key(
+        0.0, _within("[0, 0.5)", " so honest clients hold a strict majority")
+    )
+    attack: AttackSpec = field(default_factory=lambda: AttackSpec(kind="none"))
+    aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
+    rounds: int = _key(50, _at_least(0))
+    local_epochs: int = _key(3, _at_least(1))
+    participation: tuple[float, float] = _key((0.6, 0.9), (
+        float, lambda v: len(v) == 2 and 0 < v[0] <= v[1] <= 1,
+        "bounds must satisfy 0 < low <= high <= 1",
+    ))
+    architecture: ArchitectureConfig = field(default_factory=ArchitectureConfig)
+    training: TrainingConfig = field(default_factory=TrainingConfig)
+    seed: int = _key(0, _at_least(0))
+    output_dir: str | None = _key(None, _STRING)
+
+
+def malicious_count(fraction: float, clients: int) -> int:
+    """Number of malicious clients among ``clients`` at ``fraction``:
+    floor(fraction * clients), with a small epsilon so exact products are
+    not lost to float representation."""
+    return int(math.floor(fraction * clients + 1e-9))
+
+
+def _participant_count(fraction: float, clients: int) -> int:
+    """Participants in a round drawn at ``fraction``: rounded half up, at
+    least 2, at most all clients."""
+    return max(2, min(clients, _round_half_up(fraction, clients)))
+
+
+# The default instance: every key the parser reads falls back to its value here.
+_DEFAULTS = ExperimentConfig()
+_MNIST_LEARNING_RATE = 0.1
+
+
+@cache
+def _keys(block: type) -> dict[str, tuple]:
+    """Each key of ``block``, in field order, with its (rule, kinds) from
+    ``_key``: a block field has neither, the attack's trigger no rule."""
+    if block is TriggerPattern:
+        return _TRIGGER_KEYS
+    return {f.name: f.metadata.get("key", (None, ())) for f in fields(block)}
+
+
+def _written_keys(block: type, kind: str | None) -> tuple[str, ...]:
+    """The keys of ``block`` that ``kind`` reads, in field order, which
+    ``config_to_dict`` writes: those naming ``kind`` or no kind (so attack
+    "none" has only ``kind``)."""
+    return tuple(key for key, (_, kinds) in _keys(block).items() if not kinds or kind in kinds)
+
+
 # What a rejected value should have been: one value, or a list of them.
 _EXPECTED = {
     int: ("an integer", "a list of integers"),
@@ -196,51 +226,6 @@ def _shown(value) -> str:
             return f"a {type(value).__name__} holding an integer too long to print"
         digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one less
         return f"an integer of {digits + (abs(value) >= 10**digits)} digits"
-
-
-# How ``_Reader.read`` reads each key: (type, test of an accepted value or
-# None, the rule a rejected value broke). A key whose default is a tuple
-# takes a list of that type, and the test sees it as a tuple. Every key but
-# the blocks and the attack's trigger, a block of its own, has a row.
-_KEY_RULES = {
-    ExperimentConfig: {
-        "clients": _at_least(2),
-        "malicious_fraction": _within("[0, 0.5)", " so honest clients hold a strict majority"),
-        "rounds": _at_least(0), "local_epochs": _at_least(1),
-        "participation": (
-            float, lambda v: len(v) == 2 and 0 < v[0] <= v[1] <= 1,
-            "bounds must satisfy 0 < low <= high <= 1",
-        ),
-        "seed": _at_least(0), "output_dir": _STRING,
-    },
-    DatasetConfig: {
-        "kind": _one_of("synthetic", "mnist_idx"),
-        "classes": _at_least(2), "samples": _at_least(1), "features": _at_least(1),
-        "separation": _POSITIVE, "test_samples": _at_least(1),
-        **dict.fromkeys(_MNIST_PATHS, _STRING),
-        "train_subset": _at_least(1), "test_subset": _at_least(1),
-    },
-    PartitionConfig: {"kind": _one_of("iid", "dirichlet"), "alpha": _POSITIVE},
-    AttackSpec: {
-        "kind": _one_of(*ATTACK_KINDS),
-        "flip_fraction": _within("[0, 1]"),
-        "source_class": _at_least(0), "target_class": _at_least(0),
-        "poison_fraction": _within("(0, 1]"),
-        "boost_factor": _POSITIVE, "dba_fragments": _at_least(1), "mask_ratio": _within("(0, 1)"),
-    },
-    AggregatorConfig: {
-        "kind": _one_of(*AGGREGATOR_NAMES), "krum_f": _at_least(0), "linkage": _one_of(*LINKAGES),
-    },
-    ArchitectureConfig: {
-        "hidden": (int, lambda v: min(v, default=0) >= 1, "must be a nonempty list of widths >= 1"),
-        "activation": _one_of(*ACTIVATIONS),
-    },
-    TrainingConfig: {"learning_rate": _POSITIVE, "batch_size": _at_least(1)},
-    TriggerPattern: {
-        "positions": (int, lambda v: min(v, default=0) >= 0, "positions must be >= 0"),
-        "values": (float, lambda v: all(0 <= x <= 1 for x in v), "values must lie in [0, 1]"),
-    },
-}
 
 
 class _Violations(list):
@@ -270,8 +255,8 @@ class _Reader:
 
     A key that is missing or null, or whose value is rejected, takes its
     value from ``defaults``, the block's default instance. The allowed keys
-    are those ``_WRITTEN_KEYS`` lists for the block, or for a block with
-    kinds or one it does not list, every field.
+    are the block's ``_keys``: every field, whichever kinds read it (a
+    trigger's target class is not one of them).
     """
 
     def __init__(self, raw: dict | None, where: str, errors: _Violations, defaults):
@@ -279,17 +264,14 @@ class _Reader:
         self.where = where
         self.errors = errors
         self.defaults = defaults
-        allowed = _WRITTEN_KEYS.get(type(defaults))
-        if not isinstance(allowed, tuple):
-            allowed = {f.name for f in fields(defaults)}
         for key in self.raw:
-            if key not in allowed:
+            if key not in _keys(type(defaults)):
                 errors.append(f"{where}: unknown key {_shown(key)}")
 
     def read(self, key: str):
-        """``key``'s value, checked by its rule in ``_KEY_RULES``: one value,
+        """``key``'s value, checked by the rule its field declares: one value,
         or for a key whose default is a tuple, a list of them as a tuple."""
-        type_, ok, rule = _KEY_RULES[type(self.defaults)][key]
+        (type_, ok, rule), _ = _keys(type(self.defaults))[key]
         default = getattr(self.defaults, key)
         value = self.raw.get(key)
         if value is None:
@@ -317,10 +299,11 @@ class _Reader:
     def read_all(self) -> dict:
         """The block's ``kind`` (if it has one), then every other key written
         for that kind that has a rule, as a mapping of field values."""
-        rules = _KEY_RULES[type(self.defaults)]
-        values = {"kind": self.read("kind")} if "kind" in rules else {}
+        keys = _keys(type(self.defaults))
+        values = {"kind": self.read("kind")} if "kind" in keys else {}
         for key in _written_keys(type(self.defaults), values.get("kind")):
-            if key in rules and key not in values:
+            rule, _ = keys[key]
+            if rule is not None and key not in values:
                 values[key] = self.read(key)
         return values
 
@@ -346,6 +329,15 @@ def _parse_dataset(reader: _Reader, errors: _Violations) -> DatasetConfig:
             if values[key] is None and errors.valid(f"dataset.{key}"):
                 errors.append(f"dataset.{key}: required for mnist_idx")
     return DatasetConfig(**values)
+
+
+# A trigger block's keys: ``TriggerPattern`` is public on its own and declares
+# no rules. The trigger's target class is the attack's, so it is neither
+# written nor read.
+_TRIGGER_KEYS = {
+    "positions": ((int, lambda v: min(v, default=0) >= 0, "positions must be >= 0"), ()),
+    "values": ((float, lambda v: all(0 <= x <= 1 for x in v), "values must lie in [0, 1]"), ()),
+}
 
 
 def _parse_trigger(reader: _Reader, num_features: int, errors: _Violations):
@@ -382,7 +374,7 @@ def _parse_attack(
         cls = values.get(name)
         if cls is not None and cls >= classes and errors.valid("dataset.kind", "dataset.classes"):
             errors.append(f"attack.{name}: class {cls} outside [0, {classes})")
-    if "trigger" not in _written_keys(AttackSpec, kind):
+    if kind not in _TRIGGER_KINDS:
         return AttackSpec(**values)
 
     side = _MNIST_SIDE if mnist else None

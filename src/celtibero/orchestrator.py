@@ -20,10 +20,11 @@ import numpy as np
 
 from .aggregators import aggregate
 from .attacks import (
-    _DECAYS, _MODEL_RULES, _SHARE_RULES, REFERENCE_KINDS, AttackSpec, TriggerPattern, _check_fits
+    _DECAYS, _MODEL_RULES, _SHARE_RULES, REFERENCE_KINDS, TriggerPattern, _check_fits
 )
 from .clustering import ClusterVerdict
 from .config import (
+    AttackSpec,
     ExperimentConfig,
     _participant_count,
     config_from_dict,

@@ -1,20 +1,17 @@
 """Config schema: defaults, strictness, violation batching, and round trips."""
 
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
 from celtibero import (
-    AGGREGATOR_NAMES,
     ATTACK_KINDS,
     REFERENCE_KINDS,
     AggregatorConfig,
-    ArchitectureConfig,
     AttackSpec,
     ConfigError,
     Experiment,
     ExperimentConfig,
-    TrainingConfig,
     config_from_dict,
     config_to_dict,
     make_default_trigger,
@@ -23,7 +20,7 @@ from celtibero import (
     run_experiment,
 )
 from celtibero.attacks import _MODEL_RULES
-from celtibero.config import _KEY_RULES, _WRITTEN_KEYS
+from celtibero.config import _keys
 
 INF = float("inf")
 
@@ -522,34 +519,52 @@ class TestKrumParticipants:
         raw = {"clients": 4, "participation": [1.0, 1.0],
                "aggregator": {"kind": "fedavg", "krum_f": 2}}
         assert config_from_dict(raw).aggregator.kind == "fedavg"
-        monkeypatch.setitem(_WRITTEN_KEYS[AggregatorConfig], "fedavg", ("kind", "krum_f"))
+        rule, kinds = _keys(AggregatorConfig)["krum_f"]
+        monkeypatch.setitem(_keys(AggregatorConfig), "krum_f", (rule, (*kinds, "fedavg")))
         assert any("fedavg with krum_f=2 needs >= 7" in v for v in violations_of(raw))
 
 
 class TestKeyTables:
-    """``_WRITTEN_KEYS`` names only real kinds, and each key it names for
-    the parser to read has a rule: a misspelt kind would silently read only
-    ``kind``, and a key without a rule would silently keep its default."""
+    """The rule and kinds on each field, which the parser reads: a misspelt
+    kind would silently read only ``kind``, a key without a rule would
+    silently keep its default, and a default its rule rejects would be
+    written into every ``summary.json`` and fail ``Experiment``'s re-parse."""
+
+    BLOCKS = (ExperimentConfig, *(
+        type(f.default_factory()) for f in fields(ExperimentConfig)
+        if f.default_factory is not MISSING
+    ))
 
     def test_every_kind_exists(self):
-        assert set(_WRITTEN_KEYS[AggregatorConfig]) <= set(AGGREGATOR_NAMES)
-        assert set(_WRITTEN_KEYS[AttackSpec]) <= set(ATTACK_KINDS)
+        for block in self.BLOCKS:
+            named = {kind for _, kinds in _keys(block).values() for kind in kinds}
+            if named:
+                (_, accepts, _), _ = _keys(block)["kind"]
+                assert all(accepts(kind) for kind in named), (block.__name__, named)
 
     def test_every_written_key_has_a_rule(self):
-        unlisted = (ExperimentConfig, ArchitectureConfig, TrainingConfig)
-        tables = {**_WRITTEN_KEYS, **{b: tuple(f.name for f in fields(b)) for b in unlisted}}
-        defaults = ExperimentConfig()
-        nested = {f.name for f in fields(defaults) if is_dataclass(getattr(defaults, f.name))}
-        for block, keys in tables.items():
-            for kind_keys in keys.values() if isinstance(keys, dict) else [keys]:
-                missing = set(kind_keys) - {"kind", "trigger"} - nested - set(_KEY_RULES[block])
-                assert not missing, (block.__name__, missing)
+        for block in self.BLOCKS:
+            for f in fields(block):
+                rule, _ = _keys(block)[f.name]
+                nested = f.default_factory is not MISSING
+                assert rule is not None or nested or f.name == "trigger", (block.__name__, f.name)
+
+    def test_every_default_passes_its_rule(self):
+        for block in self.BLOCKS:
+            for f in fields(block):
+                rule, _ = _keys(block)[f.name]
+                if rule is None or f.default is None or f.default is MISSING:
+                    continue
+                type_, ok, _ = rule
+                items = f.default if isinstance(f.default, tuple) else (f.default,)
+                assert all(type(v) is type_ for v in items), (block.__name__, f.name)
+                assert ok is None or ok(f.default), (block.__name__, f.name)
 
     def test_attack_kind_sets_agree(self):
         # A backdoor is an attack with a trigger: the orchestrator stamps and
         # scores by it, so a parsed config, or a hand-built one that
         # ``Experiment`` re-parses, has one exactly for the kinds that read one.
-        reads_trigger = {k for k, keys in _WRITTEN_KEYS[AttackSpec].items() if "trigger" in keys}
+        reads_trigger = set(_keys(AttackSpec)["trigger"][1])
         base = config_from_dict({
             "dataset": {"samples": 40, "features": 6, "test_samples": 20},
             "clients": 4, "malicious_fraction": 0.25, "rounds": 0,
