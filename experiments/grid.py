@@ -19,11 +19,16 @@ when its final ASR is at least ``FAIL_ASR`` or its final MTA at most
 finite floats); each cell counts its failed seeds and gives the Wilson 95 %
 score interval of its failure rate (``wilson``).
 
-Each run goes through ``config_from_dict`` -> ``run_experiment`` and writes
-one JSON file under ``experiments/runs/``, which also lists the rounds whose
-clean reference accuracy (a label flip's ASR is its relative decay) was
-zero. A run whose file exists is not run again, so a stopped grid resumes
-where it stopped. The runs go to a pool of at most 2 worker processes.
+Each run is parsed by ``config_from_dict`` and writes one JSON file under
+``experiments/runs/``, which also lists the rounds whose clean reference
+accuracy (a label flip's ASR is its relative decay) was zero. A label
+flip's clean reference is the ``none`` run of its setting, rule and seed,
+so they run as one job: ``run_experiment`` runs the ``none`` federation
+once, and each label flip runs against its reports through
+``Experiment.run``. The 9 runs of a setting, rule and seed thus take 9
+federations, where a label flip run alone takes two. A job whose run files
+all exist is not run again, so a stopped grid resumes where it stopped.
+The jobs go to a pool of at most 2 worker processes.
 Once every run is in, the script writes ``experiments/grid.json`` (each
 cell's values) and ``experiments/GRID.md`` (the tables).
 
@@ -52,7 +57,14 @@ HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from celtibero import RoundError, config_from_dict, malicious_count, run_experiment  # noqa: E402
+from celtibero import (  # noqa: E402
+    REFERENCE_KINDS,
+    Experiment,
+    RoundError,
+    config_from_dict,
+    malicious_count,
+    run_experiment,
+)
 from celtibero.attacks import _DECAYS  # noqa: E402
 
 
@@ -145,52 +157,92 @@ def runs(
     return out
 
 
-def _run_one(job: tuple[str, dict, str]) -> str:
+def _run_one(job: tuple[str, dict, str], reference_reports: tuple | None = None):
     """Run one config and write its final metrics and its zero-reference
     rounds, or the ``RoundError`` of a run that diverged, to ``path``,
-    through a temporary file so that a stopped run leaves no file behind."""
+    through a temporary file so that a stopped run leaves no file behind.
+    A label flip given ``reference_reports``, the reports of its no-attack
+    run, scores against them instead of running its own clean reference.
+    Returns the run's reports, None if it diverged."""
     name, raw, path = job
     cfg = config_from_dict(raw)
     try:
-        result = run_experiment(cfg)
+        if reference_reports is None:
+            result = run_experiment(cfg)
+            reports, reference_reports = result.reports, result.reference_reports
+        else:
+            reports = Experiment(cfg).run(reference_reports)
     except RoundError as exc:  # the global model left the finite floats
-        record = {"run": name, "diverged": str(exc)}
+        record, reports = {"run": name, "diverged": str(exc)}, None
     else:
         decay = _DECAYS.get(cfg.attack.kind)  # only these kinds have a reference
         record = {
             "run": name,
-            "final_mta": result.summary["final_mta"],
-            "final_asr": result.summary["final_asr"],
-            "rounds_completed": result.summary["rounds_completed"],
+            "final_mta": reports[-1].mta,
+            "final_asr": reports[-1].asr,
+            "rounds_completed": len(reports),
             "zero_reference_rounds": [
                 r.round_index
-                for r in result.reference_reports or ()
+                for r in reference_reports or ()
                 if decay(r.mta, r.per_class, cfg.attack) == 0.0
             ],
         }
     partial = Path(path + ".tmp")
     partial.write_text(json.dumps(record, indent=1) + "\n")
     partial.replace(path)
-    return name
+    return reports
+
+
+def _run_job(job: tuple[tuple[str, dict, str], ...]) -> list[str]:
+    """Run a job's first run, then each label flip after it against the
+    first run's reports as its clean reference; return the names run. A
+    flip whose no-attack run diverged runs alone, and diverges where that
+    run did."""
+    reports = _run_one(job[0])
+    for flip in job[1:]:
+        _run_one(flip, reports)
+    return [name for name, _, _ in job]
+
+
+def _jobs(configs: dict[str, dict]) -> list[list[str]]:
+    """The runs' names grouped into jobs: each label flip follows the
+    no-attack run whose config is its own but for the attack, its clean
+    reference; every other run is a job of its own."""
+
+    def rest(raw: dict) -> str:
+        return json.dumps({k: v for k, v in raw.items() if k != "attack"}, sort_keys=True)
+
+    clean = {rest(raw): name for name, raw in configs.items() if raw["attack"]["kind"] == "none"}
+    jobs = {}
+    for name, raw in configs.items():
+        if raw["attack"]["kind"] in REFERENCE_KINDS and rest(raw) in clean:
+            jobs.setdefault(clean[rest(raw)], [clean[rest(raw)]]).append(name)
+        else:
+            jobs.setdefault(name, [name])
+    return list(jobs.values())
 
 
 def run_all(configs: dict[str, dict], run_dir: Path, workers: int = 2) -> dict[str, dict]:
-    """Every run's record by name, running only those without a file in
-    ``run_dir``: in this process with one worker, else in a pool of two."""
+    """Every run's record by name, running only the jobs (``_jobs``) with a
+    run that has no file in ``run_dir``: in this process with one worker,
+    else in a pool of two."""
     if workers not in (1, 2):
         raise ValueError(f"workers must be 1 or 2, got {workers}")
     paths = {name: run_dir / f"{name.replace('/', '__')}.json" for name in configs}
     jobs = [
-        (name, raw, str(paths[name])) for name, raw in configs.items() if not paths[name].exists()
+        tuple((name, configs[name], str(paths[name])) for name in job)
+        for job in _jobs(configs)
+        if not all(paths[name].exists() for name in job)
     ]
     run_dir.mkdir(parents=True, exist_ok=True)
     if workers == 1:
         for job in jobs:
-            _run_one(job)
+            _run_job(job)
     else:
         with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            for name in pool.imap_unordered(_run_one, jobs):
-                print(f"ran {name}", flush=True)
+            for names in pool.imap_unordered(_run_job, jobs):
+                for name in names:
+                    print(f"ran {name}", flush=True)
     return {name: json.loads(path.read_text()) for name, path in paths.items()}
 
 

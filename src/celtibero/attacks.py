@@ -271,10 +271,10 @@ def neurotoxin_mask(
     check_shapes((update, reference))
     masked = update.flat.copy()
     magnitude = np.abs(reference.flat)
-    for shape, sl in zip(update.shapes(), update.slices()):
-        count = math.ceil(mask_ratio * shape.size)
+    for sl in update.slices():
         layer, mag = masked[sl], magnitude[sl]
-        floor = np.partition(mag, shape.size - count)[shape.size - count]
+        count = math.ceil(mask_ratio * mag.size)
+        floor = np.partition(mag, mag.size - count)[mag.size - count]
         above = mag > floor
         layer[above] = 0.0
         layer[np.flatnonzero(mag == floor)[: count - np.count_nonzero(above)]] = 0.0

@@ -1,11 +1,12 @@
 """Weight containers and the vector arithmetic built on top of them.
 
-A model is one flat read-only float64 vector plus the ordered
-:class:`LayerShape` of its layers (each weight matrix and each bias vector
-is its own layer), every layer a fixed range of the vector. Only this module
-computes those ranges: ``ModelWeights.slices()`` hands them out, the
-baseline aggregators read them from many models' vectors a block of columns
-at a time, and celtibero from its one update matrix. Updates (a local model
+A model is one flat read-only float64 vector plus the dims tuple of each
+of its layers, in order (each weight matrix, ``(fan_in, fan_out)``, and
+each bias vector, ``(fan_out,)``, is its own layer), every layer a fixed
+range of the vector. Only this module checks the dims and computes those
+ranges: ``ModelWeights.slices()`` hands them out, the baseline aggregators
+read them from many models' vectors a block of columns at a time, and
+celtibero from its one update matrix. Updates (a local model
 minus the global model it started from), gradients and attack masks use the
 same container. Every operation here is pure: inputs are never mutated and
 containers are immutable, so they are safe to share between concurrently
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,50 +24,37 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 __all__ = [
-    "LayerShape",
     "ModelWeights",
     "diff",
     "add_update",
 ]
 
 
-@dataclass(frozen=True)
-class LayerShape:
-    """Logical tensor shape of one layer; the flat vector length is ``size``."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"layer dims must be positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.dims)
-
-
 class ModelWeights:
     """Ordered layer weights in one flat vector; the unit exchanged between
     clients and server.
 
-    ``flat`` is a read-only float64 copy of the given values holding every
-    layer back to back, in the order of ``shapes``; layer ``k`` is the view
-    ``flat[slices()[k]]``. Its length must equal the layers' total size, and
-    all values must be finite. A vector the package has just computed is
-    adopted through ``_owning`` instead of copied.
+    ``shapes`` holds each layer's dims, a non-empty sequence of positive
+    integers, kept as a tuple of ints. ``flat`` is a read-only float64 copy
+    of the given values holding every layer back to back, in the order of
+    ``shapes``; layer ``k`` is the view ``flat[slices()[k]]``. Its length
+    must equal the layers' total size, and all values must be finite. A
+    vector the package has just computed is adopted through ``_owning``
+    instead of copied.
     """
 
     __slots__ = ("flat", "_shapes", "_slices")
 
-    def __init__(self, shapes: Iterable[LayerShape], flat: Sequence[float]):
-        self._shapes = tuple(shapes)
-        slices, start = [], 0
-        for shape in self._shapes:
-            slices.append(slice(start, start + shape.size))
-            start += shape.size
-        self._slices = tuple(slices)
+    def __init__(self, shapes: Iterable[Sequence[int]], flat: Sequence[float]):
+        checked, slices, start = [], [], 0
+        for given in shapes:
+            dims = tuple(int(d) for d in given)
+            if not dims or any(d < 1 for d in dims):
+                raise ValueError(f"layer dims must be positive integers, got {given!r}")
+            checked.append(dims)
+            slices.append(slice(start, start + math.prod(dims)))
+            start = slices[-1].stop
+        self._shapes, self._slices = tuple(checked), tuple(slices)
         self._adopt(np.array(flat, dtype=np.float64).reshape(-1))
 
     @classmethod
@@ -101,7 +88,8 @@ class ModelWeights:
         arr.flags.writeable = False
         self.flat: np.ndarray = arr
 
-    def shapes(self) -> tuple[LayerShape, ...]:
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Each layer's dims, in layer order."""
         return self._shapes
 
     def slices(self) -> tuple[slice, ...]:
@@ -116,7 +104,7 @@ class ModelWeights:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        dims = ", ".join("x".join(map(str, s.dims)) for s in self._shapes)
+        dims = ", ".join("x".join(map(str, dims)) for dims in self._shapes)
         return f"ModelWeights([{dims}])"
 
 

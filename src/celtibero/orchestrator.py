@@ -384,6 +384,12 @@ class Experiment:
     def run(
         self, reference_reports: tuple[RoundReport, ...] | None = None
     ) -> tuple[RoundReport, ...]:
+        """Run every round; ``reference_reports``, if given, holds one
+        reference round per configured round."""
+        if reference_reports is not None and len(reference_reports) != self.cfg.rounds:
+            raise RoundError(
+                f"{len(reference_reports)} reference rounds for {self.cfg.rounds} rounds"
+            )
         state = self.initial_state()
         reports = []
         for t in range(self.cfg.rounds):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledDataset, _rows_per_block
 from .errors import ShapeMismatchError
-from .model import LayerShape, ModelWeights
+from .model import ModelWeights
 
 __all__ = [
     "ACTIVATIONS",
@@ -88,7 +88,7 @@ def init_model(arch: NetworkArchitecture) -> ModelWeights:
         scale = 1.0 / math.sqrt(fan_in)
         draws.append(rng.uniform(-scale, scale, (fan_in, fan_out)).ravel())
         draws.append(np.zeros(fan_out))
-        shapes += [LayerShape((fan_in, fan_out)), LayerShape((fan_out,))]
+        shapes += [(fan_in, fan_out), (fan_out,)]
     return ModelWeights(shapes, np.concatenate(draws))
 
 
@@ -106,13 +106,13 @@ def _dense_pairs(
     flat = model.flat if flat is None else flat
     pairs = []
     for k in range(0, len(shapes), 2):
-        w_shape, b_shape = shapes[k], shapes[k + 1]
-        if len(w_shape.dims) != 2 or len(b_shape.dims) != 1 or w_shape.dims[1] != b_shape.dims[0]:
+        w_dims, b_dims = shapes[k], shapes[k + 1]
+        if len(w_dims) != 2 or len(b_dims) != 1 or w_dims[1] != b_dims[0]:
             raise ShapeMismatchError(
                 f"layers {k},{k + 1}: expected a matrix followed by its bias, "
-                f"got dims {w_shape.dims} and {b_shape.dims}"
+                f"got dims {w_dims} and {b_dims}"
             )
-        pairs.append((flat[slices[k]].reshape(w_shape.dims), flat[slices[k + 1]]))
+        pairs.append((flat[slices[k]].reshape(w_dims), flat[slices[k + 1]]))
     return pairs
 
 

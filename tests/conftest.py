@@ -12,7 +12,6 @@ import pytest
 
 from celtibero import (
     Experiment,
-    LayerShape,
     ModelWeights,
     config_from_dict,
     run_experiment,
@@ -37,7 +36,7 @@ def pytest_terminal_summary(terminalreporter):
 def make_weights(*layer_values) -> ModelWeights:
     """Build a one-or-more layer model from plain nested lists."""
     vectors = [np.asarray(vals, dtype=np.float64).reshape(-1) for vals in layer_values]
-    return ModelWeights([LayerShape((v.size,)) for v in vectors], np.concatenate(vectors))
+    return ModelWeights([(v.size,) for v in vectors], np.concatenate(vectors))
 
 
 def layers_of(model: ModelWeights) -> tuple[np.ndarray, ...]:

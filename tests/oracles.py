@@ -230,8 +230,8 @@ def argsort_neurotoxin_mask(update, reference, mask_ratio):
     ``ceil(mask_ratio * size)`` entries of a stable argsort of
     ``-|reference|``. Returns the masked flat vector."""
     masked = update.flat.copy()
-    for shape, sl in zip(update.shapes(), update.slices()):
-        count = math.ceil(mask_ratio * shape.size)
+    for dims, sl in zip(update.shapes(), update.slices()):
+        count = math.ceil(mask_ratio * math.prod(dims))
         order = np.argsort(-np.abs(reference.flat[sl]), kind="stable")
         masked[sl][order[:count]] = 0.0
     return masked
@@ -346,7 +346,7 @@ def _per_layer_grads(weights, biases, X, y, activation):
 def _per_layer_params(model):
     """Writable copies of a dense model's weight matrices and biases."""
     pairs = zip(model.slices(), model.shapes())
-    layers = [model.flat[sl].reshape(shape.dims).copy() for sl, shape in pairs]
+    layers = [model.flat[sl].reshape(dims).copy() for sl, dims in pairs]
     return layers[0::2], layers[1::2]
 
 

@@ -15,7 +15,6 @@ import pytest
 from celtibero import (
     AGGREGATOR_NAMES,
     AggregatorConfig,
-    LayerShape,
     ModelWeights,
     NetworkArchitecture,
     ShapeMismatchError,
@@ -380,7 +379,7 @@ class TestAggregateDispatcher:
     @pytest.mark.parametrize("kind", AGGREGATOR_NAMES)
     def test_rejects_models_of_other_shapes(self, kind):
         global_model, locals_ = detection_scenario()
-        reshaped = ModelWeights([LayerShape((1, 3))], locals_[-1].flat)
+        reshaped = ModelWeights([(1, 3)], locals_[-1].flat)
         with pytest.raises(ShapeMismatchError, match="layer 0"):
             aggregate(AggregatorConfig(kind, krum_f=2), global_model, locals_[:-1] + [reshaped])
 
@@ -394,7 +393,7 @@ def random_layers(rng, widths, scale, dyadic):
 
 
 def as_model(widths, layers):
-    return ModelWeights([LayerShape((w,)) for w in widths], np.concatenate(layers))
+    return ModelWeights([(w,) for w in widths], np.concatenate(layers))
 
 
 class TestPerLayerReference:
@@ -547,10 +546,10 @@ class TestKrumGramMatrix:
     def test_scores_do_not_depend_on_the_blas_thread_count(self):
         script = (
             "import hashlib, numpy as np\n"
-            "from celtibero import LayerShape, ModelWeights\n"
+            "from celtibero import ModelWeights\n"
             "from celtibero.aggregators import _krum_scores\n"
             "rng = np.random.default_rng(97)\n"
-            "models = [ModelWeights([LayerShape((13124,))], rng.normal(size=13124))"
+            "models = [ModelWeights([(13124,)], rng.normal(size=13124))"
             " for _ in range(100)]\n"
             "print(hashlib.sha256(_krum_scores(models, 25).tobytes()).hexdigest())\n"
         )

@@ -13,7 +13,6 @@ from celtibero import (
     ConfigError,
     Experiment,
     LabeledDataset,
-    LayerShape,
     ModelWeights,
     ShapeMismatchError,
     TriggerPattern,
@@ -453,10 +452,10 @@ class TestNeurotoxinMask:
     def test_matches_argsort_kernel_on_a_wide_layer(self):
         rng = np.random.default_rng(89)
         size = 784 * 64
-        update = ModelWeights([LayerShape((784, 64))], rng.normal(size=size))
+        update = ModelWeights([(784, 64)], rng.normal(size=size))
         coarse = rng.integers(-50, 51, size=size) / 64.0  # ~500 entries per magnitude
         for ref in (rng.normal(size=size), coarse):
-            reference = ModelWeights([LayerShape((784, 64))], ref)
+            reference = ModelWeights([(784, 64)], ref)
             for ratio in (0.05, 0.5):
                 masked = neurotoxin_mask(update, reference, ratio)
                 expected = argsort_neurotoxin_mask(update, reference, ratio)

@@ -1,13 +1,16 @@
 """Tests of ``experiments/grid.py``: a smoke test of two cells in two
 settings cut to 3 rounds, run in this process and tabulated; the partition,
 attacker fraction and Krum f each run's name says; the zero-reference rounds
-a run records and the undefined cells they make; failure counts and their
-Wilson intervals; runs that diverge; and that the committed ``grid.json``
-and ``GRID.md`` are those of the grid's current tables and README config."""
+a run records and the undefined cells they make; label flips that take the
+no-attack run as their reference, in this process and in a pool of two;
+failure counts and their Wilson intervals; runs that diverge; and that the
+committed ``grid.json`` and ``GRID.md`` are those of the grid's current
+tables and README config."""
 
 import importlib.util
 import json
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -21,8 +24,8 @@ REPO = Path(__file__).resolve().parent.parent
 GRID_PATH = REPO / "experiments" / "grid.py"
 
 
-def load_grid():
-    spec = importlib.util.spec_from_file_location("experiments_grid", GRID_PATH)
+def load_grid(name="experiments_grid"):
+    spec = importlib.util.spec_from_file_location(name, GRID_PATH)
     module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):  # the grid pins BLAS threads for its own runs
         spec.loader.exec_module(module)
@@ -134,6 +137,37 @@ def test_a_run_records_its_zero_reference_rounds(tmp_path):
     want = [r.round_index for r in reference if r.per_class.get(1, 0.0) == 0.0]
     assert want
     assert json.loads(path.read_text())["zero_reference_rounds"] == want
+
+
+def test_label_flips_run_against_the_no_attack_run(tmp_path, monkeypatch):
+    # Registered as ``grid`` and importable by that name from ``sys.path``,
+    # so that the children of the spawn pool can unpickle its functions.
+    monkeypatch.syspath_prepend(str(GRID_PATH.parent))
+    grid = load_grid("grid")
+    monkeypatch.setitem(sys.modules, "grid", grid)
+    rules = {name: grid.RULES[name] for name in ("fedavg", "median_krum")}
+    attacks = {name: grid.ATTACKS[name] for name in ("none", "ulfa", "tlfa")}
+    partitions = {"dirichlet0.5": grid.PARTITIONS["dirichlet0.5"]}
+    configs = grid.runs(rules, attacks, (1, 2), 3, partitions, fractions=(0.4,))
+    assert len(configs) == 12
+    jobs = grid._jobs(configs)
+    assert len(jobs) == 4
+    for job in jobs:
+        parts = [name.split("/") for name in job]
+        assert [p[3] for p in parts] == ["none", "ulfa", "tlfa"]
+        assert len({(*p[:3], p[4]) for p in parts}) == 1
+
+    run = grid.Experiment.run
+    with mock.patch.object(grid.Experiment, "run", autospec=True, side_effect=run) as federations:
+        records = grid.run_all(configs, tmp_path / "jobs", workers=1)
+    assert federations.call_count == 12  # no label flip runs its own reference
+    assert any(r["zero_reference_rounds"] for r in records.values())
+    for name, raw in configs.items():
+        if raw["attack"]["kind"] != "none":
+            alone = tmp_path / "alone.json"
+            grid._run_one((name, raw, str(alone)))
+            assert json.loads(alone.read_text()) == records[name], name
+    assert grid.run_all(configs, tmp_path / "pool", workers=2) == records
 
 
 def test_undefined_label_flip_cells_show_no_number():

@@ -1,6 +1,7 @@
 """Weight containers, deltas, and the cosine distance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celtibero import (
-    LayerShape,
     ModelWeights,
     NetworkArchitecture,
     ShapeMismatchError,
@@ -29,18 +29,20 @@ from .conftest import layers_of, make_weights
 from .oracles import cosine_distance, loss_and_grad, per_pair_cosine_distances
 
 
-class TestLayerShape:
-    def test_size_is_product_of_dims(self):
-        assert LayerShape((28, 28)).size == 784
-        assert LayerShape((16,)).size == 16
+class TestModelWeights:
+    def test_layer_size_is_product_of_dims(self):
+        model = ModelWeights([[28, 28], np.array([16])], np.zeros(800))
+        assert model.shapes() == ((28, 28), (16,))
+        assert all(type(d) is int for dims in model.shapes() for d in dims)
+        assert model.slices() == (slice(0, 784), slice(784, 800))
 
     @pytest.mark.parametrize("dims", [(), (0,), (-1, 3), (2, 0)])
     def test_rejects_non_positive_dims(self, dims):
-        with pytest.raises(ValueError):
-            LayerShape(dims)
+        with pytest.raises(
+            ValueError, match=re.escape(f"layer dims must be positive integers, got {dims!r}")
+        ):
+            ModelWeights([(2,), dims], np.zeros(2))
 
-
-class TestModelWeights:
     def test_vectors_are_flat_float64_and_read_only(self):
         m = make_weights([[1, 2], [3, 4]], [5, 6])
         for vec in layers_of(m):
@@ -57,9 +59,9 @@ class TestModelWeights:
 
     def test_length_mismatch_names_the_layer(self):
         with pytest.raises(ShapeMismatchError, match="layer 1"):
-            ModelWeights((LayerShape((2,)), LayerShape((3,))), np.zeros(4))
+            ModelWeights(((2,), (3,)), np.zeros(4))
         with pytest.raises(ShapeMismatchError, match="total size 2"):
-            ModelWeights((LayerShape((2,)),), np.zeros(3))
+            ModelWeights(((2,),), np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, bad):
@@ -121,7 +123,7 @@ class TestOwnedVectors:
 
     def test_inputs_are_never_frozen_or_aliased(self):
         vec = np.array([1.0, 2.0, 3.0])
-        built = ModelWeights([LayerShape((3,))], vec)
+        built = ModelWeights([(3,)], vec)
         assert vec.flags.writeable and not np.shares_memory(built.flat, vec)
         vec[0] = 9.0
         assert built.flat[0] == 1.0
@@ -170,7 +172,7 @@ class TestDiffAddUpdate:
             diff(a, b)
         with pytest.raises(ShapeMismatchError, match="layer 1"):
             diff(make_weights([1.0, 2.0]), a)
-        square = ModelWeights([LayerShape((2, 2))], np.zeros(4))
+        square = ModelWeights([(2, 2)], np.zeros(4))
         with pytest.raises(ShapeMismatchError, match="layer 0"):
             add_update(square, make_weights(np.zeros(4)))
 

@@ -646,6 +646,21 @@ class TestCleanReference:
             replace(r, wall_ms=0.0) for r in scratch
         ]
 
+    @pytest.mark.parametrize("rounds", [2, 4])
+    def test_a_reference_series_of_another_length_fails_before_round_0(
+        self, rounds, monkeypatch
+    ):
+        cfg = label_flip_config("ulfa-iid")
+        reference = Experiment(replace(cfg, attack=AttackSpec(kind="none"), rounds=rounds)).run()
+        started = []
+        run_round = Experiment.run_round
+        monkeypatch.setattr(
+            Experiment, "run_round", lambda self, *args: started.append(1) or run_round(self, *args)
+        )
+        with pytest.raises(RoundError, match=f"^{rounds} reference rounds for 3 rounds$"):
+            Experiment(cfg).run(reference)
+        assert started == []
+
     @pytest.mark.parametrize("aggregator", ["celtibero", "median_krum"])
     @pytest.mark.parametrize(
         "partition", [{"kind": "iid"}, {"kind": "dirichlet", "alpha": 0.5}], ids=["iid", "dir"]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from celtibero import (
     ACTIVATIONS,
     LabeledDataset,
-    LayerShape,
     ModelWeights,
     NetworkArchitecture,
     ShapeMismatchError,
@@ -32,7 +31,7 @@ from .oracles import forward, loss_and_grad, per_layer_loss_and_grad, per_layer_
 def dense_model(*arrays):
     """Build a model from alternating weight matrices and bias vectors."""
     arrays = [np.asarray(arr, dtype=np.float64) for arr in arrays]
-    return ModelWeights([LayerShape(a.shape) for a in arrays], np.concatenate([a.ravel() for a in arrays]))
+    return ModelWeights([a.shape for a in arrays], np.concatenate([a.ravel() for a in arrays]))
 
 
 class TestNetworkArchitecture:
@@ -63,8 +62,7 @@ class TestTrainConfig:
 class TestInitModel:
     def test_alternating_matrix_bias_shapes(self):
         model = init_model(NetworkArchitecture((4, 3, 2)))
-        dims = [shape.dims for shape in model.shapes()]
-        assert dims == [(4, 3), (3,), (3, 2), (2,)]
+        assert model.shapes() == ((4, 3), (3,), (3, 2), (2,))
 
     def test_biases_start_at_zero(self):
         model = init_model(NetworkArchitecture((5, 4, 3)))
@@ -112,7 +110,7 @@ class TestForward:
         model = init_model(NetworkArchitecture((4, 3, 2)))
         with pytest.raises(ShapeMismatchError):
             forward(model, [0.1, 0.2, 0.3])
-        lopsided = ModelWeights([LayerShape((2, 2))], np.zeros(4))
+        lopsided = ModelWeights([(2, 2)], np.zeros(4))
         with pytest.raises(ShapeMismatchError):
             forward(lopsided, [0.1, 0.2])
 
