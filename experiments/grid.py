@@ -4,14 +4,14 @@ tabulate the final MTA and ASR.
     python3 experiments/grid.py
 
 The grid is ``tools/identity_set.py``'s ``README_CONFIG``, README's quick
-start (4 classes, 20 clients, 30 rounds, full participation), in four
-settings, iid or Dirichlet alpha 0.5 shares with 20 % or 40 % attackers,
+start (4 classes, 20 clients, 30 rounds, full participation), in six
+settings, iid or Dirichlet alpha 0.5 or 0.1 shares with 20 % or 40 % attackers,
 under five rules (``fedavg``, ``coord_median``, ``krum`` and
 ``median_krum`` with f set to the setting's attacker count, and
 ``celtibero``) against nine attacks from its ``ATTACKS`` table (``none``,
 ``ulfa``, ``tlfa`` 1 -> 0, ``dba``, ``mra`` at the README's boost 3, at
 boost 10, with no boost factor (the boost is then the 20 participants) and
-at boost 1e150, and ``neurotoxin``), at seeds 1-10: 1800 runs. A cell is
+at boost 1e150, and ``neurotoxin``), at seeds 1-10: 2700 runs. A cell is
 one rule against one attack in one setting; its seeds see the same data and
 roster under every rule, so rules are compared seed by seed. A run fails
 when its final ASR is at least ``FAIL_ASR`` or its final MTA at most
@@ -85,7 +85,11 @@ BASE = {
     for key, value in _IDENTITY_SET.README_CONFIG.items()
     if key not in ("partition", "malicious_fraction", "aggregator", "attack", "seed")
 }
-PARTITIONS = {"iid": {"kind": "iid"}, "dirichlet0.5": {"kind": "dirichlet", "alpha": 0.5}}
+PARTITIONS = {
+    "iid": {"kind": "iid"},
+    "dirichlet0.5": {"kind": "dirichlet", "alpha": 0.5},
+    "dirichlet0.1": {"kind": "dirichlet", "alpha": 0.1},
+}
 FRACTIONS = (0.2, 0.4)
 # Krum's f is each setting's attacker count, which ``runs`` sets.
 RULES = {

@@ -5,7 +5,8 @@
 ``rounds.csv`` plus ``summary.json``. Exit codes: 0 on success, 1 on
 configuration errors, 2 on runtime failures. The output directory resolves
 as ``--out``, then the config's ``output_dir``, then the ``CELTIBERO_OUT``
-environment variable, then ``./out``.
+environment variable, then ``./out``; it is created before the experiment
+runs, so a path that cannot be a directory fails at once.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
+from pathlib import Path
 
-from .config import parse_config
+from .config import config_from_dict, config_to_dict, parse_config
 from .errors import ConfigError
 from .orchestrator import run_experiment
 from .reports import emit_reports
@@ -56,15 +57,16 @@ def main(argv=None) -> int:
     )
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg = config_from_dict({**config_to_dict(cfg), "seed": args.seed})
     except ConfigError as exc:
         return _config_error(args.config, exc)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     out_dir = args.out or cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out"
     try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         result = run_experiment(cfg)
         csv_path, summary_path = emit_reports(result.reports, result.summary, out_dir)
     except ConfigError as exc:

@@ -46,7 +46,6 @@ from .errors import IdxFormatError, RoundError
 from .model import ModelWeights, diff
 from .training import (
     EvalResult,
-    NetworkArchitecture,
     TrainConfig,
     evaluate,
     init_model,
@@ -237,10 +236,7 @@ class Experiment:
         roster_order = derive_rng(master, "roster").permutation(cfg.clients)
         attackers = malicious_count(cfg.malicious_fraction, cfg.clients)
         self.malicious = frozenset(int(i) for i in roster_order[:attackers])
-        architecture = NetworkArchitecture(
-            layer_sizes=(train.d, *cfg.architecture.hidden, classes),
-            seed=derive_seed(master, "init"),
-        )
+        layer_sizes = (train.d, *cfg.architecture.hidden, classes)
         # The training matrix is laid out in client order, in place, and share
         # k views its client's block of rows, bounds[k]:bounds[k + 1]. One
         # reorder moves each row from where it was made straight to its
@@ -276,7 +272,7 @@ class Experiment:
             shares.append(share)
         features.flags.writeable = labels.flags.writeable = False
         self.shares = tuple(shares)
-        self.initial_model = init_model(architecture)
+        self.initial_model = init_model(layer_sizes, derive_seed(master, "init"))
 
     def _clean_reference(self) -> Experiment:
         """The no-attack federation of a reference-kind experiment, on this

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .model import ModelWeights
 
 __all__ = [
     "ACTIVATIONS",
-    "NetworkArchitecture",
     "TrainConfig",
     "EvalResult",
     "init_model",
@@ -30,24 +30,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("relu", "tanh")
-
-
-@dataclass(frozen=True)
-class NetworkArchitecture:
-    """Dense layer sizes from input to output, e.g. ``(20, 16, 4)``, and the
-    seed of their initialization. The hidden activation is not part of it:
-    each call that runs the network takes its own."""
-
-    layer_sizes: tuple[int, ...]
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
-        if len(sizes) < 3:
-            raise ValueError("architecture needs input, at least one hidden, and output sizes")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
 
 
 @dataclass(frozen=True)
@@ -77,13 +59,19 @@ class EvalResult:
     per_class: dict[int, float]
 
 
-def init_model(arch: NetworkArchitecture) -> ModelWeights:
-    """Deterministic initialization: each weight matrix is drawn uniformly
-    from ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]``, biases start at zero. Every
-    matrix and every bias registers as its own layer."""
-    rng = np.random.default_rng(arch.seed)
+def init_model(layer_sizes: Sequence[int], seed: int = 0) -> ModelWeights:
+    """Deterministic initialization of dense layers of ``layer_sizes`` from
+    input to output, e.g. ``(20, 16, 4)``: each weight matrix is drawn
+    uniformly from ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]`` by one generator
+    seeded with ``seed``, biases start at zero. Every matrix and every bias
+    registers as its own layer."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 3:
+        raise ValueError("architecture needs input, at least one hidden, and output sizes")
+    if any(s < 1 for s in sizes):
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
+    rng = np.random.default_rng(seed)
     shapes, draws = [], []
-    sizes = arch.layer_sizes
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         scale = 1.0 / math.sqrt(fan_in)
         draws.append(rng.uniform(-scale, scale, (fan_in, fan_out)).ravel())

@@ -106,6 +106,17 @@ class TestRunCommand:
         assert cli.main(["run", str(config), "--seed", "-1"]) == 1
         assert "top level.seed: must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_unmakeable_output_directory_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = write_config(tmp_path)
+        out = config / "sub"
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: ran.append(cfg))
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert ran == []
+
     def test_runtime_failure_exits_2(self, tmp_path, capsys):
         absent = str(tmp_path / "absent-idx")
         dataset = {

@@ -1,5 +1,7 @@
 """Two-cluster agglomerative detection against a pure-Python replay oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from celtibero import (
     LINKAGES,
     ClusterAssignment,
+    ClusterVerdict,
     DistanceMatrix,
     agglomerative_two_clusters,
     label_clusters,
@@ -330,6 +333,39 @@ class TestClusterScores:
                 assert score == pytest.approx(
                     k * mean_pairwise(m.entries, members.tolist()), abs=1e-12
                 )
+
+
+class TestClusterAssignment:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ClusterAssignment([1]), "assignment needs at least 2 clients"),
+            (lambda: ClusterAssignment([[1, 2], [2, 1]]), "assignment needs at least 2 clients"),
+            (lambda: ClusterAssignment([1, 2, 3]), "cluster labels must be 1 or 2"),
+            (lambda: ClusterAssignment([1, 0]), "cluster labels must be 1 or 2"),
+            (lambda: ClusterAssignment([2, 2, 2]), "both clusters must be nonempty"),
+            (lambda: ClusterAssignment([1, 2]).members(3), "cluster label must be 1 or 2, got 3"),
+        ],
+        ids=["one-client", "not-1-d", "label-3", "label-0", "empty-cluster-1", "members-of-3"],
+    )
+    def test_rejections(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+class TestClusterVerdict:
+    @pytest.mark.parametrize(
+        "benign, poisoned, message",
+        [
+            ((), (0, 1), "benign set must be nonempty"),
+            ((0,), (2,), "benign and poisoned sets must partition 0..n-1"),
+            ((0, 1), (1,), "benign and poisoned sets must partition 0..n-1"),
+        ],
+        ids=["empty-benign", "gap", "overlap"],
+    )
+    def test_rejections(self, benign, poisoned, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClusterVerdict(benign, poisoned, 0.0, 0.0)
 
 
 class TestLabelClusters:

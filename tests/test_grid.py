@@ -52,11 +52,14 @@ def tables(text, header):
 
 def test_two_cells_fill_both_tables(tmp_path):
     grid = load_grid()
-    assert len(grid.runs()) == 1800
+    assert len(grid.runs()) == 2700
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-1e150": grid.ATTACKS["mra-1e150"]}
+    partitions = {name: grid.PARTITIONS[name] for name in ("iid", "dirichlet0.5")}
     fractions = (0.2,)
-    configs = grid.runs(rules, attacks, seeds=(1, 2), rounds=3, fractions=fractions)
+    configs = grid.runs(
+        rules, attacks, seeds=(1, 2), rounds=3, partitions=partitions, fractions=fractions
+    )
     assert len(configs) == 8
     records = grid.run_all(configs, tmp_path, workers=1)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -70,7 +73,7 @@ def test_two_cells_fill_both_tables(tmp_path):
     )
     assert grid.run_all(configs, tmp_path, workers=1)[name]["final_mta"] == 0.5
 
-    cells = grid.cells(records, rules, attacks, (1, 2), fractions=fractions)
+    cells = grid.cells(records, rules, attacks, (1, 2), partitions, fractions)
     text = grid.render(cells)
     cell_tables = tables(text, grid._row(grid.CELL_COLUMNS))
     assert [heading for heading, _ in cell_tables] == [
@@ -111,7 +114,7 @@ def test_each_setting_carries_the_partition_fraction_and_f_its_name_says():
             assert "krum_f" not in raw["aggregator"]
     assert Counter(tuple(name.split("/")[:2]) for name in configs) == {
         (partition, fraction): 5 * 9 * 10
-        for partition in ("iid", "dirichlet0.5")
+        for partition in ("iid", "dirichlet0.5", "dirichlet0.1")
         for fraction in ("0.2", "0.4")
     }
     # One config of each setting and rule parses as its name says.

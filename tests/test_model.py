@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from celtibero import (
     ModelWeights,
-    NetworkArchitecture,
     ShapeMismatchError,
     TrainConfig,
     add_update,
@@ -100,8 +99,7 @@ class TestOwnedVectors:
 
     def test_results_are_read_only(self):
         rng = np.random.default_rng(31)
-        arch = NetworkArchitecture((4, 3, 2), seed=1)
-        base = init_model(arch)
+        base = init_model((4, 3, 2), seed=1)
         data = gen_synthetic(2, 12, 4, 3.0, rng)
         local = train_local(base, data, TrainConfig(0.1, 4, epochs=1))
         update = diff(local, base)
@@ -127,7 +125,7 @@ class TestOwnedVectors:
         assert vec.flags.writeable and not np.shares_memory(built.flat, vec)
         vec[0] = 9.0
         assert built.flat[0] == 1.0
-        base = init_model(NetworkArchitecture((4, 3, 2), seed=2))
+        base = init_model((4, 3, 2), seed=2)
         data = gen_synthetic(2, 12, 4, 3.0, np.random.default_rng(32))
         local = train_local(base, data, TrainConfig(0.1, 4, epochs=1))
         assert not np.shares_memory(local.flat, base.flat)

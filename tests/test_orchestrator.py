@@ -17,7 +17,6 @@ from celtibero import (
     FederationState,
     IdxFormatError,
     LabeledDataset,
-    NetworkArchitecture,
     RoundError,
     RoundReport,
     ShapeMismatchError,
@@ -297,7 +296,7 @@ class TestBackdoorSuccessRate:
             rng.uniform(size=(1400, 784)), rng.integers(0, 4, size=1400), 4
         )
         assert data.features.nbytes >= 8_000_000
-        model = init_model(NetworkArchitecture((784, 16, 4), seed=1))
+        model = init_model((784, 16, 4), seed=1)
         trigger = TriggerPattern((780, 781, 782, 783), (1.0, 1.0, 1.0, 1.0), 0)
         backdoor_success_rate(model, data, trigger)  # first, so lazy imports are not counted
         tracemalloc.start()

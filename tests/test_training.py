@@ -1,7 +1,7 @@
 """Network initialization, forward pass, gradients, local SGD, evaluation."""
 
 import math
-from dataclasses import replace
+import re
 from unittest import mock
 
 import numpy as np
@@ -13,7 +13,6 @@ from celtibero import (
     ACTIVATIONS,
     LabeledDataset,
     ModelWeights,
-    NetworkArchitecture,
     ShapeMismatchError,
     TrainConfig,
     evaluate,
@@ -34,18 +33,6 @@ def dense_model(*arrays):
     return ModelWeights([a.shape for a in arrays], np.concatenate([a.ravel() for a in arrays]))
 
 
-class TestNetworkArchitecture:
-    def test_valid(self):
-        arch = NetworkArchitecture((20, 16, 4), seed=3)
-        assert arch.layer_sizes == (20, 16, 4)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            NetworkArchitecture((20, 4))
-        with pytest.raises(ValueError):
-            NetworkArchitecture((20, 0, 4))
-
-
 class TestTrainConfig:
     def test_zero_learning_rate_allowed(self):
         assert TrainConfig(learning_rate=0.0, batch_size=8).learning_rate == 0.0
@@ -60,29 +47,44 @@ class TestTrainConfig:
 
 
 class TestInitModel:
+    def test_valid(self):
+        model = init_model([np.int64(20), 16.0, 4], seed=3)
+        assert model.shapes() == ((20, 16), (16,), (16, 4), (4,))
+        assert model == init_model((20, 16, 4), seed=3)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((20, 4), "architecture needs input, at least one hidden, and output sizes"),
+            ((20, 0, 4), "layer sizes must be positive, got (20, 0, 4)"),
+        ],
+    )
+    def test_rejections(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_model(sizes)
+
     def test_alternating_matrix_bias_shapes(self):
-        model = init_model(NetworkArchitecture((4, 3, 2)))
+        model = init_model((4, 3, 2))
         assert model.shapes() == ((4, 3), (3,), (3, 2), (2,))
 
     def test_biases_start_at_zero(self):
-        model = init_model(NetworkArchitecture((5, 4, 3)))
+        model = init_model((5, 4, 3))
         assert np.all(layers_of(model)[1] == 0.0)
         assert np.all(layers_of(model)[3] == 0.0)
 
     def test_weights_within_fan_in_bound(self):
-        model = init_model(NetworkArchitecture((4, 3, 2), seed=9))
+        model = init_model((4, 3, 2), seed=9)
         assert np.all(np.abs(layers_of(model)[0]) <= 1.0 / math.sqrt(4))
         assert np.all(np.abs(layers_of(model)[2]) <= 1.0 / math.sqrt(3))
 
     def test_deterministic_and_seed_sensitive(self):
-        arch = NetworkArchitecture((4, 3, 2), seed=5)
-        assert init_model(arch) == init_model(arch)
-        assert init_model(replace(arch, seed=6)) != init_model(arch)
+        assert init_model((4, 3, 2), seed=5) == init_model((4, 3, 2), seed=5)
+        assert init_model((4, 3, 2), seed=6) != init_model((4, 3, 2), seed=5)
 
 
 class TestForward:
     def test_probabilities_form_a_simplex(self):
-        model = init_model(NetworkArchitecture((6, 5, 3), seed=1))
+        model = init_model((6, 5, 3), seed=1)
         rng = np.random.default_rng(2)
         for activation in ("relu", "tanh"):
             probs = forward(model, rng.uniform(size=6), activation)
@@ -107,7 +109,7 @@ class TestForward:
         assert probs[0] == pytest.approx(1.0)
 
     def test_rejections(self):
-        model = init_model(NetworkArchitecture((4, 3, 2)))
+        model = init_model((4, 3, 2))
         with pytest.raises(ShapeMismatchError):
             forward(model, [0.1, 0.2, 0.3])
         lopsided = ModelWeights([(2, 2)], np.zeros(4))
@@ -117,7 +119,7 @@ class TestForward:
 
 class TestPredict:
     def test_matches_rowwise_forward(self):
-        model = init_model(NetworkArchitecture((5, 4, 3), seed=7))
+        model = init_model((5, 4, 3), seed=7)
         # 9000 rows run past the 8192-row blocks prediction was once split into.
         for rows in (20, 9000):
             X = np.random.default_rng(8).uniform(size=(rows, 5))
@@ -131,13 +133,13 @@ class TestPredict:
         assert np.array_equal(predict(model, np.full((5, 3), 0.5)), np.zeros(5))
 
     def test_rejects_non_batch_input(self):
-        model = init_model(NetworkArchitecture((3, 3, 2)))
+        model = init_model((3, 3, 2))
         with pytest.raises(ShapeMismatchError):
             predict(model, np.zeros(3))
 
     def test_rejects_unknown_activation(self):
         # The activation is an argument of each call that runs the network.
-        model = init_model(NetworkArchitecture((3, 3, 2)))
+        model = init_model((3, 3, 2))
         data = LabeledDataset(np.zeros((2, 3)), [0, 1], 2)
         with pytest.raises(ValueError, match="activation must be one of"):
             predict(model, data.features, "sigmoid")
@@ -147,8 +149,7 @@ class TestPredict:
 
 class TestLossAndGrad:
     def test_gradients_match_central_differences(self):
-        arch = NetworkArchitecture((2, 3, 2), seed=11)
-        model = init_model(arch)
+        model = init_model((2, 3, 2), seed=11)
         rng = np.random.default_rng(12)
         X = rng.uniform(size=(4, 2))
         y = rng.integers(0, 2, size=4)
@@ -181,7 +182,7 @@ class TestLossAndGrad:
         assert np.isfinite(grad.flat).all()
 
     def test_gradient_update_matches_model_layout(self):
-        model = init_model(NetworkArchitecture((3, 4, 2), seed=14))
+        model = init_model((3, 4, 2), seed=14)
         _, grad = loss_and_grad(model, np.full((2, 3), 0.5), [0, 1])
         assert grad.shapes() == model.shapes()
 
@@ -197,18 +198,18 @@ class TestTrainLocal:
         return gen_synthetic(3, n, 6, 3.0, np.random.default_rng(seed))
 
     def test_zero_learning_rate_is_identity(self):
-        model = init_model(NetworkArchitecture((6, 5, 3), seed=15))
+        model = init_model((6, 5, 3), seed=15)
         trained = train_local(model, self.make_data(), TrainConfig(0.0, 16))
         assert trained == model
 
     def test_bit_identical_retrain(self):
-        model = init_model(NetworkArchitecture((6, 5, 3), seed=16))
+        model = init_model((6, 5, 3), seed=16)
         cfg = TrainConfig(0.1, 16, epochs=2, seed=21)
         data = self.make_data(1)
         assert train_local(model, data, cfg) == train_local(model, data, cfg)
 
     def test_loss_decreases(self):
-        model = init_model(NetworkArchitecture((6, 5, 3), seed=17))
+        model = init_model((6, 5, 3), seed=17)
         data = self.make_data(2)
         trained = train_local(model, data, TrainConfig(0.1, 16, epochs=3))
         before, _ = loss_and_grad(model, data.features, data.labels)
@@ -216,25 +217,25 @@ class TestTrainLocal:
         assert after < before
 
     def test_oversized_batch_clamps_to_dataset(self):
-        model = init_model(NetworkArchitecture((6, 5, 3), seed=18))
+        model = init_model((6, 5, 3), seed=18)
         data = self.make_data(3, n=10)
         trained = train_local(model, data, TrainConfig(0.1, 1000, epochs=1))
         assert trained != model
 
     def test_accuracy_improves_on_separable_data(self):
-        model = init_model(NetworkArchitecture((6, 8, 3), seed=19))
+        model = init_model((6, 8, 3), seed=19)
         data = gen_synthetic(3, 600, 6, 4.0, np.random.default_rng(20))
         trained = train_local(model, data, TrainConfig(0.1, 32, epochs=10))
         assert evaluate(trained, data).accuracy >= 0.95
 
     def test_input_model_not_mutated(self):
-        model = init_model(NetworkArchitecture((6, 5, 3), seed=22))
+        model = init_model((6, 5, 3), seed=22)
         snapshot = [v.copy() for v in layers_of(model)]
         train_local(model, self.make_data(4), TrainConfig(0.1, 16))
         assert all(np.array_equal(v, s) for v, s in zip(layers_of(model), snapshot))
 
     def test_rejects_width_mismatch(self):
-        model = init_model(NetworkArchitecture((5, 4, 3)))
+        model = init_model((5, 4, 3))
         with pytest.raises(ShapeMismatchError):
             train_local(model, self.make_data(), TrainConfig(0.1, 16))
 
@@ -295,7 +296,7 @@ class TestPerLayerReference:
         if zero_features:
             features = np.zeros((n, width))
         data = LabeledDataset(features, rng.integers(0, classes, size=n), classes)
-        model = init_model(NetworkArchitecture((width, *hidden, classes), seed))
+        model = init_model((width, *hidden, classes), seed)
         cfg = TrainConfig(lr, batch, epochs, seed)
         # The share as an experiment holds it: a block of rows of a larger
         # training matrix.
@@ -337,7 +338,7 @@ class TestEvaluate:
         assert set(result.per_class) == {0, 1}
 
     def test_count_weighted_per_class_mean_equals_accuracy(self):
-        model = init_model(NetworkArchitecture((6, 5, 3), seed=23))
+        model = init_model((6, 5, 3), seed=23)
         data = gen_synthetic(3, 301, 6, 2.0, np.random.default_rng(24))
         result = evaluate(model, data)
         counts = np.bincount(data.labels, minlength=data.num_classes)
