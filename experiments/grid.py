@@ -4,14 +4,17 @@ tabulate the final MTA and ASR.
     python3 experiments/grid.py
 
 The grid is ``tools/identity_set.py``'s ``README_CONFIG``, README's quick
-start (4 classes, 20 clients, 30 rounds, full participation), in six
-settings, iid or Dirichlet alpha 0.5 or 0.1 shares with 20 % or 40 % attackers,
-under five rules (``fedavg``, ``coord_median``, ``krum`` and
-``median_krum`` with f set to the setting's attacker count, and
+start (4 classes, 20 clients, 30 rounds, full participation), in seven
+settings, the rows of ``SETTINGS``: each names the top-level keys it sets
+over that config. Six take iid or Dirichlet alpha 0.5 or 0.1 shares with
+20 % or 40 % attackers; the seventh takes MNIST's width (784 features, 10
+classes, one hidden layer of 64) on iid shares with 40 % attackers. Each
+runs five rules (``fedavg``, ``coord_median``, ``krum`` and
+``median_krum`` with f set to the run's attacker count, and
 ``celtibero``) against nine attacks from its ``ATTACKS`` table (``none``,
 ``ulfa``, ``tlfa`` 1 -> 0, ``dba``, ``mra`` at the README's boost 3, at
 boost 10, with no boost factor (the boost is then the 20 participants) and
-at boost 1e150, and ``neurotoxin``), at seeds 1-10: 2700 runs. A cell is
+at boost 1e150, and ``neurotoxin``), at seeds 1-10: 3150 runs. A cell is
 one rule against one attack in one setting; its seeds see the same data and
 roster under every rule, so rules are compared seed by seed. A run fails
 when its final ASR is at least ``FAIL_ASR`` or its final MTA at most
@@ -20,14 +23,16 @@ finite floats); each cell counts its failed seeds and gives the Wilson 95 %
 score interval of its failure rate (``wilson``).
 
 Each run is parsed by ``config_from_dict`` and writes one JSON file under
-``experiments/runs/``, which also lists the rounds whose clean reference
-accuracy (a label flip's ASR is its relative decay) was zero. A label
-flip's clean reference is the ``none`` run of its setting, rule and seed,
-so they run as one job: ``run_experiment`` runs the ``none`` federation
-once, and each label flip runs against its reports through
-``Experiment.run``. The 9 runs of a setting, rule and seed thus take 9
+``experiments/runs/``: its config, its final metrics and the rounds whose
+clean reference accuracy (a label flip's ASR is its relative decay) was
+zero. A label flip's clean reference is the ``none`` run of its setting,
+rule and seed, so they run as one job: ``run_experiment`` runs the
+``none`` federation once, and each label flip runs against its reports
+through ``Experiment.run``. The 9 runs of a setting, rule and seed thus take 9
 federations, where a label flip run alone takes two. A job whose run files
-all exist is not run again, so a stopped grid resumes where it stopped.
+all hold their runs' current configs is not run again, so a stopped grid
+resumes where it stopped, and an edit to the README config or to a setting
+runs the runs it changes again.
 The jobs go to a pool of at most 2 worker processes.
 Once every run is in, the script writes ``experiments/grid.json`` (each
 cell's values) and ``experiments/GRID.md`` (the tables).
@@ -78,20 +83,32 @@ def _identity_set():
 
 
 _IDENTITY_SET = _identity_set()
-# Each run adds its setting's partition and malicious fraction, its rule,
-# its attack and its seed.
+# Each run adds its setting's changes, its rule, its attack and its seed.
 BASE = {
     key: value
     for key, value in _IDENTITY_SET.README_CONFIG.items()
     if key not in ("partition", "malicious_fraction", "aggregator", "attack", "seed")
 }
-PARTITIONS = {
-    "iid": {"kind": "iid"},
-    "dirichlet0.5": {"kind": "dirichlet", "alpha": 0.5},
-    "dirichlet0.1": {"kind": "dirichlet", "alpha": 0.1},
+# Each setting by name, the prefix of its runs' names: the top-level keys it
+# sets over BASE, a partition and a malicious fraction among them.
+SETTINGS = {
+    f"{shares}/{fraction}": {"partition": partition, "malicious_fraction": fraction}
+    for shares, partition in (
+        ("iid", {"kind": "iid"}),
+        ("dirichlet0.5", {"kind": "dirichlet", "alpha": 0.5}),
+        ("dirichlet0.1", {"kind": "dirichlet", "alpha": 0.1}),
+    )
+    for fraction in (0.2, 0.4)
+} | {
+    # MNIST's width (784 features, 10 classes) under one hidden layer of 64.
+    "iid-784/0.4": {
+        "dataset": dict(BASE["dataset"], features=784, classes=10),
+        "architecture": {"hidden": [64]},
+        "partition": {"kind": "iid"},
+        "malicious_fraction": 0.4,
+    },
 }
-FRACTIONS = (0.2, 0.4)
-# Krum's f is each setting's attacker count, which ``runs`` sets.
+# Krum's f is each run's attacker count, which ``runs`` sets.
 RULES = {
     "fedavg": _IDENTITY_SET.AGGREGATORS["fedavg"],
     "coord_median": _IDENTITY_SET.AGGREGATORS["coord_median"],
@@ -123,41 +140,25 @@ CELL_COLUMNS = ("rule", "attack", "MTA median", "MTA worst", "ASR median", "ASR 
 WIN_COLUMNS = ("rule", "attack", "MTA W-T-L", "ASR W-T-L")
 
 
-def settings(partitions=PARTITIONS, fractions=FRACTIONS) -> list[tuple[str, float]]:
-    """Every (partition name, malicious fraction) pair, partitions outermost."""
-    return [(partition, fraction) for partition in partitions for fraction in fractions]
-
-
 def runs(
-    rules=RULES,
-    attacks=ATTACKS,
-    seeds=SEEDS,
-    rounds=None,
-    partitions=PARTITIONS,
-    fractions=FRACTIONS,
+    rules=RULES, attacks=ATTACKS, seeds=SEEDS, rounds=None, settings=SETTINGS
 ) -> dict[str, dict]:
-    """Each run's config by name, ``PARTITION/FRACTION/RULE/ATTACK/seedN``;
-    ``rounds``, if given, replaces the config's round count. A Krum rule's f
-    is the setting's attacker count."""
+    """Each run's config by name, ``SETTING/RULE/ATTACK/seedN``: BASE with
+    its setting's changes; ``rounds``, if given, replaces the round count. A
+    Krum rule's f is the run's attacker count."""
     out = {}
-    for partition, fraction in settings(partitions, fractions):
-        krum_f = malicious_count(fraction, BASE["clients"])
+    for setting, changes in settings.items():
+        config = dict(BASE, **changes)
+        krum_f = malicious_count(config["malicious_fraction"], config["clients"])
         for rule, aggregator in rules.items():
             if aggregator["kind"] in ("krum", "median_krum"):
                 aggregator = dict(aggregator, krum_f=krum_f)
             for attack, spec in attacks.items():
                 for seed in seeds:
-                    raw = dict(
-                        BASE,
-                        partition=partitions[partition],
-                        malicious_fraction=fraction,
-                        aggregator=aggregator,
-                        attack=spec,
-                        seed=seed,
-                    )
+                    raw = dict(config, aggregator=aggregator, attack=spec, seed=seed)
                     if rounds is not None:
                         raw["rounds"] = rounds
-                    out[f"{partition}/{fraction}/{rule}/{attack}/seed{seed}"] = raw
+                    out[f"{setting}/{rule}/{attack}/seed{seed}"] = raw
     return out
 
 
@@ -177,11 +178,12 @@ def _run_one(job: tuple[str, dict, str], reference_reports: tuple | None = None)
         else:
             reports = Experiment(cfg).run(reference_reports)
     except RoundError as exc:  # the global model left the finite floats
-        record, reports = {"run": name, "diverged": str(exc)}, None
+        record, reports = {"run": name, "config": raw, "diverged": str(exc)}, None
     else:
         decay = _DECAYS.get(cfg.attack.kind)  # only these kinds have a reference
         record = {
             "run": name,
+            "config": raw,
             "final_mta": reports[-1].mta,
             "final_asr": reports[-1].asr,
             "rounds_completed": len(reports),
@@ -226,17 +228,25 @@ def _jobs(configs: dict[str, dict]) -> list[list[str]]:
     return list(jobs.values())
 
 
+def _current(path: Path, raw: dict) -> bool:
+    """Whether ``path`` holds a run of the config ``raw``; a file of another
+    config, or of none, is stale."""
+    if not path.exists():
+        return False
+    return json.loads(path.read_text()).get("config") == json.loads(json.dumps(raw))
+
+
 def run_all(configs: dict[str, dict], run_dir: Path, workers: int = 2) -> dict[str, dict]:
     """Every run's record by name, running only the jobs (``_jobs``) with a
-    run that has no file in ``run_dir``: in this process with one worker,
-    else in a pool of two."""
+    run whose file in ``run_dir`` is missing or stale (``_current``): in this
+    process with one worker, else in a pool of two."""
     if workers not in (1, 2):
         raise ValueError(f"workers must be 1 or 2, got {workers}")
     paths = {name: run_dir / f"{name.replace('/', '__')}.json" for name in configs}
     jobs = [
         tuple((name, configs[name], str(paths[name])) for name in job)
         for job in _jobs(configs)
-        if not all(paths[name].exists() for name in job)
+        if not all(_current(paths[name], configs[name]) for name in job)
     ]
     run_dir.mkdir(parents=True, exist_ok=True)
     if workers == 1:
@@ -290,9 +300,7 @@ def _shown(value: float):
     return "diverged" if math.isinf(value) else value
 
 
-def cells(
-    records: dict[str, dict], rules, attacks, seeds, partitions=PARTITIONS, fractions=FRACTIONS
-) -> dict:
+def cells(records: dict[str, dict], rules, attacks, seeds, settings=SETTINGS) -> dict:
     """Each setting's cells and wins. A cell holds its per-seed values,
     median, worst seed, failed seeds and their Wilson interval; a win count
     pairs another rule with ``PAPER_RULE`` (which ``rules`` must hold) seed by
@@ -303,14 +311,12 @@ def cells(
     that diverged fails, ranks below every run that ended, and reads
     ``diverged`` wherever it is the median or the worst seed."""
     out = []
-    for partition, fraction in settings(partitions, fractions):
+    for setting, changes in settings.items():
         table = []
         by_cell = {}
         for rule in rules:
             for attack in attacks:
-                found = [
-                    records[f"{partition}/{fraction}/{rule}/{attack}/seed{seed}"] for seed in seeds
-                ]
+                found = [records[f"{setting}/{rule}/{attack}/seed{seed}"] for seed in seeds]
                 ended = [r for r in found if "diverged" not in r]
                 mta = _final(found, "final_mta", -math.inf)
                 asr = _final(found, "final_asr", math.inf)
@@ -343,17 +349,12 @@ def cells(
             if rule != PAPER_RULE
             for attack in attacks
         ]
-        out.append({
-            "partition": partition,
-            "malicious_fraction": fraction,
-            "cells": table,
-            "wins": wins,
-        })
+        out.append({"name": setting, "changes": changes, "cells": table, "wins": wins})
     return {
+        "base_config": BASE,
         "seeds": list(seeds),
         "fail_asr": FAIL_ASR,
         "fail_mta": FAIL_MTA,
-        "partitions": partitions,
         "rules": rules,
         "attacks": attacks,
         "settings": out,
@@ -366,6 +367,25 @@ def _row(values) -> str:
 
 def _number(value) -> str:
     return value if isinstance(value, str) else f"{value:.3f}"
+
+
+def _title(changes: dict, base: dict) -> str:
+    """A setting's section title: its shares and attackers, then each other
+    key it changes, a block's key by key."""
+    partition = changes["partition"]
+    shares = "iid" if partition["kind"] == "iid" else f"Dirichlet alpha {partition['alpha']}"
+    parts = [f"{shares} shares", f"{round(100 * changes['malicious_fraction'])} % attackers"]
+    for key, value in changes.items():
+        if key in ("partition", "malicious_fraction"):
+            continue
+        if isinstance(value, dict):
+            was = base.get(key, {})
+            parts += [
+                f"`{key}.{sub}: {json.dumps(v)}`" for sub, v in value.items() if was.get(sub) != v
+            ]
+        else:
+            parts.append(f"`{key}: {json.dumps(value)}`")
+    return ", ".join(parts)
 
 
 def render(grid: dict) -> str:
@@ -397,11 +417,9 @@ def render(grid: dict) -> str:
         "a median or worst seed that is such a run reads `diverged`.",
     ]
     for setting in grid["settings"]:
-        partition = grid["partitions"][setting["partition"]]
-        shares = "iid" if partition["kind"] == "iid" else f"Dirichlet alpha {partition['alpha']}"
         lines += [
             "",
-            f"## {shares} shares, {round(100 * setting['malicious_fraction'])} % attackers",
+            f"## {_title(setting['changes'], grid['base_config'])}",
             "",
             _row(CELL_COLUMNS),
             _row(["---"] * len(CELL_COLUMNS)),
@@ -438,7 +456,7 @@ def main(argv: list[str]) -> int:
     )
     parser.parse_args(argv)
     records = run_all(runs(), HERE / "runs")
-    grid = {"base_config": BASE, **cells(records, RULES, ATTACKS, SEEDS)}
+    grid = cells(records, RULES, ATTACKS, SEEDS)
     (HERE / "grid.json").write_text(json.dumps(grid, indent=1) + "\n")
     (HERE / "GRID.md").write_text(render(grid))
     return 0

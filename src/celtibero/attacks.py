@@ -134,8 +134,14 @@ def make_default_trigger(
     return TriggerPattern(positions, (_TRIGGER_VALUE,) * len(positions), target_class)
 
 
+# A count taken from a fraction forgives this much float error in the
+# product, so that a product the decimals make whole or half (0.145 * 100
+# is 14.499999999999998 in floats) counts as that number.
+_COUNT_TOLERANCE = 1e-9
+
+
 def _round_half_up(fraction: float, n: int) -> int:
-    return int(math.floor(fraction * n + 0.5))
+    return int(math.floor(fraction * n + 0.5 + _COUNT_TOLERANCE))
 
 
 def flip_labels_untargeted(
@@ -143,8 +149,6 @@ def flip_labels_untargeted(
 ) -> LabeledDataset:
     """Relabel a uniformly chosen ``fraction`` share of samples, each to a
     uniformly random *different* class."""
-    if data.num_classes < 2:
-        raise ValueError("untargeted flipping needs at least 2 classes")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     count = _round_half_up(fraction, data.n)
@@ -255,7 +259,8 @@ def neurotoxin_mask(
 ) -> ModelWeights:
     """Zero the update coordinates the aggregate moved most recently.
 
-    Per layer the ``ceil(mask_ratio * size)`` coordinates with the largest
+    Per layer the ``ceil(mask_ratio * size)`` coordinates (at least one,
+    with ``_COUNT_TOLERANCE`` forgiven in the product) with the largest
     ``|reference|`` magnitude are zeroed (magnitude ties go to the lower
     index); the rest pass through unchanged. Keeping the attack out of
     heavily-updated coordinates makes it harder for later rounds to
@@ -273,7 +278,7 @@ def neurotoxin_mask(
     magnitude = np.abs(reference.flat)
     for sl in update.slices():
         layer, mag = masked[sl], magnitude[sl]
-        count = math.ceil(mask_ratio * mag.size)
+        count = max(1, math.ceil(mask_ratio * mag.size - _COUNT_TOLERANCE))
         floor = np.partition(mag, mag.size - count)[mag.size - count]
         above = mag > floor
         layer[above] = 0.0

@@ -69,8 +69,6 @@ def main(argv=None) -> int:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         result = run_experiment(cfg)
         csv_path, summary_path = emit_reports(result.reports, result.summary, out_dir)
-    except ConfigError as exc:
-        return _config_error(args.config, exc)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {exc}", file=sys.stderr)
         return 2

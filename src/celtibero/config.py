@@ -26,7 +26,13 @@ from pathlib import Path
 import yaml
 
 from .aggregators import AGGREGATOR_NAMES
-from .attacks import ATTACK_KINDS, TriggerPattern, _round_half_up, make_default_trigger
+from .attacks import (
+    _COUNT_TOLERANCE,
+    ATTACK_KINDS,
+    TriggerPattern,
+    _round_half_up,
+    make_default_trigger,
+)
 from .clustering import LINKAGES
 from .data import _MNIST_CLASSES, _MNIST_FEATURES, _MNIST_SIDE
 from .errors import ConfigError
@@ -172,9 +178,9 @@ class ExperimentConfig:
 
 def malicious_count(fraction: float, clients: int) -> int:
     """Number of malicious clients among ``clients`` at ``fraction``:
-    floor(fraction * clients), with a small epsilon so exact products are
-    not lost to float representation."""
-    return int(math.floor(fraction * clients + 1e-9))
+    floor(fraction * clients), with ``_COUNT_TOLERANCE`` so exact products
+    are not lost to float representation."""
+    return int(math.floor(fraction * clients + _COUNT_TOLERANCE))
 
 
 def _participant_count(fraction: float, clients: int) -> int:

@@ -215,23 +215,30 @@ def sorted_median(values):
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
+def mask_count(mask_ratio, size):
+    """Entries a mask of the given ratio zeroes in a layer of ``size``:
+    ceil(ratio * size), forgiving 1e-9 of float error in the product (0.07
+    of 100 is 7, though 0.07 * 100 is 7.000000000000001), and at least 1."""
+    return max(1, math.ceil(mask_ratio * size - 1e-9))
+
+
 def top_mask_indices(reference, mask_ratio):
-    """Indices a mask of the given ratio must zero: the ceil(ratio * size)
+    """Indices a mask of the given ratio must zero: the ``mask_count``
     coordinates with the largest |reference|, magnitude ties favouring the
     lower index."""
     size = len(reference)
-    count = math.ceil(mask_ratio * size)
+    count = mask_count(mask_ratio, size)
     order = sorted(range(size), key=lambda i: (-abs(reference[i]), i))
     return set(order[:count])
 
 
 def argsort_neurotoxin_mask(update, reference, mask_ratio):
     """Argsort reference for ``neurotoxin_mask``: per layer, zero the first
-    ``ceil(mask_ratio * size)`` entries of a stable argsort of
-    ``-|reference|``. Returns the masked flat vector."""
+    ``mask_count`` entries of a stable argsort of ``-|reference|``. Returns
+    the masked flat vector."""
     masked = update.flat.copy()
     for dims, sl in zip(update.shapes(), update.slices()):
-        count = math.ceil(mask_ratio * math.prod(dims))
+        count = mask_count(mask_ratio, math.prod(dims))
         order = np.argsort(-np.abs(reference.flat[sl]), kind="stable")
         masked[sl][order[:count]] = 0.0
     return masked

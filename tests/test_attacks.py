@@ -1,6 +1,7 @@
 """Label flipping, backdoor triggers, update boosting, and masked updates."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -117,9 +118,14 @@ class TestMakeDefaultTrigger:
 
 class TestFlipLabelsUntargeted:
     def test_flip_count_rounds_half_up(self):
-        data = make_dataset(n=10)
         rng = np.random.default_rng(7)
-        for fraction, count in ((0.25, 3), (0.24, 2), (0.05, 1), (1.0, 10)):
+        # The last three products lie just below their halves in floats:
+        # 0.145 * 100 is 14.499999999999998.
+        for n, fraction, count in (
+            (10, 0.25, 3), (10, 0.24, 2), (10, 0.05, 1), (10, 1.0, 10),
+            (100, 0.145, 15), (100, 0.285, 29), (50, 0.29, 15),
+        ):
+            data = make_dataset(n=n)
             flipped = flip_labels_untargeted(data, fraction, rng)
             assert int(np.sum(flipped.labels != data.labels)) == count
 
@@ -202,6 +208,14 @@ class TestEmbedTrigger:
         changed = np.any(poisoned.features != data.features, axis=1)
         assert int(changed.sum()) == 10
 
+    @pytest.mark.parametrize(
+        "n, fraction, count", [(100, 0.145, 15), (100, 0.285, 29), (50, 0.29, 15)]
+    )
+    def test_a_decimal_half_rounds_up(self, n, fraction, count):
+        data = make_dataset(n=n, d=6, seed=7)
+        poisoned = embed_trigger(data, self.trigger, fraction, np.random.default_rng(9))
+        assert int(np.any(poisoned.features != data.features, axis=1).sum()) == count
+
     def test_zero_fraction_returns_input(self):
         data = make_dataset()
         assert embed_trigger(data, self.trigger, 0.0) is data
@@ -216,6 +230,12 @@ class TestEmbedTrigger:
         before = data.features.copy()
         embed_trigger(data, self.trigger, 1.0)
         assert np.array_equal(data.features, before)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, np.nan])
+    def test_rejects_a_fraction_outside_the_unit_interval(self, fraction):
+        message = f"fraction must lie in [0, 1], got {fraction}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            embed_trigger(make_dataset(), self.trigger, fraction, np.random.default_rng(0))
 
     def test_rejections(self):
         data = make_dataset(d=4)
@@ -401,6 +421,20 @@ class TestNeurotoxinMask:
         masked = neurotoxin_mask(make_weights(*vecs), make_weights(*refs), 0.3)
         assert int(np.sum(layers_of(masked)[0] == 0.0)) == 3  # ceil(0.3 * 10)
         assert int(np.sum(layers_of(masked)[1] == 0.0)) == 3  # ceil(0.3 * 7)
+
+    @pytest.mark.parametrize("ratio, count", [(0.07, 7), (0.55, 55), (0.3, 30)])
+    def test_an_exact_decimal_count_is_not_rounded_up(self, ratio, count):
+        # 0.07 * 100 is 7.000000000000001 and 0.55 * 100 is 55.00000000000001.
+        rng = np.random.default_rng(97)
+        vec, ref = rng.uniform(0.5, 1.0, size=100), rng.normal(size=100)
+        masked = neurotoxin_mask(make_weights(vec), make_weights(ref), ratio)
+        assert int(np.sum(layers_of(masked)[0] == 0.0)) == count
+        assert len(top_mask_indices(ref.tolist(), ratio)) == count
+
+    @pytest.mark.parametrize("ratio", [5e-324, 1e-12, 0.001])
+    def test_any_ratio_masks_at_least_one_entry(self, ratio):
+        masked = neurotoxin_mask(make_weights([2.0, 3.0]), make_weights([1.0, -4.0]), ratio)
+        assert layers_of(masked)[0].tolist() == [2.0, 0.0]
 
     def test_layerwise_independence(self):
         vec = np.ones(4)

@@ -92,6 +92,19 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="must be finite"):
             DistanceMatrix(entries)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (np.zeros((2, 3)), "distance matrix must be square, got shape (2, 3)"),
+            (np.zeros(4), "distance matrix must be square, got shape (4,)"),
+            (np.zeros((0, 0)), "distance matrix must cover at least one client"),
+        ],
+        ids=["non-square", "1-d", "empty"],
+    )
+    def test_rejects_a_non_square_or_empty_matrix(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DistanceMatrix(entries)
+
     def test_entries_read_only(self):
         m = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
@@ -261,6 +274,10 @@ class TestAgglomerativeTwoClusters:
         with pytest.raises(ValueError):
             agglomerative_two_clusters(m, linkage="ward")
 
+    def test_rejects_a_single_client(self):
+        with pytest.raises(ValueError, match="^clustering requires at least 2 clients$"):
+            agglomerative_two_clusters(DistanceMatrix(np.zeros((1, 1))))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_permutation_invariance_on_distinct_values(self, seed):
@@ -401,6 +418,12 @@ class TestLabelClusters:
         assert verdict.score_1 == verdict.score_2
         assert sorted(verdict.poisoned) == sorted(assignment.members(2).tolist())
         assert 0 in verdict.benign
+
+    def test_rejects_an_assignment_of_another_size(self):
+        m = random_matrix(np.random.default_rng(41), 4)
+        assignment = ClusterAssignment(np.array([1, 2, 2]))
+        with pytest.raises(ValueError, match="^assignment covers 3 clients, matrix has 4$"):
+            label_clusters(m, assignment)
 
     def test_verdict_partitions_everyone(self):
         rng = np.random.default_rng(37)

@@ -20,7 +20,7 @@ from celtibero import (
     run_experiment,
 )
 from celtibero.attacks import _MODEL_RULES
-from celtibero.config import _keys
+from celtibero.config import _keys, _participant_count
 
 INF = float("inf")
 
@@ -669,6 +669,10 @@ class TestMaliciousCount:
 
     def test_exact_products_not_lost_to_float_representation(self):
         assert malicious_count(0.3, 10) == 3
+
+    def test_participants_round_a_decimal_half_up(self):
+        # 0.145 * 100 is 14.499999999999998 in floats.
+        assert _participant_count(0.145, 100) == 15
 
 
 class TestParseConfig:

@@ -1,11 +1,11 @@
 """Tests of ``experiments/grid.py``: a smoke test of two cells in two
-settings cut to 3 rounds, run in this process and tabulated; the partition,
-attacker fraction and Krum f each run's name says; the zero-reference rounds
-a run records and the undefined cells they make; label flips that take the
-no-attack run as their reference, in this process and in a pool of two;
-failure counts and their Wilson intervals; runs that diverge; and that the
-committed ``grid.json`` and ``GRID.md`` are those of the grid's current
-tables and README config."""
+settings cut to 3 rounds, run in this process and tabulated; the setting's
+changes and the Krum f each run's name says; run files of another config
+run again; the zero-reference rounds a run records and the undefined cells
+they make; label flips that take the no-attack run as their reference, in
+this process and in a pool of two; failure counts and their Wilson
+intervals; runs that diverge; and that the committed ``grid.json`` and
+``GRID.md`` are those of the grid's current tables and README config."""
 
 import importlib.util
 import json
@@ -52,14 +52,11 @@ def tables(text, header):
 
 def test_two_cells_fill_both_tables(tmp_path):
     grid = load_grid()
-    assert len(grid.runs()) == 2700
+    assert len(grid.runs()) == 3150
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-1e150": grid.ATTACKS["mra-1e150"]}
-    partitions = {name: grid.PARTITIONS[name] for name in ("iid", "dirichlet0.5")}
-    fractions = (0.2,)
-    configs = grid.runs(
-        rules, attacks, seeds=(1, 2), rounds=3, partitions=partitions, fractions=fractions
-    )
+    settings = {name: grid.SETTINGS[name] for name in ("iid/0.2", "dirichlet0.5/0.2")}
+    configs = grid.runs(rules, attacks, seeds=(1, 2), rounds=3, settings=settings)
     assert len(configs) == 8
     records = grid.run_all(configs, tmp_path, workers=1)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -73,7 +70,7 @@ def test_two_cells_fill_both_tables(tmp_path):
     )
     assert grid.run_all(configs, tmp_path, workers=1)[name]["final_mta"] == 0.5
 
-    cells = grid.cells(records, rules, attacks, (1, 2), partitions, fractions)
+    cells = grid.cells(records, rules, attacks, (1, 2), settings)
     text = grid.render(cells)
     cell_tables = tables(text, grid._row(grid.CELL_COLUMNS))
     assert [heading for heading, _ in cell_tables] == [
@@ -83,7 +80,7 @@ def test_two_cells_fill_both_tables(tmp_path):
     for (_, rows), setting in zip(cell_tables, cells["settings"]):
         assert [row[:2] for row in rows] == [["fedavg", "mra-1e150"], ["celtibero", "mra-1e150"]]
         for row, cell in zip(rows, setting["cells"]):
-            prefix = f"{setting['partition']}/0.2/{cell['rule']}/mra-1e150"
+            prefix = f"{setting['name']}/{cell['rule']}/mra-1e150"
             found = [records[f"{prefix}/seed{s}"] for s in (1, 2)]
             assert cell["mta_worst"] == min(r["final_mta"] for r in found)
             assert all(0.0 <= float(value) <= 1.0 for value in row[2:6])
@@ -99,34 +96,63 @@ def test_two_cells_fill_both_tables(tmp_path):
             assert sum(int(count) for count in record.split("-")) == 2
 
 
-def test_each_setting_carries_the_partition_fraction_and_f_its_name_says():
+def test_each_run_is_the_readme_config_under_its_setting_and_its_attackers_f():
     grid = load_grid()
+    assert list(grid.SETTINGS) == [
+        "iid/0.2", "iid/0.4", "dirichlet0.5/0.2", "dirichlet0.5/0.4",
+        "dirichlet0.1/0.2", "dirichlet0.1/0.4", "iid-784/0.4",
+    ]
     configs = grid.runs()
     for name, raw in configs.items():
-        partition, fraction, rule, _, _ = name.split("/")
-        assert raw["partition"] == grid.PARTITIONS[partition]
-        assert raw["malicious_fraction"] == float(fraction)
+        setting, rule, _, _ = name.rsplit("/", 3)
+        config = {k: v for k, v in raw.items() if k not in ("aggregator", "attack", "seed")}
+        assert config == dict(grid.BASE, **grid.SETTINGS[setting])
         assert raw["aggregator"]["kind"] == grid.RULES[rule]["kind"]
         if rule in ("krum", "median_krum"):
-            assert raw["aggregator"]["krum_f"] == malicious_count(float(fraction), raw["clients"])
-            assert raw["aggregator"]["krum_f"] == {"0.2": 4, "0.4": 8}[fraction]
+            f = malicious_count(raw["malicious_fraction"], raw["clients"])
+            assert raw["aggregator"]["krum_f"] == f == {0.2: 4, 0.4: 8}[raw["malicious_fraction"]]
         else:
             assert "krum_f" not in raw["aggregator"]
-    assert Counter(tuple(name.split("/")[:2]) for name in configs) == {
-        (partition, fraction): 5 * 9 * 10
-        for partition in ("iid", "dirichlet0.5", "dirichlet0.1")
-        for fraction in ("0.2", "0.4")
+    assert Counter(name.rsplit("/", 3)[0] for name in configs) == {
+        setting: 5 * 9 * 10 for setting in grid.SETTINGS
     }
-    # One config of each setting and rule parses as its name says.
+    # One config of each setting and rule parses as its setting says.
     for name in configs:
-        partition, fraction, rule, attack, seed = name.split("/")
+        setting, rule, attack, seed = name.rsplit("/", 3)
         if attack != "dba" or seed != "seed1":
             continue
         cfg = config_from_dict(configs[name])
-        assert cfg.partition.kind == grid.PARTITIONS[partition]["kind"]
-        assert cfg.malicious_fraction == float(fraction)
+        changes = grid.SETTINGS[setting]
+        assert cfg.partition.kind == changes["partition"]["kind"]
+        assert cfg.malicious_fraction == changes["malicious_fraction"]
+        width = (784, 10, (64,)) if setting == "iid-784/0.4" else (20, 4, (16,))
+        assert (cfg.dataset.features, cfg.dataset.classes, cfg.architecture.hidden) == width
         if rule in ("krum", "median_krum"):
-            assert cfg.aggregator.krum_f == malicious_count(float(fraction), cfg.clients)
+            assert cfg.aggregator.krum_f == malicious_count(cfg.malicious_fraction, cfg.clients)
+
+
+def test_a_run_file_of_another_config_is_run_again(tmp_path):
+    grid = load_grid()
+    rules = {"fedavg": grid.RULES["fedavg"]}
+    attacks = {"mra-3": grid.ATTACKS["mra-3"]}
+    settings = {"iid/0.2": grid.SETTINGS["iid/0.2"]}
+    configs = grid.runs(rules, attacks, (1, 2), 2, settings)
+    records = grid.run_all(configs, tmp_path, workers=1)
+    for name, raw in configs.items():
+        assert records[name]["config"] == json.loads(json.dumps(raw))
+    # A file with its run's config is read back; one with no config runs again.
+    paths = [tmp_path / f"iid__0.2__fedavg__mra-3__seed{seed}.json" for seed in (1, 2)]
+    for path, keep in zip(paths, (True, False)):
+        record = dict(json.loads(path.read_text()), final_mta=-1.0)
+        if not keep:
+            del record["config"]
+        path.write_text(json.dumps(record))
+    again = grid.run_all(configs, tmp_path, workers=1)
+    assert again["iid/0.2/fedavg/mra-3/seed1"]["final_mta"] == -1.0
+    assert again["iid/0.2/fedavg/mra-3/seed2"] == records["iid/0.2/fedavg/mra-3/seed2"]
+    # A changed config runs every run again.
+    longer = grid.runs(rules, attacks, (1, 2), 3, settings)
+    assert all(r["rounds_completed"] == 3 for r in grid.run_all(longer, tmp_path, 1).values())
 
 
 def test_a_run_records_its_zero_reference_rounds(tmp_path):
@@ -150,8 +176,8 @@ def test_label_flips_run_against_the_no_attack_run(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "grid", grid)
     rules = {name: grid.RULES[name] for name in ("fedavg", "median_krum")}
     attacks = {name: grid.ATTACKS[name] for name in ("none", "ulfa", "tlfa")}
-    partitions = {"dirichlet0.5": grid.PARTITIONS["dirichlet0.5"]}
-    configs = grid.runs(rules, attacks, (1, 2), 3, partitions, fractions=(0.4,))
+    settings = {"dirichlet0.5/0.4": grid.SETTINGS["dirichlet0.5/0.4"]}
+    configs = grid.runs(rules, attacks, (1, 2), 3, settings)
     assert len(configs) == 12
     jobs = grid._jobs(configs)
     assert len(jobs) == 4
@@ -199,7 +225,7 @@ def test_undefined_label_flip_cells_show_no_number():
             "celtibero/tlfa/seed2": record(0.9, 0.1, []),
         }.items()
     }
-    cells = grid.cells(records, rules, attacks, (1, 2), {"iid": grid.PARTITIONS["iid"]}, (0.4,))
+    cells = grid.cells(records, rules, attacks, (1, 2), {"iid/0.4": grid.SETTINGS["iid/0.4"]})
     by_cell = {(c["rule"], c["attack"]): c for c in cells["settings"][0]["cells"]}
     assert by_cell["celtibero", "tlfa"]["asr_median"] is None
     assert by_cell["celtibero", "tlfa"]["zero_reference_rounds"] == 3
@@ -247,7 +273,7 @@ def test_a_run_fails_at_either_threshold():
         for attack, found in by_attack.items()
         for seed in seeds
     }
-    cells = grid.cells(records, rules, attacks, seeds, {"iid": grid.PARTITIONS["iid"]}, (0.2,))
+    cells = grid.cells(records, rules, attacks, seeds, {"iid/0.2": grid.SETTINGS["iid/0.2"]})
     failures = {c["attack"]: c["failures"] for c in cells["settings"][0]["cells"]}
     assert failures == {"none": 2, "mra-3": 3, "ulfa": 1}
     ((_, rows),) = tables(grid.render(cells), grid._row(grid.CELL_COLUMNS))
@@ -267,7 +293,7 @@ def test_a_diverged_run_fails_and_ranks_below_every_run_that_ended(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         grid._run_one(("run", raw, str(path)))
     diverged = json.loads(path.read_text())
-    assert list(diverged) == ["run", "diverged"]
+    assert list(diverged) == ["run", "config", "diverged"]
     assert diverged["diverged"].startswith("round 0: client ")
 
     def record(mta, asr):
@@ -289,7 +315,8 @@ def test_a_diverged_run_fails_and_ranks_below_every_run_that_ended(tmp_path):
     }
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-3": grid.ATTACKS["mra-3"]}
-    cells = grid.cells(records, rules, attacks, (1, 2, 3), {"iid": grid.PARTITIONS["iid"]}, (0.2,))
+    settings = {"iid/0.2": grid.SETTINGS["iid/0.2"]}
+    cells = grid.cells(records, rules, attacks, (1, 2, 3), settings)
     fedavg, celtibero = cells["settings"][0]["cells"]
     assert fedavg["mta_by_seed"] == ["diverged", 0.9, "diverged"]
     assert celtibero["asr_by_seed"] == ["diverged", 0.2, 0.0]
@@ -327,10 +354,16 @@ def test_committed_grid_is_current():
         "seeds": grid.SEEDS,
         "fail_asr": grid.FAIL_ASR,
         "fail_mta": grid.FAIL_MTA,
-        "partitions": grid.PARTITIONS,
         "rules": grid.RULES,
         "attacks": grid.ATTACKS,
     }
     assert {key: stored[key] for key in ours} == json.loads(json.dumps(ours))
-    assert [(s["partition"], s["malicious_fraction"]) for s in stored["settings"]] == grid.settings()
-    assert (REPO / "experiments" / "GRID.md").read_text() == grid.render(stored)
+    settings = [[s["name"], s["changes"]] for s in stored["settings"]]
+    assert settings == json.loads(json.dumps(list(grid.SETTINGS.items())))
+    text = (REPO / "experiments" / "GRID.md").read_text()
+    assert text == grid.render(stored)
+    assert [heading for heading, _ in tables(text, grid._row(grid.CELL_COLUMNS))][-2:] == [
+        "## Dirichlet alpha 0.1 shares, 40 % attackers",
+        "## iid shares, 40 % attackers, `dataset.classes: 10`, `dataset.features: 784`, "
+        "`architecture.hidden: [64]`",
+    ]

@@ -362,6 +362,15 @@ class TestExperiment:
         with pytest.raises(RoundError, match="round 0: ulfa needs the matching reference round"):
             Experiment(cfg).run()
 
+    def test_a_failed_aggregation_is_a_round_error(self, monkeypatch):
+        def failing(*args):
+            raise ValueError("no majority")
+
+        monkeypatch.setattr(orchestrator, "aggregate", failing)
+        message = "round 0: aggregation failed with 6 participants: no majority"
+        with pytest.raises(RoundError, match=f"^{re.escape(message)}$"):
+            Experiment(tiny_config()).run()
+
     @pytest.mark.parametrize(
         "kind, name", [(kind, name) for kind, names in ROW_FUNCTIONS.items() for name in names]
     )

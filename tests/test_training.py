@@ -137,6 +137,17 @@ class TestPredict:
         with pytest.raises(ShapeMismatchError):
             predict(model, np.zeros(3))
 
+    def test_rejects_a_batch_of_another_width(self):
+        model = init_model((3, 3, 2))
+        with pytest.raises(ShapeMismatchError, match="^feature width 4, model expects 3$"):
+            predict(model, np.zeros((2, 4)))
+
+    def test_rejects_a_bias_that_does_not_match_its_matrix(self):
+        model = ModelWeights([(3, 4), (5,)], np.zeros(17))
+        message = "layers 0,1: expected a matrix followed by its bias, got dims (3, 4) and (5,)"
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+            predict(model, np.zeros((2, 3)))
+
     def test_rejects_unknown_activation(self):
         # The activation is an argument of each call that runs the network.
         model = init_model((3, 3, 2))
