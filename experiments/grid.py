@@ -4,17 +4,17 @@ tabulate the final MTA and ASR.
     python3 experiments/grid.py
 
 The grid is ``tools/identity_set.py``'s ``README_CONFIG``, README's quick
-start (4 classes, 20 clients, 30 rounds, full participation), in seven
+start (4 classes, 20 clients, 30 rounds, full participation), in eight
 settings, the rows of ``SETTINGS``: each names the top-level keys it sets
 over that config. Six take iid or Dirichlet alpha 0.5 or 0.1 shares with
-20 % or 40 % attackers; the seventh takes MNIST's width (784 features, 10
-classes, one hidden layer of 64) on iid shares with 40 % attackers. Each
-runs five rules (``fedavg``, ``coord_median``, ``krum`` and
-``median_krum`` with f set to the run's attacker count, and
+20 % or 40 % attackers; the last two take MNIST's width (784 features, 10
+classes, one hidden layer of 64) on iid or Dirichlet alpha 0.5 shares with
+40 % attackers. Each runs five rules (``fedavg``, ``coord_median``,
+``krum`` and ``median_krum`` with f set to the run's attacker count, and
 ``celtibero``) against nine attacks from its ``ATTACKS`` table (``none``,
 ``ulfa``, ``tlfa`` 1 -> 0, ``dba``, ``mra`` at the README's boost 3, at
 boost 10, with no boost factor (the boost is then the 20 participants) and
-at boost 1e150, and ``neurotoxin``), at seeds 1-10: 3150 runs. A cell is
+at boost 1e150, and ``neurotoxin``), at seeds 1-10: 3600 runs. A cell is
 one rule against one attack in one setting; its seeds see the same data and
 roster under every rule, so rules are compared seed by seed. A run fails
 when its final ASR is at least ``FAIL_ASR`` or its final MTA at most
@@ -89,24 +89,25 @@ BASE = {
     for key, value in _IDENTITY_SET.README_CONFIG.items()
     if key not in ("partition", "malicious_fraction", "aggregator", "attack", "seed")
 }
+_SHARES = {
+    "iid": {"kind": "iid"},
+    "dirichlet0.5": {"kind": "dirichlet", "alpha": 0.5},
+    "dirichlet0.1": {"kind": "dirichlet", "alpha": 0.1},
+}
+# MNIST's width (784 features, 10 classes) under one hidden layer of 64.
+_MNIST_WIDTH = {
+    "dataset": dict(BASE["dataset"], features=784, classes=10),
+    "architecture": {"hidden": [64]},
+}
 # Each setting by name, the prefix of its runs' names: the top-level keys it
 # sets over BASE, a partition and a malicious fraction among them.
 SETTINGS = {
     f"{shares}/{fraction}": {"partition": partition, "malicious_fraction": fraction}
-    for shares, partition in (
-        ("iid", {"kind": "iid"}),
-        ("dirichlet0.5", {"kind": "dirichlet", "alpha": 0.5}),
-        ("dirichlet0.1", {"kind": "dirichlet", "alpha": 0.1}),
-    )
+    for shares, partition in _SHARES.items()
     for fraction in (0.2, 0.4)
 } | {
-    # MNIST's width (784 features, 10 classes) under one hidden layer of 64.
-    "iid-784/0.4": {
-        "dataset": dict(BASE["dataset"], features=784, classes=10),
-        "architecture": {"hidden": [64]},
-        "partition": {"kind": "iid"},
-        "malicious_fraction": 0.4,
-    },
+    f"{shares}-784/0.4": dict(_MNIST_WIDTH, partition=_SHARES[shares], malicious_fraction=0.4)
+    for shares in ("iid", "dirichlet0.5")
 }
 # Krum's f is each run's attacker count, which ``runs`` sets.
 RULES = {

@@ -65,34 +65,23 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Partition of client indices 0..n-1 into clusters labeled 1 and 2."""
+    """Labels 1 and 2 of client indices 0..n-1 as an int array; unchecked:
+    ``label_clusters`` checks the assignment it is handed."""
 
     cluster_of: np.ndarray
-
-    def __post_init__(self) -> None:
-        labels = np.array(self.cluster_of, dtype=np.int64, copy=True)
-        if labels.ndim != 1 or labels.size < 2:
-            raise ValueError("assignment needs at least 2 clients")
-        if not np.all(np.isin(labels, (1, 2))):
-            raise ValueError("cluster labels must be 1 or 2")
-        if not (np.any(labels == 1) and np.any(labels == 2)):
-            raise ValueError("both clusters must be nonempty")
-        labels.flags.writeable = False
-        object.__setattr__(self, "cluster_of", labels)
 
     @property
     def n(self) -> int:
         return self.cluster_of.size
 
     def members(self, label: int) -> np.ndarray:
-        if label not in (1, 2):
-            raise ValueError(f"cluster label must be 1 or 2, got {label}")
         return np.flatnonzero(self.cluster_of == label)
 
 
 @dataclass(frozen=True)
 class ClusterVerdict:
-    """Outcome of scoring one layer's two clusters.
+    """Outcome of scoring one layer's two clusters: ``benign`` and
+    ``poisoned`` partition 0..n-1 as sorted tuples of ints.
 
     ``benign`` is never empty: exactly one cluster is discarded, so at least
     one client survives every layer.
@@ -102,17 +91,6 @@ class ClusterVerdict:
     poisoned: tuple[int, ...]
     score_1: float
     score_2: float
-
-    def __post_init__(self) -> None:
-        benign = tuple(int(i) for i in self.benign)
-        poisoned = tuple(int(i) for i in self.poisoned)
-        object.__setattr__(self, "benign", benign)
-        object.__setattr__(self, "poisoned", poisoned)
-        if not benign:
-            raise ValueError("benign set must be nonempty")
-        n = len(benign) + len(poisoned)
-        if sorted(benign + poisoned) != list(range(n)):
-            raise ValueError("benign and poisoned sets must partition 0..n-1")
 
 
 # Rows of the distance matrix that one batched ``_dots`` call fills.
@@ -243,13 +221,21 @@ def label_clusters(matrix: DistanceMatrix, assignment: ClusterAssignment) -> Clu
 
     A cluster's density is the mean pairwise distance between its members;
     a singleton's is 0. A strictly smaller score for cluster 1 marks it
-    poisoned; otherwise (including exact ties) cluster 2 is poisoned.
+    poisoned; otherwise (including exact ties) cluster 2 is poisoned. The
+    assignment must hold one label, 1 or 2, per client of ``matrix``, and
+    both labels.
     """
+    if assignment.cluster_of.ndim != 1:
+        raise ValueError(f"assignment must be 1-D, got shape {assignment.cluster_of.shape}")
     if assignment.n != matrix.n:
         raise ValueError(
             f"assignment covers {assignment.n} clients, matrix has {matrix.n}"
         )
     clusters = assignment.members(1), assignment.members(2)
+    if clusters[0].size + clusters[1].size != matrix.n:
+        raise ValueError("cluster labels must be 1 or 2")
+    if not (clusters[0].size and clusters[1].size):
+        raise ValueError("both clusters must be nonempty")
     scores = []
     for members in clusters:
         k = members.size
@@ -257,5 +243,6 @@ def label_clusters(matrix: DistanceMatrix, assignment: ClusterAssignment) -> Clu
         # diagonal not at all: sum / (k * (k - 1)) is the mean pair distance.
         sub = matrix.entries[np.ix_(members, members)]
         scores.append(float(k * (sub.sum() / (k * (k - 1)))) if k > 1 else 0.0)
-    poisoned = 0 if scores[0] < scores[1] else 1
-    return ClusterVerdict(clusters[1 - poisoned], clusters[poisoned], *scores)
+    benign, poisoned = clusters[::-1] if scores[0] < scores[1] else clusters
+    # Python ints, as ``summary.json`` writes them.
+    return ClusterVerdict(tuple(benign.tolist()), tuple(poisoned.tolist()), *scores)

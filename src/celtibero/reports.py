@@ -39,13 +39,12 @@ def _mean_verdict_counts(report) -> tuple[float, float]:
 def emit_reports(reports, summary: dict, out_dir) -> tuple[Path, Path]:
     """Write ``rounds.csv`` and ``summary.json`` under ``out_dir``.
 
-    Returns the two paths. Raises ``OSError`` before writing anything when
-    the directory cannot be created or written into.
+    Returns the two paths. Raises ``OSError``, leaving no file behind, when
+    the directory cannot be created or written into: an unwritable one fails
+    at the first staged write.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise OSError(f"output directory {out} is not writable")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -1,5 +1,7 @@
 """Two-cluster agglomerative detection against a pure-Python replay oracle."""
 
+import dataclasses
+import json
 import re
 
 import numpy as np
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from celtibero import (
     LINKAGES,
     ClusterAssignment,
-    ClusterVerdict,
     DistanceMatrix,
     agglomerative_two_clusters,
     label_clusters,
@@ -314,7 +315,7 @@ class TestClusterScores:
 
     def test_singleton_scores_zero(self):
         m = random_matrix(np.random.default_rng(0), 4)
-        verdict = label_clusters(m, ClusterAssignment([1, 1, 2, 1]))
+        verdict = label_clusters(m, ClusterAssignment(np.array([1, 1, 2, 1])))
         assert verdict.score_2 == 0.0
         assert verdict.poisoned == (2,)
 
@@ -327,7 +328,7 @@ class TestClusterScores:
             for j in (3, 4):
                 entries[i, j] = entries[j, i] = 1.9
         m = DistanceMatrix(entries)
-        verdict = label_clusters(m, ClusterAssignment([1, 1, 1, 2, 2]))
+        verdict = label_clusters(m, ClusterAssignment(np.array([1, 1, 1, 2, 2])))
         assert verdict.score_1 == pytest.approx(3 * 0.4)
         assert verdict.score_2 == pytest.approx(2 * 1.1)
         assert verdict.benign == (3, 4) and verdict.poisoned == (0, 1, 2)
@@ -350,39 +351,6 @@ class TestClusterScores:
                 assert score == pytest.approx(
                     k * mean_pairwise(m.entries, members.tolist()), abs=1e-12
                 )
-
-
-class TestClusterAssignment:
-    @pytest.mark.parametrize(
-        "build, message",
-        [
-            (lambda: ClusterAssignment([1]), "assignment needs at least 2 clients"),
-            (lambda: ClusterAssignment([[1, 2], [2, 1]]), "assignment needs at least 2 clients"),
-            (lambda: ClusterAssignment([1, 2, 3]), "cluster labels must be 1 or 2"),
-            (lambda: ClusterAssignment([1, 0]), "cluster labels must be 1 or 2"),
-            (lambda: ClusterAssignment([2, 2, 2]), "both clusters must be nonempty"),
-            (lambda: ClusterAssignment([1, 2]).members(3), "cluster label must be 1 or 2, got 3"),
-        ],
-        ids=["one-client", "not-1-d", "label-3", "label-0", "empty-cluster-1", "members-of-3"],
-    )
-    def test_rejections(self, build, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build()
-
-
-class TestClusterVerdict:
-    @pytest.mark.parametrize(
-        "benign, poisoned, message",
-        [
-            ((), (0, 1), "benign set must be nonempty"),
-            ((0,), (2,), "benign and poisoned sets must partition 0..n-1"),
-            ((0, 1), (1,), "benign and poisoned sets must partition 0..n-1"),
-        ],
-        ids=["empty-benign", "gap", "overlap"],
-    )
-    def test_rejections(self, benign, poisoned, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ClusterVerdict(benign, poisoned, 0.0, 0.0)
 
 
 class TestLabelClusters:
@@ -419,11 +387,40 @@ class TestLabelClusters:
         assert sorted(verdict.poisoned) == sorted(assignment.members(2).tolist())
         assert 0 in verdict.benign
 
-    def test_rejects_an_assignment_of_another_size(self):
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([1, 2, 2], "assignment covers 3 clients, matrix has 4"),
+            ([1, 2, 2, 1, 2], "assignment covers 5 clients, matrix has 4"),
+            ([[1, 2], [2, 1]], "assignment must be 1-D, got shape (2, 2)"),
+            ([1, 2, 3, 1], "cluster labels must be 1 or 2"),
+            ([1, 0, 2, 2], "cluster labels must be 1 or 2"),
+            ([1, 1.5, 2, 2], "cluster labels must be 1 or 2"),
+            ([2, 2, 2, 2], "both clusters must be nonempty"),
+            ([1, 1, 1, 1], "both clusters must be nonempty"),
+        ],
+        ids=[
+            "too-few", "too-many", "not-1-d", "label-3", "label-0", "label-1.5", "no-cluster-1",
+            "no-cluster-2",
+        ],
+    )
+    def test_rejects_a_malformed_assignment(self, labels, message):
         m = random_matrix(np.random.default_rng(41), 4)
-        assignment = ClusterAssignment(np.array([1, 2, 2]))
-        with pytest.raises(ValueError, match="^assignment covers 3 clients, matrix has 4$"):
-            label_clusters(m, assignment)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            label_clusters(m, ClusterAssignment(np.array(labels)))
+
+    def test_verdict_holds_python_ints_and_serializes(self):
+        m = random_matrix(np.random.default_rng(43), 7)
+        verdict = label_clusters(m, agglomerative_two_clusters(m))
+        for members in (verdict.benign, verdict.poisoned):
+            assert type(members) is tuple
+            assert all(type(i) is int for i in members)
+        assert json.loads(json.dumps(dataclasses.asdict(verdict))) == {
+            "benign": list(verdict.benign),
+            "poisoned": list(verdict.poisoned),
+            "score_1": verdict.score_1,
+            "score_2": verdict.score_2,
+        }
 
     def test_verdict_partitions_everyone(self):
         rng = np.random.default_rng(37)
