@@ -6,7 +6,8 @@ tabulate the final MTA and ASR.
 The grid is ``tools/identity_set.py``'s ``README_CONFIG``, README's quick
 start (4 classes, 20 clients, 30 rounds, full participation), in eight
 settings, the rows of ``SETTINGS``: each names the top-level keys it sets
-over that config. Six take iid or Dirichlet alpha 0.5 or 0.1 shares with
+over that config, so a setting that sets ``rounds`` or ``training`` carries
+its own budget. Six take iid or Dirichlet alpha 0.5 or 0.1 shares with
 20 % or 40 % attackers; the last two take MNIST's width (784 features, 10
 classes, one hidden layer of 64) on iid or Dirichlet alpha 0.5 shares with
 40 % attackers. Each runs five rules (``fedavg``, ``coord_median``,
@@ -20,7 +21,8 @@ roster under every rule, so rules are compared seed by seed. A run fails
 when its final ASR is at least ``FAIL_ASR`` or its final MTA at most
 ``FAIL_MTA``, or when it diverges (``RoundError``: the global model left the
 finite floats); each cell counts its failed seeds and gives the Wilson 95 %
-score interval of its failure rate (``wilson``).
+score interval of its failure rate (``wilson``), and counts those of its
+failed seeds at which its rule's ``none`` run failed too.
 
 Each run is parsed by ``config_from_dict`` and writes one JSON file under
 ``experiments/runs/``: its config, its final metrics and the rounds whose
@@ -137,15 +139,16 @@ PAPER_RULE = "celtibero"
 FAIL_ASR = 0.5
 FAIL_MTA = 0.5
 
-CELL_COLUMNS = ("rule", "attack", "MTA median", "MTA worst", "ASR median", "ASR worst", "failed")
+CELL_COLUMNS = (
+    "rule", "attack", "MTA median", "MTA worst", "ASR median", "ASR worst", "failed",
+    "no-attack fails",
+)
 WIN_COLUMNS = ("rule", "attack", "MTA W-T-L", "ASR W-T-L")
 
 
-def runs(
-    rules=RULES, attacks=ATTACKS, seeds=SEEDS, rounds=None, settings=SETTINGS
-) -> dict[str, dict]:
+def runs(rules=RULES, attacks=ATTACKS, seeds=SEEDS, settings=SETTINGS) -> dict[str, dict]:
     """Each run's config by name, ``SETTING/RULE/ATTACK/seedN``: BASE with
-    its setting's changes; ``rounds``, if given, replaces the round count. A
+    its setting's changes, its round budget among them if it sets one. A
     Krum rule's f is the run's attacker count."""
     out = {}
     for setting, changes in settings.items():
@@ -157,8 +160,6 @@ def runs(
             for attack, spec in attacks.items():
                 for seed in seeds:
                     raw = dict(config, aggregator=aggregator, attack=spec, seed=seed)
-                    if rounds is not None:
-                        raw["rounds"] = rounds
                     out[f"{setting}/{rule}/{attack}/seed{seed}"] = raw
     return out
 
@@ -303,7 +304,9 @@ def _shown(value: float):
 
 def cells(records: dict[str, dict], rules, attacks, seeds, settings=SETTINGS) -> dict:
     """Each setting's cells and wins. A cell holds its per-seed values,
-    median, worst seed, failed seeds and their Wilson interval; a win count
+    median, worst seed, failed seeds and their Wilson interval, and
+    ``no_attack_failures``: its failed seeds at which its setting and rule's
+    ``none`` run failed too (None when ``attacks`` has no ``none``); a win count
     pairs another rule with ``PAPER_RULE`` (which ``rules`` must hold) seed by
     seed. A cell whose final-round reference accuracy was zero on any seed
     has an undefined ASR: its ASR median and worst, and every ASR win count
@@ -316,6 +319,9 @@ def cells(records: dict[str, dict], rules, attacks, seeds, settings=SETTINGS) ->
         table = []
         by_cell = {}
         for rule in rules:
+            clean = None
+            if "none" in attacks:
+                clean = [records[f"{setting}/{rule}/none/seed{seed}"] for seed in seeds]
             for attack in attacks:
                 found = [records[f"{setting}/{rule}/{attack}/seed{seed}"] for seed in seeds]
                 ended = [r for r in found if "diverged" not in r]
@@ -324,7 +330,10 @@ def cells(records: dict[str, dict], rules, attacks, seeds, settings=SETTINGS) ->
                 undefined = any(
                     r["rounds_completed"] - 1 in r["zero_reference_rounds"] for r in ended
                 )
-                failures = sum(_failed(r, not undefined) for r in found)
+                failed = [_failed(r, not undefined) for r in found]
+                no_attack = None
+                if clean is not None:
+                    no_attack = sum(f and _failed(r, False) for f, r in zip(failed, clean))
                 by_cell[rule, attack] = (mta, None if undefined else asr)
                 table.append({
                     "rule": rule,
@@ -335,8 +344,9 @@ def cells(records: dict[str, dict], rules, attacks, seeds, settings=SETTINGS) ->
                     "mta_worst": _shown(min(mta)),
                     "asr_median": None if undefined else _shown(statistics.median(asr)),
                     "asr_worst": None if undefined else _shown(max(asr)),
-                    "failures": failures,
-                    "failure_interval": wilson(failures, len(found)),
+                    "failures": sum(failed),
+                    "failure_interval": wilson(sum(failed), len(found)),
+                    "no_attack_failures": no_attack,
                     "zero_reference_rounds": sum(len(r["zero_reference_rounds"]) for r in ended),
                 })
         wins = [
@@ -395,7 +405,9 @@ def render(grid: dict) -> str:
     shows its ASR and ASR wins as dashes; a cell with an undefined ASR shows
     ``undefined (k rounds)``, k its seeds' zero-reference rounds, dashes for
     its ASR worst and ASR wins, and ``MTA only`` beside its failures. Each
-    failure count reads ``k/n [low, high]``, its Wilson interval in brackets.
+    failure count reads ``k/n [low, high]``, its Wilson interval in brackets,
+    and ``no-attack fails`` the count of those seeds whose ``none`` run
+    failed too, a dash when the grid has no ``none`` attack.
     A median or worst seed that is a diverged run reads ``diverged``."""
     seeds = grid["seeds"]
     unscored = {name for name, spec in grid["attacks"].items() if spec["kind"] == "none"}
@@ -416,6 +428,8 @@ def render(grid: dict) -> str:
         "of its failure rate in brackets. A run that raised `RoundError` (its global",
         "model left the finite floats) fails and ranks below every run that ended;",
         "a median or worst seed that is such a run reads `diverged`.",
+        "`no-attack fails` counts the cell's failed seeds at which the same rule's",
+        "`none` run, on the same setting and seed, failed too.",
     ]
     for setting in grid["settings"]:
         lines += [
@@ -436,6 +450,8 @@ def render(grid: dict) -> str:
                 text += [f"undefined ({rounds} rounds)", "—", f"{failed} MTA only"]
             else:
                 text += [_number(cell[k]) for k in ("asr_median", "asr_worst")] + [failed]
+            no_attack = cell["no_attack_failures"]
+            text.append("—" if no_attack is None else str(no_attack))
             lines.append(_row([cell["rule"], cell["attack"], *text]))
         lines += [
             "",

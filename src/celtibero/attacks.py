@@ -190,14 +190,14 @@ def embed_trigger(
     data: LabeledDataset,
     trigger: TriggerPattern,
     fraction: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> LabeledDataset:
     """Stamp the trigger into a ``fraction`` share of samples and relabel
     them to the trigger's target class.
 
-    ``rng`` picks which samples are poisoned and is required whenever
-    ``0 < fraction < 1``; the poisoned rows differ from the originals exactly
-    at the trigger positions.
+    ``rng`` picks which samples are poisoned, at every fraction that poisons
+    any; the poisoned rows differ from the originals exactly at the trigger
+    positions.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
@@ -207,12 +207,7 @@ def embed_trigger(
     count = _round_half_up(fraction, data.n)
     if count == 0:
         return data
-    if count == data.n:
-        chosen = np.arange(data.n)
-    else:
-        if rng is None:
-            raise ValueError("rng is required when 0 < fraction < 1")
-        chosen = rng.choice(data.n, size=count, replace=False)
+    chosen = rng.choice(data.n, size=count, replace=False)
     features = data.features.copy()
     labels = data.labels.copy()
     features[np.ix_(chosen, np.array(trigger.positions))] = np.array(trigger.values)

@@ -107,12 +107,6 @@ class RoundReport:
     verdicts: tuple[ClusterVerdict, ...] | None
     wall_ms: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mta <= 1.0:
-            raise ValueError(f"mta must lie in [0, 1], got {self.mta}")
-        if not 0.0 <= self.asr <= 1.0:
-            raise ValueError(f"asr must lie in [0, 1], got {self.asr}")
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -401,14 +395,10 @@ def _summarize(
     reference_reports: tuple[RoundReport, ...] | None,
 ) -> dict:
     cfg = experiment.cfg
+    initial_metrics, final_asr = experiment._score(experiment.initial_model, None)
+    final_mta = initial_metrics.accuracy
     if reports:
-        initial_metrics = evaluate(
-            experiment.initial_model, experiment.test_data, cfg.architecture.activation
-        )
         final_mta, final_asr = reports[-1].mta, reports[-1].asr
-    else:
-        initial_metrics, final_asr = experiment._score(experiment.initial_model, None)
-        final_mta = initial_metrics.accuracy
     summary: dict = {
         "config": config_to_dict(cfg),
         "rounds_completed": len(reports),

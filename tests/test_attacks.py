@@ -188,14 +188,14 @@ class TestEmbedTrigger:
 
     def test_full_fraction_stamps_every_row(self):
         data = make_dataset(n=12, d=6, seed=6)
-        poisoned = embed_trigger(data, self.trigger, 1.0)
+        poisoned = embed_trigger(data, self.trigger, 1.0, np.random.default_rng(9))
         assert np.all(poisoned.features[:, 1] == 0.9)
         assert np.all(poisoned.features[:, 4] == 0.1)
         assert np.all(poisoned.labels == 2)
 
     def test_rows_differ_only_at_trigger_positions(self):
         data = make_dataset(n=12, d=6, seed=6)
-        poisoned = embed_trigger(data, self.trigger, 1.0)
+        poisoned = embed_trigger(data, self.trigger, 1.0, np.random.default_rng(9))
         untouched = [c for c in range(6) if c not in self.trigger.positions]
         assert np.array_equal(poisoned.features[:, untouched], data.features[:, untouched])
 
@@ -218,17 +218,21 @@ class TestEmbedTrigger:
 
     def test_zero_fraction_returns_input(self):
         data = make_dataset()
-        assert embed_trigger(data, self.trigger, 0.0) is data
+        assert embed_trigger(data, self.trigger, 0.0, np.random.default_rng(9)) is data
 
-    def test_partial_fraction_requires_rng(self):
-        data = make_dataset()
-        with pytest.raises(ValueError, match="rng is required"):
-            embed_trigger(data, self.trigger, 0.5)
+    def test_full_fraction_is_the_same_under_any_rng(self):
+        # Every row gets the same stamp and label, so the draw's order is moot.
+        data = make_dataset(n=12, d=6, seed=6)
+        first, second = (
+            embed_trigger(data, self.trigger, 1.0, np.random.default_rng(seed)) for seed in (1, 2)
+        )
+        assert first.features.tobytes() == second.features.tobytes()
+        assert first.labels.tobytes() == second.labels.tobytes()
 
     def test_input_not_mutated(self):
         data = make_dataset(n=12, d=6, seed=6)
         before = data.features.copy()
-        embed_trigger(data, self.trigger, 1.0)
+        embed_trigger(data, self.trigger, 1.0, np.random.default_rng(9))
         assert np.array_equal(data.features, before)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5, np.nan])
@@ -240,10 +244,10 @@ class TestEmbedTrigger:
     def test_rejections(self):
         data = make_dataset(d=4)
         with pytest.raises(ShapeMismatchError):
-            embed_trigger(data, self.trigger, 1.0)  # position 4 out of range for d=4
+            embed_trigger(data, self.trigger, 1.0, np.random.default_rng(0))  # d=4 has no 4
         bad_target = TriggerPattern((0,), (1.0,), 7)
         with pytest.raises(ValueError):
-            embed_trigger(make_dataset(num_classes=3), bad_target, 1.0)
+            embed_trigger(make_dataset(num_classes=3), bad_target, 1.0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
@@ -291,8 +295,8 @@ class TestPoisoningOwnership:
     def test_trigger_stamps_its_own_copy(self):
         data = make_dataset(n=12, d=6, seed=6)
         features, labels = data.features.copy(), data.labels.copy()
-        for fraction, rng in ((1.0, None), (0.5, np.random.default_rng(2))):
-            poisoned = embed_trigger(data, self.trigger, fraction, rng)
+        for fraction in (1.0, 0.5):
+            poisoned = embed_trigger(data, self.trigger, fraction, np.random.default_rng(2))
             assert not np.shares_memory(poisoned.features, data.features)
             assert not poisoned.features.flags.writeable
             assert not poisoned.labels.flags.writeable

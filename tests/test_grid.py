@@ -1,11 +1,13 @@
 """Tests of ``experiments/grid.py``: a smoke test of two cells in two
 settings cut to 3 rounds, run in this process and tabulated; the setting's
-changes and the Krum f each run's name says; run files of another config
-run again; the zero-reference rounds a run records and the undefined cells
-they make; label flips that take the no-attack run as their reference, in
-this process and in a pool of two; failure counts and their Wilson
-intervals; runs that diverge; and that the committed ``grid.json`` and
-``GRID.md`` are those of the grid's current tables and README config."""
+changes and the Krum f each run's name says, a setting's round budget and
+training among them; run files of another config run again; the
+zero-reference rounds a run records and the undefined cells they make;
+label flips that take the no-attack run as their reference, in this process
+and in a pool of two; failure counts, their Wilson intervals and the seeds
+that fail with no attack too; runs that diverge; and that the committed
+``grid.json`` and ``GRID.md`` are those of the grid's current tables and
+README config."""
 
 import importlib.util
 import json
@@ -55,8 +57,10 @@ def test_two_cells_fill_both_tables(tmp_path):
     assert len(grid.runs()) == 3600
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-1e150": grid.ATTACKS["mra-1e150"]}
-    settings = {name: grid.SETTINGS[name] for name in ("iid/0.2", "dirichlet0.5/0.2")}
-    configs = grid.runs(rules, attacks, seeds=(1, 2), rounds=3, settings=settings)
+    settings = {
+        name: dict(grid.SETTINGS[name], rounds=3) for name in ("iid/0.2", "dirichlet0.5/0.2")
+    }
+    configs = grid.runs(rules, attacks, seeds=(1, 2), settings=settings)
     assert len(configs) == 8
     records = grid.run_all(configs, tmp_path, workers=1)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -74,8 +78,8 @@ def test_two_cells_fill_both_tables(tmp_path):
     text = grid.render(cells)
     cell_tables = tables(text, grid._row(grid.CELL_COLUMNS))
     assert [heading for heading, _ in cell_tables] == [
-        "## iid shares, 20 % attackers",
-        "## Dirichlet alpha 0.5 shares, 20 % attackers",
+        "## iid shares, 20 % attackers, `rounds: 3`",
+        "## Dirichlet alpha 0.5 shares, 20 % attackers, `rounds: 3`",
     ]
     for (_, rows), setting in zip(cell_tables, cells["settings"]):
         assert [row[:2] for row in rows] == [["fedavg", "mra-1e150"], ["celtibero", "mra-1e150"]]
@@ -87,6 +91,7 @@ def test_two_cells_fill_both_tables(tmp_path):
             failed = sum(r["final_mta"] <= 0.5 or r["final_asr"] >= 0.5 for r in found)
             low, high = grid.wilson(failed, 2)
             assert row[6] == f"{failed}/2 [{low:.3f}, {high:.3f}]"
+            assert row[7] == "—"  # no ``none`` attack to compare with
     win_tables = tables(text, grid._row(grid.WIN_COLUMNS))
     assert len(win_tables) == 2
     for _, wins in win_tables:
@@ -131,12 +136,39 @@ def test_each_run_is_the_readme_config_under_its_setting_and_its_attackers_f():
             assert cfg.aggregator.krum_f == malicious_count(cfg.malicious_fraction, cfg.clients)
 
 
+def test_a_settings_budget_overlay_reaches_its_runs_configs():
+    grid = load_grid()
+    budget = {"rounds": 5, "local_epochs": 1, "training": {"learning_rate": 0.01}}
+    settings = {
+        "iid/0.2": dict(grid.SETTINGS["iid/0.2"], **budget),
+        "iid/0.4": grid.SETTINGS["iid/0.4"],
+    }
+    configs = grid.runs(seeds=(1,), settings=settings)
+    assert len(configs) == 2 * 5 * 9
+    base = grid.BASE
+    for name, raw in configs.items():
+        cfg = config_from_dict(raw)
+        if name.startswith("iid/0.2/"):
+            assert (cfg.rounds, cfg.local_epochs, cfg.training.learning_rate) == (5, 1, 0.01)
+        else:
+            assert "training" not in raw
+            assert (cfg.rounds, cfg.local_epochs) == (base["rounds"], base["local_epochs"])
+    # GRID.md's section title names the budget.
+    diverged = {name: {"diverged": "unused"} for name in configs}
+    text = grid.render(grid.cells(diverged, grid.RULES, grid.ATTACKS, (1,), settings))
+    assert [heading for heading, _ in tables(text, grid._row(grid.CELL_COLUMNS))] == [
+        "## iid shares, 20 % attackers, `rounds: 5`, `local_epochs: 1`, "
+        "`training.learning_rate: 0.01`",
+        "## iid shares, 40 % attackers",
+    ]
+
+
 def test_a_run_file_of_another_config_is_run_again(tmp_path):
     grid = load_grid()
     rules = {"fedavg": grid.RULES["fedavg"]}
     attacks = {"mra-3": grid.ATTACKS["mra-3"]}
-    settings = {"iid/0.2": grid.SETTINGS["iid/0.2"]}
-    configs = grid.runs(rules, attacks, (1, 2), 2, settings)
+    setting = grid.SETTINGS["iid/0.2"]
+    configs = grid.runs(rules, attacks, (1, 2), {"iid/0.2": dict(setting, rounds=2)})
     records = grid.run_all(configs, tmp_path, workers=1)
     for name, raw in configs.items():
         assert records[name]["config"] == json.loads(json.dumps(raw))
@@ -151,7 +183,7 @@ def test_a_run_file_of_another_config_is_run_again(tmp_path):
     assert again["iid/0.2/fedavg/mra-3/seed1"]["final_mta"] == -1.0
     assert again["iid/0.2/fedavg/mra-3/seed2"] == records["iid/0.2/fedavg/mra-3/seed2"]
     # A changed config runs every run again.
-    longer = grid.runs(rules, attacks, (1, 2), 3, settings)
+    longer = grid.runs(rules, attacks, (1, 2), {"iid/0.2": dict(setting, rounds=3)})
     assert all(r["rounds_completed"] == 3 for r in grid.run_all(longer, tmp_path, 1).values())
 
 
@@ -176,8 +208,8 @@ def test_label_flips_run_against_the_no_attack_run(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "grid", grid)
     rules = {name: grid.RULES[name] for name in ("fedavg", "median_krum")}
     attacks = {name: grid.ATTACKS[name] for name in ("none", "ulfa", "tlfa")}
-    settings = {"dirichlet0.5/0.4": grid.SETTINGS["dirichlet0.5/0.4"]}
-    configs = grid.runs(rules, attacks, (1, 2), 3, settings)
+    settings = {"dirichlet0.5/0.4": dict(grid.SETTINGS["dirichlet0.5/0.4"], rounds=3)}
+    configs = grid.runs(rules, attacks, (1, 2), settings)
     assert len(configs) == 12
     jobs = grid._jobs(configs)
     assert len(jobs) == 4
@@ -234,12 +266,12 @@ def test_undefined_label_flip_cells_show_no_number():
     ((heading, rows),) = tables(text, grid._row(grid.CELL_COLUMNS))
     assert heading == "## iid shares, 40 % attackers"
     assert rows == [
-        ["fedavg", "ulfa", "0.850", "0.800", "0.150", "0.200", "0/2 [0.000, 0.658]"],
-        ["fedavg", "tlfa", "0.850", "0.800", "0.350", "0.500", "1/2 [0.095, 0.905]"],
-        ["celtibero", "ulfa", "0.650", "0.600", "0.350", "0.400", "0/2 [0.000, 0.658]"],
+        ["fedavg", "ulfa", "0.850", "0.800", "0.150", "0.200", "0/2 [0.000, 0.658]", "—"],
+        ["fedavg", "tlfa", "0.850", "0.800", "0.350", "0.500", "1/2 [0.095, 0.905]", "—"],
+        ["celtibero", "ulfa", "0.650", "0.600", "0.350", "0.400", "0/2 [0.000, 0.658]", "—"],
         [
             "celtibero", "tlfa", "0.575", "0.250", "undefined (3 rounds)", "—",
-            "1/2 [0.095, 0.905] MTA only",
+            "1/2 [0.095, 0.905] MTA only", "—",
         ],
     ]
     ((_, wins),) = tables(text, grid._row(grid.WIN_COLUMNS))
@@ -279,6 +311,38 @@ def test_a_run_fails_at_either_threshold():
     ((_, rows),) = tables(grid.render(cells), grid._row(grid.CELL_COLUMNS))
     assert [row[6] for row in rows] == [
         "2/4 [0.150, 0.850]", "3/4 [0.301, 0.954]", "1/4 [0.046, 0.699] MTA only",
+    ]
+
+
+def test_no_attack_fails_counts_failed_seeds_whose_none_run_failed():
+    grid = load_grid()
+    rules = {"celtibero": grid.RULES["celtibero"]}
+    attacks = {name: grid.ATTACKS[name] for name in ("none", "mra-3")}
+
+    def record(mta, asr):
+        return {
+            "final_mta": mta, "final_asr": asr, "rounds_completed": 3,
+            "zero_reference_rounds": [],
+        }
+
+    by_attack = {
+        # Seed 1's no-attack run fails on MTA and seed 3's diverges.
+        "none": [record(0.3, 0.0), record(0.9, 0.0), {"diverged": "round 1: client 0 failed"}],
+        # Seeds 1 and 2 fail; seed 3 holds, so its diverged no-attack run counts nothing.
+        "mra-3": [record(0.9, 0.9), record(0.9, 0.9), record(0.9, 0.1)],
+    }
+    records = {
+        f"iid/0.2/celtibero/{attack}/seed{seed}": found[seed - 1]
+        for attack, found in by_attack.items()
+        for seed in (1, 2, 3)
+    }
+    cells = grid.cells(records, rules, attacks, (1, 2, 3), {"iid/0.2": grid.SETTINGS["iid/0.2"]})
+    by_attack = {c["attack"]: c for c in cells["settings"][0]["cells"]}
+    assert (by_attack["none"]["failures"], by_attack["none"]["no_attack_failures"]) == (2, 2)
+    assert (by_attack["mra-3"]["failures"], by_attack["mra-3"]["no_attack_failures"]) == (2, 1)
+    ((_, rows),) = tables(grid.render(cells), grid._row(grid.CELL_COLUMNS))
+    assert [row[6:] for row in rows] == [
+        ["2/3 [0.208, 0.939]", "2"], ["2/3 [0.208, 0.939]", "1"],
     ]
 
 
@@ -323,10 +387,11 @@ def test_a_diverged_run_fails_and_ranks_below_every_run_that_ended(tmp_path):
     json.dumps(cells, allow_nan=False)  # no infinity reaches grid.json
     text = grid.render(cells)
     ((_, rows),) = tables(text, grid._row(grid.CELL_COLUMNS))
-    assert rows == [
+    assert [row[:7] for row in rows] == [
         ["fedavg", "mra-3", "diverged", "diverged", "diverged", "diverged", "2/3 [0.208, 0.939]"],
         ["celtibero", "mra-3", "0.800", "diverged", "0.200", "diverged", "1/3 [0.061, 0.792]"],
     ]
+    assert [row[7] for row in rows] == ["—", "—"]
     # Seed by seed: both diverged (a tie), fedavg ahead, fedavg diverged.
     ((_, wins),) = tables(text, grid._row(grid.WIN_COLUMNS))
     assert wins == [["fedavg", "mra-3", "1-1-1", "1-1-1"]]

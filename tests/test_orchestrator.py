@@ -308,14 +308,6 @@ class TestBackdoorSuccessRate:
         assert peak < 3 * 2**20
 
 
-class TestStateAndReportValidation:
-    def test_round_report_bounds(self):
-        with pytest.raises(ValueError):
-            RoundReport(0, (0, 1), mta=1.2, per_class={}, asr=0.0, verdicts=None, wall_ms=1.0)
-        with pytest.raises(ValueError):
-            RoundReport(0, (0, 1), mta=0.5, per_class={}, asr=-0.1, verdicts=None, wall_ms=1.0)
-
-
 class TestExperiment:
     def test_poisoning_happens_at_construction(self):
         cfg = tiny_config(attack={"kind": "tlfa", "source_class": 1, "target_class": 0})
@@ -482,8 +474,13 @@ class TestExperiment:
         reports = Experiment(tiny_config(rounds=0)).run()
         assert reports == ()
 
-    def test_round_indices_and_metric_ranges(self):
-        reports = Experiment(tiny_config(rounds=3)).run()
+    @pytest.mark.parametrize(
+        "attack", [{"kind": "none"}, BACKDOORS[0], ULFA, TLFA], ids=lambda a: a["kind"]
+    )
+    def test_round_indices_and_metric_ranges(self, attack):
+        # A record checks nothing: every scoring path (no attack, a trigger
+        # and both label-flip decays, against their references) stays in [0, 1].
+        reports = run_experiment(tiny_config(rounds=3, attack=attack)).reports
         assert [r.round_index for r in reports] == [0, 1, 2]
         for r in reports:
             assert 0.0 <= r.mta <= 1.0
@@ -859,6 +856,13 @@ class TestRunExperiment:
         assert summary["malicious_clients"] == sorted(summary["malicious_clients"])
         assert len(summary["malicious_clients"]) == 2
         assert summary["config"]["clients"] == 6
+
+    def test_backdoor_summary_scores_the_initial_model_on_the_test_set(self):
+        cfg = tiny_config(rounds=2, attack=BACKDOORS[0])
+        summary = run_experiment(cfg).summary
+        experiment = Experiment(cfg)
+        initial = evaluate(experiment.initial_model, experiment.test_data)
+        assert summary["initial_mta"] == initial.accuracy
 
     @pytest.mark.parametrize(
         "attack", [{"kind": "none"}, BACKDOORS[0], ULFA, TLFA], ids=lambda a: a["kind"]

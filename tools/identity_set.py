@@ -84,10 +84,10 @@ import yaml
 
 REPO = Path(__file__).resolve().parent.parent
 
-# README's quick-start config: the first YAML block of README.md.
-README_CONFIG = yaml.safe_load(
-    re.search(r"```yaml\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
-)
+# README's quick-start config: the text of README.md's first YAML block,
+# which CI also runs through the ``celtibero`` command, and its parse.
+README_YAML = re.search(r"```yaml\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
+README_CONFIG = yaml.safe_load(README_YAML)
 
 AGGREGATORS = {
     "fedavg": {"kind": "fedavg"},
