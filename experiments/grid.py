@@ -4,18 +4,19 @@ tabulate the final MTA and ASR.
     python3 experiments/grid.py
 
 The grid is ``tools/identity_set.py``'s ``README_CONFIG``, README's quick
-start (4 classes, 20 clients, 30 rounds, full participation), in eight
+start (4 classes, 20 clients, 30 rounds, full participation), in nine
 settings, the rows of ``SETTINGS``: each names the top-level keys it sets
 over that config, so a setting that sets ``rounds`` or ``training`` carries
 its own budget. Six take iid or Dirichlet alpha 0.5 or 0.1 shares with
-20 % or 40 % attackers; the last two take MNIST's width (784 features, 10
+20 % or 40 % attackers; the next two take MNIST's width (784 features, 10
 classes, one hidden layer of 64) on iid or Dirichlet alpha 0.5 shares with
-40 % attackers. Each runs five rules (``fedavg``, ``coord_median``,
-``krum`` and ``median_krum`` with f set to the run's attacker count, and
-``celtibero``) against nine attacks from its ``ATTACKS`` table (``none``,
+40 % attackers; the last takes 2 classes, the binary task of IMDB, on iid
+shares with 40 % attackers. Each runs five rules (``fedavg``,
+``coord_median``, ``krum`` and ``median_krum`` with f set to the run's
+attacker count, and ``celtibero``) against nine attacks from its ``ATTACKS`` table (``none``,
 ``ulfa``, ``tlfa`` 1 -> 0, ``dba``, ``mra`` at the README's boost 3, at
 boost 10, with no boost factor (the boost is then the 20 participants) and
-at boost 1e150, and ``neurotoxin``), at seeds 1-10: 3600 runs. A cell is
+at boost 1e150, and ``neurotoxin``), at seeds 1-10: 4050 runs. A cell is
 one rule against one attack in one setting; its seeds see the same data and
 roster under every rule, so rules are compared seed by seed. A run fails
 when its final ASR is at least ``FAIL_ASR`` or its final MTA at most
@@ -110,6 +111,12 @@ SETTINGS = {
 } | {
     f"{shares}-784/0.4": dict(_MNIST_WIDTH, partition=_SHARES[shares], malicious_fraction=0.4)
     for shares in ("iid", "dirichlet0.5")
+} | {
+    "iid-2class/0.4": {
+        "dataset": dict(BASE["dataset"], classes=2),
+        "partition": _SHARES["iid"],
+        "malicious_fraction": 0.4,
+    }
 }
 # Krum's f is each run's attacker count, which ``runs`` sets.
 RULES = {

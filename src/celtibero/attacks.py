@@ -78,8 +78,8 @@ REFERENCE_KINDS = tuple(_DECAYS)
 
 @dataclass(frozen=True)
 class TriggerPattern:
-    """Fixed feature positions and values stamped into poisoned samples,
-    plus the class those samples are relabeled to."""
+    """Fixed feature positions and values in [0, 1] stamped into poisoned
+    samples, plus the class those samples are relabeled to."""
 
     positions: tuple[int, ...]
     values: tuple[float, ...]
@@ -99,7 +99,9 @@ class TriggerPattern:
                 f"trigger has {len(positions)} positions but {len(values)} values"
             )
         if any(p < 0 for p in positions):
-            raise ValueError("trigger positions must be nonnegative")
+            raise ValueError(f"trigger positions must be nonnegative, got {positions}")
+        if not all(0.0 <= v <= 1.0 for v in values):  # NaN fails both bounds
+            raise ValueError(f"trigger values must lie in [0, 1], got {values}")
         if self.target_class < 0:
             raise ValueError(f"target class must be nonnegative, got {self.target_class}")
 
@@ -202,8 +204,6 @@ def embed_trigger(
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     _check_fits(trigger, data)
-    if not all(0.0 <= value <= 1.0 for value in trigger.values):
-        raise ValueError("trigger values must lie in [0, 1]")
     count = _round_half_up(fraction, data.n)
     if count == 0:
         return data

@@ -337,19 +337,19 @@ def _parse_dataset(reader: _Reader, errors: _Violations) -> DatasetConfig:
     return DatasetConfig(**values)
 
 
-# A trigger block's keys: ``TriggerPattern`` is public on its own and declares
-# no rules. The trigger's target class is the attack's, so it is neither
-# written nor read.
+# A trigger block's keys and their types: ``TriggerPattern`` is public on its
+# own, declares no rules and checks its own values. The trigger's target
+# class is the attack's, so it is neither written nor read.
 _TRIGGER_KEYS = {
-    "positions": ((int, lambda v: min(v, default=0) >= 0, "positions must be >= 0"), ()),
-    "values": ((float, lambda v: all(0 <= x <= 1 for x in v), "values must lie in [0, 1]"), ()),
+    "positions": ((int, None, None), ()),
+    "values": ((float, None, None), ()),
 }
 
 
 def _parse_trigger(reader: _Reader, num_features: int, errors: _Violations):
     """The trigger that ``reader``'s block gives, or None if it is rejected.
-    The block's rules check each value and ``TriggerPattern`` their shape;
-    this checks the positions against the feature count."""
+    The block's rules check each value's type and ``TriggerPattern`` the
+    rest; this checks the positions against the feature count."""
     trigger, where = reader.read_all(), reader.where
     if not errors.valid(where):
         return None

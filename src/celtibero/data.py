@@ -6,11 +6,11 @@ in), then ``rng.permutation(n)``, which orders labels and rows alike. The
 matrix is made in row blocks of at most ``_ROW_BYTES``, and the block
 size never changes a bit of the result.
 
-Rows are range-checked where they enter the program: ``LabeledDataset``'s
-constructor checks rows from outside, and the synthetic draw checks each
-block as it makes it. Every other dataset the package builds adopts rows
-that passed one of those checks (perhaps with trigger values stamped in,
-which ``embed_trigger`` checks), or IDX bytes scaled into [0, 1].
+A dataset is checked where it enters the program: by ``LabeledDataset``'s
+constructor, by ``load_idx``, or by the synthetic draw, block by block.
+Every dataset built from a checked one (a share, a subset, a label flip,
+rows stamped with a ``TriggerPattern``'s own checked values) adopts its
+arrays through ``LabeledDataset._owning``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -61,32 +61,8 @@ class LabeledDataset:
     __slots__ = ("features", "labels", "num_classes")
 
     def __init__(self, features, labels, num_classes: int):
-        self._adopt(
-            np.array(features, dtype=np.float64, copy=True),
-            np.array(labels, dtype=np.int64, copy=True),
-            num_classes,
-        )
-        _check_unit_range(self.features)
-
-    @classmethod
-    def _owning(cls, features: np.ndarray, labels: np.ndarray, num_classes: int):
-        """A dataset that keeps ``features`` and ``labels`` themselves instead
-        of copies: arrays its caller has just built and hands over, or another
-        dataset's read-only arrays that it shares (a label flip keeps its
-        input's features). Saves one ``n x d`` matrix at the peak. The checks
-        are those of ``__init__`` but the [0, 1] and NaN scan, which runs
-        where rows enter the program (``__init__`` and the synthetic draw's
-        blocks): the features handed over are rows that passed it, or values
-        their maker keeps in [0, 1]."""
-        data = cls.__new__(cls)
-        data._adopt(
-            np.asarray(features, dtype=np.float64),
-            np.asarray(labels, dtype=np.int64),
-            num_classes,
-        )
-        return data
-
-    def _adopt(self, feats: np.ndarray, labs: np.ndarray, num_classes: int) -> None:
+        feats = np.array(features, dtype=np.float64, copy=True)
+        labs = np.array(labels, dtype=np.int64, copy=True)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         if labs.ndim != 1 or labs.size != feats.shape[0]:
@@ -100,11 +76,28 @@ class LabeledDataset:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         if labs.min() < 0 or labs.max() >= num_classes:
             raise ValueError(f"labels must lie in [0, {num_classes})")
+        _check_unit_range(feats)
         feats.flags.writeable = False
         labs.flags.writeable = False
         self.features = feats
         self.labels = labs
         self.num_classes = num_classes
+
+    @classmethod
+    def _owning(cls, features: np.ndarray, labels: np.ndarray, num_classes: int):
+        """A dataset that keeps ``features`` and ``labels`` themselves instead
+        of copies, read-only, and checks nothing: arrays its caller has just
+        built from checked ones and hands over, or another dataset's
+        read-only arrays that it shares (a label flip keeps its input's
+        features). Saves one ``n x d`` matrix at the peak, and a scan of
+        the labels."""
+        data = cls.__new__(cls)
+        data.features = np.asarray(features, dtype=np.float64)
+        data.labels = np.asarray(labels, dtype=np.int64)
+        data.features.flags.writeable = False
+        data.labels.flags.writeable = False
+        data.num_classes = int(num_classes)
+        return data
 
     @property
     def n(self) -> int:
@@ -131,8 +124,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     """Read a big-endian IDX image/label file pair.
 
     Pixels are scaled from [0, 255] into [0, 1] and images are flattened
-    row-major. Any truncation, magic mismatch, or image/label count mismatch
-    fails closed with :class:`IdxFormatError`.
+    row-major. Any truncation, magic mismatch, image/label count mismatch,
+    empty pair or label past 9 fails closed with :class:`IdxFormatError`.
     """
     image_bytes = Path(images_path).read_bytes()
     count, rows, cols = _read_idx_header(image_bytes, images_path, _IMAGES_MAGIC, 16, "image")
@@ -149,11 +142,13 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         )
     if count != label_count:
         raise IdxFormatError(f"image/label count mismatch: {count} images vs {label_count} labels")
+    if count == 0:
+        raise IdxFormatError(f"{images_path}: holds no images")
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     features /= 255.0  # in place: one float matrix at the peak
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    if labels.size and labels.max() >= _MNIST_CLASSES:
+    if labels.max() >= _MNIST_CLASSES:
         raise IdxFormatError(
             f"{labels_path}: labels must lie in 0-{_MNIST_CLASSES - 1}, found {labels.max()}"
         )

@@ -59,6 +59,15 @@ class TestTriggerPattern:
         with pytest.raises(ValueError):
             TriggerPattern((1,), (0.5,), -1)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    @pytest.mark.parametrize("values", [(None,), (0.9, None), (None, 0.1)])
+    def test_values_outside_unit_range_raise(self, bad, values):
+        # Stamped rows are never rescanned, so the trigger checks its values.
+        values = tuple(bad if v is None else v for v in values)
+        message = f"trigger values must lie in [0, 1], got {values}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TriggerPattern(tuple(range(1, len(values) + 1)), values, 2)
+
 
 class TestAttackSpec:
     def test_defaults(self):
@@ -249,24 +258,6 @@ class TestEmbedTrigger:
         with pytest.raises(ValueError):
             embed_trigger(make_dataset(num_classes=3), bad_target, 1.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
-    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
-    def test_trigger_values_outside_unit_range_raise(self, bad, fraction):
-        # The stamped rows are not rescanned, so the values are checked up front.
-        trigger = TriggerPattern((1, 4), (0.9, bad), 2)
-        with pytest.raises(ValueError, match=r"trigger values must lie in \[0, 1\]"):
-            embed_trigger(make_dataset(n=12, d=6), trigger, fraction, np.random.default_rng(0))
-
-
-def unchecked_dataset(features, labels, num_classes):
-    """A dataset built around ``LabeledDataset``'s checks, to see that a
-    poisoning result is still checked."""
-    data = LabeledDataset.__new__(LabeledDataset)
-    data.features = np.asarray(features, dtype=np.float64)
-    data.labels = np.asarray(labels, dtype=np.int64)
-    data.num_classes = num_classes
-    return data
-
 
 class TestPoisoningOwnership:
     trigger = TriggerPattern((1, 4), (0.9, 0.1), 2)
@@ -303,19 +294,9 @@ class TestPoisoningOwnership:
         assert np.array_equal(data.features, features)
         assert np.array_equal(data.labels, labels)
 
-    def test_out_of_range_labels_still_raise(self):
-        features = np.full((4, 6), 0.5)
-        bad = unchecked_dataset(features, [7, 7, 7, 7], 3)
-        with pytest.raises(ValueError, match="labels must lie in"):
-            flip_labels_untargeted(bad, 0.5, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="labels must lie in"):
-            flip_labels_targeted(unchecked_dataset(features, [0, 1, 1, 5], 3), 1, 0)
-        with pytest.raises(ValueError, match="labels must lie in"):
-            embed_trigger(bad, self.trigger, 0.5, np.random.default_rng(0))
-
 
 class TestSplitTrigger:
-    trigger = TriggerPattern((8, 2, 5, 11, 0), (0.8, 0.2, 0.5, 1.1, 0.0), 1)
+    trigger = TriggerPattern((8, 2, 5, 11, 0), (0.8, 0.2, 0.5, 0.9, 0.0), 1)
 
     def test_single_fragment_is_whole_trigger(self):
         (piece,) = split_trigger(self.trigger, 1)

@@ -175,7 +175,9 @@ class TestModuleEntryPoint:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith(f"config error: {config}")
         assert "  - dataset.features: expected an integer, got 'wide'" in done.stderr
-        assert "  - attack.trigger.positions: positions must be >= 0, got (-1,)" in done.stderr
+        assert (
+            "  - attack.trigger: trigger positions must be nonnegative, got (-1,)" in done.stderr
+        )
         assert done.stderr.count("  - ") == 2
 
     def test_sizes_past_64_bits_exit_1_without_a_traceback(self, tmp_path):

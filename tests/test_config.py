@@ -299,7 +299,10 @@ class TestValueViolations:
             ({"positions": [0, 25], "values": [1.0]}, "1 values"),
             ({"positions": [0, 99], "values": [1.0, 1.0]}, "lie in [0, 20)"),
             ({"positions": [0, 0], "values": [1.0, 1.0]}, "distinct"),
-            ({"positions": [0, 1], "values": [1.0, 2.0]}, "values must lie in [0, 1]"),
+            (
+                {"positions": [0, 1], "values": [1.0, 2.0]},
+                "attack.trigger: trigger values must lie in [0, 1], got (1.0, 2.0)",
+            ),
             ({"positions": "corner", "values": [1.0]}, "list of integers"),
             ({"positions": [0], "values": "bright"}, "list of numbers"),
         ],
@@ -346,7 +349,7 @@ class TestParserOwnsEveryCheck:
                 },
                 [
                     "dataset.features: expected an integer, got 'wide'",
-                    "attack.trigger.positions: positions must be >= 0, got (-1,)",
+                    "attack.trigger: trigger positions must be nonnegative, got (-1,)",
                 ],
             ),
             (

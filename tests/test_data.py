@@ -1,5 +1,6 @@
 """Dataset container, IDX file ingestion, synthetic data, and partitioning."""
 
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -45,13 +46,11 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             data.labels[0] = 0
 
-    def test_owning_keeps_the_arrays_and_every_check(self):
+    def test_owning_keeps_the_arrays(self):
         features, labels = np.array([[0.5, 0.25]]), np.array([1])
         data = LabeledDataset._owning(features, labels, 2)
         assert data.features is features and data.labels is labels
         assert not features.flags.writeable and not labels.flags.writeable
-        with pytest.raises(ValueError, match="labels must lie"):
-            LabeledDataset._owning(np.array([[0.5]]), np.array([2]), 2)
 
     def test_class_counts(self):
         # Classes absent from the labels still count toward num_classes.
@@ -134,6 +133,12 @@ class TestLoadIdx:
         paths = write_idx_pair(tmp_path, [0] * 8, [1, 2, 3])
         with pytest.raises(IdxFormatError, match="count mismatch: 2 images vs 3 labels"):
             load_idx(*paths)
+
+    def test_a_pair_without_images_names_the_image_file(self, tmp_path):
+        images_path, labels_path = write_idx_pair(tmp_path, [], [], rows=28, cols=28)
+        message = f"{images_path}: holds no images"
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(message)}$"):
+            load_idx(images_path, labels_path)
 
     def test_label_out_of_digit_range(self, tmp_path):
         paths = write_idx_pair(tmp_path, [0] * 4, [10])

@@ -54,7 +54,7 @@ def tables(text, header):
 
 def test_two_cells_fill_both_tables(tmp_path):
     grid = load_grid()
-    assert len(grid.runs()) == 3600
+    assert len(grid.runs()) == 4050
     rules = {name: grid.RULES[name] for name in ("fedavg", "celtibero")}
     attacks = {"mra-1e150": grid.ATTACKS["mra-1e150"]}
     settings = {
@@ -106,6 +106,7 @@ def test_each_run_is_the_readme_config_under_its_setting_and_its_attackers_f():
     assert list(grid.SETTINGS) == [
         "iid/0.2", "iid/0.4", "dirichlet0.5/0.2", "dirichlet0.5/0.4",
         "dirichlet0.1/0.2", "dirichlet0.1/0.4", "iid-784/0.4", "dirichlet0.5-784/0.4",
+        "iid-2class/0.4",
     ]
     configs = grid.runs()
     for name, raw in configs.items():
@@ -130,7 +131,11 @@ def test_each_run_is_the_readme_config_under_its_setting_and_its_attackers_f():
         changes = grid.SETTINGS[setting]
         assert cfg.partition.kind == changes["partition"]["kind"]
         assert cfg.malicious_fraction == changes["malicious_fraction"]
-        width = (784, 10, (64,)) if setting.endswith("-784/0.4") else (20, 4, (16,))
+        width = (20, 4, (16,))
+        if setting.endswith("-784/0.4"):
+            width = (784, 10, (64,))
+        elif setting == "iid-2class/0.4":
+            width = (20, 2, (16,))
         assert (cfg.dataset.features, cfg.dataset.classes, cfg.architecture.hidden) == width
         if rule in ("krum", "median_krum"):
             assert cfg.aggregator.krum_f == malicious_count(cfg.malicious_fraction, cfg.clients)
@@ -427,8 +432,10 @@ def test_committed_grid_is_current():
     assert settings == json.loads(json.dumps(list(grid.SETTINGS.items())))
     text = (REPO / "experiments" / "GRID.md").read_text()
     assert text == grid.render(stored)
-    assert [heading for heading, _ in tables(text, grid._row(grid.CELL_COLUMNS))][-2:] == [
-        f"## {shares} shares, 40 % attackers, `dataset.classes: 10`, `dataset.features: 784`, "
-        "`architecture.hidden: [64]`"
-        for shares in ("iid", "Dirichlet alpha 0.5")
-    ]
+    headings = [heading for heading, _ in tables(text, grid._row(grid.CELL_COLUMNS))]
+    for shares in ("iid", "Dirichlet alpha 0.5"):
+        assert (
+            f"## {shares} shares, 40 % attackers, `dataset.classes: 10`, "
+            "`dataset.features: 784`, `architecture.hidden: [64]`"
+        ) in headings
+    assert headings[-1] == "## iid shares, 40 % attackers, `dataset.classes: 2`"

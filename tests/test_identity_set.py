@@ -24,7 +24,7 @@ def load_identity_set():
 
 def test_every_config_of_the_set_parses():
     configs = load_identity_set().configs()
-    assert len(configs) == 68
+    assert len(configs) == 70
     for name, raw in configs.items():
         try:
             config_from_dict(raw)

@@ -548,13 +548,19 @@ LAYOUT_ATTACKS = {
     "mra": {"kind": "mra"},
     "dba": {"kind": "dba", "poison_fraction": 1.0},
 }
+# Every attack kind by name, for the datasets an Experiment builds.
+BUILT_ATTACKS = dict(
+    LAYOUT_ATTACKS,
+    tlfa={"kind": "tlfa", "source_class": 1, "target_class": 0},
+    neurotoxin={"kind": "neurotoxin", "poison_fraction": 0.5},
+)
 
 
 def layout_config(partition, attack):
     dataset = {"kind": "synthetic", "classes": 3, "samples": 300, "features": 12,
                "separation": 3.0, "test_samples": 60}
     return tiny_config(dataset=dataset, clients=10, malicious_fraction=0.3,
-                       partition=LAYOUT_PARTITIONS[partition], attack=LAYOUT_ATTACKS[attack])
+                       partition=LAYOUT_PARTITIONS[partition], attack=BUILT_ATTACKS[attack])
 
 
 def cut_shares(cfg, malicious):
@@ -617,6 +623,23 @@ class TestShareLayout:
                 and np.array_equal(share.labels, clean.labels)
             )
         assert poisoned == (0 if attack == "none" else len(experiment.malicious))
+
+
+@pytest.mark.parametrize("attack", ATTACK_KINDS)
+@pytest.mark.parametrize("partition", list(LAYOUT_PARTITIONS))
+def test_every_built_dataset_passes_the_constructor(partition, attack):
+    """The datasets an Experiment builds adopt their arrays unchecked, so each
+    share, clean share and the test split must be what the public
+    constructor accepts, and hold the same arrays as its checked copy."""
+    experiment = Experiment(layout_config(partition, attack))
+    reference = attack in ("ulfa", "tlfa")
+    assert set(experiment._clean_shares) == (experiment.malicious if reference else set())
+    built = [experiment.test_data, *experiment.shares, *experiment._clean_shares.values()]
+    for data in built:
+        checked = LabeledDataset(data.features, data.labels, data.num_classes)
+        assert checked.features.tobytes() == data.features.tobytes()
+        assert checked.labels.tobytes() == data.labels.tobytes()
+        assert checked.num_classes == data.num_classes
 
 
 LABEL_FLIP_CONFIGS = {

@@ -1,4 +1,4 @@
-"""Fingerprint the simulator's outputs on a fixed set of 68 configs.
+"""Fingerprint the simulator's outputs on a fixed set of 70 configs.
 
     python3 tools/identity_set.py SRC_DIR
     python3 tools/identity_set.py SRC_DIR --compare OTHER_SRC
@@ -30,7 +30,10 @@ that run tanh), and with two hidden layers of 8 and 4 units (the only
 8-round config on Dirichlet (alpha 0.5) shares under ulfa with celtibero and
 tlfa with median_krum, whose reference federations run on ragged clean
 shares, and under dba and mra with celtibero, whose stamped rows go back
-into ragged blocks of the training matrix; and that 8-round config under
+into ragged blocks of the training matrix; and that 8-round config at 2
+classes under celtibero against ulfa, whose flips each have one wrong class
+to go to, and mra, whose backdoor is scored on the one class that is not
+its target; and that 8-round config under
 celtibero against mra on Dirichlet (alpha 0.01) shares, where 11 of the 20
 clients start empty and the partitioner's repair hands each one sample, and
 at separation 0.25, where the clip to [0, 1] sets about 84 % of the training
@@ -190,6 +193,11 @@ def configs() -> dict[str, dict]:
         ("mra-celtibero", ATTACKS["mra"], {"kind": "celtibero"}),
     ):
         out[f"r8-dirichlet/{name}"] = dict(dirichlet, aggregator=aggregator, attack=attack)
+    two_class = dict(short, dataset=dict(short["dataset"], classes=2))
+    for attack_name in ("ulfa", "mra"):
+        out[f"r8-2class/{attack_name}-celtibero"] = dict(
+            two_class, aggregator={"kind": "celtibero"}, attack=ATTACKS[attack_name]
+        )
     out["r8-dirichlet-repair/mra-celtibero"] = dict(
         short, partition={"kind": "dirichlet", "alpha": 0.01}, aggregator={"kind": "celtibero"}
     )
