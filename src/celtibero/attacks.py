@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 from .model import ModelWeights, add_update, check_shapes, diff
 
 __all__ = [
@@ -79,7 +79,8 @@ REFERENCE_KINDS = tuple(_DECAYS)
 @dataclass(frozen=True)
 class TriggerPattern:
     """Fixed feature positions and values in [0, 1] stamped into poisoned
-    samples, plus the class those samples are relabeled to."""
+    samples, plus the class those samples are relabeled to; a pattern raises
+    one ``ConfigError``, a ``ValueError``, listing every rule it breaks."""
 
     positions: tuple[int, ...]
     values: tuple[float, ...]
@@ -90,20 +91,21 @@ class TriggerPattern:
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "values", values)
+        problems = []
         if not positions:
-            raise ValueError("trigger needs at least one position")
+            problems.append("trigger needs at least one position")
         if len(set(positions)) != len(positions):
-            raise ValueError("trigger positions must be distinct")
+            problems.append("trigger positions must be distinct")
         if len(values) != len(positions):
-            raise ValueError(
-                f"trigger has {len(positions)} positions but {len(values)} values"
-            )
+            problems.append(f"trigger has {len(positions)} positions but {len(values)} values")
         if any(p < 0 for p in positions):
-            raise ValueError(f"trigger positions must be nonnegative, got {positions}")
+            problems.append(f"trigger positions must be nonnegative, got {positions}")
         if not all(0.0 <= v <= 1.0 for v in values):  # NaN fails both bounds
-            raise ValueError(f"trigger values must lie in [0, 1], got {values}")
+            problems.append(f"trigger values must lie in [0, 1], got {values}")
         if self.target_class < 0:
-            raise ValueError(f"target class must be nonnegative, got {self.target_class}")
+            problems.append(f"target class must be nonnegative, got {self.target_class}")
+        if problems:
+            raise ConfigError(problems)
 
 
 # The default trigger's square side (its length on plain vectors) and value.

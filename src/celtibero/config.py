@@ -349,14 +349,15 @@ _TRIGGER_KEYS = {
 def _parse_trigger(reader: _Reader, num_features: int, errors: _Violations):
     """The trigger that ``reader``'s block gives, or None if it is rejected.
     The block's rules check each value's type and ``TriggerPattern`` the
-    rest; this checks the positions against the feature count."""
+    rest, one violation per rule; this checks positions against the width."""
     trigger, where = reader.read_all(), reader.where
     if not errors.valid(where):
         return None
     try:
         pattern = replace(reader.defaults, **trigger)
-    except ValueError as exc:
-        errors.reject(where, str(exc))
+    except ConfigError as exc:
+        for problem in exc.violations:
+            errors.reject(where, problem)
         return None
     if errors.valid("dataset.kind", "dataset.features") and max(pattern.positions) >= num_features:
         errors.reject(f"{where}.positions", f"every position must lie in [0, {num_features})")

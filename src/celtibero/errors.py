@@ -13,7 +13,7 @@ class IdxFormatError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration.
+    """Invalid experiment configuration, or an invalid ``TriggerPattern``.
 
     Carries every violation found in ``violations`` rather than stopping at
     the first, so a single failed run reports everything that must change.

@@ -204,8 +204,8 @@ class Experiment:
     Building an Experiment validates the config exactly as the parser does
     (a hand-built config gets every violation listed and its defaults
     materialized), loads/generates the data, partitions it across the
-    clients, poisons the malicious clients' shares, and initializes the
-    global model. The roster is two values: ``shares``, one dataset per
+    clients, poisons the malicious clients' shares, initializes the global
+    model and builds the one ``TrainConfig`` of every client. The roster is two values: ``shares``, one dataset per
     client (poisoned where the client is malicious), and ``malicious``, the
     set of malicious client indices. The training matrix is kept once, in
     client order, as the shares' common read-only base: each share views
@@ -266,7 +266,10 @@ class Experiment:
             shares.append(share)
         features.flags.writeable = labels.flags.writeable = False
         self.shares = tuple(shares)
-        self.initial_model = init_model(layer_sizes, derive_seed(master, "init"))
+        init = np.random.default_rng(derive_seed(master, "init"))
+        self.initial_model = init_model(layer_sizes, init)
+        training = cfg.training
+        self._train_cfg = TrainConfig(training.learning_rate, training.batch_size, cfg.local_epochs)
 
     def _clean_reference(self) -> Experiment:
         """The no-attack federation of a reference-kind experiment, on this
@@ -330,19 +333,14 @@ class Experiment:
         participants = sample_participants(
             cfg.clients, cfg.participation, derive_rng(cfg.seed, "participants", t)
         )
-        model_rule = _MODEL_RULES.get(cfg.attack.kind)
+        model_rule, activation = _MODEL_RULES.get(cfg.attack.kind), cfg.architecture.activation
         local_models = []
         for i in participants:
             k = int(i)
-            train_cfg = TrainConfig(
-                learning_rate=cfg.training.learning_rate,
-                batch_size=cfg.training.batch_size,
-                epochs=cfg.local_epochs,
-                seed=derive_seed(cfg.seed, "train", t, k),
-            )
+            rng = np.random.default_rng(derive_seed(cfg.seed, "train", t, k))
             try:
                 local = train_local(
-                    state.global_model, self.shares[k], train_cfg, cfg.architecture.activation
+                    state.global_model, self.shares[k], self._train_cfg, rng, activation
                 )
                 if k in self.malicious and model_rule is not None:
                     local = model_rule(

@@ -1,10 +1,10 @@
 """A compact dense network (relu or tanh hidden layers, softmax output) with
 plain mini-batch SGD.
 
-The network is deliberately small and self-contained: deterministic
-initialization, hand-written gradients, and no optimizer state beyond the
-weights themselves, so locally trained models are reproducible bit for bit
-from (weights, data, config).
+The network is deliberately small and self-contained: initialization drawn
+from the caller's generator, hand-written gradients, and no optimizer state
+beyond the weights themselves, so a locally trained model reproduces bit for
+bit from its weights, data, config and generator.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     epochs: int = 3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
@@ -59,18 +58,17 @@ class EvalResult:
     per_class: dict[int, float]
 
 
-def init_model(layer_sizes: Sequence[int], seed: int = 0) -> ModelWeights:
-    """Deterministic initialization of dense layers of ``layer_sizes`` from
-    input to output, e.g. ``(20, 16, 4)``: each weight matrix is drawn
-    uniformly from ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]`` by one generator
-    seeded with ``seed``, biases start at zero. Every matrix and every bias
-    registers as its own layer."""
+def init_model(layer_sizes: Sequence[int], rng: np.random.Generator) -> ModelWeights:
+    """Initial weights of dense layers of ``layer_sizes`` from input to
+    output, e.g. ``(20, 16, 4)``: each weight matrix is drawn from ``rng``
+    uniformly in ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]``, in layer order, and
+    biases start at zero. Every matrix and every bias registers as its own
+    layer."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 3:
         raise ValueError("architecture needs input, at least one hidden, and output sizes")
     if any(s < 1 for s in sizes):
         raise ValueError(f"layer sizes must be positive, got {sizes}")
-    rng = np.random.default_rng(seed)
     shapes, draws = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         scale = 1.0 / math.sqrt(fan_in)
@@ -190,12 +188,13 @@ def train_local(
     model: ModelWeights,
     data: LabeledDataset,
     cfg: TrainConfig,
+    rng: np.random.Generator,
     activation: str = "relu",
 ) -> ModelWeights:
     """``cfg.epochs`` passes of mini-batch SGD starting from ``model``.
 
-    Every epoch reshuffles the sample order from a stream derived from
-    ``cfg.seed``, so identical inputs always produce identical outputs. The
+    Each epoch's sample order is one ``rng.permutation(data.n)``, its only
+    draw, so equal inputs and equally seeded generators give equal outputs. The
     batch size is clamped to the local dataset size and the final short
     batch of each epoch is used as-is. Each epoch gathers its shuffled
     feature rows and one-hot targets a block of whole batches at a time, at
@@ -211,7 +210,6 @@ def train_local(
         )
     grad = np.empty_like(flat)
     grads = _dense_pairs(model, grad)
-    rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, data.n)
     features, labels, lr = data.features, data.labels, cfg.learning_rate
     eye = np.eye(pairs[-1][1].size)

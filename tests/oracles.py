@@ -373,11 +373,11 @@ def per_layer_loss_and_grad(model, features, labels, activation="relu"):
     return loss, _pack(model.shapes(), weight_grads, bias_grads)
 
 
-def per_layer_train_local(model, data, cfg, activation="relu"):
+def per_layer_train_local(model, data, cfg, rng, activation="relu"):
     """Per-layer reference for ``train_local``: the same epochs, sample
-    order and batches, each step updating every matrix and bias on its own."""
+    order (one ``rng.permutation`` per epoch) and batches, each step
+    updating every matrix and bias on its own."""
     weights, biases = _per_layer_params(model)
-    rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, data.n)
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n)

@@ -105,7 +105,7 @@ def test_criterion_03_analytic_gradients_match_central_differences():
     for trial in range(50):
         sizes = shapes[trial % len(shapes)]
         activation = "relu" if trial % 2 == 0 else "tanh"
-        model = init_model(sizes, seed=int(rng.integers(1 << 30)))
+        model = init_model(sizes, np.random.default_rng(int(rng.integers(1 << 30))))
         X = rng.uniform(size=(4, sizes[0]))
         y = rng.integers(0, sizes[-1], size=4)
         _, grad = loss_and_grad(model, X, y, activation)

@@ -158,7 +158,7 @@ class TestCeltiberoAggregate:
         # the median also works; a list of updates and their stack, plus the
         # kernel's copy of layer 0, held about 2.9. At m = 9 a median that
         # made layer-wide temporaries would break the bound.
-        global_model = init_model(sizes, seed=0)
+        global_model = init_model(sizes, np.random.default_rng(0))
         rng = np.random.default_rng(m)
         shift = rng.normal(size=global_model.flat.size)
         local_models = []
@@ -468,7 +468,7 @@ class TestBaselineMemory:
     def test_holds_a_few_mib_beside_a_9_mib_round(self, rule):
         # 90 models of the ulfa-mkrum-n100 architecture, 13 124 parameters
         # each: one stack of them alone is 9.4 MB.
-        global_model = init_model((200, 64, 4), seed=0)
+        global_model = init_model((200, 64, 4), np.random.default_rng(0))
         rng = np.random.default_rng(90)
         models = [
             ModelWeights._owning(global_model, global_model.flat + rng.normal(size=13124))

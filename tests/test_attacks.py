@@ -59,6 +59,17 @@ class TestTriggerPattern:
         with pytest.raises(ValueError):
             TriggerPattern((1,), (0.5,), -1)
 
+    def test_one_error_names_every_broken_rule(self):
+        message = (
+            "trigger positions must be distinct; trigger has 2 positions but 1 values; "
+            "trigger positions must be nonnegative, got (-1, -1); "
+            "trigger values must lie in [0, 1], got (1.5,); "
+            "target class must be nonnegative, got -1"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as caught:
+            TriggerPattern((-1, -1), (1.5,), -1)
+        assert len(caught.value.violations) == 5
+
     @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
     @pytest.mark.parametrize("values", [(None,), (0.9, None), (None, 0.1)])
     def test_values_outside_unit_range_raise(self, bad, values):

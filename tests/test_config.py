@@ -324,6 +324,15 @@ class TestParserOwnsEveryCheck:
             "attack.trigger: trigger needs at least one position",
         ]
 
+    def test_every_broken_trigger_rule_is_listed(self):
+        trigger = {"positions": [0, 0, -1], "values": [2.0, 1.0, 1.0]}
+        raw = {"attack": {"kind": "mra", "trigger": trigger}}
+        assert violations_of(raw) == [
+            "attack.trigger: trigger positions must be distinct",
+            "attack.trigger: trigger positions must be nonnegative, got (0, 0, -1)",
+            "attack.trigger: trigger values must lie in [0, 1], got (2.0, 1.0, 1.0)",
+        ]
+
     @pytest.mark.parametrize(
         "raw, expected",
         [

@@ -99,9 +99,9 @@ class TestOwnedVectors:
 
     def test_results_are_read_only(self):
         rng = np.random.default_rng(31)
-        base = init_model((4, 3, 2), seed=1)
+        base = init_model((4, 3, 2), np.random.default_rng(1))
         data = gen_synthetic(2, 12, 4, 3.0, rng)
-        local = train_local(base, data, TrainConfig(0.1, 4, epochs=1))
+        local = train_local(base, data, TrainConfig(0.1, 4, epochs=1), np.random.default_rng(0))
         update = diff(local, base)
         results = [
             local,
@@ -125,9 +125,9 @@ class TestOwnedVectors:
         assert vec.flags.writeable and not np.shares_memory(built.flat, vec)
         vec[0] = 9.0
         assert built.flat[0] == 1.0
-        base = init_model((4, 3, 2), seed=2)
+        base = init_model((4, 3, 2), np.random.default_rng(2))
         data = gen_synthetic(2, 12, 4, 3.0, np.random.default_rng(32))
-        local = train_local(base, data, TrainConfig(0.1, 4, epochs=1))
+        local = train_local(base, data, TrainConfig(0.1, 4, epochs=1), np.random.default_rng(0))
         assert not np.shares_memory(local.flat, base.flat)
         for result in (
             diff(local, base),

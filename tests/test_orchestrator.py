@@ -5,9 +5,11 @@ import re
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from celtibero import (
     ATTACK_KINDS,
@@ -20,6 +22,7 @@ from celtibero import (
     RoundError,
     RoundReport,
     ShapeMismatchError,
+    TrainConfig,
     backdoor_success_rate,
     config_from_dict,
     config_to_dict,
@@ -36,6 +39,7 @@ from celtibero import (
     partition_iid,
     run_experiment,
     sample_participants,
+    train_local,
     TriggerPattern,
 )
 from celtibero import attacks, orchestrator
@@ -45,6 +49,10 @@ from .oracles import stamped_backdoor_rate
 from .test_data import write_idx_pair
 from .test_training import dense_model
 
+
+README_YAML = re.search(
+    r"```yaml\n(.*?)```", (Path(__file__).resolve().parent.parent / "README.md").read_text(), re.S
+).group(1)
 
 # The functions of ``celtibero.attacks`` that each attack kind's rows call.
 ROW_FUNCTIONS = {
@@ -99,6 +107,35 @@ class TestDeriveStreams:
     def test_seed_path_sensitivity(self):
         assert derive_seed(7, "a", 1) != derive_seed(7, "a", 2)
         assert derive_seed(7, "a") != derive_seed(7, "b")
+
+    def test_each_model_replays_from_its_derived_generator(self, monkeypatch):
+        # The README config cut to one round: every participant's local model
+        # is train_local from the initial model on its share, with a fresh
+        # TrainConfig and a generator seeded by derive_seed(seed, "train", 0, k).
+        experiment = Experiment(config_from_dict(dict(yaml.safe_load(README_YAML), rounds=1)))
+        cfg = experiment.cfg
+        sizes = (cfg.dataset.features, *cfg.architecture.hidden, cfg.dataset.classes)
+        init_rng = np.random.default_rng(derive_seed(cfg.seed, "init"))
+        assert experiment.initial_model.flat.tobytes() == init_model(sizes, init_rng).flat.tobytes()
+        client = {id(share): k for k, share in enumerate(experiment.shares)}
+        trained = {}
+
+        def recorded(model, data, *args):
+            trained[client[id(data)]] = local = train_local(model, data, *args)
+            return local
+
+        monkeypatch.setattr(orchestrator, "train_local", recorded)
+        _, report = experiment.run_round(experiment.initial_state())
+        assert sorted(trained) == list(report.participants)
+        training = cfg.training
+        train_cfg = TrainConfig(training.learning_rate, training.batch_size, cfg.local_epochs)
+        for k, local in trained.items():
+            rng = np.random.default_rng(derive_seed(cfg.seed, "train", 0, k))
+            replay = train_local(
+                experiment.initial_model, experiment.shares[k], train_cfg, rng,
+                cfg.architecture.activation,
+            )
+            assert local.flat.tobytes() == replay.flat.tobytes(), k
 
 
 class TestSampleParticipants:
@@ -296,7 +333,7 @@ class TestBackdoorSuccessRate:
             rng.uniform(size=(1400, 784)), rng.integers(0, 4, size=1400), 4
         )
         assert data.features.nbytes >= 8_000_000
-        model = init_model((784, 16, 4), seed=1)
+        model = init_model((784, 16, 4), np.random.default_rng(1))
         trigger = TriggerPattern((780, 781, 782, 783), (1.0, 1.0, 1.0, 1.0), 0)
         backdoor_success_rate(model, data, trigger)  # first, so lazy imports are not counted
         tracemalloc.start()

@@ -48,9 +48,9 @@ class TestTrainConfig:
 
 class TestInitModel:
     def test_valid(self):
-        model = init_model([np.int64(20), 16.0, 4], seed=3)
+        model = init_model([np.int64(20), 16.0, 4], np.random.default_rng(3))
         assert model.shapes() == ((20, 16), (16,), (16, 4), (4,))
-        assert model == init_model((20, 16, 4), seed=3)
+        assert model == init_model((20, 16, 4), np.random.default_rng(3))
 
     @pytest.mark.parametrize(
         "sizes, message",
@@ -61,30 +61,41 @@ class TestInitModel:
     )
     def test_rejections(self, sizes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            init_model(sizes)
+            init_model(sizes, np.random.default_rng(0))
 
     def test_alternating_matrix_bias_shapes(self):
-        model = init_model((4, 3, 2))
+        model = init_model((4, 3, 2), np.random.default_rng(0))
         assert model.shapes() == ((4, 3), (3,), (3, 2), (2,))
 
     def test_biases_start_at_zero(self):
-        model = init_model((5, 4, 3))
+        model = init_model((5, 4, 3), np.random.default_rng(0))
         assert np.all(layers_of(model)[1] == 0.0)
         assert np.all(layers_of(model)[3] == 0.0)
 
     def test_weights_within_fan_in_bound(self):
-        model = init_model((4, 3, 2), seed=9)
+        model = init_model((4, 3, 2), np.random.default_rng(9))
         assert np.all(np.abs(layers_of(model)[0]) <= 1.0 / math.sqrt(4))
         assert np.all(np.abs(layers_of(model)[2]) <= 1.0 / math.sqrt(3))
 
     def test_deterministic_and_seed_sensitive(self):
-        assert init_model((4, 3, 2), seed=5) == init_model((4, 3, 2), seed=5)
-        assert init_model((4, 3, 2), seed=6) != init_model((4, 3, 2), seed=5)
+        def drawn(seed):
+            return init_model((4, 3, 2), np.random.default_rng(seed))
+
+        assert drawn(5) == drawn(5)
+        assert drawn(6) != drawn(5)
+
+    def test_draws_one_uniform_matrix_per_layer_from_the_callers_generator(self):
+        rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+        model = init_model((4, 3, 2), rng)
+        assert np.array_equal(layers_of(model)[0], replay.uniform(-0.5, 0.5, (4, 3)).ravel())
+        scale = 1.0 / math.sqrt(3)
+        assert np.array_equal(layers_of(model)[2], replay.uniform(-scale, scale, (3, 2)).ravel())
+        assert rng.random() == replay.random()
 
 
 class TestForward:
     def test_probabilities_form_a_simplex(self):
-        model = init_model((6, 5, 3), seed=1)
+        model = init_model((6, 5, 3), np.random.default_rng(1))
         rng = np.random.default_rng(2)
         for activation in ("relu", "tanh"):
             probs = forward(model, rng.uniform(size=6), activation)
@@ -109,7 +120,7 @@ class TestForward:
         assert probs[0] == pytest.approx(1.0)
 
     def test_rejections(self):
-        model = init_model((4, 3, 2))
+        model = init_model((4, 3, 2), np.random.default_rng(0))
         with pytest.raises(ShapeMismatchError):
             forward(model, [0.1, 0.2, 0.3])
         lopsided = ModelWeights([(2, 2)], np.zeros(4))
@@ -119,7 +130,7 @@ class TestForward:
 
 class TestPredict:
     def test_matches_rowwise_forward(self):
-        model = init_model((5, 4, 3), seed=7)
+        model = init_model((5, 4, 3), np.random.default_rng(7))
         # 9000 rows run past the 8192-row blocks prediction was once split into.
         for rows in (20, 9000):
             X = np.random.default_rng(8).uniform(size=(rows, 5))
@@ -133,12 +144,12 @@ class TestPredict:
         assert np.array_equal(predict(model, np.full((5, 3), 0.5)), np.zeros(5))
 
     def test_rejects_non_batch_input(self):
-        model = init_model((3, 3, 2))
+        model = init_model((3, 3, 2), np.random.default_rng(0))
         with pytest.raises(ShapeMismatchError):
             predict(model, np.zeros(3))
 
     def test_rejects_a_batch_of_another_width(self):
-        model = init_model((3, 3, 2))
+        model = init_model((3, 3, 2), np.random.default_rng(0))
         with pytest.raises(ShapeMismatchError, match="^feature width 4, model expects 3$"):
             predict(model, np.zeros((2, 4)))
 
@@ -150,17 +161,17 @@ class TestPredict:
 
     def test_rejects_unknown_activation(self):
         # The activation is an argument of each call that runs the network.
-        model = init_model((3, 3, 2))
+        model = init_model((3, 3, 2), np.random.default_rng(0))
         data = LabeledDataset(np.zeros((2, 3)), [0, 1], 2)
         with pytest.raises(ValueError, match="activation must be one of"):
             predict(model, data.features, "sigmoid")
         with pytest.raises(ValueError, match="activation must be one of"):
-            train_local(model, data, TrainConfig(learning_rate=0.1, batch_size=2), "sigmoid")
+            train_local(model, data, TrainConfig(0.1, 2), np.random.default_rng(0), "sigmoid")
 
 
 class TestLossAndGrad:
     def test_gradients_match_central_differences(self):
-        model = init_model((2, 3, 2), seed=11)
+        model = init_model((2, 3, 2), np.random.default_rng(11))
         rng = np.random.default_rng(12)
         X = rng.uniform(size=(4, 2))
         y = rng.integers(0, 2, size=4)
@@ -193,7 +204,7 @@ class TestLossAndGrad:
         assert np.isfinite(grad.flat).all()
 
     def test_gradient_update_matches_model_layout(self):
-        model = init_model((3, 4, 2), seed=14)
+        model = init_model((3, 4, 2), np.random.default_rng(14))
         _, grad = loss_and_grad(model, np.full((2, 3), 0.5), [0, 1])
         assert grad.shapes() == model.shapes()
 
@@ -209,46 +220,58 @@ class TestTrainLocal:
         return gen_synthetic(3, n, 6, 3.0, np.random.default_rng(seed))
 
     def test_zero_learning_rate_is_identity(self):
-        model = init_model((6, 5, 3), seed=15)
-        trained = train_local(model, self.make_data(), TrainConfig(0.0, 16))
+        model = init_model((6, 5, 3), np.random.default_rng(15))
+        rng = np.random.default_rng(0)
+        trained = train_local(model, self.make_data(), TrainConfig(0.0, 16), rng)
         assert trained == model
 
     def test_bit_identical_retrain(self):
-        model = init_model((6, 5, 3), seed=16)
-        cfg = TrainConfig(0.1, 16, epochs=2, seed=21)
-        data = self.make_data(1)
-        assert train_local(model, data, cfg) == train_local(model, data, cfg)
+        model = init_model((6, 5, 3), np.random.default_rng(16))
+        cfg, data = TrainConfig(0.1, 16, epochs=2), self.make_data(1)
+        first = train_local(model, data, cfg, np.random.default_rng(21))
+        assert train_local(model, data, cfg, np.random.default_rng(21)) == first
+
+    def test_draws_one_permutation_per_epoch_from_the_callers_generator(self):
+        model, data = init_model((6, 5, 3), np.random.default_rng(25)), self.make_data(5, n=40)
+        rng, replay = np.random.default_rng(26), np.random.default_rng(26)
+        train_local(model, data, TrainConfig(0.1, 16, epochs=3), rng)
+        for _ in range(3):
+            replay.permutation(data.n)
+        assert rng.random() == replay.random()
 
     def test_loss_decreases(self):
-        model = init_model((6, 5, 3), seed=17)
+        model = init_model((6, 5, 3), np.random.default_rng(17))
         data = self.make_data(2)
-        trained = train_local(model, data, TrainConfig(0.1, 16, epochs=3))
+        rng = np.random.default_rng(0)
+        trained = train_local(model, data, TrainConfig(0.1, 16, epochs=3), rng)
         before, _ = loss_and_grad(model, data.features, data.labels)
         after, _ = loss_and_grad(trained, data.features, data.labels)
         assert after < before
 
     def test_oversized_batch_clamps_to_dataset(self):
-        model = init_model((6, 5, 3), seed=18)
+        model = init_model((6, 5, 3), np.random.default_rng(18))
         data = self.make_data(3, n=10)
-        trained = train_local(model, data, TrainConfig(0.1, 1000, epochs=1))
+        rng = np.random.default_rng(0)
+        trained = train_local(model, data, TrainConfig(0.1, 1000, epochs=1), rng)
         assert trained != model
 
     def test_accuracy_improves_on_separable_data(self):
-        model = init_model((6, 8, 3), seed=19)
+        model = init_model((6, 8, 3), np.random.default_rng(19))
         data = gen_synthetic(3, 600, 6, 4.0, np.random.default_rng(20))
-        trained = train_local(model, data, TrainConfig(0.1, 32, epochs=10))
+        rng = np.random.default_rng(0)
+        trained = train_local(model, data, TrainConfig(0.1, 32, epochs=10), rng)
         assert evaluate(trained, data).accuracy >= 0.95
 
     def test_input_model_not_mutated(self):
-        model = init_model((6, 5, 3), seed=22)
+        model = init_model((6, 5, 3), np.random.default_rng(22))
         snapshot = [v.copy() for v in layers_of(model)]
-        train_local(model, self.make_data(4), TrainConfig(0.1, 16))
+        train_local(model, self.make_data(4), TrainConfig(0.1, 16), np.random.default_rng(0))
         assert all(np.array_equal(v, s) for v, s in zip(layers_of(model), snapshot))
 
     def test_rejects_width_mismatch(self):
-        model = init_model((5, 4, 3))
+        model = init_model((5, 4, 3), np.random.default_rng(0))
         with pytest.raises(ShapeMismatchError):
-            train_local(model, self.make_data(), TrainConfig(0.1, 16))
+            train_local(model, self.make_data(), TrainConfig(0.1, 16), np.random.default_rng(0))
 
 
 class TestPerLayerReference:
@@ -307,8 +330,8 @@ class TestPerLayerReference:
         if zero_features:
             features = np.zeros((n, width))
         data = LabeledDataset(features, rng.integers(0, classes, size=n), classes)
-        model = init_model((width, *hidden, classes), seed)
-        cfg = TrainConfig(lr, batch, epochs, seed)
+        model = init_model((width, *hidden, classes), np.random.default_rng(seed))
+        cfg = TrainConfig(lr, batch, epochs)
         # The share as an experiment holds it: a block of rows of a larger
         # training matrix.
         before, after = rows_around
@@ -317,8 +340,10 @@ class TestPerLayerReference:
         if gather_bytes is None:
             gather_bytes = data_module._ROW_BYTES
         with mock.patch.object(data_module, "_ROW_BYTES", gather_bytes):
-            trained = train_local(model, share, cfg, activation)
-        reference = per_layer_train_local(model, data, cfg, activation)
+            trained = train_local(model, share, cfg, np.random.default_rng(seed), activation)
+        reference = per_layer_train_local(
+            model, data, cfg, np.random.default_rng(seed), activation
+        )
         assert trained.flat.tobytes() == reference.flat.tobytes()
         if lr == 0.0:
             assert trained.flat.tobytes() == model.flat.tobytes()
@@ -349,7 +374,7 @@ class TestEvaluate:
         assert set(result.per_class) == {0, 1}
 
     def test_count_weighted_per_class_mean_equals_accuracy(self):
-        model = init_model((6, 5, 3), seed=23)
+        model = init_model((6, 5, 3), np.random.default_rng(23))
         data = gen_synthetic(3, 301, 6, 2.0, np.random.default_rng(24))
         result = evaluate(model, data)
         counts = np.bincount(data.labels, minlength=data.num_classes)
